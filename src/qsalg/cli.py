@@ -8,7 +8,7 @@ corpus (bundled files).
 Exit codes: 0 every check passed; 1 a law or theorem failed, with a
 witness in the report; 2 malformed input or an exceeded bound.  With
 --json the report is canonical: sorted keys, compact separators, timing
-pinned to null, so identical inputs and seed give byte-identical output.
+pinned to null, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -75,14 +75,13 @@ def _fail(name, err, **extra):
             "message": str(err), "witness": err.witness, **extra}
 
 
-def _report(command, arguments, inputs, seed):
+def _report(command, arguments, inputs):
     return {
         "format": "qsalg-report/1",
         "command": command,
         "arguments": arguments,
         "inputs": [{"path": p, "sha256": _digest(p)} for p in inputs],
         "threshold": limits.threshold(None),
-        "seed": limits.DEFAULT_SEED if seed is None else seed,
         "checks": [],
         "status": "PASS",
         "timing": None,
@@ -105,8 +104,7 @@ def _bare_host(mod):
 def cmd_validate(ns):
     report = _report("validate", {
         "file": ns.file, "kind": ns.kind, "name": ns.name,
-        "close": ns.close, "lax_modules": ns.lax_modules}, [ns.file],
-        ns.seed)
+        "close": ns.close, "lax_modules": ns.lax_modules}, [ns.file])
     doc = document.load(ns.file, close=ns.close, lax_modules=ns.lax_modules)
     kinds = [ns.kind] if ns.kind else \
         [k for k in KINDS if doc.names(KINDS[k])]
@@ -134,13 +132,13 @@ def _representation_subjects(doc):
         yield name, (lambda n=name: doc.qsup_algebra(n))
 
 
-def _check_representation(doc, report, seed):
+def _check_representation(doc, report):
     empty = True
     for name, build in _representation_subjects(doc):
         empty = False
         label = f"representation:{name}"
         try:
-            cert = representation(build(), seed=seed)
+            cert = representation(build())
             report["checks"].append({"name": label, "status": "PASS",
                                      "certificate": cert})
         except SpecViolation as err:
@@ -149,15 +147,14 @@ def _check_representation(doc, report, seed):
         raise InputError("no algebra declarations to represent")
 
 
-def _check_roundtrip(doc, report, seed):
+def _check_roundtrip(doc, report):
     empty = True
     for name in doc.names("modules"):
         empty = False
         label = f"roundtrip:module:{name}"
         try:
             mod = doc.module(name)
-            back = module_from_suplattice(
-                suplattice_from_module(mod, seed=seed))
+            back = module_from_suplattice(suplattice_from_module(mod))
             if back.same_tables(mod):
                 report["checks"].append({"name": label, "status": "PASS"})
             else:
@@ -172,9 +169,8 @@ def _check_roundtrip(doc, report, seed):
         empty = False
         label = f"roundtrip:qorder:{name}"
         try:
-            sup = certify_qsuplattice(doc.qorder(name), seed=seed)
-            back = suplattice_from_module(module_from_suplattice(sup),
-                                          seed=seed)
+            sup = certify_qsuplattice(doc.qorder(name))
+            back = suplattice_from_module(module_from_suplattice(sup))
             if back.order.same_tables(sup.order):
                 report["checks"].append({"name": label, "status": "PASS"})
             else:
@@ -189,13 +185,12 @@ def _check_roundtrip(doc, report, seed):
         raise InputError("no modules or q-orders to round-trip")
 
 
-def _check_universal(doc, report, seed):
+def _check_universal(doc, report):
     targets = []
     for name in doc.names("qmodule_algebras"):
         targets.append((name, doc.qmodule_algebra(name)))
     for name in doc.names("qsup_algebras"):
-        targets.append((name, transport_algebra(doc.qsup_algebra(name),
-                                                seed=seed)))
+        targets.append((name, transport_algebra(doc.qsup_algebra(name))))
     ran = False
     for gname in doc.names("algebras"):
         gens = doc.algebra(gname)
@@ -209,8 +204,7 @@ def _check_universal(doc, report, seed):
                 raise TooLarge("generator assignment space", space,
                                limits.HOM_ENUM_BOUND)
             try:
-                free = free_qsup_algebra(target.module.base, gens,
-                                         seed=seed)
+                free = free_qsup_algebra(target.module.base, gens)
             except SpecViolation as err:
                 report["checks"].append(_fail(label, err))
                 continue
@@ -238,14 +232,14 @@ def _check_universal(doc, report, seed):
                          "signature")
 
 
-def _check_nucleus_laws(doc, report, seed):
+def _check_nucleus_laws(doc, report):
     empty = True
     for name in doc.names("nuclei"):
         empty = False
         label = f"nucleus:{name}"
         try:
             nuc = doc.nucleus(name)
-            laws = derived_laws(nuc, seed=seed)
+            laws = derived_laws(nuc)
             report["checks"].append({"name": label, "status": "PASS",
                                      **laws})
         except SpecViolation as err:
@@ -256,13 +250,12 @@ def _check_nucleus_laws(doc, report, seed):
         try:
             subject = build()
             if isinstance(subject, QSupAlgebra):
-                subject = transport_algebra(subject, seed=seed)
-            free = free_qsup_algebra(subject.module.base, subject.algebra,
-                                     seed=seed)
+                subject = transport_algebra(subject)
+            free = free_qsup_algebra(subject.module.base, subject.algebra)
             eps = counit_map(free, subject)
             nuc = is_nucleus(free.module_algebra,
                              canonical_closure(free, eps))
-            laws = derived_laws(nuc, seed=seed)
+            laws = derived_laws(nuc)
             report["checks"].append({"name": label, "status": "PASS",
                                      "free_size": len(free.ids), **laws})
         except SpecViolation as err:
@@ -271,14 +264,14 @@ def _check_nucleus_laws(doc, report, seed):
         raise InputError("no nuclei or algebra subjects declared")
 
 
-def _check_crisp(doc, report, seed):
+def _check_crisp(doc, report):
     names = doc.names("posets")
     if not names:
         raise InputError("no posets declared")
     for name in names:
         label = f"crisp:{name}"
         try:
-            out = crisp_specialization(doc.lattice(name), seed=seed)
+            out = crisp_specialization(doc.lattice(name))
             report["checks"].append({"name": label, "status": "PASS", **out})
         except SpecViolation as err:
             report["checks"].append(_fail(label, err))
@@ -296,10 +289,10 @@ THEOREMS = {
 def cmd_check(ns):
     report = _report("check", {
         "file": ns.file, "theorem": ns.theorem, "close": ns.close,
-        "lax_modules": ns.lax_modules}, [ns.file], ns.seed)
+        "lax_modules": ns.lax_modules}, [ns.file])
     doc = document.load(ns.file, close=ns.close,
                         lax_modules=ns.lax_modules)
-    THEOREMS[ns.theorem](doc, report, ns.seed)
+    THEOREMS[ns.theorem](doc, report)
     return _settle(report)
 
 
@@ -362,7 +355,7 @@ def _enumerate_homs(ns, report, artifacts):
         doc = document.loads(corpus.corpus_text("two-meet.json"))
         gens = doc.algebra("z2")
         target = doc.qmodule_algebra("subject")
-        free = free_qsup_algebra(target.module.base, gens, seed=ns.seed)
+        free = free_qsup_algebra(target.module.base, gens)
         homs = enumerate_homs(free.module_algebra, target)
         report["checks"].append({
             "name": "free-homs:z2->two-meet", "status": "PASS",
@@ -373,8 +366,7 @@ def _enumerate_homs(ns, report, artifacts):
 
 def cmd_enumerate(ns):
     report = _report("enumerate", {
-        "kind": ns.kind, "max_size": ns.max_size, "out": ns.out}, [],
-        ns.seed)
+        "kind": ns.kind, "max_size": ns.max_size, "out": ns.out}, [])
     artifacts = {}
     {"quantales": _enumerate_quantales,
      "nuclei": _enumerate_nuclei,
@@ -404,7 +396,7 @@ def _find_certificates(raw):
 
 def cmd_recheck(ns):
     from .recheck import recheck_certificate
-    report = _report("recheck", {"file": ns.file}, [ns.file], None)
+    report = _report("recheck", {"file": ns.file}, [ns.file])
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -425,7 +417,7 @@ def cmd_recheck(ns):
 
 
 def cmd_corpus(ns):
-    report = _report("corpus", {"action": ns.action}, [], None)
+    report = _report("corpus", {"action": ns.action}, [])
     for name, description in corpus.corpus_listing():
         report["checks"].append({"name": name, "status": "PASS",
                                  "description": description})
@@ -439,7 +431,7 @@ def _emit(report, as_json, elapsed):
                                     default=str) + "\n")
         return
     print(f"qsalg {report['command']}: {report['status']} "
-          f"({len(report['checks'])} checks, seed {report['seed']}, "
+          f"({len(report['checks'])} checks, "
           f"threshold {report['threshold']})")
     for check in report["checks"]:
         line = f"  {check['status']:4} {check['name']}"
@@ -466,8 +458,6 @@ def main(argv=None):
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="canonical machine report on stdout")
-        p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (echoed in the report)")
 
     p = sub.add_parser("validate", help="run a validator over a document")
     p.add_argument("file")

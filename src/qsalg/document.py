@@ -38,6 +38,7 @@ KINDS = {
     "quantale": "quantales",
     "q-order": "qorders",
     "q-module": "modules",
+    "algebra": "algebras",
     "q-sup-algebra": "qsup_algebras",
     "q-module-algebra": "qmodule_algebras",
     "nucleus": "nuclei",
@@ -50,9 +51,15 @@ def _field(decl, key, where):
     return decl[key]
 
 
+def _rows(rows, where):
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: expected a list of rows, got {rows!r}")
+    return rows
+
+
 def _pairs_to_relation(rows, where):
     rel = set()
-    for row in rows:
+    for row in _rows(rows, where):
         if not isinstance(row, list) or len(row) != 2:
             raise ParseError(f"{where}: leq rows are [a, b] pairs, got {row!r}")
         rel.add((row[0], row[1]))
@@ -61,7 +68,7 @@ def _pairs_to_relation(rows, where):
 
 def _triples_to_table(rows, where):
     table = {}
-    for row in rows:
+    for row in _rows(rows, where):
         if not isinstance(row, list) or len(row) != 3:
             raise ParseError(f"{where}: rows are [a, b, value] triples, "
                              f"got {row!r}")
@@ -71,7 +78,7 @@ def _triples_to_table(rows, where):
 
 def _rows_to_op(rows, where):
     table = {}
-    for row in rows:
+    for row in _rows(rows, where):
         if (not isinstance(row, list) or len(row) != 2
                 or not isinstance(row[0], list)):
             raise ParseError(f"{where}: op rows are [[args...], value], "
@@ -187,6 +194,9 @@ class Document:
             sig = self.signature(_field(decl, "signature", where))
             carrier = _field(decl, "carrier", where)
             raw_ops = _field(decl, "ops", where)
+            if not isinstance(raw_ops, dict):
+                raise ParseError(f"{where}.ops: expected a symbol-to-rows "
+                                 f"object, got {raw_ops!r}")
             ops = {sym: _rows_to_op(rows, f"{where}.ops.{sym}")
                    for sym, rows in raw_ops.items()}
             for sym in sig.symbols:
@@ -231,6 +241,7 @@ _BUILDERS = {
     "quantale": "quantale",
     "q-order": "qorder",
     "q-module": "module",
+    "algebra": "algebra",
     "q-sup-algebra": "qsup_algebra",
     "q-module-algebra": "qmodule_algebra",
     "nucleus": "nucleus",

@@ -139,10 +139,6 @@ class CarrierMismatch(SpecViolation):
     pass
 
 
-class NoQJoin(SpecViolation):
-    """A fuzzy subset of a certified complete structure has no join."""
-
-
 class NotQJoinComplete(SpecViolation):
     """Witness holds a fuzzy subset with no join."""
 

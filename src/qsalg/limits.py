@@ -1,19 +1,17 @@
-"""Shared enumeration bounds and sampling knobs.
+"""Shared enumeration bounds.
 
-All exhaustive scans over fuzzy subsets switch to deterministic sampling
-once the search space passes `threshold()`.  The threshold can be moved
-with the QSALG_THRESHOLD environment variable; every report echoes the
-value that was in force.
+Law checks never enumerate fuzzy subsets, so no verdict depends on a
+bound.  The bounds below only cap what is materialized in full: the
+free object and the fuzzy powerset (`threshold()`, which the
+QSALG_THRESHOLD environment variable can move; every report echoes the
+value in force), homomorphism search and nucleus enumeration.
 """
 
 from __future__ import annotations
 
 import os
-import random
 
 DEFAULT_THRESHOLD = 10_000
-DEFAULT_SEED = 1729
-SAMPLE_SIZE = 1000
 
 # |target| ** |source| cap for exhaustive homomorphism enumeration.
 HOM_ENUM_BOUND = 100_000
@@ -32,11 +30,3 @@ def threshold(override=None):
 def subset_space(n_values, n_slots):
     """Size of the space of tables with `n_slots` entries over `n_values`."""
     return n_values ** n_slots
-
-
-def sample_tables(values, n_slots, seed, count=SAMPLE_SIZE):
-    """Yield `count` pseudo-random value tuples, reproducibly for a seed."""
-    rng = random.Random(seed)
-    k = len(values)
-    for _ in range(count):
-        yield tuple(values[rng.randrange(k)] for _ in range(n_slots))

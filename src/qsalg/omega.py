@@ -5,9 +5,10 @@ checking and enumeration.
 The free construction is the load-bearing piece: the carrier is every
 fuzzy subset of the generators, operations convolve argument degrees
 along the generator operations (joining the products over each fiber),
-and scalars act pointwise.  Its laws are certified on the module side,
-where every check is exhaustive; the fuzzy-order side is derived through
-the module/order bridge.
+and scalars act pointwise.  Its laws are certified on the module side
+and again on the fuzzy-order side derived through the module/order
+bridge.  Every check is exhaustive: fuzzy-join preservation reduces to
+the bottom, binary joins and tensors (see `is_qjoin_preserving`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .qmodule import (
 from .qorder import (
     QSubset,
     QSupLattice,
-    all_qsubsets,
     is_qjoin_preserving,
     point_subset,
     scan_qsubsets,
@@ -117,7 +117,6 @@ class QSupAlgebra:
 
     sup: QSupLattice
     algebra: OmegaAlgebra
-    meta: dict = field(default_factory=dict, repr=False)
 
     @property
     def carrier(self):
@@ -138,7 +137,6 @@ class QModuleAlgebra:
 
     module: QModule
     algebra: OmegaAlgebra
-    meta: dict = field(default_factory=dict, repr=False)
 
     @property
     def carrier(self):
@@ -166,30 +164,25 @@ def _slot_maps(algebra: OmegaAlgebra, sym: str):
             yield slot, rest, table
 
 
-def validate_qsup_algebra(sup: QSupLattice, algebra: OmegaAlgebra,
-                          threshold=None, seed=None) -> QSupAlgebra:
+def validate_qsup_algebra(sup: QSupLattice,
+                          algebra: OmegaAlgebra) -> QSupAlgebra:
     """Each operation must send fuzzy joins to fuzzy joins in every slot
     (with all other arguments pinned).  Nullary symbols only need to sit
     in the carrier, which totality already guarantees."""
     if tuple(sup.carrier) != tuple(algebra.carrier):
         raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
-    meta = {"slot_check": "exhaustive"}
     for sym in algebra.signature.symbols:
         for slot, rest, g in _slot_maps(algebra, sym):
-            subsets, exhaustive, scan_meta = scan_qsubsets(
-                sup.carrier, sup.base, threshold, seed)
-            if not exhaustive:
-                meta = {"slot_check": "sampled", **scan_meta}
-            for m in subsets:
+            ok, m = is_qjoin_preserving(g, sup, sup)
+            if not ok:
                 lhs = g[sup.qjoin(m)]
                 rhs = sup.qjoin(zadeh_forward(g, m, sup.carrier))
-                if lhs != rhs:
-                    raise SlotPreservationFails(
-                        f"{sym!r} slot {slot} with fixed args {rest!r}: "
-                        f"op of join is {lhs!r}, join of op-image is {rhs!r}",
-                        symbol=sym, slot=slot, rest=list(rest),
-                        subset=m.table(), left=lhs, right=rhs)
-    return QSupAlgebra(sup, algebra, meta)
+                raise SlotPreservationFails(
+                    f"{sym!r} slot {slot} with fixed args {rest!r}: "
+                    f"op of join is {lhs!r}, join of op-image is {rhs!r}",
+                    symbol=sym, slot=slot, rest=list(rest),
+                    subset=m.table(), left=lhs, right=rhs)
+    return QSupAlgebra(sup, algebra)
 
 
 def validate_qmodule_algebra(module: QModule,
@@ -230,27 +223,15 @@ def validate_qmodule_algebra(module: QModule,
     return QModuleAlgebra(module, algebra)
 
 
-def transport_algebra(x, threshold=None, seed=None):
-    """Carry a certified algebra across the module/order bridge.
-
-    Toward the module side every law is re-checked exhaustively.  Toward
-    the fuzzy side, slotwise fuzzy-join preservation is re-checked
-    exhaustively when the subset space fits the threshold; past that the
-    module-side certification is what vouches for it (the bridge sends
-    slotwise join-and-action preservation to slotwise fuzzy-join
-    preservation) and the skip is recorded in meta.
-    """
+def transport_algebra(x):
+    """Carry a certified algebra across the module/order bridge, re-checking
+    every law on the other side."""
     if isinstance(x, QSupAlgebra):
         module = module_from_suplattice(x.sup)
         return validate_qmodule_algebra(module, x.algebra)
     if isinstance(x, QModuleAlgebra):
-        sup = suplattice_from_module(x.module, threshold, seed)
-        space = limits.subset_space(len(sup.base.elements), len(sup.carrier))
-        if space <= limits.threshold(threshold):
-            return validate_qsup_algebra(sup, x.algebra, threshold, seed)
-        out = QSupAlgebra(sup, x.algebra,
-                          {"slot_check": "module-side", "space": space})
-        return out
+        sup = suplattice_from_module(x.module)
+        return validate_qsup_algebra(sup, x.algebra)
     raise UnknownElement(type(x).__name__, "transport_algebra input")
 
 
@@ -287,29 +268,25 @@ class FreeAlgebra:
 
 
 def free_qsup_algebra(base: FiniteQuantale, generators: OmegaAlgebra,
-                      threshold=None, seed=None) -> FreeAlgebra:
+                      threshold=None) -> FreeAlgebra:
     """Build and certify the free object over a plain signature algebra.
 
     Raises TooLarge when |Q| ** |generators| passes the materialization
-    threshold.  Certification is exhaustive on the module side; the
-    embedding of generators is checked to be an operation homomorphism.
+    threshold.  Certification is exhaustive on both faces; the embedding
+    of generators is checked to be an operation homomorphism.
 
     Memoized on object identity: the free object over the same base and
     generator instances is deterministic, and several certifiers want it
     at once (evaluation, canonical closure, hom extension).
     """
-    return _free_cached(base, generators, threshold, seed)
+    return _free_cached(base, generators, threshold)
 
 
 @functools.lru_cache(maxsize=None)
-def _free_cached(base, generators, threshold, seed):
+def _free_cached(base, generators, threshold):
     gens = generators.carrier
-    bound = limits.threshold(threshold)
-    space = limits.subset_space(len(base.elements), len(gens))
-    if space > bound:
-        raise TooLarge("free algebra carrier", space, bound)
-
-    subsets = list(all_qsubsets(gens, base))
+    subsets, _, _ = scan_qsubsets(gens, base, threshold)
+    subsets = list(subsets)
     ids = tuple(subset_id(m) for m in subsets)
     atlas = dict(zip(ids, subsets))
     id_of = {m.values: i for i, m in zip(ids, subsets)}
@@ -344,7 +321,7 @@ def _free_cached(base, generators, threshold, seed):
     algebra = validate_omega_algebra(ids, generators.signature, ops)
 
     module_algebra = validate_qmodule_algebra(module, algebra)
-    sup_algebra = transport_algebra(module_algebra, threshold, seed)
+    sup_algebra = transport_algebra(module_algebra)
 
     # The derived degrees must coincide with subsethood of the underlying
     # fuzzy subsets; both are computed, neither is assumed.
@@ -471,7 +448,7 @@ def _omega_hom_witness(table, source: OmegaAlgebra, target: OmegaAlgebra):
     return None
 
 
-def is_homomorphism(f: StructureMap, kind: str, threshold=None, seed=None):
+def is_homomorphism(f: StructureMap, kind: str):
     """Direct law check per kind; returns (ok, witness_dict_or_None).
 
     Kinds: omega, sup, q-sup, q-module, q-sup-algebra, q-module-algebra.
@@ -491,14 +468,14 @@ def is_homomorphism(f: StructureMap, kind: str, threshold=None, seed=None):
                                    "value": table[j]}
         return True, None
     if kind == "q-sup":
-        ok, m = is_qjoin_preserving(table, src, tgt, threshold, seed)
+        ok, m = is_qjoin_preserving(table, src, tgt)
         return ok, (None if ok else {"subset": m.table()})
     if kind == "q-module":
         w = check_module_hom(table, src, tgt)
         return (w is None), w
     if kind == "q-sup-algebra":
         ok, w = is_homomorphism(
-            StructureMap(src.sup, tgt.sup, table), "q-sup", threshold, seed)
+            StructureMap(src.sup, tgt.sup, table), "q-sup")
         if not ok:
             return False, w
         w = _omega_hom_witness(table, src.algebra, tgt.algebra)

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .lattice import CompleteLattice, complete_lattice
 from .qorder import (
-    QSubset,
     QSupLattice,
     certify_qsuplattice,
     characteristic_subset,
@@ -158,34 +157,27 @@ def crisp_module(lattice: CompleteLattice, two: FiniteQuantale) -> QModule:
     return validate_qmodule(lattice, two, action)
 
 
-def suplattice_from_module(module: QModule, threshold=None,
-                           seed=None) -> QSupLattice:
+def suplattice_from_module(module: QModule) -> QSupLattice:
     """Fuzzy-complete order of a module: degrees are action residuals,
-    joins fold the action over the subset.
+    and the module's own bottom, binary joins and action are the
+    candidate joins.
 
-    The order axioms are validated outright; the join rule is verified
-    against the join conditions subset-by-subset (sampled past the
-    threshold).  For a lax module this is the place where dropped laws
+    The order axioms and the three join identities are validated
+    outright.  For a lax module this is the place where dropped laws
     surface as order-axiom failures.
 
     Memoized on object identity (modules are frozen): re-certifying the
     same module always reproduces the same order, and the callers lean
     on this bridge heavily enough that rebuilding it dominated runtime.
     """
-    return _bridge_cached(module, threshold, seed)
+    return _bridge_cached(module)
 
 
 @functools.lru_cache(maxsize=None)
-def _bridge_cached(module, threshold, seed):
-    e = {(a, b): module.residual[(a, b)]
-         for a in module.carrier for b in module.carrier}
-    order = validate_qorder(module.carrier, module.base, e)
-
-    def rule(m: QSubset) -> str:
-        return module.lattice.join(
-            module.act(m(a), a) for a in module.carrier)
-
-    return certify_qsuplattice(order, threshold, seed, join_rule=rule)
+def _bridge_cached(module):
+    order = validate_qorder(module.carrier, module.base, module.residual)
+    lat = module.lattice
+    return certify_qsuplattice(order, (lat.bottom, lat.join2, module.action))
 
 
 def module_from_suplattice(sup: QSupLattice) -> QModule:
@@ -249,8 +241,7 @@ def check_module_hom(table, source: QModule, target: QModule):
     return None
 
 
-def transport_map(f: StructureMap, to: str, threshold=None,
-                  seed=None) -> StructureMap:
+def transport_map(f: StructureMap, to: str) -> StructureMap:
     """Recertify a map on the other side of the module/order bridge.
 
     to="sup": f is a module homomorphism; the same table must preserve
@@ -259,9 +250,9 @@ def transport_map(f: StructureMap, to: str, threshold=None,
     derived modules.
     """
     if to == "sup":
-        src = suplattice_from_module(f.source, threshold, seed)
-        tgt = suplattice_from_module(f.target, threshold, seed)
-        ok, witness = is_qjoin_preserving(f.table, src, tgt, threshold, seed)
+        src = suplattice_from_module(f.source)
+        tgt = suplattice_from_module(f.target)
+        ok, witness = is_qjoin_preserving(f.table, src, tgt)
         if not ok:
             raise CertificationFails(
                 f"module homomorphism does not preserve fuzzy joins at "

@@ -5,6 +5,12 @@ pair of carrier elements; the classical laws come back by comparing
 degrees against the quantale unit.  The join of a fuzzy subset M is the
 unique element s that M lies below (condition 1) and that lies below
 everything M lies below (condition 2).
+
+Certification never enumerates fuzzy subsets: the joins of all of them
+exist exactly when a bottom, binary joins and tensors satisfy three
+identities on degree rows, and every join is then a fold of those.  The
+definition-level scans (`all_qsubsets`, `qjoin`, `qjoin_conditions`)
+stay as the oracles that fold is tested against.
 """
 
 from __future__ import annotations
@@ -12,21 +18,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import limits
 from .errors import (
     AntisymmetryFails,
     CarrierMismatch,
     InternalInconsistency,
-    NoQJoin,
+    NotComplete,
     NotQJoinComplete,
     PartialTable,
     ReflexivityFails,
+    TooLarge,
     TransitivityFails,
     UnknownElement,
 )
-from .lattice import FinitePoset, validate_poset
+from .lattice import FinitePoset, complete_lattice, validate_poset
 from .quantale import FiniteQuantale
 
 
@@ -103,22 +110,17 @@ def all_qsubsets(carrier, base):
         yield QSubset(carrier, base, values)
 
 
-def scan_qsubsets(carrier, base, threshold=None, seed=None):
-    """(subsets, exhaustive, meta): all subsets when the space is within the
-    threshold, otherwise a reproducible sample."""
+def scan_qsubsets(carrier, base, threshold=None):
+    """(subsets, exhaustive, meta): every fuzzy subset, for the callers
+    that materialize them all.  Past the threshold this raises TooLarge
+    rather than scanning a part, so `exhaustive` is always true."""
     carrier = tuple(carrier)
     bound = limits.threshold(threshold)
     space = limits.subset_space(len(base.elements), len(carrier))
-    if space <= bound:
-        return (all_qsubsets(carrier, base), True,
-                {"space": space, "threshold": bound, "sampled": False})
-    seed = limits.DEFAULT_SEED if seed is None else seed
-    sample = (QSubset(carrier, base, values)
-              for values in limits.sample_tables(
-                  base.elements, len(carrier), seed))
-    return (sample, False,
-            {"space": space, "threshold": bound, "sampled": True,
-             "seed": seed, "sample_size": limits.SAMPLE_SIZE})
+    if space > bound:
+        raise TooLarge("fuzzy subset space", space, bound)
+    return (all_qsubsets(carrier, base), True,
+            {"space": space, "threshold": bound})
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,15 +204,10 @@ def powerset_order(carrier, base, threshold=None):
 
     Returns (order, atlas) where atlas maps the synthetic element ids back
     to the subsets.  Materializes the whole space, so it is gated by the
-    same threshold as the other subset scans.
+    threshold of `scan_qsubsets`.
     """
-    carrier = tuple(carrier)
-    bound = limits.threshold(threshold)
-    space = limits.subset_space(len(base.elements), len(carrier))
-    if space > bound:
-        from .errors import TooLarge
-        raise TooLarge("fuzzy powerset", space, bound)
-    atlas = {subset_id(m): m for m in all_qsubsets(carrier, base)}
+    subsets, _, _ = scan_qsubsets(carrier, base, threshold)
+    atlas = {subset_id(m): m for m in subsets}
     ids = tuple(atlas)
     e = {(i, j): subsethood(atlas[i], atlas[j]) for i in ids for j in ids}
     return validate_qorder(ids, base, e), atlas
@@ -220,76 +217,33 @@ def subset_id(m: QSubset) -> str:
     return "{%s}" % ",".join(f"{x}:{v}" for x, v in zip(m.carrier, m.values))
 
 
-@lru_cache(maxsize=None)
-def _compiled(order: QOrderedSet):
-    """Integer-indexed copies of the order and base tables.
-
-    Same tables, faster lookups: the join conditions run inside every
-    sampled certification and were the single hottest spot in the suite,
-    and list indexing beats hashing label pairs severalfold.  Cached on
-    order identity (orders are frozen).
-    """
-    q = order.base
-    qi = {v: i for i, v in enumerate(q.elements)}
-    e_by_y = [[qi[order.e[(x, y)]] for x in order.carrier]
-              for y in order.carrier]
-    res = [[qi[q.residual[(a, b)]] for b in q.elements] for a in q.elements]
-    meet = [[qi[q.lattice.meet2[(a, b)]] for b in q.elements]
-            for a in q.elements]
-    leq = [[q.leq(a, b) for b in q.elements] for a in q.elements]
-    return qi, e_by_y, res, meet, leq, qi[q.lattice.top]
-
-
-def _degrees(order: QOrderedSet, m: QSubset, qi):
-    if m.carrier == order.carrier:
-        return [qi[v] for v in m.values]
-    return [qi[m(x)] for x in order.carrier]
-
-
-def _cone_indices(order, m):
-    qi, e_by_y, res, meet, _, top = _compiled(order)
-    d = _degrees(order, m, qi)
-    rng = range(len(d))
-    cone = []
-    for row in e_by_y:
-        acc = top
-        for j in rng:
-            acc = meet[acc][res[d[j]][row[j]]]
-        cone.append(acc)
-    return cone
-
-
 def _upper_cone(order: QOrderedSet, m: QSubset):
     """t(y) = meet over x of (M(x) -> e(x, y)): how strongly y bounds m."""
-    elements = order.base.elements
-    return {y: elements[c] for y, c in zip(order.carrier,
-                                           _cone_indices(order, m))}
+    q = order.base
+    return {y: q.meet(q.residual[(m(x), order.e[(x, y)])]
+                      for x in order.carrier)
+            for y in order.carrier}
 
 
 def qjoin_conditions(order: QOrderedSet, m: QSubset, s: str,
                      cone=None) -> bool:
-    qi, e_by_y, _, _, leq, _ = _compiled(order)
-    si = _index(order.carrier)[s]
-    d = _degrees(order, m, qi)
-    row_s = e_by_y[si]
-    for j in range(len(d)):
-        if not leq[d[j]][row_s[j]]:
-            return False
+    """Both defining conditions of "s is the join of m", checked directly
+    on the degree table."""
+    q = order.base
+    if not all(q.leq(m(x), order.e[(x, s)]) for x in order.carrier):
+        return False
     if cone is None:
-        cone_i = _cone_indices(order, m)
-    else:
-        cone_i = [qi[cone[y]] for y in order.carrier]
-    for yi in range(len(cone_i)):
-        if not leq[cone_i[yi]][e_by_y[yi][si]]:
-            return False
-    return True
+        cone = _upper_cone(order, m)
+    return all(q.leq(cone[y], order.e[(s, y)]) for y in order.carrier)
 
 
 def qjoin(order: QOrderedSet, m: QSubset) -> Optional[str]:
     """Join of a fuzzy subset, or None when no element qualifies.
 
-    Uniqueness follows from antisymmetry; the scan still collects every
-    candidate and treats two hits as an internal inconsistency.
+    This is the definition-level scan, kept as the oracle the certified
+    fold is tested against.  Uniqueness follows from antisymmetry; the
+    scan still collects every candidate and treats two hits as an
+    internal inconsistency.
     """
     if m.carrier != order.carrier:
         raise CarrierMismatch("subset lives on a different carrier",
@@ -304,18 +258,18 @@ def qjoin(order: QOrderedSet, m: QSubset) -> Optional[str]:
 
 @dataclass(frozen=True, eq=False)
 class QSupLattice:
-    """A Q-ordered set certified to have joins of fuzzy subsets.
+    """A Q-ordered set certified to have joins of all fuzzy subsets.
 
-    `joins` holds the materialized join table when certification was
-    exhaustive; otherwise joins are recomputed on demand (and re-verified
-    against both defining conditions every time).
+    `bottom`, `join2` and `tensor` are the certified joins of the empty
+    subset, of two-point subsets at the unit, and of one-point subsets
+    (tensor[(q, a)] joins a at degree q).  The join of any fuzzy subset
+    M is their fold: the join over x of M(x) tensor x.
     """
 
     order: QOrderedSet
-    joins: Optional[Mapping[tuple[str, ...], str]] = field(repr=False)
-    join_rule: Optional[Callable] = field(repr=False, default=None)
-    exhaustive: bool = True
-    meta: dict = field(default_factory=dict, repr=False)
+    bottom: str
+    join2: Mapping[tuple[str, str], str] = field(repr=False)
+    tensor: Mapping[tuple[str, str], str] = field(repr=False)
 
     @property
     def carrier(self):
@@ -334,54 +288,113 @@ class QSupLattice:
             raise CarrierMismatch("subset lives on a different carrier",
                                   left=list(m.carrier),
                                   right=list(self.carrier))
-        if self.joins is not None and m.values in self.joins:
-            return self.joins[m.values]
-        if self.join_rule is not None:
-            s = self.join_rule(m)
-            if not qjoin_conditions(self.order, m, s):
-                raise InternalInconsistency(
-                    f"join rule produced {s!r} for {m!r} but the join "
-                    f"conditions reject it")
-            return s
-        s = qjoin(self.order, m)
-        if s is None:
-            raise NoQJoin(f"{m!r} has no join in a structure certified "
-                          f"complete (certification was sampled)",
-                          subset=m.table())
+        join2, tensor = self.join2, self.tensor
+        s = self.bottom
+        for x, v in zip(m.carrier, m.values):
+            s = join2[(s, tensor[(v, x)])]
         return s
 
     def same_tables(self, other) -> bool:
         return self.order.same_tables(other.order)
 
 
-def certify_qsuplattice(order: QOrderedSet, threshold=None, seed=None,
-                        join_rule=None) -> QSupLattice:
-    """Scan fuzzy subsets for joins; certify or report the first gap.
+def _no_join(order: QOrderedSet, members, degree=None):
+    m = characteristic_subset(order.carrier, order.base, members, degree)
+    return NotQJoinComplete(f"{m!r} has no join", subset=m.table())
 
-    With a `join_rule` (a function computing the expected join directly,
-    as the module construction provides) the rule's output is checked
-    against the join conditions instead of searching candidates.
+
+def _crisp_candidates(order: QOrderedSet):
+    """Bottom and binary joins of the induced crisp order, and tensors
+    by row lookup: q tensor a is the element whose degree row is
+    q -> e(a, -).  Wherever a fuzzy join exists it is this candidate, so
+    a missing candidate names a subset without a join."""
+    try:
+        lat = complete_lattice(induced_order(order))
+    except NotComplete as err:
+        raise _no_join(order, err.witness["pair"]) from err
+    base, carrier, e = order.base, order.carrier, order.e
+    rows = {tuple(e[(x, y)] for y in carrier): x for x in carrier}
+    tensor = {}
+    for q in base.elements:
+        for a in carrier:
+            row = tuple(base.residual[(q, e[(a, y)])] for y in carrier)
+            if row not in rows:
+                raise _no_join(order, [a], q)
+            tensor[(q, a)] = rows[row]
+    return lat.bottom, lat.join2, tensor
+
+
+def _failed_identity(order: QOrderedSet, bottom, join2, tensor):
+    """The first of the three identities the candidates break, as
+    (members, degree, candidate) naming the subset whose join it is;
+    None when all hold.
+
+      e(bottom, y) = top
+      e(a v b, y) = e(a, y) meet e(b, y)
+      e(q tensor a, y) = q -> e(a, y)
+
+    Each compares two degree rows at once: up[p][x] is the bitmask of
+    the y with p <= e(x, y), two rows agree exactly when their masks
+    agree at every degree p, and p <= q -> r holds exactly when
+    p * q <= r.
     """
-    subsets, exhaustive, meta = scan_qsubsets(
-        order.carrier, order.base, threshold, seed)
-    table = {}
-    for m in subsets:
-        if join_rule is not None:
-            s = join_rule(m)
-            ok = qjoin_conditions(order, m, s)
-            if not ok:
-                raise InternalInconsistency(
-                    f"join rule produced {s!r} for {m!r} but the join "
-                    f"conditions reject it")
-        else:
-            s = qjoin(order, m)
-            if s is None:
-                raise NotQJoinComplete(
-                    f"{m!r} has no join", subset=m.table())
-        if exhaustive:
-            table[m.values] = s
-    return QSupLattice(order, table if exhaustive else None,
-                       join_rule, exhaustive, meta)
+    base, carrier = order.base, order.carrier
+    degrees = base.elements
+    ix = {x: i for i, x in enumerate(carrier)}
+    below = {v: [k for k, p in enumerate(degrees) if base.leq(p, v)]
+             for v in degrees}
+    up = [[0] * len(carrier) for _ in degrees]
+    for i, x in enumerate(carrier):
+        for k, y in enumerate(carrier):
+            for p in below[order.e[(x, y)]]:
+                up[p][i] |= 1 << k
+    if up[degrees.index(base.top)][ix[bottom]] != (1 << len(carrier)) - 1:
+        return [], None, bottom
+    for a in carrier:
+        ia = ix[a]
+        for b in carrier:
+            s, ib = ix[join2[(a, b)]], ix[b]
+            for masks in up:
+                if masks[s] != masks[ia] & masks[ib]:
+                    return [a, b], None, join2[(a, b)]
+    for q in degrees:
+        shifted = [degrees.index(base.mul(p, q)) for p in degrees]
+        for a in carrier:
+            s, ia = ix[tensor[(q, a)]], ix[a]
+            for p, pq in enumerate(shifted):
+                if up[p][s] != up[pq][ia]:
+                    return [a], q, tensor[(q, a)]
+    return None
+
+
+def certify_qsuplattice(order: QOrderedSet, candidates=None) -> QSupLattice:
+    """Certify that every fuzzy subset has a join, or name one that has
+    none.
+
+    A finite Q-order has all fuzzy joins exactly when it has a bottom,
+    binary joins and tensors satisfying the identities checked by
+    `_failed_identity`; the join of M is then the join over x of
+    M(x) tensor x (the finite form of "cocomplete = tensored +
+    conically cocomplete").  `candidates` is a (bottom, join2, tensor)
+    triple the caller vouches for, as a module does with its lattice and
+    action; a failed identity is then an internal inconsistency.
+    Without it the candidates come from `_crisp_candidates`, and a
+    failure names the empty, two-point or one-point subset without a
+    join.
+    """
+    if candidates is None:
+        bottom, join2, tensor = _crisp_candidates(order)
+    else:
+        bottom, join2, tensor = candidates
+    failed = _failed_identity(order, bottom, join2, tensor)
+    if failed is not None:
+        members, degree, s = failed
+        if candidates is None:
+            raise _no_join(order, members, degree)
+        m = characteristic_subset(order.carrier, order.base, members, degree)
+        raise InternalInconsistency(
+            f"candidate join {s!r} of {m!r} fails the join conditions")
+    return QSupLattice(order, bottom, join2, tensor)
 
 
 def zadeh_forward(f: Mapping[str, str], m: QSubset, target_carrier,
@@ -401,14 +414,24 @@ def zadeh_forward(f: Mapping[str, str], m: QSubset, target_carrier,
 
 
 def is_qjoin_preserving(table: Mapping[str, str], source: QSupLattice,
-                        target: QSupLattice, threshold=None, seed=None):
+                        target: QSupLattice):
     """Does the map send the join of every fuzzy subset to the join of the
-    pushed subset?  Returns (ok, witness_subset_or_None)."""
-    subsets, _, _ = scan_qsubsets(source.carrier, source.base, threshold, seed)
-    for m in subsets:
-        s = source.qjoin(m)
-        pushed = zadeh_forward(table, m, target.carrier, target.base)
-        t = target.qjoin(pushed)
-        if table[s] != t:
-            return False, m
+    pushed subset?  Returns (ok, witness_subset_or_None).
+
+    Every join folds the bottom, binary joins and tensors, so the map
+    preserves all joins exactly when it preserves those; the witness is
+    the empty, two-point or one-point subset where it does not.
+    """
+    carrier, base = source.carrier, source.base
+    if table[source.bottom] != target.bottom:
+        return False, constant_subset(carrier, base, base.bottom)
+    for a in carrier:
+        for b in carrier:
+            if table[source.join2[(a, b)]] != \
+                    target.join2[(table[a], table[b])]:
+                return False, characteristic_subset(carrier, base, [a, b])
+    for q in base.elements:
+        for a in carrier:
+            if table[source.tensor[(q, a)]] != target.tensor[(q, table[a])]:
+                return False, characteristic_subset(carrier, base, [a], q)
     return True, None

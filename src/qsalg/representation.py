@@ -36,7 +36,7 @@ from .qmodule import (
     crisp_module,
     suplattice_from_module,
 )
-from .qorder import qsubset, scan_qsubsets, zadeh_forward
+from .qorder import is_qjoin_preserving, qsubset, zadeh_forward
 from .quantale import boolean_quantale
 
 
@@ -101,7 +101,7 @@ def _module_algebra_section(x: QModuleAlgebra):
     }
 
 
-def representation(subject, threshold=None, seed=None) -> dict:
+def representation(subject, threshold=None) -> dict:
     """Certify that the subject embeds onto the nucleus fixed points of
     its free cover, and return the full certificate.
 
@@ -110,19 +110,19 @@ def representation(subject, threshold=None, seed=None) -> dict:
     a wrong intermediate table raises InternalInconsistency.
     """
     if isinstance(subject, QSupAlgebra):
-        subject = transport_algebra(subject, threshold, seed)
+        subject = transport_algebra(subject)
     mod = subject.module
     lat = mod.lattice
     checks = []
 
-    free = free_qsup_algebra(mod.base, subject.algebra, threshold, seed)
+    free = free_qsup_algebra(mod.base, subject.algebra, threshold)
     eps = counit_map(free, subject)
 
     table = canonical_closure(free, eps)
     nuc = is_nucleus(free.module_algebra, table)
     checks.append({"name": "nucleus-axioms", "status": "PASS",
                    "carrier": len(free.ids)})
-    laws = derived_laws(nuc, threshold, seed)
+    laws = derived_laws(nuc)
     checks.append({"name": "nucleus-derived-laws", "status": "PASS", **laws})
 
     rho = {}
@@ -175,8 +175,8 @@ def representation(subject, threshold=None, seed=None) -> dict:
                     scalar=q, element=a, left=lhs, right=rhs)
     checks.append({"name": "action-hom", "status": "PASS"})
 
-    subject_sup = suplattice_from_module(mod, threshold, seed)
-    quot_sup = suplattice_from_module(quot.module, threshold, seed)
+    subject_sup = suplattice_from_module(mod)
+    quot_sup = suplattice_from_module(quot.module)
     for a in mod.carrier:
         for b in mod.carrier:
             if subject_sup.order.degree(a, b) != \
@@ -186,18 +186,13 @@ def representation(subject, threshold=None, seed=None) -> dict:
                     pair=[a, b],
                     source=subject_sup.order.degree(a, b),
                     target=quot_sup.order.degree(rho[a], rho[b]))
-    subsets, exhaustive, scan_meta = scan_qsubsets(
-        mod.carrier, mod.base, threshold, seed)
-    for m in subsets:
-        s = subject_sup.qjoin(m)
-        pushed = zadeh_forward(rho, m, quot.carrier)
-        t = quot_sup.qjoin(pushed)
-        if rho[s] != t:
-            raise TheoremFails(
-                "the embedding does not preserve a fuzzy join",
-                subset=m.table(), source_join=s, target_join=t)
-    checks.append({"name": "qjoin-preserving", "status": "PASS",
-                   "exhaustive": exhaustive, **scan_meta})
+    ok, m = is_qjoin_preserving(rho, subject_sup, quot_sup)
+    if not ok:
+        raise TheoremFails(
+            "the embedding does not preserve a fuzzy join",
+            subset=m.table(), source_join=subject_sup.qjoin(m),
+            target_join=quot_sup.qjoin(zadeh_forward(rho, m, quot.carrier)))
+    checks.append({"name": "qjoin-preserving", "status": "PASS"})
 
     for a in mod.carrier:
         if eps.table[rho[a]] != a:
@@ -234,7 +229,6 @@ def representation(subject, threshold=None, seed=None) -> dict:
         "checks": checks,
         "meta": {
             "threshold": limits.threshold(threshold),
-            "seed": limits.DEFAULT_SEED if seed is None else seed,
             "free_size": len(free.ids),
         },
     }
@@ -285,8 +279,7 @@ def all_down_sets(lat: CompleteLattice):
     return out
 
 
-def crisp_specialization(lat: CompleteLattice, threshold=None,
-                         seed=None) -> dict:
+def crisp_specialization(lat: CompleteLattice, threshold=None) -> dict:
     """Run the representation over the two-element quantale and read the
     result classically.
 
@@ -298,7 +291,7 @@ def crisp_specialization(lat: CompleteLattice, threshold=None,
     mod = crisp_module(lat, two)
     alg = validate_omega_algebra(lat.elements, EMPTY_SIGNATURE, {})
     subject = validate_qmodule_algebra(mod, alg)
-    cert = representation(subject, threshold, seed)
+    cert = representation(subject, threshold)
 
     supports = {}
     for i, tab in cert["free"]["subsets"].items():

@@ -34,7 +34,7 @@ def test_validate_covers_every_declared_kind(capsys):
     assert code == 0
     assert check_names(report) == [
         "poset:chain2", "quantale:two", "q-module:two-self",
-        "q-module-algebra:subject"]
+        "algebra:two-meet", "algebra:z2", "q-module-algebra:subject"]
     assert all(c["status"] == "PASS" for c in report["checks"])
 
 
@@ -69,6 +69,39 @@ def test_garbage_json_is_exit_2(tmp_path, capsys):
     code, out = run(capsys, "validate", str(bad))
     assert code == 2
     assert "ParseError" in out
+
+
+def write_mutant(tmp_path, fname, path, value):
+    doc = json.loads(corpus_text(fname))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / fname
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("fname,path,value", [
+    ("godel3.json", ("quantales", "q", "mult"), 5),
+    ("two-meet.json", ("posets", "chain2", "leq"), None),
+    ("two-meet.json", ("algebras", "z2", "ops"), []),
+])
+def test_wrong_section_type_is_a_parse_error(tmp_path, capsys, fname, path,
+                                             value):
+    code, report = run_json(capsys, "validate",
+                            write_mutant(tmp_path, fname, path, value))
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+
+
+def test_validate_builds_algebras_nothing_references(tmp_path, capsys):
+    # z2 is a generator algebra: no module algebra uses it
+    bad = write_mutant(tmp_path, "two-meet.json",
+                       ("algebras", "z2", "ops", "mul", 0, 1), "zz")
+    code, report = run_json(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["kind"] == "UnknownElement"
 
 
 def test_no_matching_declarations_is_exit_2(capsys):
@@ -319,10 +352,7 @@ def test_json_output_is_canonical(capsys):
     assert parsed["inputs"][0]["sha256"]
 
 
-def test_seed_and_threshold_are_echoed(capsys, monkeypatch):
-    _, report = run_json(capsys, "check", corpus_path("two-meet.json"),
-                         "--theorem", "representation", "--seed", "7")
-    assert report["seed"] == 7
+def test_threshold_is_echoed(capsys, monkeypatch):
     monkeypatch.setenv("QSALG_THRESHOLD", "1234")
     _, report = run_json(capsys, "validate", corpus_path("boolean.json"))
     assert report["threshold"] == 1234

@@ -1,0 +1,290 @@
+"""The exact finite reductions against the definition-level scans.
+
+Fuzzy-join certification, fuzzy-join preservation and the nucleus join
+law are each checked through a small set of identities instead of by
+enumerating subsets.  Here every reduction is compared with the plain
+scan it replaces, on every instance whose subset space fits the
+threshold, and every witness a reduction reports is confirmed by the
+scan.
+"""
+
+import ast
+import itertools
+from pathlib import Path
+
+import pytest
+
+from qsalg.corpus import bundled_quantales, corpus_text
+from qsalg.document import loads
+from qsalg.errors import (
+    AntisymmetryFails,
+    InternalInconsistency,
+    NotQJoinComplete,
+    SpecViolation,
+    TooLarge,
+)
+from qsalg.lattice import (
+    antichain_cube_lattice,
+    chain_lattice,
+    diamond_lattice,
+    pentagon_lattice,
+    validate_poset,
+)
+from qsalg.nucleus import Nucleus, derived_laws, enumerate_nuclei
+from qsalg.omega import (
+    EMPTY_SIGNATURE,
+    free_qsup_algebra,
+    validate_omega_algebra,
+    validate_qmodule_algebra,
+)
+from qsalg.qmodule import crisp_module, quantale_self_module, \
+    suplattice_from_module
+from qsalg.qorder import (
+    QOrderedSet,
+    all_qsubsets,
+    certify_qsuplattice,
+    characteristic_subset,
+    crisp_qorder,
+    is_qjoin_preserving,
+    powerset_order,
+    qjoin,
+    scan_qsubsets,
+    validate_qorder,
+    zadeh_forward,
+)
+from qsalg.quantale import boolean_quantale
+from qsalg.representation import representation
+
+TWO = boolean_quantale()
+QUANTALES = bundled_quantales()
+LATTICES = {"chain2": chain_lattice("01"), "chain3": chain_lattice("012"),
+            "chain4": chain_lattice("0123"), "diamond": diamond_lattice(),
+            "pentagon": pentagon_lattice(), "m3": antichain_cube_lattice()}
+
+
+def bare(mod):
+    return validate_qmodule_algebra(
+        mod, validate_omega_algebra(mod.carrier, EMPTY_SIGNATURE, {}))
+
+
+def certified_sups(enumerated_modules):
+    """Every fuzzy-complete instance small enough to scan, through both
+    certification paths: modules supply their own candidates, bare
+    Q-orders get theirs from the induced crisp lattice."""
+    sups = []
+    modules = list(enumerated_modules)
+    modules += [(f"{n}/self", quantale_self_module(q))
+                for n, q in QUANTALES.items()]
+    modules += [(f"crisp/{n}", crisp_module(lat, TWO))
+                for n, lat in LATTICES.items()]
+    for gens in (("a", "b"), ("a", "b", "c")):
+        alg = validate_omega_algebra(gens, EMPTY_SIGNATURE, {})
+        modules.append((f"free{len(gens)}",
+                        free_qsup_algebra(TWO, alg).module))
+    for label, mod in modules:
+        sup = suplattice_from_module(mod)
+        sups += [(label, sup),
+                 (f"{label}/bare", certify_qsuplattice(sup.order))]
+    for n, lat in LATTICES.items():
+        sups.append((f"crisp-order/{n}",
+                     certify_qsuplattice(crisp_qorder(lat, TWO))))
+    for name, q in QUANTALES.items():
+        order = validate_qorder(q.elements, q, q.residual)
+        sups.append((f"{name}/residual", certify_qsuplattice(order)))
+    for carrier, q in ((("a", "b"), TWO), (("a",), QUANTALES["lukasiewicz3"])):
+        order, _ = powerset_order(carrier, q)
+        sups.append((f"powerset/{len(carrier)}", certify_qsuplattice(order)))
+    return sups
+
+
+def test_fold_equals_the_scanned_join(enumerated_modules):
+    for label, sup in certified_sups(enumerated_modules):
+        subsets, exhaustive, _ = scan_qsubsets(sup.carrier, sup.base)
+        assert exhaustive
+        for m in subsets:
+            assert sup.qjoin(m) == qjoin(sup.order, m), (label, m)
+
+
+def degree_tables(carrier, base):
+    """Every lawful Q-order on the carrier."""
+    diagonal = [v for v in base.elements if base.leq(base.unit, v)]
+    off = [(x, y) for x in carrier for y in carrier if x != y]
+    for diag in itertools.product(diagonal, repeat=len(carrier)):
+        for values in itertools.product(base.elements, repeat=len(off)):
+            e = dict(zip(off, values))
+            e.update({(x, x): v for x, v in zip(carrier, diag)})
+            try:
+                yield validate_qorder(carrier, base, e)
+            except SpecViolation:
+                continue
+
+
+def test_completeness_verdict_matches_the_scan():
+    orders = [o for q in QUANTALES.values()
+              for o in degree_tables(("x", "y"), q)]
+    for name in ("boolean", "godel3", "lukasiewicz3"):
+        orders += degree_tables(("x", "y", "z"), QUANTALES[name])
+    complete = incomplete = 0
+    for order in orders:
+        joins = {m: qjoin(order, m)
+                 for m in all_qsubsets(order.carrier, order.base)}
+        try:
+            sup = certify_qsuplattice(order)
+        except NotQJoinComplete as err:
+            incomplete += 1
+            witness = [m for m in joins if m.table() == err.witness["subset"]]
+            assert len(witness) == 1 and joins[witness[0]] is None, order.e
+            continue
+        complete += 1
+        assert all(sup.qjoin(m) == s for m, s in joins.items()), order.e
+    assert complete and incomplete
+
+
+def preserves_by_scan(table, sup):
+    return all(
+        table[qjoin(sup.order, m)]
+        == qjoin(sup.order, zadeh_forward(table, m, sup.carrier))
+        for m in all_qsubsets(sup.carrier, sup.base))
+
+
+def test_preservation_verdict_matches_the_scan(enumerated_modules):
+    assert len(enumerated_modules) == 14
+    kept = dropped = 0
+    for label, mod in enumerated_modules:
+        sup = suplattice_from_module(mod)
+        for images in itertools.product(mod.carrier, repeat=len(mod.carrier)):
+            table = dict(zip(mod.carrier, images))
+            ok, m = is_qjoin_preserving(table, sup, sup)
+            assert ok == preserves_by_scan(table, sup), (label, table)
+            if ok:
+                kept += 1
+                continue
+            dropped += 1
+            pushed = zadeh_forward(table, m, sup.carrier)
+            assert table[qjoin(sup.order, m)] != qjoin(sup.order, pushed)
+    assert kept and dropped
+
+
+def join_law_by_scan(nucleus):
+    """j(join S) = j(join j(S)) over every crisp subset S."""
+    lat, j = nucleus.host.module.lattice, nucleus.table
+    carrier = nucleus.host.carrier
+    return all(j[lat.join(s)] == j[lat.join(j[a] for a in s)]
+               for r in range(len(carrier) + 1)
+               for s in itertools.combinations(carrier, r))
+
+
+def derived_laws_pass(nucleus):
+    try:
+        derived_laws(nucleus)
+    except InternalInconsistency:
+        return False
+    return True
+
+
+def test_derived_join_law_matches_the_crisp_subset_scan():
+    # On a crisp host without operations the action law is idempotence,
+    # so derived_laws passes exactly when the join law does: every
+    # endo-map, nucleus or not, is a test case.
+    passed = failed = 0
+    for name in ("chain3", "diamond", "pentagon"):
+        host = bare(crisp_module(LATTICES[name], TWO))
+        for images in itertools.product(host.carrier,
+                                        repeat=len(host.carrier)):
+            nuc = Nucleus(host, dict(zip(host.carrier, images)))
+            verdict = derived_laws_pass(nuc)
+            assert verdict == join_law_by_scan(nuc), (name, images)
+            passed += verdict
+            failed += not verdict
+    assert passed and failed
+
+
+def test_every_nucleus_passes_both(handwritten_subjects):
+    hosts = [bare(quantale_self_module(q)) for q in QUANTALES.values()]
+    hosts += [host for _, host in handwritten_subjects]
+    for host in hosts:
+        for nuc in enumerate_nuclei(host):
+            assert derived_laws_pass(nuc) and join_law_by_scan(nuc)
+            assert derived_laws(nuc)["join_law_checked"] == \
+                len(host.carrier) ** 2
+
+
+def test_mutation_files_fail_both():
+    doc = loads(corpus_text("non-monotone-nucleus.json"))
+    host = doc.qmodule_algebra("host")
+    skew = Nucleus(host, doc.raw["nuclei"]["skew"]["table"])
+    assert not derived_laws_pass(skew)
+    assert not join_law_by_scan(skew)
+
+    # Lax mode lets the flat action build; its residual degrees are all
+    # top, so the bridge stops at antisymmetry, and on the raw table the
+    # scan finds two joins for every subset.
+    doc = loads(corpus_text("non-unital-action.json"), lax_modules=True)
+    mod = doc.module("flat")
+    with pytest.raises(AntisymmetryFails):
+        suplattice_from_module(mod)
+    raw = QOrderedSet(mod.carrier, mod.base, mod.residual)
+    for m in all_qsubsets(mod.carrier, mod.base):
+        with pytest.raises(InternalInconsistency):
+            qjoin(raw, m)
+
+
+def test_certification_is_exact_past_the_threshold(monkeypatch):
+    # 2^20 fuzzy subsets against a threshold of 1000: nothing is scanned
+    monkeypatch.setenv("QSALG_THRESHOLD", "1000")
+    order = crisp_qorder(chain_lattice([str(i) for i in range(20)]), TWO)
+    with pytest.raises(TooLarge):
+        scan_qsubsets(order.carrier, TWO)
+    sup = certify_qsuplattice(order)
+    labels = order.carrier
+    probes = [[]] + [[a, b] for a, b in
+                     itertools.combinations_with_replacement(labels, 2)]
+    probes += [labels[i:j] for i in range(20) for j in range(i + 2, 21)]
+    probes += [labels[k::step] for step in (2, 3, 5) for k in range(step)]
+    for members in probes:
+        m = characteristic_subset(labels, TWO, members)
+        assert sup.qjoin(m) == qjoin(order, m), members
+
+
+def test_a_gap_past_the_threshold_is_named_exactly(monkeypatch):
+    monkeypatch.setenv("QSALG_THRESHOLD", "1000")
+    # twenty atoms under a top, and no bottom
+    labels = [str(i) for i in range(20)] + ["top"]
+    rel = {(a, a) for a in labels} | {(a, "top") for a in labels}
+    order = crisp_qorder(validate_poset(labels, rel), TWO)
+    with pytest.raises(NotQJoinComplete) as err:
+        certify_qsuplattice(order)
+    witness = err.value.witness["subset"]
+    m = characteristic_subset(labels, TWO,
+                              [x for x, v in witness.items() if v == "1"])
+    assert qjoin(order, m) is None
+
+
+def test_no_sampling_anywhere(handwritten_subjects):
+    src = Path(__file__).resolve().parent.parent / "src" / "qsalg"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert "random" not in {n.split(".")[0] for n in names}, path
+
+    def keys(node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                yield k
+                yield from keys(v)
+        elif isinstance(node, list):
+            for v in node:
+                yield from keys(v)
+
+    # the self-modules of the four-element bases have 256-element free
+    # objects, too slow to certify here
+    subjects = [bare(quantale_self_module(q)) for q in QUANTALES.values()
+                if len(q.elements) <= 3]
+    subjects += [s for _, s in handwritten_subjects]
+    for subject in subjects:
+        assert "sampled" not in set(keys(representation(subject)))
