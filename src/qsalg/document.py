@@ -2,8 +2,10 @@
 
 A document is one JSON object, format "qsalg/1", with named declarations
 grouped by section.  Order relations come as pair lists, multiplication
-and actions as triple lists, operations as [args, value] rows.  Every
-name used inside a declaration must be declared in the same document.
+and actions as triple lists, operations as [args, value] rows.  The
+labels of `elements`, `carrier` and `leq` rows must be strings.
+Every name used inside a declaration must be declared in the same
+document.
 
 Builders are memoized per document, so a declaration referenced twice is
 validated once.
@@ -57,11 +59,22 @@ def _rows(rows, where):
     return rows
 
 
+def _labels(decl, key, where):
+    labels = _field(decl, key, where)
+    if not isinstance(labels, list) or not all(
+            isinstance(x, str) for x in labels):
+        raise ParseError(f"{where}: {key} is a list of string labels, "
+                         f"got {labels!r}")
+    return labels
+
+
 def _pairs_to_relation(rows, where):
     rel = set()
     for row in _rows(rows, where):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ParseError(f"{where}: leq rows are [a, b] pairs, got {row!r}")
+        if not isinstance(row, list) or len(row) != 2 or not all(
+                isinstance(x, str) for x in row):
+            raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
+                             f"labels, got {row!r}")
         rel.add((row[0], row[1]))
     return rel
 
@@ -132,7 +145,7 @@ class Document:
 
     def poset(self, name):
         def build(decl):
-            elements = _field(decl, "elements", f"posets.{name}")
+            elements = _labels(decl, "elements", f"posets.{name}")
             return validate_poset(
                 elements, self._relation(decl, elements, f"posets.{name}"))
         return self._memo("posets", name, build)
@@ -146,7 +159,7 @@ class Document:
     def quantale(self, name):
         def build(decl):
             where = f"quantales.{name}"
-            elements = _field(decl, "elements", where)
+            elements = _labels(decl, "elements", where)
             lat = complete_lattice(validate_poset(
                 elements, self._relation(decl, elements, where)))
             mult = _triples_to_table(_field(decl, "mult", where), where)
@@ -157,7 +170,7 @@ class Document:
         def build(decl):
             where = f"qorders.{name}"
             base = self.quantale(_field(decl, "base", where))
-            carrier = _field(decl, "carrier", where)
+            carrier = _labels(decl, "carrier", where)
             e = _triples_to_table(_field(decl, "e", where), where)
             return validate_qorder(carrier, base, e)
         return self._memo("qorders", name, build)
@@ -166,7 +179,7 @@ class Document:
         def build(decl):
             where = f"qsubsets.{name}"
             base = self.quantale(_field(decl, "base", where))
-            return qsubset(_field(decl, "carrier", where), base,
+            return qsubset(_labels(decl, "carrier", where), base,
                            _field(decl, "values", where))
         return self._memo("qsubsets", name, build)
 
@@ -192,7 +205,7 @@ class Document:
         def build(decl):
             where = f"algebras.{name}"
             sig = self.signature(_field(decl, "signature", where))
-            carrier = _field(decl, "carrier", where)
+            carrier = _labels(decl, "carrier", where)
             raw_ops = _field(decl, "ops", where)
             if not isinstance(raw_ops, dict):
                 raise ParseError(f"{where}.ops: expected a symbol-to-rows "

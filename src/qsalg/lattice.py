@@ -68,7 +68,7 @@ def validate_poset(elements: Iterable[str], relation) -> FinitePoset:
     if len(set(elements)) != len(elements):
         raise NotAntisymmetric("duplicate element ids", elements=sorted(
             e for e in elements if elements.count(e) > 1))
-    rel = frozenset((str(a), str(b)) for a, b in relation)
+    rel = frozenset((a, b) for a, b in relation)
     known = set(elements)
     for (a, b) in rel:
         if a not in known or b not in known:
@@ -196,19 +196,45 @@ def monotone_map(source, target, table) -> MonotoneMap:
     return MonotoneMap(source, target, table)
 
 
-def _join_failure_witness(f, src, tgt):
-    # On a finite carrier, preservation of the empty join and of all binary
-    # joins already forces preservation of every join, so a failing map must
-    # leave a witness in this small search space.
-    if f.table[src.bottom] != tgt.bottom:
-        return (), src.bottom, f.table[src.bottom], tgt.bottom
-    for a in src.elements:
-        for b in src.elements:
-            j = src.join2[(a, b)]
-            mapped = tgt.join2[(f.table[a], f.table[b])]
-            if f.table[j] != mapped:
-                return (a, b), j, f.table[j], mapped
+def preservation_failure(table, elements, source, target, scalars=()):
+    """The first empty, two-point or one-point member set whose join the
+    map does not preserve, as ((), None), ((a, b), None) or ((a,), q);
+    None when it preserves every join.
+
+    `source` and `target` are (bottom, join2, action) triples; action
+    (q, a) joins a at degree q and is read only for q in `scalars`.
+    Every finite join folds these, so preserving them is preserving all
+    joins (Stubbe, TAC 16, 2006: a functor of cocomplete Q-categories
+    preserves weighted colimits iff it preserves tensors and conical
+    colimits).  Nothing is built before a failure is found.
+    """
+    s_bottom, s_join2, s_action = source
+    t_bottom, t_join2, t_action = target
+    if table[s_bottom] != t_bottom:
+        return (), None
+    for a in elements:
+        fa = table[a]
+        for b in elements:
+            if table[s_join2[(a, b)]] != t_join2[(fa, table[b])]:
+                return (a, b), None
+    for q in scalars:
+        for a in elements:
+            if table[s_action[(q, a)]] != t_action[(q, table[a])]:
+                return (a,), q
     return None
+
+
+def _join_failure_witness(f, src, tgt):
+    # (subset, join, f of join, join of images) for the first join f
+    # fails to preserve, or None.
+    bad = preservation_failure(f.table, src.elements,
+                               (src.bottom, src.join2, None),
+                               (tgt.bottom, tgt.join2, None))
+    if bad is None:
+        return None
+    members = bad[0]
+    j = src.join(members)
+    return members, j, f.table[j], tgt.join(f.table[m] for m in members)
 
 
 def right_adjoint(f: MonotoneMap) -> MonotoneMap:

@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .lattice import complete_lattice, validate_poset
+from .lattice import complete_lattice, preservation_failure, validate_poset
 from .omega import QModuleAlgebra, validate_omega_algebra, validate_qmodule_algebra
 from .qmodule import validate_qmodule
 
@@ -147,16 +147,14 @@ def quotient(nucleus: Nucleus) -> QModuleAlgebra:
             f"{sorted(image)!r}")
     rel = {(a, b) for a in fixed for b in fixed if lat.leq(a, b)}
     qlat = complete_lattice(validate_poset(fixed, rel))
-    if qlat.bottom != j[lat.bottom]:
+    # Quotient joins are nucleus images of host joins: j preserves the
+    # bottom and the joins of fixed points.
+    bad = preservation_failure(j, fixed, (lat.bottom, lat.join2, None),
+                               (qlat.bottom, qlat.join2, None))
+    if bad is not None:
         raise InternalInconsistency(
-            "quotient bottom is not the nucleus image of the host bottom")
-    for a in fixed:
-        for b in fixed:
-            expected = j[lat.join2[(a, b)]]
-            if qlat.join2[(a, b)] != expected:
-                raise InternalInconsistency(
-                    f"quotient join of {(a, b)!r} is {qlat.join2[(a, b)]!r}, "
-                    f"expected the nucleus image {expected!r}")
+            f"quotient join of {list(bad[0])!r} is not the nucleus image "
+            f"of the host join")
     action = {(q, a): j[host.module.act(q, a)]
               for q in host.base.elements for a in fixed}
     qmod = validate_qmodule(qlat, host.base, action)

@@ -18,7 +18,6 @@ rather than assumed.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -33,7 +32,7 @@ from .errors import (
     UnknownElement,
     CertificationFails,
 )
-from .lattice import CompleteLattice, complete_lattice
+from .lattice import CompleteLattice, complete_lattice, preservation_failure
 from .qorder import (
     QSupLattice,
     certify_qsuplattice,
@@ -165,16 +164,7 @@ def suplattice_from_module(module: QModule) -> QSupLattice:
     The order axioms and the three join identities are validated
     outright.  For a lax module this is the place where dropped laws
     surface as order-axiom failures.
-
-    Memoized on object identity (modules are frozen): re-certifying the
-    same module always reproduces the same order, and the callers lean
-    on this bridge heavily enough that rebuilding it dominated runtime.
     """
-    return _bridge_cached(module)
-
-
-@functools.lru_cache(maxsize=None)
-def _bridge_cached(module):
     order = validate_qorder(module.carrier, module.base, module.residual)
     lat = module.lattice
     return certify_qsuplattice(order, (lat.bottom, lat.join2, module.action))
@@ -223,22 +213,24 @@ class StructureMap:
 def check_module_hom(table, source: QModule, target: QModule):
     """None when the map preserves joins and the action; otherwise a
     witness dict naming the first failure."""
-    if table[source.lattice.bottom] != target.lattice.bottom:
+    src, tgt = source.lattice, target.lattice
+    bad = preservation_failure(
+        table, source.carrier, (src.bottom, src.join2, source.action),
+        (tgt.bottom, tgt.join2, target.action), source.base.elements)
+    if bad is None:
+        return None
+    members, q = bad
+    if len(members) == 1:
+        a = members[0]
+        return {"law": "NotActionHom", "scalar": q, "element": a,
+                "left": table[source.act(q, a)],
+                "right": target.act(q, table[a])}
+    if not members:
         return {"law": "NotJoinPreserving", "subset": [],
-                "value": table[source.lattice.bottom]}
-    for a in source.carrier:
-        for b in source.carrier:
-            j = source.lattice.join2[(a, b)]
-            if table[j] != target.lattice.join2[(table[a], table[b])]:
-                return {"law": "NotJoinPreserving", "subset": [a, b],
-                        "join": j, "value": table[j]}
-    for q in source.base.elements:
-        for a in source.carrier:
-            if table[source.act(q, a)] != target.act(q, table[a]):
-                return {"law": "NotActionHom", "scalar": q, "element": a,
-                        "left": table[source.act(q, a)],
-                        "right": target.act(q, table[a])}
-    return None
+                "value": table[src.bottom]}
+    j = src.join2[members]
+    return {"law": "NotJoinPreserving", "subset": list(members),
+            "join": j, "value": table[j]}
 
 
 def transport_map(f: StructureMap, to: str) -> StructureMap:

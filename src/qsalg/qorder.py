@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from . import limits
@@ -33,13 +32,13 @@ from .errors import (
     TransitivityFails,
     UnknownElement,
 )
-from .lattice import FinitePoset, complete_lattice, validate_poset
+from .lattice import (
+    FinitePoset,
+    complete_lattice,
+    preservation_failure,
+    validate_poset,
+)
 from .quantale import FiniteQuantale
-
-
-@lru_cache(maxsize=None)
-def _index(carrier: tuple) -> dict:
-    return {x: i for i, x in enumerate(carrier)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +50,7 @@ class QSubset:
     values: tuple[str, ...]
 
     def __call__(self, x: str) -> str:
-        return self.values[_index(self.carrier)[x]]
+        return self.values[self.carrier.index(x)]
 
     def table(self) -> dict:
         return dict(zip(self.carrier, self.values))
@@ -419,19 +418,16 @@ def is_qjoin_preserving(table: Mapping[str, str], source: QSupLattice,
     pushed subset?  Returns (ok, witness_subset_or_None).
 
     Every join folds the bottom, binary joins and tensors, so the map
-    preserves all joins exactly when it preserves those; the witness is
-    the empty, two-point or one-point subset where it does not.
+    preserves all joins exactly when it preserves those
+    (`preservation_failure`); the witness is the empty, two-point or
+    one-point subset where it does not.
     """
-    carrier, base = source.carrier, source.base
-    if table[source.bottom] != target.bottom:
-        return False, constant_subset(carrier, base, base.bottom)
-    for a in carrier:
-        for b in carrier:
-            if table[source.join2[(a, b)]] != \
-                    target.join2[(table[a], table[b])]:
-                return False, characteristic_subset(carrier, base, [a, b])
-    for q in base.elements:
-        for a in carrier:
-            if table[source.tensor[(q, a)]] != target.tensor[(q, table[a])]:
-                return False, characteristic_subset(carrier, base, [a], q)
-    return True, None
+    bad = preservation_failure(
+        table, source.carrier,
+        (source.bottom, source.join2, source.tensor),
+        (target.bottom, target.join2, target.tensor), source.base.elements)
+    if bad is None:
+        return True, None
+    members, degree = bad
+    return False, characteristic_subset(source.carrier, source.base,
+                                        members, degree)

@@ -7,13 +7,18 @@ for the certificate without trusting the code that produced it.
 
 The first violated claim raises CertificateTampered naming the check; a
 structurally unusable certificate (missing sections, partial tables)
-raises ParseError instead.
+raises ParseError instead.  The `checks` list and `meta.free_size` are
+claims too: both are rebuilt from the re-derived tables and must match
+exactly.  `meta.threshold` is the run parameter the certificate was made
+under and is not verified.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
+from . import limits
 from .errors import CertificateTampered, ParseError
 
 FORMAT = "qsalg-cert/1"
@@ -427,13 +432,49 @@ def recheck_certificate(cert) -> list:
         raise CertificateTampered("order-iso", "bottom is not preserved")
     passed.append("order-iso")
 
-    # Every law re-derived above, so the summary may not claim otherwise.
+    # Every law re-derived above, so the summary must claim exactly that.
     verdict = _section(cert, "verdict")
-    failing = [c.get("name") for c in cert.get("checks", [])
-               if c.get("status") not in ("PASS", "SKIPPED")]
-    if verdict != "PASS" or failing:
+    expected = _expected_checks(ids, fixed, subject, free)
+    claimed = _section(cert, "checks")
+    if verdict != "PASS" or not _same_claims(claimed, expected):
         raise CertificateTampered(
             "verdict", "certificate summary contradicts the re-verified "
-            "laws", verdict=verdict, failing=failing)
+            "laws", verdict=verdict, expected=expected)
+    meta = _section(cert, "meta")
+    if not isinstance(meta, dict) or not _same_claims(
+            meta.get("free_size"), len(ids)):
+        raise CertificateTampered(
+            "verdict", "meta.free_size is not the free carrier size",
+            expected=len(ids))
     passed.append("verdict")
     return passed
+
+
+def _expected_checks(ids, fixed, subject, free):
+    """The `checks` list of a representation run in which every law
+    holds; the derived-law flags follow from the nucleus axioms."""
+    n = len(ids)
+    total = sum(n ** int(free.arities.get(sym, 0)) for sym in free.ops)
+    if total * max(1, len(subject.carrier)) > limits.HOM_ENUM_BOUND:
+        bound = {"status": "SKIPPED", "space": total,
+                 "bound": limits.HOM_ENUM_BOUND}
+    else:
+        bound = {"status": "PASS", "tuples": total}
+    claims = {
+        "nucleus-axioms": {"carrier": n},
+        "nucleus-derived-laws": {
+            "idempotent": True, "join_law": True, "join_law_checked": n * n,
+            "op_law": True, "action_law": True},
+        "counit-retraction": {}, "principal-subsets-fixed": {},
+        "bijective-onto-fixed-points": {"fixed_points": len(fixed)},
+        "quotient-laws": {}, "operation-hom": {}, "action-hom": {},
+        "qjoin-preserving": {}, "evaluation-inverse": {}}
+    return [{"name": name, "status": "PASS", **extra}
+            for name, extra in claims.items()] + [
+        {"name": "closure-bound", **bound}]
+
+
+def _same_claims(claimed, expected):
+    # Compared as canonical JSON, so 1 does not stand in for true.
+    return (json.dumps(claimed, sort_keys=True, default=repr)
+            == json.dumps(expected, sort_keys=True))

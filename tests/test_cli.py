@@ -86,6 +86,8 @@ def write_mutant(tmp_path, fname, path, value):
     ("godel3.json", ("quantales", "q", "mult"), 5),
     ("two-meet.json", ("posets", "chain2", "leq"), None),
     ("two-meet.json", ("algebras", "z2", "ops"), []),
+    ("two-meet.json", ("algebras", "z2", "carrier"), 5),
+    ("two-meet.json", ("algebras", "z2", "carrier"), "eg"),
 ])
 def test_wrong_section_type_is_a_parse_error(tmp_path, capsys, fname, path,
                                              value):
@@ -102,6 +104,21 @@ def test_validate_builds_algebras_nothing_references(tmp_path, capsys):
     code, report = run_json(capsys, "validate", bad)
     assert code == 2
     assert report["error"]["kind"] == "UnknownElement"
+
+
+@pytest.mark.parametrize("elements,leq", [
+    ([0, 1], [[0, 0], [0, 1], [1, 1]]),
+    (["0", "1"], [[0, 0], [0, 1], [1, 1]]),
+], ids=["integer-elements", "integer-leq"])
+def test_non_string_labels_are_a_parse_error(tmp_path, capsys, elements,
+                                             leq):
+    doc = {"format": "qsalg/1",
+           "posets": {"p": {"elements": elements, "leq": leq}}}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, "validate", path)
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
 
 
 def test_no_matching_declarations_is_exit_2(capsys):
@@ -145,6 +162,23 @@ def test_non_unital_action_fails_strict_validation(capsys):
                             "--theorem", "representation")
     assert code == 1
     assert report["checks"][0]["law"] == "UnitActionFails"
+
+
+@pytest.mark.parametrize("lax,law,witness", [
+    (False, "UnitActionFails", {"element": "1", "value": "0"}),
+    (True, "AntisymmetryFails", {"pair": ["0", "1"]}),
+], ids=["strict", "lax"])
+def test_non_unital_action_fails_the_universal_property(capsys, lax, law,
+                                                        witness):
+    # the target is built, and bridged, inside its own check
+    argv = ["check", corpus_path("non-unital-action.json"),
+            "--theorem", "free-universal-property"]
+    code, report = run_json(capsys, *argv,
+                            *(["--lax-modules"] if lax else []))
+    assert code == 1
+    assert report["checks"] == [{
+        "name": "universal:subject", "status": "FAIL", "law": law,
+        "message": report["checks"][0]["message"], "witness": witness}]
 
 
 def test_roundtrip_suite_on_modules(capsys):

@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
 from qsalg import errors
+from qsalg import omega as omega_module
 from qsalg.lattice import chain_lattice
 from qsalg.qmodule import (
     StructureMap,
@@ -119,6 +122,44 @@ def test_transport_algebra_is_involutive_on_tables():
     assert isinstance(up, QSupAlgebra)
     down = transport_algebra(up)
     assert down.same_tables(malg)
+
+
+def test_transport_to_the_order_face_shares_the_module_tables():
+    # the bridge certifies the order with the module's own joins and
+    # action, which is why no slot scan is repeated on the order side
+    malg = meet_algebra_over_two()
+    up = transport_algebra(malg)
+    assert up.algebra is malg.algebra
+    assert up.sup.join2 is malg.module.lattice.join2
+    assert up.sup.tensor is malg.module.action
+
+
+def test_transport_rejects_a_bridge_with_other_tables(monkeypatch):
+    from qsalg import omega
+
+    def copied(module):
+        sup = suplattice_from_module(module)
+        return type(sup)(sup.order, sup.bottom, dict(sup.join2), sup.tensor)
+
+    monkeypatch.setattr(omega, "suplattice_from_module", copied)
+    with pytest.raises(errors.InternalInconsistency):
+        transport_algebra(meet_algebra_over_two())
+
+
+def test_free_qsup_algebra_is_the_only_memo_cache():
+    src = Path(omega_module.__file__).resolve().parent
+    cached = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    name = ast.unparse(dec).split("(")[0].split(".")[-1]
+                    if name in ("lru_cache", "cache"):
+                        cached.append((path.name, node.name))
+        if path.name != "omega.py":
+            assert "lru_cache" not in text, path.name
+    assert cached == [("omega.py", "_free_cached")]
 
 
 def test_free_algebra_sizes_and_ids():

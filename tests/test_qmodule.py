@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -191,3 +193,13 @@ def test_scaling_maps_transport_both_ways():
             up = transport_map(f, "sup")
             down = transport_map(up, "module")
             assert down.table == table
+
+
+def test_a_bridged_module_is_not_kept_alive():
+    mod = crisp_module(chain_lattice(["0", "1", "2"]), TWO)
+    ref = weakref.ref(mod)
+    sup = suplattice_from_module(mod)
+    assert sup.tensor is mod.action
+    del mod, sup
+    gc.collect()
+    assert ref() is None

@@ -130,6 +130,26 @@ def tamper_check_status(c):
     c["checks"][0]["status"] = "FAIL"
 
 
+def tamper_empty_checks(c):
+    c["checks"] = []
+
+
+def tamper_fixed_points_count(c):
+    check = next(k for k in c["checks"]
+                 if k["name"] == "bijective-onto-fixed-points")
+    check["fixed_points"] += 1
+
+
+def tamper_op_law_false(c):
+    check = next(k for k in c["checks"]
+                 if k["name"] == "nucleus-derived-laws")
+    check["op_law"] = False
+
+
+def tamper_free_size(c):
+    c["meta"]["free_size"] += 1
+
+
 TAMPERS = [
     (tamper_quantale_mult, "quantale-laws"),
     (tamper_quantale_unit, "quantale-laws"),
@@ -149,6 +169,10 @@ TAMPERS = [
     (tamper_quotient_op, "quotient-tables"),
     (tamper_verdict, "verdict"),
     (tamper_check_status, "verdict"),
+    (tamper_empty_checks, "verdict"),
+    (tamper_fixed_points_count, "verdict"),
+    (tamper_op_law_false, "verdict"),
+    (tamper_free_size, "verdict"),
 ]
 
 
@@ -205,3 +229,65 @@ def test_a_certificate_is_json_native(boolean_cert):
         else:
             assert x is None or isinstance(x, (str, int, bool))
     walk(boolean_cert)
+
+
+def _edited(value):
+    # a different value of the same JSON type, and one of another type
+    if isinstance(value, bool):
+        return [not value, int(value)]
+    if isinstance(value, int):
+        return [value + 1, str(value)]
+    return [value + "x", None]
+
+
+@pytest.mark.parametrize("cert_name", ["boolean_cert", "luk3_cert"])
+def test_every_claim_field_is_bound(request, cert_name):
+    fresh = request.getfixturevalue(cert_name)
+    assert {key for check in fresh["checks"] for key in check} >= {
+        "name", "status", "carrier", "join_law_checked", "op_law",
+        "fixed_points", "tuples"}
+    for k, check in enumerate(fresh["checks"]):
+        for key, old in check.items():
+            for value in _edited(old):
+                cert = copy.deepcopy(fresh)
+                cert["checks"][k][key] = value
+                with pytest.raises(CertificateTampered) as err:
+                    recheck_certificate(cert)
+                assert err.value.check == "verdict", (k, key, value)
+    edits = [lambda c: c["checks"].pop(),
+             lambda c: c["checks"].reverse(),
+             lambda c: c["checks"][0].update(extra=1),
+             lambda c: c["checks"].append(dict(c["checks"][0])),
+             lambda c: c["meta"].update(free_size=str(c["meta"]["free_size"])),
+             lambda c: c["meta"].pop("free_size")]
+    for edit in edits:
+        cert = copy.deepcopy(fresh)
+        edit(cert)
+        with pytest.raises(CertificateTampered) as err:
+            recheck_certificate(cert)
+        assert err.value.check == "verdict"
+
+
+def test_threshold_is_not_a_verified_claim(boolean_cert):
+    cert = copy.deepcopy(boolean_cert)
+    cert["meta"]["threshold"] += 1
+    assert recheck_certificate(cert)[-1] == "verdict"
+
+
+def test_closure_bound_status_follows_the_enumeration_bound(
+        boolean_cert, monkeypatch):
+    from qsalg import limits
+    monkeypatch.setattr(limits, "HOM_ENUM_BOUND", 10)
+    doc = loads(corpus_text("two-meet.json"))
+    skipped = json.loads(json.dumps(
+        representation(doc.qmodule_algebra("subject"))))
+    assert skipped["checks"][-1] == {
+        "name": "closure-bound", "status": "SKIPPED", "space": 16,
+        "bound": 10}
+    assert recheck_certificate(skipped)[-1] == "verdict"
+    # each certificate's claim only holds under the bound it was made with
+    with pytest.raises(CertificateTampered):
+        recheck_certificate(copy.deepcopy(boolean_cert))
+    monkeypatch.undo()
+    with pytest.raises(CertificateTampered):
+        recheck_certificate(skipped)
