@@ -2,8 +2,8 @@
 
 A document is one JSON object, format "qsalg/1", with named declarations
 grouped by section.  Order relations come as pair lists, multiplication
-and actions as triple lists, operations as [args, value] rows.  The
-labels of `elements`, `carrier` and `leq` rows must be strings.
+and actions as triple lists, operations as [args, value] rows.  Labels
+and references are strings, arities non-negative integers, `lax` a boolean.
 Every name used inside a declaration must be declared in the same
 document.
 
@@ -59,10 +59,13 @@ def _rows(rows, where):
     return rows
 
 
+def _strings(row):
+    return isinstance(row, list) and all(isinstance(x, str) for x in row)
+
+
 def _labels(decl, key, where):
     labels = _field(decl, key, where)
-    if not isinstance(labels, list) or not all(
-            isinstance(x, str) for x in labels):
+    if not _strings(labels):
         raise ParseError(f"{where}: {key} is a list of string labels, "
                          f"got {labels!r}")
     return labels
@@ -71,8 +74,7 @@ def _labels(decl, key, where):
 def _pairs_to_relation(rows, where):
     rel = set()
     for row in _rows(rows, where):
-        if not isinstance(row, list) or len(row) != 2 or not all(
-                isinstance(x, str) for x in row):
+        if not _strings(row) or len(row) != 2:
             raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
                              f"labels, got {row!r}")
         rel.add((row[0], row[1]))
@@ -82,9 +84,9 @@ def _pairs_to_relation(rows, where):
 def _triples_to_table(rows, where):
     table = {}
     for row in _rows(rows, where):
-        if not isinstance(row, list) or len(row) != 3:
-            raise ParseError(f"{where}: rows are [a, b, value] triples, "
-                             f"got {row!r}")
+        if not _strings(row) or len(row) != 3:
+            raise ParseError(f"{where}: rows are [a, b, value] triples of "
+                             f"string labels, got {row!r}")
         table[(row[0], row[1])] = row[2]
     return table
 
@@ -93,9 +95,9 @@ def _rows_to_op(rows, where):
     table = {}
     for row in _rows(rows, where):
         if (not isinstance(row, list) or len(row) != 2
-                or not isinstance(row[0], list)):
-            raise ParseError(f"{where}: op rows are [[args...], value], "
-                             f"got {row!r}")
+                or not _strings(row[0]) or not isinstance(row[1], str)):
+            raise ParseError(f"{where}: op rows are [[args...], value] of "
+                             f"string labels, got {row!r}")
         table[tuple(row[0])] = row[1]
     return table
 
@@ -132,6 +134,8 @@ class Document:
         return decls[name]
 
     def _memo(self, section, name, build):
+        if not isinstance(name, str):
+            raise ParseError(f"{section}: a reference is a name, got {name!r}")
         key = (section, name)
         if key not in self._cache:
             self._cache[key] = build(self._decl(section, name))
@@ -151,9 +155,10 @@ class Document:
         return self._memo("posets", name, build)
 
     def lattice(self, name):
+        poset = self.poset(name)
         key = ("posets#lattice", name)
         if key not in self._cache:
-            self._cache[key] = complete_lattice(self.poset(name))
+            self._cache[key] = complete_lattice(poset)
         return self._cache[key]
 
     def quantale(self, name):
@@ -189,15 +194,19 @@ class Document:
             base = self.quantale(_field(decl, "base", where))
             lat = self.lattice(_field(decl, "poset", where))
             action = _triples_to_table(_field(decl, "action", where), where)
-            lax = bool(decl.get("lax", False)) or self.lax_modules
-            return validate_qmodule(lat, base, action, lax=lax)
+            lax = decl.get("lax", False)
+            if not isinstance(lax, bool):
+                raise ParseError(f"{where}: lax is true or false, got {lax!r}")
+            return validate_qmodule(lat, base, action,
+                                    lax=lax or self.lax_modules)
         return self._memo("modules", name, build)
 
     def signature(self, name):
         def build(decl):
-            if not isinstance(decl, dict):
-                raise ParseError(f"signatures.{name}: expected a "
-                                 "symbol-to-arity object")
+            if not isinstance(decl, dict) or not all(
+                    type(n) is int and n >= 0 for n in decl.values()):
+                raise ParseError(f"signatures.{name}: expected symbols with "
+                                 f"non-negative integer arities, got {decl!r}")
             return signature(decl)
         return self._memo("signatures", name, build)
 

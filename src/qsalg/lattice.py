@@ -122,46 +122,48 @@ class CompleteLattice:
         return out
 
 
-def _least(poset, candidates, pair, kind):
-    for u in candidates:
-        if all(poset.leq(u, v) for v in candidates):
-            return u
-    raise NotComplete(
-        f"{kind} of {pair!r} has no least element among {sorted(candidates)}",
-        pair=list(pair), bounds=sorted(candidates))
+def up_masks(elements, pairs):
+    """up[i] is the bitmask of the k with (elements[i], elements[k]) in
+    `pairs`: the up-sets of a relation, one int per element."""
+    ix = {x: i for i, x in enumerate(elements)}
+    up = [0] * len(elements)
+    for a, b in pairs:
+        up[ix[a]] |= 1 << ix[b]
+    return up
 
 
 def complete_lattice(poset: FinitePoset) -> CompleteLattice:
-    """Certify completeness and precompute the binary join/meet tables."""
-    bottoms = [a for a in poset.elements
-               if all(poset.leq(a, b) for b in poset.elements)]
-    if not bottoms:
+    """Certify completeness and precompute the binary join/meet tables.
+
+    The join of a and b is the element whose up-set is up(a) & up(b),
+    so one dict lookup finds it or proves it missing; meets likewise
+    through down-sets.
+    """
+    elements = poset.elements
+    up = up_masks(elements, poset.relation)
+    down = up_masks(elements, ((b, a) for a, b in poset.relation))
+    by_up, by_down = dict(zip(up, elements)), dict(zip(down, elements))
+    full = (1 << len(elements)) - 1
+    if full not in by_up:
         raise NotComplete("no bottom element", pair=[])
-    bottom = bottoms[0]
     join2 = {}
-    for a in poset.elements:
-        for b in poset.elements:
-            ubs = [u for u in poset.elements if poset.leq(a, u) and poset.leq(b, u)]
-            if not ubs:
-                raise NotComplete(f"{(a, b)!r} has no upper bound", pair=[a, b])
-            join2[(a, b)] = _least(poset, ubs, (a, b), "join")
-    top = bottom
-    for a in poset.elements:
-        top = join2[(top, a)]
-    meet2 = {}
-    for a in poset.elements:
-        for b in poset.elements:
-            lbs = [v for v in poset.elements if poset.leq(v, a) and poset.leq(v, b)]
-            # lbs is nonempty (bottom); its join is the meet because all
-            # binary joins are already certified above.
-            m = bottom
-            for v in lbs:
-                m = join2[(m, v)]
-            if not (poset.leq(m, a) and poset.leq(m, b)):
-                raise InternalInconsistency(
-                    f"computed meet of {(a, b)!r} is not a lower bound")
-            meet2[(a, b)] = m
-    return CompleteLattice(poset, bottom, top, join2, meet2)
+    for a, ua in zip(elements, up):
+        for b, ub in zip(elements, up):
+            bounds = ua & ub
+            if bounds not in by_up:
+                if not bounds:
+                    raise NotComplete(f"{(a, b)!r} has no upper bound",
+                                      pair=[a, b])
+                members = sorted(x for i, x in enumerate(elements)
+                                 if bounds >> i & 1)
+                raise NotComplete(f"join of {(a, b)!r} has no least element "
+                                  f"among {members}", pair=[a, b],
+                                  bounds=members)
+            join2[(a, b)] = by_up[bounds]
+    # A bottom and all binary joins make a lattice: these lookups all hit.
+    meet2 = {(a, b): by_down[da & db] for a, da in zip(elements, down)
+             for b, db in zip(elements, down)}
+    return CompleteLattice(poset, by_up[full], by_down[full], join2, meet2)
 
 
 def _poset_of(obj) -> FinitePoset:

@@ -36,6 +36,7 @@ from .lattice import (
     FinitePoset,
     complete_lattice,
     preservation_failure,
+    up_masks,
     validate_poset,
 )
 from .quantale import FiniteQuantale
@@ -124,9 +125,14 @@ def scan_qsubsets(carrier, base, threshold=None):
 
 @dataclass(frozen=True, eq=False)
 class QOrderedSet:
+    """A certified degree table.  up[p][i] is the bitmask of the k with
+    degrees[p] <= e(carrier[i], carrier[k]), degrees being the base's
+    elements in order."""
+
     carrier: tuple[str, ...]
     base: FiniteQuantale
     e: Mapping[tuple[str, str], str] = field(repr=False)
+    up: tuple = field(default=(), repr=False)
 
     def degree(self, x, y) -> str:
         return self.e[(x, y)]
@@ -155,22 +161,33 @@ def validate_qorder(carrier, base: FiniteQuantale, e) -> QOrderedSet:
             raise ReflexivityFails(
                 f"e({x!r},{x!r}) = {table[(x, x)]!r} is not above the unit",
                 element=x, degree=table[(x, x)])
-    for x in carrier:
-        for y in carrier:
-            for z in carrier:
+    # Transitivity, e(x,y)*e(y,z) <= e(x,z) for all z, holds exactly when
+    # every row U_r[y] lies inside U_{e(x,y)*r}[x]; the lowest bit outside
+    # is the first z that breaks it.
+    degrees = base.elements
+    up = [up_masks(carrier, [xz for xz, v in table.items() if base.leq(p, v)])
+          for p in degrees]
+    shift = {v: [degrees.index(base.mul(v, r)) for r in degrees]
+             for v in degrees}
+    for i, x in enumerate(carrier):
+        for j, y in enumerate(carrier):
+            bad = 0
+            for rows, s in zip(up, shift[table[(x, y)]]):
+                bad |= rows[j] & ~up[s][i]
+            if bad:
+                z = carrier[(bad & -bad).bit_length() - 1]
                 prod = base.mul(table[(x, y)], table[(y, z)])
-                if not base.leq(prod, table[(x, z)]):
-                    raise TransitivityFails(
-                        f"e({x!r},{y!r})*e({y!r},{z!r}) = {prod!r} exceeds "
-                        f"e({x!r},{z!r}) = {table[(x, z)]!r}",
-                        triple=[x, y, z], product=prod, bound=table[(x, z)])
+                raise TransitivityFails(
+                    f"e({x!r},{y!r})*e({y!r},{z!r}) = {prod!r} exceeds "
+                    f"e({x!r},{z!r}) = {table[(x, z)]!r}",
+                    triple=[x, y, z], product=prod, bound=table[(x, z)])
     for x in carrier:
         for y in carrier:
             if x != y and base.leq(unit, table[(x, y)]) \
                     and base.leq(unit, table[(y, x)]):
                 raise AntisymmetryFails(
                     f"{x!r} and {y!r} are unit-related both ways", pair=[x, y])
-    return QOrderedSet(carrier, base, table)
+    return QOrderedSet(carrier, base, table, tuple(map(tuple, up)))
 
 
 def induced_order(order: QOrderedSet) -> FinitePoset:
@@ -332,21 +349,13 @@ def _failed_identity(order: QOrderedSet, bottom, join2, tensor):
       e(a v b, y) = e(a, y) meet e(b, y)
       e(q tensor a, y) = q -> e(a, y)
 
-    Each compares two degree rows at once: up[p][x] is the bitmask of
-    the y with p <= e(x, y), two rows agree exactly when their masks
-    agree at every degree p, and p <= q -> r holds exactly when
-    p * q <= r.
+    Each compares two degree rows at once: two rows agree exactly when
+    their `order.up` masks agree at every degree p, and p <= q -> r holds
+    exactly when p * q <= r.
     """
-    base, carrier = order.base, order.carrier
+    base, carrier, up = order.base, order.carrier, order.up
     degrees = base.elements
     ix = {x: i for i, x in enumerate(carrier)}
-    below = {v: [k for k, p in enumerate(degrees) if base.leq(p, v)]
-             for v in degrees}
-    up = [[0] * len(carrier) for _ in degrees]
-    for i, x in enumerate(carrier):
-        for k, y in enumerate(carrier):
-            for p in below[order.e[(x, y)]]:
-                up[p][i] |= 1 << k
     if up[degrees.index(base.top)][ix[bottom]] != (1 << len(carrier)) - 1:
         return [], None, bottom
     for a in carrier:

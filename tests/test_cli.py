@@ -88,6 +88,17 @@ def write_mutant(tmp_path, fname, path, value):
     ("two-meet.json", ("algebras", "z2", "ops"), []),
     ("two-meet.json", ("algebras", "z2", "carrier"), 5),
     ("two-meet.json", ("algebras", "z2", "carrier"), "eg"),
+    ("two-meet.json", ("signatures", "one-binary", "mul"), "x"),
+    ("two-meet.json", ("signatures", "one-binary", "mul"), True),
+    ("two-meet.json", ("signatures", "one-binary", "mul"), 2.5),
+    ("two-meet.json", ("signatures", "one-binary", "mul"), -1),
+    ("two-meet.json", ("algebras", "two-meet", "ops", "mul", 0, 0, 0), ["0"]),
+    ("two-meet.json", ("algebras", "two-meet", "ops", "mul", 0, 1), ["0"]),
+    ("godel3.json", ("quantales", "q", "mult", 0, 0), ["0"]),
+    ("two-meet.json", ("qmodule_algebras", "subject", "module"),
+     ["two-self"]),
+    ("two-meet.json", ("modules", "two-self", "base"), 0),
+    ("two-meet.json", ("modules", "two-self", "lax"), "no"),
 ])
 def test_wrong_section_type_is_a_parse_error(tmp_path, capsys, fname, path,
                                              value):

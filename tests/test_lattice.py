@@ -116,6 +116,73 @@ def test_no_least_upper_bound_rejected():
         complete_lattice(validate_poset(els, rel))
 
 
+def complete_lattice_oracle(poset):
+    """Definition-level certification of a poset: (bottom, top, join2,
+    meet2), or the (message, witness) of the first pair, in element
+    order, that has no upper bound or no least one."""
+    els = poset.elements
+    bottoms = [a for a in els if all(poset.leq(a, b) for b in els)]
+    if not bottoms:
+        return "no bottom element", {"pair": []}
+    join2 = {}
+    for a in els:
+        for b in els:
+            ubs = sorted(u for u in els if poset.leq(a, u) and poset.leq(b, u))
+            if not ubs:
+                return f"{(a, b)!r} has no upper bound", {"pair": [a, b]}
+            join2[(a, b)] = lub_oracle(poset, [a, b])
+            if join2[(a, b)] is None:
+                return (f"join of {(a, b)!r} has no least element among "
+                        f"{ubs}", {"pair": [a, b], "bounds": ubs})
+    meet2 = {(a, b): glb_oracle(poset, [a, b]) for a in els for b in els}
+    return bottoms[0], lub_oracle(poset, els), join2, meet2
+
+
+def labelled_posets(max_size):
+    """Every partial order on the labels 0..n-1 for n <= max_size.  Each
+    grows from one on 0..n-2: the new label goes above a down-set and
+    below an up-set lying wholly above it."""
+    layer = [frozenset()]
+    for n in range(1, max_size + 1):
+        old, new = [str(i) for i in range(n - 1)], str(n - 1)
+        subsets = [set(c) for r in range(n)
+                   for c in itertools.combinations(old, r)]
+        grown = []
+        for rel in layer:
+            downs = [d for d in subsets if all(
+                c in d for b in d for c in old if (c, b) in rel)]
+            ups = [u for u in subsets if all(
+                c in u for b in u for c in old if (b, c) in rel)]
+            grown += [rel | {(new, new)} | {(a, new) for a in d}
+                      | {(new, b) for b in u}
+                      for d in downs for u in ups
+                      if all((a, b) in rel for a in d for b in u)
+                      and not d & u]
+        layer = grown
+        for rel in layer:
+            yield validate_poset(old + [new], rel)
+
+
+def test_complete_lattice_matches_the_definition_on_small_posets():
+    outcomes = []
+    for poset in labelled_posets(5):
+        expected = complete_lattice_oracle(poset)
+        try:
+            lat = complete_lattice(poset)
+        except errors.NotComplete as err:
+            assert (str(err), err.witness) == expected, poset
+            outcomes.append(next(k for k in ("bottom", "upper", "least")
+                                 if f"no {k}" in str(err)))
+        else:
+            assert (lat.bottom, lat.top, dict(lat.join2),
+                    dict(lat.meet2)) == expected, poset
+            outcomes.append("lattice")
+    # 1 + 3 + 19 + 219 + 4231 labelled posets; a pair with upper bounds
+    # but no least one needs a bottom and five elements.
+    assert len(outcomes) == 4473
+    assert set(outcomes) == {"lattice", "bottom", "upper", "least"}
+
+
 def test_monotone_map_rejects_order_breaker():
     lat = chain_lattice(["0", "1"])
     with pytest.raises(errors.NotMonotone):

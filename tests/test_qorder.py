@@ -68,6 +68,63 @@ def test_transitivity_failure_detected():
         validate_qorder(["x", "y", "z"], TWO, e)
 
 
+def qorder_law_oracle(carrier, base, e):
+    """The first law a degree table breaks, as (class, witness), by the
+    definition-level triple scan over x, y, z in carrier order; None when
+    it is a Q-order."""
+    unit = base.unit
+    for x in carrier:
+        if not base.leq(unit, e[(x, x)]):
+            return errors.ReflexivityFails, {"element": x,
+                                             "degree": e[(x, x)]}
+    for x, y, z in itertools.product(carrier, repeat=3):
+        prod = base.mul(e[(x, y)], e[(y, z)])
+        if not base.leq(prod, e[(x, z)]):
+            return errors.TransitivityFails, {
+                "triple": [x, y, z], "product": prod, "bound": e[(x, z)]}
+    for x, y in itertools.product(carrier, repeat=2):
+        if x != y and base.leq(unit, e[(x, y)]) and base.leq(unit, e[(y, x)]):
+            return errors.AntisymmetryFails, {"pair": [x, y]}
+    return None
+
+
+@pytest.mark.parametrize("points,bases", [
+    (2, ("boolean", "godel3", "lukasiewicz3", "lukasiewicz4",
+         "diamond-meet")),
+    (3, ("boolean", "godel3", "lukasiewicz3")),
+    (4, ("boolean",)),
+])
+def test_validate_qorder_matches_the_triple_scan(corpus_quantales, points,
+                                                 bases):
+    carrier = ("x", "y", "z", "w")[:points]
+    cells = list(itertools.product(carrier, repeat=2))
+    verdicts = set()
+    for name in bases:
+        base = corpus_quantales[name]
+        for values in itertools.product(base.elements, repeat=len(cells)):
+            e = dict(zip(cells, values))
+            expected = qorder_law_oracle(carrier, base, e)
+            try:
+                order = validate_qorder(carrier, base, e)
+            except errors.SpecViolation as err:
+                assert (type(err), err.witness) == expected, (name, e)
+                verdicts.add(type(err))
+                continue
+            assert expected is None, (name, e)
+            verdicts.add(None)
+            # up[p][i] holds k exactly when degree p is below e(x_i, x_k)
+            for p, rows in zip(base.elements, order.up):
+                assert rows == tuple(
+                    sum(1 << k for k, z in enumerate(carrier)
+                        if base.leq(p, e[(x, z)])) for x in carrier)
+    # Every bundled unit is the top, so on two points the diagonal is top
+    # and no triple can break transitivity.  Four points are the fewest on
+    # which one (x, y) can fail at two z, so only they pin which z is named.
+    assert verdicts == {None, errors.ReflexivityFails,
+                        errors.AntisymmetryFails} | (
+        {errors.TransitivityFails} if points > 2 else set())
+
+
 def test_subsethood_frozen_values():
     carrier = ("a", "b")
     inside = characteristic_subset(carrier, TWO, ["a"])

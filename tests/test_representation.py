@@ -76,6 +76,14 @@ def test_representation_passes_on_small_self_modules():
         assert len(cert["fixed"]) == len(q.elements)
 
 
+def test_representation_at_free_size_256_is_rechecked():
+    import json
+    from qsalg.recheck import recheck_certificate
+    cert = representation(bare(quantale_self_module(lukasiewicz_chain(4))))
+    assert (cert["verdict"], cert["meta"]["free_size"]) == ("PASS", 256)
+    assert "verdict" in recheck_certificate(json.loads(json.dumps(cert)))
+
+
 def test_representation_passes_with_operations():
     for q in (boolean_quantale(), lukasiewicz_chain(3)):
         cert = representation(with_mult_op(q))
