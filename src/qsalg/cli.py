@@ -27,13 +27,13 @@ from .errors import (
     CertificateTampered,
     InputError,
     ParseError,
+    RoundTripDrift,
     SpecViolation,
     TooLarge,
 )
 from .nucleus import derived_laws, enumerate_nuclei, is_nucleus
 from .omega import (
-    EMPTY_SIGNATURE,
-    QSupAlgebra,
+    bare_algebra,
     counit_map,
     enumerate_homs,
     extend_hom,
@@ -41,8 +41,6 @@ from .omega import (
     free_qsup_algebra,
     is_homomorphism,
     transport_algebra,
-    validate_omega_algebra,
-    validate_qmodule_algebra,
 )
 from .qmodule import (
     StructureMap,
@@ -75,13 +73,22 @@ def _fail(name, err, **extra):
             "message": str(err), "witness": err.witness, **extra}
 
 
+def _check(report, name, run):
+    """Add one check: PASS with the fields `run()` returns, or FAIL with
+    the witness of the law it breaks."""
+    try:
+        report["checks"].append({"name": name, "status": "PASS", **run()})
+    except SpecViolation as err:
+        report["checks"].append(_fail(name, err))
+
+
 def _report(command, arguments, inputs):
     return {
         "format": "qsalg-report/1",
         "command": command,
         "arguments": arguments,
         "inputs": [{"path": p, "sha256": _digest(p)} for p in inputs],
-        "threshold": limits.threshold(None),
+        "threshold": limits.threshold(),
         "checks": [],
         "status": "PASS",
         "timing": None,
@@ -94,11 +101,6 @@ def _settle(report):
         report["status"] = "FAIL"
         report["exit"] = EXIT_FAIL
     return report
-
-
-def _bare_host(mod):
-    alg = validate_omega_algebra(mod.carrier, EMPTY_SIGNATURE, {})
-    return validate_qmodule_algebra(mod, alg)
 
 
 def cmd_validate(ns):
@@ -115,74 +117,76 @@ def cmd_validate(ns):
                 targets.append((kind, name))
     if not targets:
         raise InputError("nothing to validate: no matching declarations")
+
+    def validated(kind, name):
+        doc.build(kind, name)
+        return {}
     for kind, name in targets:
-        label = f"{kind}:{name}"
-        try:
-            doc.build(kind, name)
-            report["checks"].append({"name": label, "status": "PASS"})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
+        _check(report, f"{kind}:{name}", lambda: validated(kind, name))
     return _settle(report)
 
 
 def _representation_subjects(doc):
-    for name in doc.names("qmodule_algebras"):
-        yield name, (lambda n=name: doc.qmodule_algebra(n))
-    for name in doc.names("qsup_algebras"):
-        yield name, (lambda n=name: doc.qsup_algebra(n))
+    """Every algebra declaration, as a builder of its module face."""
+    subjects = [(name, (lambda n=name: doc.qmodule_algebra(n)))
+                for name in doc.names("qmodule_algebras")]
+    return subjects + [
+        (name, (lambda n=name: transport_algebra(doc.qsup_algebra(n))))
+        for name in doc.names("qsup_algebras")]
 
 
 def _check_representation(doc, report):
-    empty = True
-    for name, build in _representation_subjects(doc):
-        empty = False
-        label = f"representation:{name}"
-        try:
-            cert = representation(build())
-            report["checks"].append({"name": label, "status": "PASS",
-                                     "certificate": cert})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
-    if empty:
+    subjects = _representation_subjects(doc)
+    if not subjects:
         raise InputError("no algebra declarations to represent")
+    for name, build in subjects:
+        _check(report, f"representation:{name}",
+               lambda: {"certificate": representation(build())})
+
+
+def _module_roundtrip(doc, name):
+    mod = doc.module(name)
+    back = module_from_suplattice(suplattice_from_module(mod))
+    if not back.same_tables(mod):
+        raise RoundTripDrift("module -> order -> module changed a table",
+                             module=name)
+    return {}
+
+
+def _qorder_roundtrip(doc, name):
+    sup = certify_qsuplattice(doc.qorder(name))
+    back = suplattice_from_module(module_from_suplattice(sup))
+    if not back.order.same_tables(sup.order):
+        raise RoundTripDrift("order -> module -> order changed a degree",
+                             qorder=name)
+    return {}
 
 
 def _check_roundtrip(doc, report):
-    empty = True
-    for name in doc.names("modules"):
-        empty = False
-        label = f"roundtrip:module:{name}"
-        try:
-            mod = doc.module(name)
-            back = module_from_suplattice(suplattice_from_module(mod))
-            if back.same_tables(mod):
-                report["checks"].append({"name": label, "status": "PASS"})
-            else:
-                report["checks"].append({
-                    "name": label, "status": "FAIL",
-                    "law": "RoundTripDrift",
-                    "message": "module -> order -> module changed a table",
-                    "witness": {"module": name}})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
-    for name in doc.names("qorders"):
-        empty = False
-        label = f"roundtrip:qorder:{name}"
-        try:
-            sup = certify_qsuplattice(doc.qorder(name))
-            back = suplattice_from_module(module_from_suplattice(sup))
-            if back.order.same_tables(sup.order):
-                report["checks"].append({"name": label, "status": "PASS"})
-            else:
-                report["checks"].append({
-                    "name": label, "status": "FAIL",
-                    "law": "RoundTripDrift",
-                    "message": "order -> module -> order changed a degree",
-                    "witness": {"qorder": name}})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
-    if empty:
+    modules, qorders = doc.names("modules"), doc.names("qorders")
+    if not modules and not qorders:
         raise InputError("no modules or q-orders to round-trip")
+    for name in modules:
+        _check(report, f"roundtrip:module:{name}",
+               lambda: _module_roundtrip(doc, name))
+    for name in qorders:
+        _check(report, f"roundtrip:qorder:{name}",
+               lambda: _qorder_roundtrip(doc, name))
+
+
+def _universal(gens, target):
+    free = free_qsup_algebra(target.module.base, gens)
+    homs = []
+    for images in itertools.product(target.carrier, repeat=len(gens.carrier)):
+        f = dict(zip(gens.carrier, images))
+        ok, _ = is_homomorphism(
+            StructureMap(gens, target.algebra, f), "omega")
+        if ok:
+            homs.append(f)
+    outcomes = [extension_unique(free, target, f, extend_hom(free, target, f))
+                for f in homs]
+    return {"omega_homs": len(homs), "uniqueness": outcomes,
+            "free_size": len(free.ids)}
 
 
 def _check_universal(doc, report):
@@ -193,8 +197,6 @@ def _check_universal(doc, report):
     for name, build in _representation_subjects(doc):
         try:
             target = build()
-            if isinstance(target, QSupAlgebra):
-                target = transport_algebra(target)
             suplattice_from_module(target.module)
             targets.append((name, target))
         except SpecViolation as err:
@@ -211,65 +213,29 @@ def _check_universal(doc, report):
             if space > limits.HOM_ENUM_BOUND:
                 raise TooLarge("generator assignment space", space,
                                limits.HOM_ENUM_BOUND)
-            try:
-                free = free_qsup_algebra(target.module.base, gens)
-            except SpecViolation as err:
-                report["checks"].append(_fail(label, err))
-                continue
-            homs = []
-            for images in itertools.product(target.carrier,
-                                            repeat=len(gens.carrier)):
-                f = dict(zip(gens.carrier, images))
-                ok, _ = is_homomorphism(
-                    StructureMap(gens, target.algebra, f), "omega")
-                if ok:
-                    homs.append(f)
-            outcomes = []
-            try:
-                for f in homs:
-                    fbar = extend_hom(free, target, f)
-                    outcomes.append(extension_unique(free, target, f, fbar))
-                report["checks"].append({
-                    "name": label, "status": "PASS",
-                    "omega_homs": len(homs), "uniqueness": outcomes,
-                    "free_size": len(free.ids)})
-            except SpecViolation as err:
-                report["checks"].append(_fail(label, err))
+            _check(report, label, lambda: _universal(gens, target))
     if not ran:
         raise InputError("no generator algebra / target pair shares a "
                          "signature")
 
 
+def _canonical_laws(subject):
+    free = free_qsup_algebra(subject.module.base, subject.algebra)
+    eps = counit_map(free, subject)
+    nuc = is_nucleus(free.module_algebra, canonical_closure(free, eps))
+    return {"free_size": len(free.ids), **derived_laws(nuc)}
+
+
 def _check_nucleus_laws(doc, report):
-    empty = True
-    for name in doc.names("nuclei"):
-        empty = False
-        label = f"nucleus:{name}"
-        try:
-            nuc = doc.nucleus(name)
-            laws = derived_laws(nuc)
-            report["checks"].append({"name": label, "status": "PASS",
-                                     **laws})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
-    for name, build in _representation_subjects(doc):
-        empty = False
-        label = f"canonical-nucleus:{name}"
-        try:
-            subject = build()
-            if isinstance(subject, QSupAlgebra):
-                subject = transport_algebra(subject)
-            free = free_qsup_algebra(subject.module.base, subject.algebra)
-            eps = counit_map(free, subject)
-            nuc = is_nucleus(free.module_algebra,
-                             canonical_closure(free, eps))
-            laws = derived_laws(nuc)
-            report["checks"].append({"name": label, "status": "PASS",
-                                     "free_size": len(free.ids), **laws})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
-    if empty:
+    nuclei, subjects = doc.names("nuclei"), _representation_subjects(doc)
+    if not nuclei and not subjects:
         raise InputError("no nuclei or algebra subjects declared")
+    for name in nuclei:
+        _check(report, f"nucleus:{name}",
+               lambda: derived_laws(doc.nucleus(name)))
+    for name, build in subjects:
+        _check(report, f"canonical-nucleus:{name}",
+               lambda: _canonical_laws(build()))
 
 
 def _check_crisp(doc, report):
@@ -277,12 +243,8 @@ def _check_crisp(doc, report):
     if not names:
         raise InputError("no posets declared")
     for name in names:
-        label = f"crisp:{name}"
-        try:
-            out = crisp_specialization(doc.lattice(name))
-            report["checks"].append({"name": label, "status": "PASS", **out})
-        except SpecViolation as err:
-            report["checks"].append(_fail(label, err))
+        _check(report, f"crisp:{name}",
+               lambda: crisp_specialization(doc.lattice(name)))
 
 
 THEOREMS = {
@@ -327,7 +289,7 @@ def _enumerate_nuclei(ns, report, artifacts):
     for qname, q in corpus.bundled_quantales().items():
         if len(q.elements) > ns.max_size:
             continue
-        host = _bare_host(quantale_self_module(q))
+        host = bare_algebra(quantale_self_module(q))
         nuclei = enumerate_nuclei(host)
         report["checks"].append({
             "name": f"nuclei:{qname}", "status": "PASS",
@@ -353,7 +315,7 @@ def _enumerate_homs(ns, report, artifacts):
     for qname, q in corpus.bundled_quantales().items():
         if len(q.elements) > ns.max_size:
             continue
-        host = _bare_host(quantale_self_module(q))
+        host = bare_algebra(quantale_self_module(q))
         homs = enumerate_homs(host, host)
         report["checks"].append({
             "name": f"endo-homs:{qname}", "status": "PASS",

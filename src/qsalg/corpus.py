@@ -236,7 +236,7 @@ def bundled_quantales():
     }
 
 
-def census_quantales(labels, bound=None, reverse=False):
+def census_quantales(labels, reverse=False):
     """Every quantale structure on the chain with the given labels, as
     (mult table, unit) pairs, by scanning all |n| ** (n*n) tables.
 
@@ -249,9 +249,9 @@ def census_quantales(labels, bound=None, reverse=False):
     lat = chain_lattice(labels)
     n = len(labels)
     space = n ** (n * n)
-    cap = limits.ENDOMAP_BOUND if bound is None else bound
-    if space > cap:
-        raise TooLarge("multiplication-table space", space, cap)
+    if space > limits.ENDOMAP_BOUND:
+        raise TooLarge("multiplication-table space", space,
+                       limits.ENDOMAP_BOUND)
     cells = [(a, b) for a in labels for b in labels]
     values = list(reversed(labels)) if reverse else labels
     bottom = lat.bottom

@@ -71,6 +71,15 @@ def _labels(decl, key, where):
     return labels
 
 
+def _label_map(decl, key, where):
+    table = _field(decl, key, where)
+    if not isinstance(table, dict) or \
+            not all(isinstance(v, str) for v in table.values()):
+        raise ParseError(f"{where}: {key} is an object of string labels, "
+                         f"got {table!r}")
+    return table
+
+
 def _pairs_to_relation(rows, where):
     rel = set()
     for row in _rows(rows, where):
@@ -116,9 +125,12 @@ class Document:
         if raw.get("format") != FORMAT:
             raise ParseError(f"unsupported format {raw.get('format')!r}, "
                              f"expected {FORMAT!r}")
-        for key in raw:
+        for key, section in raw.items():
             if key not in SECTIONS + ("format", "description"):
                 raise ParseError(f"unknown section {key!r}")
+            if key in SECTIONS and not isinstance(section, dict):
+                raise ParseError(f"section {key!r} is an object of named "
+                                 f"declarations, got {section!r}")
         self.raw = raw
         self.close = close
         self.lax_modules = lax_modules
@@ -131,6 +143,9 @@ class Document:
         decls = self.raw.get(section, {})
         if name not in decls:
             raise UnknownReference(name, section)
+        if not isinstance(decls[name], dict):
+            raise ParseError(f"{section}.{name}: a declaration is an object, "
+                             f"got {decls[name]!r}")
         return decls[name]
 
     def _memo(self, section, name, build):
@@ -185,7 +200,7 @@ class Document:
             where = f"qsubsets.{name}"
             base = self.quantale(_field(decl, "base", where))
             return qsubset(_labels(decl, "carrier", where), base,
-                           _field(decl, "values", where))
+                           _label_map(decl, "values", where))
         return self._memo("qsubsets", name, build)
 
     def module(self, name):
@@ -203,8 +218,7 @@ class Document:
 
     def signature(self, name):
         def build(decl):
-            if not isinstance(decl, dict) or not all(
-                    type(n) is int and n >= 0 for n in decl.values()):
+            if not all(type(n) is int and n >= 0 for n in decl.values()):
                 raise ParseError(f"signatures.{name}: expected symbols with "
                                  f"non-negative integer arities, got {decl!r}")
             return signature(decl)
@@ -248,26 +262,17 @@ class Document:
         def build(decl):
             where = f"nuclei.{name}"
             host = self.qmodule_algebra(_field(decl, "host", where))
-            return is_nucleus(host, _field(decl, "table", where))
+            return is_nucleus(host, _label_map(decl, "table", where))
         return self._memo("nuclei", name, build)
 
     def build(self, kind, name):
         if kind not in KINDS:
             raise ParseError(f"unknown kind {kind!r}; one of "
                              f"{sorted(KINDS)}")
-        return getattr(self, _BUILDERS[kind])(name)
-
-
-_BUILDERS = {
-    "poset": "poset",
-    "quantale": "quantale",
-    "q-order": "qorder",
-    "q-module": "module",
-    "algebra": "algebra",
-    "q-sup-algebra": "qsup_algebra",
-    "q-module-algebra": "qmodule_algebra",
-    "nucleus": "nucleus",
-}
+        # each builder is named for one declaration of its section
+        section = KINDS[kind]
+        return getattr(self, "nucleus" if section == "nuclei"
+                       else section[:-1])(name)
 
 
 def loads(text, close=False, lax_modules=False) -> Document:

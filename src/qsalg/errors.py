@@ -69,9 +69,6 @@ class SpecViolation(QsalgError):
     def law(self):
         return type(self).__name__
 
-    def to_dict(self):
-        return {"law": self.law, "message": str(self), "witness": self.witness}
-
 
 # -- posets and lattices ----------------------------------------------------
 
@@ -195,6 +192,10 @@ class LemmaFails(SpecViolation):
 
 class TheoremFails(SpecViolation):
     pass
+
+
+class RoundTripDrift(SpecViolation):
+    """Crossing the module/order bridge and back changed a table."""
 
 
 class CertificationFails(SpecViolation):

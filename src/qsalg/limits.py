@@ -20,9 +20,7 @@ HOM_ENUM_BOUND = 100_000
 ENDOMAP_BOUND = 1_000_000
 
 
-def threshold(override=None):
-    if override is not None:
-        return int(override)
+def threshold():
     raw = os.environ.get("QSALG_THRESHOLD")
     return int(raw) if raw else DEFAULT_THRESHOLD
 

@@ -181,7 +181,7 @@ def _linear_extension(lat):
     return out
 
 
-def enumerate_nuclei(host: QModuleAlgebra, bound=None):
+def enumerate_nuclei(host: QModuleAlgebra):
     """Every nucleus on the host, exhaustively, sorted by value table.
 
     Backtracks over a linear extension of the carrier, pruning with the
@@ -190,9 +190,8 @@ def enumerate_nuclei(host: QModuleAlgebra, bound=None):
     """
     lat = host.module.lattice
     n = len(host.carrier)
-    cap = limits.ENDOMAP_BOUND if bound is None else bound
-    if n ** n > cap:
-        raise TooLarge("endo-map space", n ** n, cap)
+    if n ** n > limits.ENDOMAP_BOUND:
+        raise TooLarge("endo-map space", n ** n, limits.ENDOMAP_BOUND)
     order = _linear_extension(lat)
     found = []
     assign = {}

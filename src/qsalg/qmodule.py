@@ -10,10 +10,10 @@ fails its order axioms with a concrete witness).
 
 The bridge: a module yields a fuzzy order via e(a, b) = largest q with
 q * a <= b, with joins given by folding M(a) * a; a fuzzy-complete order
-yields a module via its induced crisp order, with q * a the join of the
-one-point fuzzy subset at a with degree q.  Both directions are inverse
-to each other table-for-table, and this is checked in the test suite
-rather than assumed.
+yields a module via its induced crisp order, with q * a its certified
+tensor, the join of the one-point fuzzy subset at a with degree q.  Both
+directions are inverse to each other table-for-table, and this is
+checked in the test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .lattice import CompleteLattice, complete_lattice, preservation_failure
 from .qorder import (
     QSupLattice,
     certify_qsuplattice,
-    characteristic_subset,
-    constant_subset,
     induced_order,
     is_qjoin_preserving,
     validate_qorder,
@@ -172,29 +170,22 @@ def suplattice_from_module(module: QModule) -> QSupLattice:
 
 def module_from_suplattice(sup: QSupLattice) -> QModule:
     """Module of a fuzzy-complete order: induced crisp order, with the
-    action reading off joins of one-point fuzzy subsets."""
-    base = sup.base
-    poset = induced_order(sup.order)
-    lat = complete_lattice(poset)
-    # The crisp joins must agree with fuzzy joins of characteristic
-    # subsets; a mismatch means one of the two join paths is broken.
-    if lat.bottom != sup.qjoin(constant_subset(sup.carrier, base, base.bottom)):
+    certified tensors (joins of one-point fuzzy subsets) as the action."""
+    lat = complete_lattice(induced_order(sup.order))
+    # The crisp joins must agree with the certified joins of the empty
+    # and two-point subsets; a mismatch means one of the two join paths
+    # is broken.
+    if lat.bottom != sup.bottom:
         raise InternalInconsistency(
             "crisp bottom disagrees with the join of the empty fuzzy subset")
     for a in sup.carrier:
         for b in sup.carrier:
-            crisp = lat.join2[(a, b)]
-            fuzzy = sup.qjoin(characteristic_subset(sup.carrier, base, [a, b]))
+            crisp, fuzzy = lat.join2[(a, b)], sup.join2[(a, b)]
             if crisp != fuzzy:
                 raise InternalInconsistency(
                     f"join of {[a, b]!r}: crisp scan gives {crisp!r}, "
                     f"fuzzy join gives {fuzzy!r}")
-    action = {}
-    for q in base.elements:
-        for a in sup.carrier:
-            action[(q, a)] = sup.qjoin(
-                characteristic_subset(sup.carrier, base, [a], degree=q))
-    return validate_qmodule(lat, base, action)
+    return validate_qmodule(lat, sup.base, sup.tensor)
 
 
 @dataclass(frozen=True, eq=False)

@@ -110,12 +110,12 @@ def all_qsubsets(carrier, base):
         yield QSubset(carrier, base, values)
 
 
-def scan_qsubsets(carrier, base, threshold=None):
+def scan_qsubsets(carrier, base):
     """(subsets, exhaustive, meta): every fuzzy subset, for the callers
     that materialize them all.  Past the threshold this raises TooLarge
     rather than scanning a part, so `exhaustive` is always true."""
     carrier = tuple(carrier)
-    bound = limits.threshold(threshold)
+    bound = limits.threshold()
     space = limits.subset_space(len(base.elements), len(carrier))
     if space > bound:
         raise TooLarge("fuzzy subset space", space, bound)
@@ -215,14 +215,14 @@ def subsethood(m: QSubset, n: QSubset) -> str:
     return q.meet(q.residual[(mv, nv)] for mv, nv in zip(m.values, n.values))
 
 
-def powerset_order(carrier, base, threshold=None):
+def powerset_order(carrier, base):
     """The fuzzy order of all fuzzy subsets under subsethood.
 
     Returns (order, atlas) where atlas maps the synthetic element ids back
     to the subsets.  Materializes the whole space, so it is gated by the
     threshold of `scan_qsubsets`.
     """
-    subsets, _, _ = scan_qsubsets(carrier, base, threshold)
+    subsets, _, _ = scan_qsubsets(carrier, base)
     atlas = {subset_id(m): m for m in subsets}
     ids = tuple(atlas)
     e = {(i, j): subsethood(atlas[i], atlas[j]) for i in ids for j in ids}

@@ -17,18 +17,17 @@ from __future__ import annotations
 import itertools
 
 from . import limits
+from .corpus import _leq, _op_rows, _quantale
 from .errors import InternalInconsistency, LemmaFails, TheoremFails
 from .lattice import CompleteLattice
 from .nucleus import derived_laws, is_nucleus, quotient
 from .omega import (
-    EMPTY_SIGNATURE,
     QModuleAlgebra,
     QSupAlgebra,
+    bare_algebra,
     counit_map,
     free_qsup_algebra,
     transport_algebra,
-    validate_omega_algebra,
-    validate_qmodule_algebra,
 )
 from .qmodule import (
     QModule,
@@ -60,40 +59,20 @@ def canonical_closure(free, eps) -> dict:
     return table
 
 
-def _leq_pairs(lat: CompleteLattice):
-    return sorted([a, b] for a in lat.elements for b in lat.elements
-                  if lat.leq(a, b))
-
-
 def _action_triples(module: QModule):
     return sorted([q, a, module.act(q, a)]
                   for q in module.base.elements for a in module.carrier)
 
 
 def _op_tables(algebra):
-    out = {}
-    for sym in algebra.signature.symbols:
-        n = algebra.signature.arity(sym)
-        out[sym] = sorted(
-            [list(args), algebra.apply(sym, args)]
-            for args in itertools.product(algebra.carrier, repeat=n))
-    return out
-
-
-def _quantale_section(q):
-    return {
-        "elements": list(q.elements),
-        "unit": q.unit,
-        "leq": _leq_pairs(q.lattice),
-        "mult": sorted([a, b, q.mul(a, b)]
-                       for a in q.elements for b in q.elements),
-    }
+    return {sym: _op_rows(algebra.ops[sym])
+            for sym in algebra.signature.symbols}
 
 
 def _module_algebra_section(x: QModuleAlgebra):
     return {
         "carrier": list(x.carrier),
-        "leq": _leq_pairs(x.module.lattice),
+        "leq": _leq(x.module.lattice),
         "action": _action_triples(x.module),
         "arities": {s: x.algebra.signature.arity(s)
                     for s in x.algebra.signature.symbols},
@@ -101,7 +80,7 @@ def _module_algebra_section(x: QModuleAlgebra):
     }
 
 
-def representation(subject, threshold=None) -> dict:
+def representation(subject) -> dict:
     """Certify that the subject embeds onto the nucleus fixed points of
     its free cover, and return the full certificate.
 
@@ -115,7 +94,7 @@ def representation(subject, threshold=None) -> dict:
     lat = mod.lattice
     checks = []
 
-    free = free_qsup_algebra(mod.base, subject.algebra, threshold)
+    free = free_qsup_algebra(mod.base, subject.algebra)
     eps = counit_map(free, subject)
 
     table = canonical_closure(free, eps)
@@ -212,12 +191,12 @@ def representation(subject, threshold=None) -> dict:
         "theorem": "representation",
         "verdict": ("PASS" if all(c["status"] in ("PASS", "SKIPPED")
                                   for c in checks) else "FAIL"),
-        "quantale": _quantale_section(mod.base),
+        "quantale": _quantale(mod.base),
         "subject": _module_algebra_section(subject),
         "free": {
             "ids": list(free.ids),
             "subsets": {i: free.atlas[i].table() for i in free.ids},
-            "leq": _leq_pairs(free.module.lattice),
+            "leq": _leq(free.module.lattice),
             "action": _action_triples(free.module),
             "ops": _op_tables(free.module_algebra.algebra),
         },
@@ -228,7 +207,7 @@ def representation(subject, threshold=None) -> dict:
         "quotient": _module_algebra_section(quot),
         "checks": checks,
         "meta": {
-            "threshold": limits.threshold(threshold),
+            "threshold": limits.threshold(),
             "free_size": len(free.ids),
         },
     }
@@ -279,7 +258,7 @@ def all_down_sets(lat: CompleteLattice):
     return out
 
 
-def crisp_specialization(lat: CompleteLattice, threshold=None) -> dict:
+def crisp_specialization(lat: CompleteLattice) -> dict:
     """Run the representation over the two-element quantale and read the
     result classically.
 
@@ -287,11 +266,7 @@ def crisp_specialization(lat: CompleteLattice, threshold=None) -> dict:
     lattice, evaluation must be plain join of the support, and counting
     all down-sets shows the non-principal ones are properly closed up.
     """
-    two = boolean_quantale()
-    mod = crisp_module(lat, two)
-    alg = validate_omega_algebra(lat.elements, EMPTY_SIGNATURE, {})
-    subject = validate_qmodule_algebra(mod, alg)
-    cert = representation(subject, threshold)
+    cert = representation(bare_algebra(crisp_module(lat, boolean_quantale())))
 
     supports = {}
     for i, tab in cert["free"]["subsets"].items():

@@ -99,6 +99,11 @@ def write_mutant(tmp_path, fname, path, value):
      ["two-self"]),
     ("two-meet.json", ("modules", "two-self", "base"), 0),
     ("two-meet.json", ("modules", "two-self", "lax"), "no"),
+    ("non-monotone-nucleus.json", ("posets",), 5),
+    ("non-monotone-nucleus.json", ("posets",), {"chain3": 5}),
+    ("non-monotone-nucleus.json", ("nuclei",), []),
+    ("non-monotone-nucleus.json", ("nuclei", "skew", "table"), 5),
+    ("non-monotone-nucleus.json", ("nuclei", "skew", "table", "0"), ["2"]),
 ])
 def test_wrong_section_type_is_a_parse_error(tmp_path, capsys, fname, path,
                                              value):
@@ -401,3 +406,56 @@ def test_threshold_is_echoed(capsys, monkeypatch):
     monkeypatch.setenv("QSALG_THRESHOLD", "1234")
     _, report = run_json(capsys, "validate", corpus_path("boolean.json"))
     assert report["threshold"] == 1234
+
+
+def two_chain_document(face):
+    """The crisp two-chain over the Boolean quantale with no operations,
+    declared as a Q-sup-algebra ("order") or as a module algebra."""
+    doc = {"format": "qsalg/1",
+           "quantales": {"two": json.loads(
+               corpus_text("boolean.json"))["quantales"]["q"]},
+           "signatures": {"empty": {}},
+           "algebras": {"bare": {"carrier": ["0", "1"],
+                                 "signature": "empty", "ops": {}}}}
+    if face == "order":
+        doc["qorders"] = {"chain2": {
+            "base": "two", "carrier": ["0", "1"],
+            "e": [["0", "0", "1"], ["0", "1", "1"],
+                  ["1", "0", "0"], ["1", "1", "1"]]}}
+        doc["qsup_algebras"] = {"s": {"qorder": "chain2",
+                                      "algebra": "bare"}}
+    else:
+        doc["posets"] = {"chain2": {"elements": ["0", "1"],
+                                    "leq": [["0", "0"], ["0", "1"],
+                                            ["1", "1"]]}}
+        doc["modules"] = {"m": {"base": "two", "poset": "chain2",
+                                "action": [["0", "0", "0"], ["0", "1", "0"],
+                                           ["1", "0", "0"],
+                                           ["1", "1", "1"]]}}
+        doc["qmodule_algebras"] = {"s": {"module": "m", "algebra": "bare"}}
+    return doc
+
+
+@pytest.mark.parametrize("theorem,names", [
+    ("representation", ["representation:s"]),
+    ("nucleus-derived-laws", ["canonical-nucleus:s"]),
+    ("free-universal-property", ["universal:bare->s"]),
+])
+def test_order_face_subjects_are_checked(tmp_path, capsys, theorem, names):
+    path = tmp_path / "order-face.json"
+    path.write_text(json.dumps(two_chain_document("order")))
+    code, report = run_json(capsys, "check", path, "--theorem", theorem)
+    assert code == 0
+    assert check_names(report) == names
+
+
+def test_both_faces_give_one_certificate(tmp_path, capsys):
+    certs = []
+    for face in ("order", "module"):
+        path = tmp_path / f"{face}.json"
+        path.write_text(json.dumps(two_chain_document(face)))
+        code, report = run_json(capsys, "check", path,
+                                "--theorem", "representation")
+        assert code == 0
+        certs.append(report["checks"][0]["certificate"])
+    assert certs[0] == certs[1]

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qsalg import limits
 from qsalg.errors import AxiomFails, InternalInconsistency, TooLarge
 from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import derived_laws, enumerate_nuclei, is_nucleus, quotient
@@ -220,8 +221,10 @@ def test_fixed_point_image_mismatch_is_internal():
         quotient(nuc)
 
 
-def test_enumeration_respects_the_bound():
+def test_enumeration_respects_the_bound(monkeypatch):
     host = meet_host(chain_lattice(["0", "1", "2", "3"]), boolean_quantale())
+    monkeypatch.setattr(limits, "ENDOMAP_BOUND", 100)
     with pytest.raises(TooLarge):
-        enumerate_nuclei(host, bound=100)
-    assert len(enumerate_nuclei(host, bound=256)) == 8
+        enumerate_nuclei(host)
+    monkeypatch.setattr(limits, "ENDOMAP_BOUND", 256)
+    assert len(enumerate_nuclei(host)) == 8

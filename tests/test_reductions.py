@@ -37,13 +37,14 @@ from qsalg.omega import (
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
-from qsalg.qmodule import crisp_module, quantale_self_module, \
-    suplattice_from_module
+from qsalg.qmodule import crisp_module, module_from_suplattice, \
+    quantale_self_module, suplattice_from_module
 from qsalg.qorder import (
     QOrderedSet,
     all_qsubsets,
     certify_qsuplattice,
     characteristic_subset,
+    constant_subset,
     crisp_qorder,
     is_qjoin_preserving,
     powerset_order,
@@ -138,6 +139,35 @@ def test_completeness_verdict_matches_the_scan():
         complete += 1
         assert all(sup.qjoin(m) == s for m, s in joins.items()), order.e
     assert complete and incomplete
+
+
+def test_bridge_module_matches_the_scanned_joins(enumerated_modules):
+    # The order-to-module bridge reads its action off the certified
+    # tensors and checks its crisp joins against the certified ones;
+    # the scan confirms every entry from the degree table alone.
+    modules = [mod for _, mod in enumerated_modules]
+    modules += [quantale_self_module(q) for q in QUANTALES.values()]
+    modules += [crisp_module(lat, TWO) for lat in LATTICES.values()]
+    sups = [suplattice_from_module(mod) for mod in modules]
+    for q in QUANTALES.values():
+        for order in degree_tables(("x", "y"), q):
+            try:
+                sups.append(certify_qsuplattice(order))
+            except NotQJoinComplete:
+                continue
+    assert len(sups) > len(modules)
+    for sup in sups:
+        order, base, carrier = sup.order, sup.base, sup.carrier
+        mod = module_from_suplattice(sup)
+        assert mod.lattice.bottom == qjoin(
+            order, constant_subset(carrier, base, base.bottom))
+        for a in carrier:
+            for q in base.elements:
+                one = characteristic_subset(carrier, base, [a], q)
+                assert mod.act(q, a) == qjoin(order, one), (order.e, q, a)
+            for b in carrier:
+                two = characteristic_subset(carrier, base, [a, b])
+                assert mod.lattice.join2[(a, b)] == qjoin(order, two)
 
 
 def preserves_by_scan(table, sup):

@@ -165,9 +165,10 @@ def test_lax_action_fails_representation_at_the_order_axioms():
         representation(subject)
 
 
-def test_certificate_meta_records_the_scan_parameters():
+def test_certificate_meta_records_the_scan_parameters(monkeypatch):
+    monkeypatch.setenv("QSALG_THRESHOLD", "5000")
     subject = bare(quantale_self_module(boolean_quantale()))
-    cert = representation(subject, threshold=5000)
+    cert = representation(subject)
     assert cert["theorem"] == "representation"
     assert cert["meta"]["threshold"] == 5000
     assert cert["meta"]["free_size"] == 4
