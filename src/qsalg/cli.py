@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import corpus, document, limits
+from . import corpus, document, limits, recheck
 from .document import KINDS
 from .errors import (
     CertificateTampered,
@@ -352,20 +352,23 @@ def cmd_enumerate(ns):
 
 
 def _find_certificates(raw):
-    if isinstance(raw, dict) and raw.get("format") == "qsalg-cert/1":
+    if isinstance(raw, dict) and raw.get("format") == recheck.FORMAT:
         return [("certificate", raw)]
     found = []
     if isinstance(raw, dict) and raw.get("format") == "qsalg-report/1":
-        for check in raw.get("checks", []):
+        checks = raw.get("checks", [])
+        if not (isinstance(checks, list)
+                and all(isinstance(c, dict) for c in checks)):
+            raise ParseError("report checks must be a list of objects")
+        for check in checks:
             cert = check.get("certificate")
             if isinstance(cert, dict) and \
-                    cert.get("format") == "qsalg-cert/1":
+                    cert.get("format") == recheck.FORMAT:
                 found.append((check.get("name", "?"), cert))
     return found
 
 
 def cmd_recheck(ns):
-    from .recheck import recheck_certificate
     report = _report("recheck", {"file": ns.file}, [ns.file])
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
@@ -374,10 +377,11 @@ def cmd_recheck(ns):
         raise ParseError(f"cannot read certificate: {err}") from err
     certs = _find_certificates(raw)
     if not certs:
-        raise ParseError("no qsalg-cert/1 certificate found in the file")
+        raise ParseError(
+            f"no {recheck.FORMAT} certificate found in the file")
     for label, cert in certs:
         try:
-            passed = recheck_certificate(cert)
+            passed = recheck.recheck_certificate(cert)
             report["checks"].append({"name": f"recheck:{label}",
                                      "status": "PASS", "verified": passed})
         except CertificateTampered as err:

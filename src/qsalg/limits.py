@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ParseError
+
 DEFAULT_THRESHOLD = 10_000
 
 # |target| ** |source| cap for exhaustive homomorphism enumeration.
@@ -22,7 +24,13 @@ ENDOMAP_BOUND = 1_000_000
 
 def threshold():
     raw = os.environ.get("QSALG_THRESHOLD")
-    return int(raw) if raw else DEFAULT_THRESHOLD
+    if not raw:
+        return DEFAULT_THRESHOLD
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"QSALG_THRESHOLD is not an integer: {raw!r}") \
+            from None
 
 
 def subset_space(n_values, n_slots):

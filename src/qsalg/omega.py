@@ -3,14 +3,12 @@ fuzzy powerset algebra over a plain signature algebra, and homomorphism
 checking and enumeration.
 
 The free construction is the load-bearing piece: the carrier is every
-fuzzy subset of the generators, operations convolve argument degrees
-along the generator operations (joining the products over each fiber),
-and scalars act pointwise.  Its laws are certified once, on the module
-side.  The module/order bridge then certifies the fuzzy-order face: the
-order axioms of the residual degrees, the three join identities, and
-agreement of the degrees with subsethood of the underlying fuzzy
-subsets.  Every check is exhaustive: preservation of all joins by a map
-reduces to the bottom, binary joins and the action
+fuzzy subset of the generators, ordered pointwise, operations convolve
+argument degrees along the generator operations (joining the products
+over each fiber), and scalars act pointwise.  Its laws are certified
+once, on the module side; `transport_algebra` gives the fuzzy-order
+face on demand.  Every check is exhaustive: preservation of all joins
+by a map reduces to the bottom, binary joins and the action
 (`lattice.preservation_failure`).
 """
 
@@ -47,7 +45,6 @@ from .qorder import (
     point_subset,
     scan_qsubsets,
     subset_id,
-    subsethood,
     zadeh_forward,
 )
 from .quantale import FiniteQuantale
@@ -250,7 +247,7 @@ def transport_algebra(x):
 
 @dataclass(frozen=True, eq=False)
 class FreeAlgebra:
-    """Free fuzzy-complete algebra on the generators, with both faces.
+    """Free fuzzy-complete algebra on the generators, as a module algebra.
 
     ids: carrier of the free object, one per fuzzy subset of the
     generators.  atlas/id_of translate between ids and subsets.  eta is
@@ -263,7 +260,6 @@ class FreeAlgebra:
     atlas: Mapping[str, QSubset] = field(repr=False)
     id_of: Mapping[tuple, str] = field(repr=False)
     module_algebra: QModuleAlgebra = field(repr=False)
-    sup_algebra: QSupAlgebra = field(repr=False)
     eta: Mapping[str, str] = field(repr=False)
 
     @property
@@ -276,8 +272,8 @@ def free_qsup_algebra(base: FiniteQuantale,
     """Build and certify the free object over a plain signature algebra.
 
     Raises TooLarge when |Q| ** |generators| passes the materialization
-    threshold.  Certification is exhaustive on both faces; the embedding
-    of generators is checked to be an operation homomorphism.
+    threshold.  Certification of the module laws is exhaustive; the
+    embedding of generators is checked to be an operation homomorphism.
 
     Memoized on object identity: the free object over the same base and
     generator instances is deterministic, and several certifiers want it
@@ -285,9 +281,9 @@ def free_qsup_algebra(base: FiniteQuantale,
     stays until construction is cheap (ROADMAP item 3): in a traced run
     of the benchmark's census-reject workload the unique-extension sweep
     makes 1,850 calls for 100 distinct (base, generators) pairs, and an
-    uncached two-generator build over a three-element base takes 1.5-3.3
-    ms on a 2-vCPU Xeon; without the memo that workload's wall time went
-    from about 4.0 s to 6.7 s.
+    uncached two-generator build over a three-element base takes 0.4-0.7
+    ms bare and 1.3-2.4 ms with a binary operation on a 2-vCPU Xeon;
+    without the memo that workload's wall time went from 5.2 s to 7.5 s.
     """
     return _free_cached(base, generators)
 
@@ -330,16 +326,6 @@ def _free_cached(base, generators):
     algebra = validate_omega_algebra(ids, generators.signature, ops)
 
     module_algebra = validate_qmodule_algebra(module, algebra)
-    sup_algebra = transport_algebra(module_algebra)
-
-    # The derived degrees must coincide with subsethood of the underlying
-    # fuzzy subsets; both are computed, neither is assumed.
-    for i in ids:
-        for j in ids:
-            if sup_algebra.sup.e[(i, j)] != subsethood(atlas[i], atlas[j]):
-                raise InternalInconsistency(
-                    f"free degree table disagrees with subsethood at "
-                    f"({i!r}, {j!r})")
 
     eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
     for sym in generators.signature.symbols:
@@ -352,7 +338,7 @@ def _free_cached(base, generators):
                     f"generator embedding is not an operation homomorphism "
                     f"at {sym!r}{xs!r}")
     return FreeAlgebra(base, generators, ids, atlas, id_of,
-                       module_algebra, sup_algebra, eta)
+                       module_algebra, eta)
 
 
 def counit_map(free: FreeAlgebra, target: QModuleAlgebra) -> StructureMap:

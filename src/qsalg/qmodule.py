@@ -48,7 +48,6 @@ class QModule:
     lattice: CompleteLattice
     base: FiniteQuantale
     action: Mapping[tuple[str, str], str] = field(repr=False)
-    residual: Mapping[tuple[str, str], str] = field(repr=False)
     lax: bool = False
 
     @property
@@ -125,17 +124,13 @@ def validate_qmodule(lattice: CompleteLattice, base: FiniteQuantale,
                             f"{q!r}*(join of {[a, b]!r}) = {lhs!r} but the "
                             f"join of the two actions is {rhs!r}",
                             scalar=q, subset=[a, b], left=lhs, right=rhs)
-    residual = {}
-    for a in lattice.elements:
-        for b in lattice.elements:
-            residual[(a, b)] = base.join(
-                q for q in base.elements if lattice.leq(table[(q, a)], b))
-    return QModule(lattice, base, table, residual, lax)
+    return QModule(lattice, base, table, lax)
 
 
 def action_residual(module: QModule, a: str, b: str) -> str:
-    """Largest scalar q with q * a <= b."""
-    return module.residual[(a, b)]
+    """Largest scalar q with q * a <= b: the join of every such q."""
+    return module.base.join(q for q in module.base.elements
+                            if module.lattice.leq(module.action[(q, a)], b))
 
 
 def quantale_self_module(base: FiniteQuantale) -> QModule:
@@ -163,7 +158,9 @@ def suplattice_from_module(module: QModule) -> QSupLattice:
     outright.  For a lax module this is the place where dropped laws
     surface as order-axiom failures.
     """
-    order = validate_qorder(module.carrier, module.base, module.residual)
+    e = {(a, b): action_residual(module, a, b)
+         for a in module.carrier for b in module.carrier}
+    order = validate_qorder(module.carrier, module.base, e)
     lat = module.lattice
     return certify_qsuplattice(order, (lat.bottom, lat.join2, module.action))
 

@@ -37,6 +37,7 @@ from .qmodule import (
 )
 from .qorder import is_qjoin_preserving, qsubset, zadeh_forward
 from .quantale import boolean_quantale
+from .recheck import FORMAT
 
 
 def principal_subset(module: QModule, a: str):
@@ -50,13 +51,9 @@ def canonical_closure(free, eps) -> dict:
     """Nucleus table on the free algebra induced by a counit: a fuzzy
     subset closes up to the residual cone over its evaluation."""
     subject = eps.target.module
-    table = {}
-    for i in free.ids:
-        e = eps.table[i]
-        values = tuple(action_residual(subject, x, e)
-                       for x in subject.carrier)
-        table[i] = free.id_of[values]
-    return table
+    cone = {e: free.id_of[principal_subset(subject, e).values]
+            for e in subject.carrier}
+    return {i: cone[eps.table[i]] for i in free.ids}
 
 
 def _action_triples(module: QModule):
@@ -187,7 +184,7 @@ def representation(subject) -> dict:
     checks.append(_closure_bound_check(subject, free, eps, table))
 
     return {
-        "format": "qsalg-cert/1",
+        "format": FORMAT,
         "theorem": "representation",
         "verdict": ("PASS" if all(c["status"] in ("PASS", "SKIPPED")
                                   for c in checks) else "FAIL"),
@@ -196,7 +193,6 @@ def representation(subject) -> dict:
         "free": {
             "ids": list(free.ids),
             "subsets": {i: free.atlas[i].table() for i in free.ids},
-            "leq": _leq(free.module.lattice),
             "action": _action_triples(free.module),
             "ops": _op_tables(free.module_algebra.algebra),
         },

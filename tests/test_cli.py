@@ -6,6 +6,7 @@ import pytest
 
 from qsalg.cli import main
 from qsalg.corpus import census_quantales, corpus_path, corpus_text
+from qsalg.recheck import FORMAT
 
 
 def run(capsys, *argv):
@@ -149,7 +150,7 @@ def test_representation_check_embeds_a_certificate(capsys):
     assert code == 0
     check = report["checks"][0]
     assert check["name"] == "representation:subject"
-    assert check["certificate"]["format"] == "qsalg-cert/1"
+    assert check["certificate"]["format"] == FORMAT
     statuses = {c["name"]: c["status"]
                 for c in check["certificate"]["checks"]}
     assert statuses["bijective-onto-fixed-points"] == "PASS"
@@ -342,6 +343,17 @@ def test_recheck_accepts_a_report_with_embedded_certificates(
     assert check_names(rechecked) == ["recheck:representation:subject"]
 
 
+@pytest.mark.parametrize("checks", [[5], 5, "checks", [{}, None]])
+def test_recheck_malformed_report_envelope_is_exit_2(tmp_path, capsys,
+                                                      checks):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"format": "qsalg-report/1",
+                                "checks": checks}))
+    code, report = run_json(capsys, "recheck", str(path))
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+
+
 def test_recheck_catches_a_flipped_table_entry(tmp_path, capsys):
     cert, path = fresh_certificate(tmp_path, capsys)
     key = sorted(cert["epsilon"])[0]
@@ -364,7 +376,7 @@ def test_recheck_truncated_file_is_exit_2(tmp_path, capsys):
 def test_recheck_without_certificates_is_exit_2(capsys):
     code, out = run(capsys, "recheck", corpus_path("lattices.json"))
     assert code == 2
-    assert "no qsalg-cert/1" in out
+    assert f"no {FORMAT}" in out
 
 
 def test_corpus_list(capsys):
@@ -406,6 +418,15 @@ def test_threshold_is_echoed(capsys, monkeypatch):
     monkeypatch.setenv("QSALG_THRESHOLD", "1234")
     _, report = run_json(capsys, "validate", corpus_path("boolean.json"))
     assert report["threshold"] == 1234
+
+
+@pytest.mark.parametrize("raw", ["1e4", "abc"])
+def test_malformed_threshold_is_exit_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("QSALG_THRESHOLD", raw)
+    code, report = run_json(capsys, "validate", corpus_path("boolean.json"))
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+    assert "QSALG_THRESHOLD" in report["error"]["message"]
 
 
 def two_chain_document(face):

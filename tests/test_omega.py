@@ -13,7 +13,7 @@ from qsalg.qmodule import (
     quantale_self_module,
     suplattice_from_module,
 )
-from qsalg.qorder import certify_qsuplattice, crisp_qorder
+from qsalg.qorder import certify_qsuplattice, crisp_qorder, subsethood
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     QModuleAlgebra,
@@ -41,6 +41,22 @@ def z2_algebra():
     ops = {"mul": {("e", "e"): "e", ("e", "g"): "g",
                    ("g", "e"): "g", ("g", "g"): "e"}}
     return validate_omega_algebra(("e", "g"), BIN, ops)
+
+
+def point_algebra():
+    return validate_omega_algebra(("x",), EMPTY_SIGNATURE, {})
+
+
+def z2_with_unit_constant():
+    sig = signature({"c": 0, "mul": 2})
+    ops = {"c": {(): "e"},
+           "mul": {("e", "e"): "e", ("e", "g"): "g",
+                   ("g", "e"): "g", ("g", "g"): "e"}}
+    return validate_omega_algebra(("e", "g"), sig, ops)
+
+
+def one_element_semigroup():
+    return validate_omega_algebra(("u",), BIN, {"mul": {("u", "u"): "u"}})
 
 
 def meet_algebra_over_two():
@@ -165,8 +181,7 @@ def test_free_qsup_algebra_is_the_only_memo_cache():
 def test_free_algebra_sizes_and_ids():
     free2 = free_qsup_algebra(TWO, z2_algebra())
     assert len(free2.ids) == 4
-    gen1 = validate_omega_algebra(("x",), EMPTY_SIGNATURE, {})
-    free3 = free_qsup_algebra(L3, gen1)
+    free3 = free_qsup_algebra(L3, point_algebra())
     assert free3.ids == ("{x:0}", "{x:1/2}", "{x:1}")
 
 
@@ -179,7 +194,7 @@ def test_free_bound_is_enforced():
 
 def test_free_convolution_on_the_two_element_group():
     free = free_qsup_algebra(TWO, z2_algebra())
-    alg = free.sup_algebra.algebra
+    alg = free.module_algebra.algebra
     a_e, a_g = free.eta["e"], free.eta["g"]
     # Convolving the point at g with itself lands on the point at e.
     assert alg.apply("mul", (a_g, a_g)) == a_e
@@ -192,13 +207,26 @@ def test_free_convolution_on_the_two_element_group():
 
 
 def test_free_nullary_constant_is_the_embedded_generator_constant():
-    sig = signature({"c": 0, "mul": 2})
-    ops = {"c": {(): "e"},
-           "mul": {("e", "e"): "e", ("e", "g"): "g",
-                   ("g", "e"): "g", ("g", "g"): "e"}}
-    gens = validate_omega_algebra(("e", "g"), sig, ops)
-    free = free_qsup_algebra(TWO, gens)
-    assert free.sup_algebra.algebra.apply("c", ()) == free.eta["e"]
+    free = free_qsup_algebra(TWO, z2_with_unit_constant())
+    assert free.module_algebra.algebra.apply("c", ()) == free.eta["e"]
+
+
+def test_free_degrees_are_subsethood(all_subjects):
+    # The free build certifies the module face only.  The degrees the
+    # bridge derives from it must be subsethood of the fuzzy subsets, on
+    # every free object this file and the subject corpus build.
+    gens = [(TWO, z2_algebra()), (L3, point_algebra()),
+            (TWO, meet_algebra_over_two().algebra),
+            (TWO, z2_with_unit_constant()), (TWO, one_element_semigroup())]
+    gens += [(s.base, s.algebra) for _, s in all_subjects]
+    assert len(gens) == 5 + 115
+    for base, alg in gens:
+        free = free_qsup_algebra(base, alg)
+        e = suplattice_from_module(free.module).e
+        for i in free.ids:
+            for j in free.ids:
+                assert e[(i, j)] == subsethood(free.atlas[i],
+                                               free.atlas[j]), (i, j)
 
 
 def test_counit_frozen_values_and_retraction():
@@ -213,9 +241,7 @@ def test_counit_frozen_values_and_retraction():
 
 
 def test_extend_hom_on_the_one_element_semigroup():
-    sig = signature({"mul": 2})
-    gens = validate_omega_algebra(("u",), sig, {"mul": {("u", "u"): "u"}})
-    free = free_qsup_algebra(TWO, gens)
+    free = free_qsup_algebra(TWO, one_element_semigroup())
     target = meet_algebra_over_two()
     fbar = extend_hom(free, target, {"u": "1"})
     assert fbar.table == {"{u:0}": "0", "{u:1}": "1"}
@@ -317,6 +343,7 @@ def test_sup_side_enumeration_agrees_with_module_side():
     free = free_qsup_algebra(TWO, z2_algebra())
     target_m = meet_algebra_over_two()
     target_s = transport_algebra(target_m)
-    via_sup = enumerate_homs(free.sup_algebra, target_s)
+    via_sup = enumerate_homs(transport_algebra(free.module_algebra),
+                             target_s)
     via_mod = enumerate_homs(free.module_algebra, target_m)
     assert via_sup == via_mod

@@ -100,7 +100,7 @@ def test_action_residual_adjunction_everywhere():
         for q in m.base.elements:
             for a in m.carrier:
                 for b in m.carrier:
-                    assert m.base.leq(q, m.residual[(a, b)]) == \
+                    assert m.base.leq(q, action_residual(m, a, b)) == \
                         m.lattice.leq(m.act(q, a), b)
 
 

@@ -10,6 +10,7 @@ scan.
 
 import ast
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -37,8 +38,8 @@ from qsalg.omega import (
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
-from qsalg.qmodule import crisp_module, module_from_suplattice, \
-    quantale_self_module, suplattice_from_module
+from qsalg.qmodule import action_residual, crisp_module, \
+    module_from_suplattice, quantale_self_module, suplattice_from_module
 from qsalg.qorder import (
     QOrderedSet,
     all_qsubsets,
@@ -54,6 +55,7 @@ from qsalg.qorder import (
     zadeh_forward,
 )
 from qsalg.quantale import boolean_quantale
+from qsalg.recheck import recheck_certificate
 from qsalg.representation import representation
 
 TWO = boolean_quantale()
@@ -253,7 +255,9 @@ def test_mutation_files_fail_both():
     mod = doc.module("flat")
     with pytest.raises(AntisymmetryFails):
         suplattice_from_module(mod)
-    raw = QOrderedSet(mod.carrier, mod.base, mod.residual)
+    raw = QOrderedSet(mod.carrier, mod.base,
+                      {(a, b): action_residual(mod, a, b)
+                       for a in mod.carrier for b in mod.carrier})
     for m in all_qsubsets(mod.carrier, mod.base):
         with pytest.raises(InternalInconsistency):
             qjoin(raw, m)
@@ -311,10 +315,12 @@ def test_no_sampling_anywhere(handwritten_subjects):
             for v in node:
                 yield from keys(v)
 
-    # the self-modules of the four-element bases have 256-element free
-    # objects, too slow to certify here
-    subjects = [bare(quantale_self_module(q)) for q in QUANTALES.values()
-                if len(q.elements) <= 3]
+    # the self-modules of the four-element bases (lukasiewicz4 and the
+    # diamond-meet lattice) have 256-element free objects
+    subjects = [bare(quantale_self_module(q)) for q in QUANTALES.values()]
     subjects += [s for _, s in handwritten_subjects]
     for subject in subjects:
-        assert "sampled" not in set(keys(representation(subject)))
+        cert = json.loads(json.dumps(representation(subject)))
+        assert "sampled" not in set(keys(cert))
+        assert set(cert["free"]) == {"ids", "subsets", "action", "ops"}
+        assert recheck_certificate(cert)[-1] == "verdict"
