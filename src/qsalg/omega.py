@@ -5,16 +5,17 @@ checking and enumeration.
 The free construction is the load-bearing piece: the carrier is every
 fuzzy subset of the generators, ordered pointwise, operations convolve
 argument degrees along the generator operations (joining the products
-over each fiber), and scalars act pointwise.  Its laws are certified
-once, on the module side; `transport_algebra` gives the fuzzy-order
-face on demand.  Every check is exhaustive: preservation of all joins
+over each fiber), and scalars act pointwise.  It is the power Q^X,
+built from Q's certified tables, so its laws are Q's laws read one
+coordinate at a time and are not checked again (`free_qsup_algebra`
+says why each holds); `transport_algebra` gives the fuzzy-order face
+on demand.  Every check is exhaustive: preservation of all joins
 by a map reduces to the bottom, binary joins and the action
 (`lattice.preservation_failure`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -29,14 +30,13 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .lattice import complete_lattice, preservation_failure, validate_poset
+from .lattice import FinitePoset, complete_lattice, preservation_failure
 from .qmodule import (
     QModule,
     StructureMap,
     check_module_hom,
     module_from_suplattice,
     suplattice_from_module,
-    validate_qmodule,
 )
 from .qorder import (
     QSubset,
@@ -269,27 +269,29 @@ class FreeAlgebra:
 
 def free_qsup_algebra(base: FiniteQuantale,
                       generators: OmegaAlgebra) -> FreeAlgebra:
-    """Build and certify the free object over a plain signature algebra.
+    """The free object over a plain signature algebra X: the power Q^X,
+    built from Q's certified tables.
 
-    Raises TooLarge when |Q| ** |generators| passes the materialization
-    threshold.  Certification of the module laws is exhaustive; the
-    embedding of generators is checked to be an operation homomorphism.
+    Raises TooLarge when |Q| ** |X| passes the materialization threshold.
+    Every law of Q^X is a law of Q read one coordinate at a time, so
+    none is certified again here:
 
-    Memoized on object identity: the free object over the same base and
-    generator instances is deterministic, and several certifiers want it
-    at once (evaluation, canonical closure, hom extension).  The memo
-    stays until construction is cheap (ROADMAP item 3): in a traced run
-    of the benchmark's census-reject workload the unique-extension sweep
-    makes 1,850 calls for 100 distinct (base, generators) pairs, and an
-    uncached two-generator build over a three-element base takes 0.4-0.7
-    ms bare and 1.3-2.4 ms with a binary operation on a 2-vCPU Xeon;
-    without the memo that workload's wall time went from 5.2 s to 7.5 s.
+    - the order is the product of Q's order (the up-set of alpha is the
+      product of its coordinates' up-sets), hence a partial order;
+      `complete_lattice` derives its joins and meets;
+    - the action is pointwise, so the module laws are Q's quantale laws,
+      coordinate by coordinate;
+    - coordinate y of an operation's value joins, over the xs that X
+      sends to y, the products of the argument degrees at xs.  With the
+      other slots pinned, each product has the free slot's degree as a
+      factor, so the slot preserves joins by distributivity (bottom
+      absorbs) and the action by associativity and commutativity;
+    - eta sends a to the point with degree unit at a.  Since unit * unit
+      = unit and bottom absorbs, a product of points is the point at the
+      image, so eta is an operation homomorphism.
+
+    The test suite keeps the definition-level certification as an oracle.
     """
-    return _free_cached(base, generators)
-
-
-@functools.lru_cache(maxsize=None)
-def _free_cached(base, generators):
     gens = generators.carrier
     subsets, _, _ = scan_qsubsets(gens, base)
     subsets = list(subsets)
@@ -297,48 +299,39 @@ def _free_cached(base, generators):
     atlas = dict(zip(ids, subsets))
     id_of = {m.values: i for i, m in zip(ids, subsets)}
 
-    # Pointwise order, scalar action, and convolution operations.
-    rel = {(i, j) for i in ids for j in ids
-           if all(base.leq(a, b)
-                  for a, b in zip(atlas[i].values, atlas[j].values))}
-    lat = complete_lattice(validate_poset(ids, rel))
-    action = {}
-    for q in base.elements:
-        for i in ids:
-            scaled = tuple(base.mul(q, v) for v in atlas[i].values)
-            action[(q, i)] = id_of[scaled]
-    module = validate_qmodule(lat, base, action)
+    up = {a: [b for b in base.elements if base.leq(a, b)]
+          for a in base.elements}
+    rel = frozenset((i, id_of[above]) for i in ids for above in
+                    itertools.product(*(up[v] for v in atlas[i].values)))
+    mult, join2 = base.mult, base.lattice.join2
+    bottom, unit = base.bottom, base.unit
+    action = {(q, i): id_of[tuple(mult[(q, v)] for v in atlas[i].values)]
+              for q in base.elements for i in ids}
 
+    pos = {a: k for k, a in enumerate(gens)}
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
+        # (coordinates of the arguments, coordinate of their image)
+        fibres = [(xs, pos[generators.apply(sym, [gens[k] for k in xs])])
+                  for xs in itertools.product(range(len(gens)), repeat=n)]
         table = {}
         for arg_ids in itertools.product(ids, repeat=n):
-            args = [atlas[i] for i in arg_ids]
-            out = {a: [] for a in gens}
-            for xs in itertools.product(gens, repeat=n):
-                prod = base.unit
-                for m, x in zip(args, xs):
-                    prod = base.mul(prod, m(x))
-                out[generators.apply(sym, xs)].append(prod)
-            table[arg_ids] = id_of[tuple(base.join(out[a]) for a in gens)]
+            args = [atlas[i].values for i in arg_ids]
+            out = [bottom] * len(gens)
+            for xs, y in fibres:
+                prod = unit
+                for values, k in zip(args, xs):
+                    prod = mult[(prod, values[k])]
+                out[y] = join2[(out[y], prod)]
+            table[arg_ids] = id_of[tuple(out)]
         ops[sym] = table
-    algebra = validate_omega_algebra(ids, generators.signature, ops)
 
-    module_algebra = validate_qmodule_algebra(module, algebra)
-
+    module = QModule(complete_lattice(FinitePoset(ids, rel)), base, action)
+    algebra = OmegaAlgebra(ids, generators.signature, ops)
     eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
-    for sym in generators.signature.symbols:
-        n = generators.signature.arity(sym)
-        for xs in itertools.product(gens, repeat=n):
-            expected = eta[generators.apply(sym, xs)]
-            got = algebra.apply(sym, tuple(eta[x] for x in xs))
-            if got != expected:
-                raise InternalInconsistency(
-                    f"generator embedding is not an operation homomorphism "
-                    f"at {sym!r}{xs!r}")
     return FreeAlgebra(base, generators, ids, atlas, id_of,
-                       module_algebra, eta)
+                       QModuleAlgebra(module, algebra), eta)
 
 
 def counit_map(free: FreeAlgebra, target: QModuleAlgebra) -> StructureMap:
@@ -515,24 +508,25 @@ def enumerate_homs(source, target, fixed=None):
     carrier = list(src.carrier)
     results = []
     assign = {}
+    s_join2, t_join2 = src.lattice.join2, tgt.lattice.join2
+    s_action, t_action = src.action, tgt.action
 
     def violates(x, v):
         # Necessary conditions only, against images already assigned; the
         # leaf check is the full law scan, so pruning cannot drop homs.
+        # x is assigned too, so the join test covers monotonicity: x <= y
+        # puts y = x v y in assign and demands w = v v w, and y <= x
+        # demands v = v v w.
         for y, w in assign.items():
-            if src.lattice.leq(x, y) and not tgt.lattice.leq(v, w):
-                return True
-            if src.lattice.leq(y, x) and not tgt.lattice.leq(w, v):
-                return True
-            j = src.lattice.join2[(x, y)]
-            if j in assign and assign[j] != tgt.lattice.join2[(v, w)]:
+            j = s_join2[(x, y)]
+            if j in assign and assign[j] != t_join2[(v, w)]:
                 return True
         for q in src.base.elements:
-            qa = src.act(q, x)
-            if qa in assign and assign[qa] != tgt.act(q, v):
+            qa = s_action[(q, x)]
+            if qa in assign and assign[qa] != t_action[(q, v)]:
                 return True
             for y, w in assign.items():
-                if src.act(q, y) == x and v != tgt.act(q, w):
+                if s_action[(q, y)] == x and v != t_action[(q, w)]:
                     return True
         return False
 

@@ -63,39 +63,21 @@ def enumerated_modules(small_quantales):
 @pytest.fixture(scope="session")
 def enumerated_subjects(enumerated_modules):
     """Bare and one-binary-operation algebras over every enumerated
-    module.
-
-    Operation tables are deduplicated per carrier, so equal tables share
-    one algebra instance across modules; downstream constructions keyed
-    on instance identity then reuse their work.
-    """
+    module."""
     sig = signature({"mul": 2})
-    shared = {}
-
-    def algebra(carrier, images):
-        key = (carrier, images)
-        if key not in shared:
-            if images is None:
-                shared[key] = validate_omega_algebra(
-                    carrier, EMPTY_SIGNATURE, {})
-            else:
-                pairs = itertools.product(carrier, repeat=2)
-                shared[key] = validate_omega_algebra(
-                    carrier, sig, {"mul": dict(zip(pairs, images))})
-        return shared[key]
-
     subjects = []
     for label, mod in enumerated_modules:
         carrier = mod.carrier
+        bare = validate_omega_algebra(carrier, EMPTY_SIGNATURE, {})
         subjects.append((f"{label}/bare",
-                         validate_qmodule_algebra(mod,
-                                                  algebra(carrier, None))))
+                         validate_qmodule_algebra(mod, bare)))
+        pairs = list(itertools.product(carrier, repeat=2))
         k = 0
-        for images in itertools.product(carrier,
-                                        repeat=len(carrier) ** 2):
+        for images in itertools.product(carrier, repeat=len(pairs)):
+            alg = validate_omega_algebra(carrier, sig,
+                                         {"mul": dict(zip(pairs, images))})
             try:
-                subj = validate_qmodule_algebra(mod,
-                                                algebra(carrier, images))
+                subj = validate_qmodule_algebra(mod, alg)
             except SpecViolation:
                 continue
             subjects.append((f"{label}/op{k}", subj))

@@ -6,12 +6,13 @@ import pytest
 
 from qsalg import errors
 from qsalg import omega as omega_module
-from qsalg.lattice import chain_lattice
+from qsalg.lattice import chain_lattice, complete_lattice, validate_poset
 from qsalg.qmodule import (
     StructureMap,
     crisp_module,
     quantale_self_module,
     suplattice_from_module,
+    validate_qmodule,
 )
 from qsalg.qorder import certify_qsuplattice, crisp_qorder, subsethood
 from qsalg.omega import (
@@ -162,20 +163,22 @@ def test_transport_rejects_a_bridge_with_other_tables(monkeypatch):
         transport_algebra(meet_algebra_over_two())
 
 
-def test_free_qsup_algebra_is_the_only_memo_cache():
+def test_no_memo_cache():
+    # Every constructor does its work on each call; nothing in the
+    # package is memoized on its arguments.
     src = Path(omega_module.__file__).resolve().parent
-    cached = []
     for path in sorted(src.glob("*.py")):
-        text = path.read_text()
-        for node in ast.walk(ast.parse(text, str(path))):
-            if isinstance(node, ast.FunctionDef):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) \
+                    else [a.name for a in node.names]
+                assert "functools" not in names, path.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
                     name = ast.unparse(dec).split("(")[0].split(".")[-1]
-                    if name in ("lru_cache", "cache"):
-                        cached.append((path.name, node.name))
-        if path.name != "omega.py":
-            assert "lru_cache" not in text, path.name
-    assert cached == [("omega.py", "_free_cached")]
+                    assert name not in ("lru_cache", "cache"), \
+                        (path.name, node.name)
 
 
 def test_free_algebra_sizes_and_ids():
@@ -211,22 +214,74 @@ def test_free_nullary_constant_is_the_embedded_generator_constant():
     assert free.module_algebra.algebra.apply("c", ()) == free.eta["e"]
 
 
-def test_free_degrees_are_subsethood(all_subjects):
-    # The free build certifies the module face only.  The degrees the
-    # bridge derives from it must be subsethood of the fuzzy subsets, on
-    # every free object this file and the subject corpus build.
+def free_inputs(all_subjects):
+    """Every (base, generators) pair this file and the subject corpus
+    build a free object over."""
     gens = [(TWO, z2_algebra()), (L3, point_algebra()),
             (TWO, meet_algebra_over_two().algebra),
             (TWO, z2_with_unit_constant()), (TWO, one_element_semigroup())]
     gens += [(s.base, s.algebra) for _, s in all_subjects]
     assert len(gens) == 5 + 115
-    for base, alg in gens:
+    return gens
+
+
+def test_free_degrees_are_subsethood(all_subjects):
+    # The free build makes the module face only.  The degrees the
+    # bridge derives from it must be subsethood of the fuzzy subsets, on
+    # every free object this file and the subject corpus build.
+    for base, alg in free_inputs(all_subjects):
         free = free_qsup_algebra(base, alg)
         e = suplattice_from_module(free.module).e
         for i in free.ids:
             for j in free.ids:
                 assert e[(i, j)] == subsethood(free.atlas[i],
                                                free.atlas[j]), (i, j)
+
+
+def definition_level_free(free):
+    """The free object's module algebra certified from its definition,
+    sharing no table with the build: a label scan for the pointwise
+    order, then every validator the laws have."""
+    base, gens, atlas = free.base, free.generators, free.atlas
+    rel = {(i, j) for i in free.ids for j in free.ids
+           if all(base.leq(a, b)
+                  for a, b in zip(atlas[i].values, atlas[j].values))}
+    lat = complete_lattice(validate_poset(free.ids, rel))
+    action = {(q, i): free.id_of[tuple(base.mul(q, v)
+                                       for v in atlas[i].values)]
+              for q in base.elements for i in free.ids}
+    module = validate_qmodule(lat, base, action)
+    ops = {}
+    for sym in gens.signature.symbols:
+        n = gens.signature.arity(sym)
+        table = {}
+        for arg_ids in itertools.product(free.ids, repeat=n):
+            args = [atlas[i] for i in arg_ids]
+            out = {a: [] for a in gens.carrier}
+            for xs in itertools.product(gens.carrier, repeat=n):
+                prod = base.unit
+                for m, x in zip(args, xs):
+                    prod = base.mul(prod, m(x))
+                out[gens.apply(sym, xs)].append(prod)
+            table[arg_ids] = free.id_of[tuple(base.join(out[a])
+                                              for a in gens.carrier)]
+        ops[sym] = table
+    algebra = validate_omega_algebra(free.ids, gens.signature, ops)
+    return validate_qmodule_algebra(module, algebra)
+
+
+def test_free_build_matches_the_definition(all_subjects):
+    # The build reads every law off Q's certified tables; re-certify
+    # each free object the definition-level way and compare the tables.
+    for base, gens in free_inputs(all_subjects):
+        free = free_qsup_algebra(base, gens)
+        assert definition_level_free(free).same_tables(free.module_algebra)
+        alg = free.module_algebra.algebra
+        for sym in gens.signature.symbols:
+            n = gens.signature.arity(sym)
+            for xs in itertools.product(gens.carrier, repeat=n):
+                assert alg.apply(sym, tuple(free.eta[x] for x in xs)) \
+                    == free.eta[gens.apply(sym, xs)], (sym, xs)
 
 
 def test_counit_frozen_values_and_retraction():
@@ -296,14 +351,32 @@ def brute_force_homs(free, target):
     return found
 
 
-def test_hom_enumeration_matches_brute_force():
-    free = free_qsup_algebra(TWO, z2_algebra())
-    target = meet_algebra_over_two()
+# Generator algebras over TWO with the target's one symbol or none, into
+# the meet algebra on the two-chain; then corpus subjects as targets of
+# the free object over their own algebra, each with |target| ** |free|
+# at most 6,561.
+GENERATOR_CASES = (["z2", "bare1", "bare2", "mul1-0"]
+                   + [f"mul2-{k}" for k in range(16)])
+SUBJECT_CASES = ["two-meet", "boolean/chain2/0/op1", "boolean/chain3/0/bare",
+                 "boolean/chain3/0/op4", "boolean/chain3/0/op19",
+                 "godel3/chain2/1/bare", "godel3/chain2/1/op1",
+                 "lukasiewicz3/chain2/0/bare", "lukasiewicz3/chain2/0/op1"]
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES + SUBJECT_CASES)
+def test_hom_enumeration_matches_brute_force(case, generator_algebras,
+                                             all_subjects):
+    if case in GENERATOR_CASES:
+        free = free_qsup_algebra(TWO, dict(generator_algebras)[case])
+        target = meet_algebra_over_two()
+    else:
+        target = dict(all_subjects)[case]
+        free = free_qsup_algebra(target.base, target.algebra)
+    assert len(target.carrier) ** len(free.ids) <= 6561
     fast = enumerate_homs(free.module_algebra, target)
     slow = brute_force_homs(free, target)
-    assert sorted(fast, key=sorted) == sorted(slow, key=sorted)
-    assert len(fast) == len(
-        [f for f in [{"e": "0", "g": "0"}, {"e": "1", "g": "1"}]])
+    assert (sorted(sorted(t.items()) for t in fast)
+            == sorted(sorted(t.items()) for t in slow))
 
 
 def test_every_operation_hom_extends_uniquely_on_the_group_case():
@@ -322,6 +395,7 @@ def test_every_operation_hom_extends_uniquely_on_the_group_case():
         assert all(fbar.table[free.eta[a]] == f[a] for a in gens.carrier)
         assert extension_unique(free, target, f, fbar) == "unique"
     assert hom_count == 2
+    assert len(enumerate_homs(free.module_algebra, target)) == 2
 
 
 def test_is_homomorphism_sup_kind_flags_the_transposition():
