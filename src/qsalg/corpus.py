@@ -144,7 +144,7 @@ def corpus_documents():
     }
 
     chain3 = chain_lattice(["0", "1", "2"])
-    broken = {(a, b): chain3.meet2[(a, b)]
+    broken = {(a, b): chain3.meet((a, b))
               for a in chain3.elements for b in chain3.elements}
     broken[("0", "1")] = "2"
     broken[("1", "0")] = "2"

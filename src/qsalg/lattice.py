@@ -92,15 +92,19 @@ def validate_poset(elements: Iterable[str], relation) -> FinitePoset:
 class CompleteLattice:
     """A finite poset certified to have all joins (hence all meets).
 
-    join2/meet2 are the precomputed binary tables; arbitrary joins fold
-    over them, with join([]) = bottom and meet([]) = top.
+    join2 is the precomputed binary join table; arbitrary joins fold
+    over it, with join([]) = bottom.  Meets are looked up, not stored as
+    a table: down maps each element to its down-set bitmask, by_down
+    inverts it, and a meet is the element whose down-set is the AND of
+    the members' (meet([]) = top).
     """
 
     poset: FinitePoset
     bottom: str
     top: str
     join2: Mapping[tuple[str, str], str] = field(repr=False)
-    meet2: Mapping[tuple[str, str], str] = field(repr=False)
+    down: Mapping[str, int] = field(repr=False)
+    by_down: Mapping[int, str] = field(repr=False)
 
     @property
     def elements(self):
@@ -116,10 +120,10 @@ class CompleteLattice:
         return out
 
     def meet(self, subset) -> str:
-        out = self.top
+        mask = self.down[self.top]
         for s in subset:
-            out = self.meet2[(out, s)]
-        return out
+            mask &= self.down[s]
+        return self.by_down[mask]
 
 
 def up_masks(elements, pairs):
@@ -133,11 +137,11 @@ def up_masks(elements, pairs):
 
 
 def complete_lattice(poset: FinitePoset) -> CompleteLattice:
-    """Certify completeness and precompute the binary join/meet tables.
+    """Certify completeness and precompute the binary join table.
 
     The join of a and b is the element whose up-set is up(a) & up(b),
-    so one dict lookup finds it or proves it missing; meets likewise
-    through down-sets.
+    so one dict lookup finds it or proves it missing.  The down-sets are
+    kept for `CompleteLattice.meet`.
     """
     elements = poset.elements
     up = up_masks(elements, poset.relation)
@@ -160,10 +164,10 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                                   f"among {members}", pair=[a, b],
                                   bounds=members)
             join2[(a, b)] = by_up[bounds]
-    # A bottom and all binary joins make a lattice: these lookups all hit.
-    meet2 = {(a, b): by_down[da & db] for a, da in zip(elements, down)
-             for b, db in zip(elements, down)}
-    return CompleteLattice(poset, by_up[full], by_down[full], join2, meet2)
+    # A bottom and all binary joins make a lattice, so every AND of
+    # down-sets is a down-set in by_down.
+    return CompleteLattice(poset, by_up[full], by_down[full], join2,
+                           dict(zip(elements, down)), by_down)
 
 
 def _poset_of(obj) -> FinitePoset:

@@ -353,6 +353,21 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
     Certifies that the extension restricts to f along the generator
     embedding and is a homomorphism; a non-homomorphic f surfaces here
     as CertificationFails.
+
+    For a target whose module laws are all certified, only the operation
+    part needs a scan.  The map alpha -> join over x of alpha(x)*f(x)
+    is a module homomorphism by the target's own laws:
+
+    - it sends the bottom (every degree bottom) to the bottom, since the
+      bottom scalar acts as the bottom;
+    - it preserves binary joins, since (p v q)*a = p*a v q*a lets each
+      term of the join split in two;
+    - it preserves the action, since q*(p*a) = (q p)*a by the
+      composition law and q*(a v b) = q*a v q*b, q*bottom = bottom by the
+      second-argument join law.
+
+    A lax module skips the second-argument join law, so for a lax
+    target the module part is scanned as well.
     """
     mod = target.module
     for a in free.generators.carrier:
@@ -370,7 +385,12 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
                 f"extension does not restrict to the assignment at {a!r}")
     fbar = StructureMap(free.module_algebra, target, table,
                         "q-module-algebra")
-    ok, witness = is_homomorphism(fbar, "q-module-algebra")
+    if mod.lax:
+        ok, witness = is_homomorphism(fbar, "q-module-algebra")
+    else:
+        witness = _omega_hom_witness(table, free.module_algebra.algebra,
+                                     target.algebra)
+        ok = witness is None
     if not ok:
         raise CertificationFails(
             f"extension of a non-homomorphic assignment: {witness}",
@@ -406,11 +426,13 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
 # -- homomorphism checking and enumeration -------------------------------------
 
 def _omega_hom_witness(table, source: OmegaAlgebra, target: OmegaAlgebra):
+    # Both tables are total and built in product order, so walking the
+    # source table meets the argument tuples in that order.
     for sym in source.signature.symbols:
-        n = source.signature.arity(sym)
-        for args in itertools.product(source.carrier, repeat=n):
-            lhs = table[source.apply(sym, args)]
-            rhs = target.apply(sym, tuple(table[a] for a in args))
+        t_op = target.ops[sym]
+        for args, value in source.ops[sym].items():
+            lhs = table[value]
+            rhs = t_op[tuple([table[a] for a in args])]
             if lhs != rhs:
                 return {"symbol": sym, "args": list(args),
                         "left": lhs, "right": rhs}
@@ -479,15 +501,29 @@ def _module_sides(x):
 
 def enumerate_homs(source, target, fixed=None):
     """All homomorphisms source -> target, exhaustively, in deterministic
-    order.
+    order: lexicographic in the source carrier's order, each image
+    ranging over the target carrier in its order.
 
     Structure-preserving maps between fuzzy-complete algebras are
     enumerated through their module faces (the bridge makes the two hom
-    sets coincide; the test suite keeps a brute-force cross-check).  The
-    search backtracks over carrier positions with necessary-condition
-    pruning, then fully re-verifies each survivor, so pruning can only
-    speed things up, never change the answer.  `fixed` pins chosen
-    images.  Raises TooLarge past |target| ** |source|.
+    sets coincide; the test suite keeps a brute-force cross-check).
+    `fixed` pins chosen images.  Raises TooLarge past
+    |target| ** |source|.
+
+    The search is a backtracking one.  It visits the forced positions
+    first (the bottom, the nullary constants, the pins), then the rest
+    in carrier order.  Before branching at x it looks for an image that
+    every homomorphism must give x: q*h(y) when x = q*y with y assigned,
+    h(y) v h(z) when x = y v z with both assigned.  If there is one,
+    it is the only candidate; each assignment is then pruned by the
+    join and action laws among assigned positions, read off preimage
+    indexes built once per call.  These are necessary conditions, and
+    every leaf is re-verified by the full law scan, so propagation
+    speeds the search up but cannot change the answer.  Nor can it
+    change the order: a forced position has one candidate and every
+    other candidate list is the target carrier in order, so results
+    still differ first at a position visited in carrier order, in the
+    order of that position's candidates.
     """
     smalg, tmalg = _module_sides(source), _module_sides(target)
     src, tgt = smalg.module, tmalg.module
@@ -501,15 +537,38 @@ def enumerate_homs(source, target, fixed=None):
         if smalg.algebra.signature.arity(sym) == 0:
             forced[smalg.algebra.apply(sym, ())] = tmalg.algebra.apply(sym, ())
     for x, v in (fixed or {}).items():
+        src.lattice.poset.check_element(x, "pinned position")
+        tgt.lattice.poset.check_element(v, "pinned image")
         if forced.get(x, v) != v:
             return []
         forced[x] = v
 
-    carrier = list(src.carrier)
-    results = []
-    assign = {}
+    carrier = src.carrier
+    order = list(forced) + [x for x in carrier if x not in forced]
     s_join2, t_join2 = src.lattice.join2, tgt.lattice.join2
     s_action, t_action = src.action, tgt.action
+    scalars = src.base.elements
+    # Preimage indexes: joins_to[x] holds the (y, z) with y v z = x,
+    # acts_to[x] the (q, y) with q*y = x.
+    joins_to = {x: [] for x in carrier}
+    for (y, z), x in s_join2.items():
+        joins_to[x].append((y, z))
+    acts_to = {x: [] for x in carrier}
+    for (q, y), x in s_action.items():
+        acts_to[x].append((q, y))
+    results = []
+    assign = {}
+
+    def candidates(x):
+        if x in forced:
+            return [forced[x]]
+        for q, y in acts_to[x]:
+            if y in assign:
+                return [t_action[(q, assign[y])]]
+        for y, z in joins_to[x]:
+            if y in assign and z in assign:
+                return [t_join2[(assign[y], assign[z])]]
+        return tgt.carrier
 
     def violates(x, v):
         # Necessary conditions only, against images already assigned; the
@@ -521,26 +580,29 @@ def enumerate_homs(source, target, fixed=None):
             j = s_join2[(x, y)]
             if j in assign and assign[j] != t_join2[(v, w)]:
                 return True
-        for q in src.base.elements:
+        for y, z in joins_to[x]:
+            if (y in assign and z in assign
+                    and v != t_join2[(assign[y], assign[z])]):
+                return True
+        for q in scalars:
             qa = s_action[(q, x)]
             if qa in assign and assign[qa] != t_action[(q, v)]:
                 return True
-            for y, w in assign.items():
-                if s_action[(q, y)] == x and v != t_action[(q, w)]:
-                    return True
+        for q, y in acts_to[x]:
+            if y in assign and v != t_action[(q, assign[y])]:
+                return True
         return False
 
     def dfs(k):
-        if k == len(carrier):
-            table = dict(assign)
+        if k == len(order):
+            table = {x: assign[x] for x in carrier}
             f = StructureMap(smalg, tmalg, table)
             ok, _ = is_homomorphism(f, "q-module-algebra")
             if ok:
                 results.append(table)
             return
-        x = carrier[k]
-        candidates = [forced[x]] if x in forced else list(tgt.carrier)
-        for v in candidates:
+        x = order[k]
+        for v in candidates(x):
             assign[x] = v
             if not violates(x, v):
                 dfs(k + 1)

@@ -175,7 +175,7 @@ def meet_quantale(lattice: CompleteLattice) -> FiniteQuantale:
     Only valid when meet distributes over joins; validation rejects
     lattices where it does not (the pentagon, for instance).
     """
-    mult = {(a, b): lattice.meet2[(a, b)]
+    mult = {(a, b): lattice.meet((a, b))
             for a in lattice.elements for b in lattice.elements}
     return validate_quantale(lattice, mult, lattice.top)
 

@@ -9,6 +9,7 @@ from qsalg import omega as omega_module
 from qsalg.lattice import chain_lattice, complete_lattice, validate_poset
 from qsalg.qmodule import (
     StructureMap,
+    check_module_hom,
     crisp_module,
     quantale_self_module,
     suplattice_from_module,
@@ -214,22 +215,40 @@ def test_free_nullary_constant_is_the_embedded_generator_constant():
     assert free.module_algebra.algebra.apply("c", ()) == free.eta["e"]
 
 
+def meet_algebra_with_top_constant():
+    """meet_algebra_over_two with a constant c = 1, a target for the
+    generators with a constant."""
+    mod = quantale_self_module(TWO)
+    sig = signature({"c": 0, "mul": 2})
+    ops = {"c": {(): "1"},
+           "mul": {(a, b): TWO.mul(a, b)
+                   for a in TWO.elements for b in TWO.elements}}
+    return validate_qmodule_algebra(
+        mod, validate_omega_algebra(TWO.elements, sig, ops))
+
+
 def free_inputs(all_subjects):
-    """Every (base, generators) pair this file and the subject corpus
-    build a free object over."""
-    gens = [(TWO, z2_algebra()), (L3, point_algebra()),
-            (TWO, meet_algebra_over_two().algebra),
-            (TWO, z2_with_unit_constant()), (TWO, one_element_semigroup())]
-    gens += [(s.base, s.algebra) for _, s in all_subjects]
-    assert len(gens) == 5 + 115
-    return gens
+    """Every (base, generators, target) this file and the subject corpus
+    build a free object over, with a module algebra of the generators'
+    signature to map it into: each corpus subject is its own target."""
+    bare_l3 = validate_qmodule_algebra(
+        quantale_self_module(L3),
+        validate_omega_algebra(L3.elements, EMPTY_SIGNATURE, {}))
+    cases = [(TWO, z2_algebra(), meet_algebra_over_two()),
+             (L3, point_algebra(), bare_l3),
+             (TWO, meet_algebra_over_two().algebra, meet_algebra_over_two()),
+             (TWO, z2_with_unit_constant(), meet_algebra_with_top_constant()),
+             (TWO, one_element_semigroup(), meet_algebra_over_two())]
+    cases += [(s.base, s.algebra, s) for _, s in all_subjects]
+    assert len(cases) == 5 + 115
+    return cases
 
 
 def test_free_degrees_are_subsethood(all_subjects):
     # The free build makes the module face only.  The degrees the
     # bridge derives from it must be subsethood of the fuzzy subsets, on
     # every free object this file and the subject corpus build.
-    for base, alg in free_inputs(all_subjects):
+    for base, alg, _ in free_inputs(all_subjects):
         free = free_qsup_algebra(base, alg)
         e = suplattice_from_module(free.module).e
         for i in free.ids:
@@ -273,7 +292,7 @@ def definition_level_free(free):
 def test_free_build_matches_the_definition(all_subjects):
     # The build reads every law off Q's certified tables; re-certify
     # each free object the definition-level way and compare the tables.
-    for base, gens in free_inputs(all_subjects):
+    for base, gens, _ in free_inputs(all_subjects):
         free = free_qsup_algebra(base, gens)
         assert definition_level_free(free).same_tables(free.module_algebra)
         alg = free.module_algebra.algebra
@@ -307,6 +326,63 @@ def test_extension_of_the_embedding_is_the_identity():
     free = free_qsup_algebra(TWO, z2_algebra())
     fbar = extend_hom(free, free.module_algebra, dict(free.eta))
     assert fbar.table == {i: i for i in free.ids}
+
+
+def operation_homs(gens, target):
+    """Every map from the generators to the target's carrier that
+    preserves the operations, by an inline scan of the tables."""
+    talg = target.algebra
+    for values in itertools.product(target.carrier, repeat=len(gens.carrier)):
+        f = dict(zip(gens.carrier, values))
+        if all(f[gens.apply(sym, args)]
+               == talg.apply(sym, tuple(f[a] for a in args))
+               for sym in gens.signature.symbols
+               for args in itertools.product(
+                   gens.carrier, repeat=gens.signature.arity(sym))):
+            yield f
+
+
+def test_extensions_are_module_homs_by_the_oracle(all_subjects):
+    # extend_hom scans only the operation part of a lawful target; the
+    # module part follows from the target's laws.  Check that part with
+    # the module-hom scan on every extension of every operation hom.
+    homs = 0
+    for base, gens, target in free_inputs(all_subjects):
+        free = free_qsup_algebra(base, gens)
+        for f in operation_homs(gens, target):
+            fbar = extend_hom(free, target, f)
+            assert check_module_hom(fbar.table, free.module,
+                                    target.module) is None, f
+            homs += 1
+    assert homs > len(free_inputs(all_subjects))
+
+
+def lax_diamond_target():
+    """The diamond {0, a, b, 1} over the two-element quantale with
+    1*x = x except 1*1 = a: lawful but for the unit and second-argument
+    join laws, so it only validates as lax."""
+    els = ("0", "a", "b", "1")
+    rel = {(x, x) for x in els} | {("0", x) for x in els} | {
+        (x, "1") for x in els}
+    lat = complete_lattice(validate_poset(els, rel))
+    action = {("0", x): "0" for x in els}
+    action.update({("1", x): x for x in els})
+    action[("1", "1")] = "a"
+    mod = validate_qmodule(lat, TWO, action, lax=True)
+    return validate_qmodule_algebra(
+        mod, validate_omega_algebra(els, EMPTY_SIGNATURE, {}))
+
+
+def test_extension_into_a_lax_target_still_scans_the_action():
+    # The extension is join-preserving, but 1*(a v b) = a while
+    # a v b = 1: the action is not preserved at the full subset.
+    gens = validate_omega_algebra(("x", "y"), EMPTY_SIGNATURE, {})
+    free = free_qsup_algebra(TWO, gens)
+    with pytest.raises(errors.CertificationFails) as info:
+        extend_hom(free, lax_diamond_target(), {"x": "a", "y": "b"})
+    assert info.value.witness == {"law": "NotActionHom", "scalar": "1",
+                                  "element": "{x:1,y:1}", "left": "1",
+                                  "right": "a"}
 
 
 def test_extension_rejects_non_homomorphic_assignments():
@@ -373,10 +449,18 @@ def test_hom_enumeration_matches_brute_force(case, generator_algebras,
         target = dict(all_subjects)[case]
         free = free_qsup_algebra(target.base, target.algebra)
     assert len(target.carrier) ** len(free.ids) <= 6561
+    # Brute force is lexicographic in carrier order, and so must the
+    # search be, key order included.
+    slow = [list(t.items()) for t in brute_force_homs(free, target)]
     fast = enumerate_homs(free.module_algebra, target)
-    slow = brute_force_homs(free, target)
-    assert (sorted(sorted(t.items()) for t in fast)
-            == sorted(sorted(t.items()) for t in slow))
+    assert [list(t.items()) for t in fast] == slow
+    for a in free.generators.carrier:
+        point = free.eta[a]
+        for v in target.carrier:
+            pinned = enumerate_homs(free.module_algebra, target,
+                                    fixed={point: v})
+            assert ([list(t.items()) for t in pinned]
+                    == [t for t in slow if dict(t)[point] == v]), (a, v)
 
 
 def test_every_operation_hom_extends_uniquely_on_the_group_case():
@@ -393,6 +477,8 @@ def test_every_operation_hom_extends_uniquely_on_the_group_case():
         hom_count += 1
         fbar = extend_hom(free, target, f)
         assert all(fbar.table[free.eta[a]] == f[a] for a in gens.carrier)
+        assert check_module_hom(fbar.table, free.module,
+                                target.module) is None
         assert extension_unique(free, target, f, fbar) == "unique"
     assert hom_count == 2
     assert len(enumerate_homs(free.module_algebra, target)) == 2

@@ -105,7 +105,7 @@ def test_unit_need_not_be_top():
     # A three-chain where mult is meet but the unit is forced to the top
     # only when we say so; picking the middle as unit must fail.
     lat = chain_lattice(["0", "1", "2"])
-    mult = {(a, b): lat.meet2[(a, b)] for a in lat.elements for b in lat.elements}
+    mult = {(a, b): lat.meet((a, b)) for a in lat.elements for b in lat.elements}
     with pytest.raises(errors.UnitLawFails):
         validate_quantale(lat, mult, "1")
     assert validate_quantale(lat, mult, "2").unit == "2"
@@ -113,7 +113,7 @@ def test_unit_need_not_be_top():
 
 def test_broken_associativity_detected_with_triple():
     lat = chain_lattice(["0", "1", "2"])
-    mult = {(a, b): lat.meet2[(a, b)] for a in lat.elements for b in lat.elements}
+    mult = {(a, b): lat.meet((a, b)) for a in lat.elements for b in lat.elements}
     mult[("0", "1")] = "2"
     mult[("1", "0")] = "2"
     with pytest.raises(errors.NotAssociative) as info:
