@@ -39,6 +39,7 @@ KINDS = {
     "poset": "posets",
     "quantale": "quantales",
     "q-order": "qorders",
+    "q-subset": "qsubsets",
     "q-module": "modules",
     "algebra": "algebras",
     "q-sup-algebra": "qsup_algebras",
@@ -142,7 +143,7 @@ class Document:
     def _decl(self, section, name):
         decls = self.raw.get(section, {})
         if name not in decls:
-            raise UnknownReference(name, section)
+            raise UnknownReference(section, name)
         if not isinstance(decls[name], dict):
             raise ParseError(f"{section}.{name}: a declaration is an object, "
                              f"got {decls[name]!r}")
@@ -238,6 +239,10 @@ class Document:
             for sym in sig.symbols:
                 if sym not in ops:
                     raise PartialTable(sym, "no op table")
+            for sym in ops:
+                if sym not in sig.arities:
+                    raise ParseError(f"{where}.ops.{sym}: {sym!r} is not a "
+                                     f"symbol of the signature")
             return validate_omega_algebra(carrier, sig, ops)
         return self._memo("algebras", name, build)
 

@@ -168,10 +168,6 @@ class EquivarianceFails(SpecViolation):
     """An operation fails to commute with scalar action in one slot."""
 
 
-class NotOmegaHom(SpecViolation):
-    pass
-
-
 class NotActionHom(SpecViolation):
     pass
 

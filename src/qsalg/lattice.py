@@ -1,4 +1,4 @@
-"""Finite posets, complete lattices, monotone maps, and adjoints.
+"""Finite posets, complete lattices, structure maps, and adjoints.
 
 Element identity is an opaque string everywhere; order comes only from the
 supplied relation, never from parsing the labels.  On a finite carrier,
@@ -174,9 +174,11 @@ def _poset_of(obj) -> FinitePoset:
     return obj.poset if isinstance(obj, CompleteLattice) else obj
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """An order-preserving map; endpoints may be posets or lattices."""
+@dataclass(frozen=True, eq=False)
+class StructureMap:
+    """A carrier map between two structures: posets, lattices, modules,
+    fuzzy-complete orders or signature algebras.  The table is the map;
+    which laws it keeps is for the checks that built it to say."""
 
     source: object
     target: object
@@ -186,7 +188,7 @@ class MonotoneMap:
         return self.table[a]
 
 
-def monotone_map(source, target, table) -> MonotoneMap:
+def monotone_map(source, target, table) -> StructureMap:
     src, tgt = _poset_of(source), _poset_of(target)
     for a in src.elements:
         if a not in table:
@@ -199,7 +201,7 @@ def monotone_map(source, target, table) -> MonotoneMap:
                     f"{a!r} <= {b!r} but f({a!r}) = {table[a]!r} "
                     f"is not <= f({b!r}) = {table[b]!r}",
                     pair=[a, b], images=[table[a], table[b]])
-    return MonotoneMap(source, target, table)
+    return StructureMap(source, target, table)
 
 
 def preservation_failure(table, elements, source, target, scalars=()):
@@ -243,7 +245,7 @@ def _join_failure_witness(f, src, tgt):
     return members, j, f.table[j], tgt.join(f.table[m] for m in members)
 
 
-def right_adjoint(f: MonotoneMap) -> MonotoneMap:
+def right_adjoint(f: StructureMap) -> StructureMap:
     """Upper adjoint of a join-preserving map between complete lattices.
 
     g(b) is the join of everything f sends below b.  The defining

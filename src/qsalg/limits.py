@@ -31,8 +31,3 @@ def threshold():
     except ValueError:
         raise ParseError(f"QSALG_THRESHOLD is not an integer: {raw!r}") \
             from None
-
-
-def subset_space(n_values, n_slots):
-    """Size of the space of tables with `n_slots` entries over `n_values`."""
-    return n_values ** n_slots

@@ -30,10 +30,10 @@ from .errors import (
     TooLarge,
     UnknownElement,
 )
-from .lattice import FinitePoset, complete_lattice, preservation_failure
+from .lattice import FinitePoset, StructureMap, complete_lattice, \
+    preservation_failure
 from .qmodule import (
     QModule,
-    StructureMap,
     check_module_hom,
     module_from_suplattice,
     suplattice_from_module,
@@ -41,7 +41,7 @@ from .qmodule import (
 from .qorder import (
     QSubset,
     QSupLattice,
-    is_qjoin_preserving,
+    characteristic_subset,
     point_subset,
     scan_qsubsets,
     subset_id,
@@ -126,10 +126,6 @@ class QSupAlgebra:
     def base(self):
         return self.sup.base
 
-    def same_tables(self, other) -> bool:
-        return (self.sup.same_tables(other.sup)
-                and self.algebra.same_tables(other.algebra))
-
 
 @dataclass(frozen=True, eq=False)
 class QModuleAlgebra:
@@ -164,6 +160,19 @@ def _slot_maps(algebra: OmegaAlgebra, sym: str):
             yield slot, rest, table
 
 
+def _slot_failure(algebra: OmegaAlgebra, joins, scalars):
+    """The first slot map breaking the (bottom, join2, action) triple
+    `joins`: (symbol, slot, fixed args, map) + `preservation_failure`'s
+    (members, scalar).  None when every slot map preserves all joins."""
+    for sym in algebra.signature.symbols:
+        for slot, rest, g in _slot_maps(algebra, sym):
+            bad = preservation_failure(g, algebra.carrier, joins, joins,
+                                       scalars)
+            if bad is not None:
+                return (sym, slot, rest, g) + bad
+    return None
+
+
 def validate_qsup_algebra(sup: QSupLattice,
                           algebra: OmegaAlgebra) -> QSupAlgebra:
     """Each operation must send fuzzy joins to fuzzy joins in every slot
@@ -171,17 +180,18 @@ def validate_qsup_algebra(sup: QSupLattice,
     in the carrier, which totality already guarantees."""
     if tuple(sup.carrier) != tuple(algebra.carrier):
         raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
-    for sym in algebra.signature.symbols:
-        for slot, rest, g in _slot_maps(algebra, sym):
-            ok, m = is_qjoin_preserving(g, sup, sup)
-            if not ok:
-                lhs = g[sup.qjoin(m)]
-                rhs = sup.qjoin(zadeh_forward(g, m, sup.carrier))
-                raise SlotPreservationFails(
-                    f"{sym!r} slot {slot} with fixed args {rest!r}: "
-                    f"op of join is {lhs!r}, join of op-image is {rhs!r}",
-                    symbol=sym, slot=slot, rest=list(rest),
-                    subset=m.table(), left=lhs, right=rhs)
+    bad = _slot_failure(algebra, (sup.bottom, sup.join2, sup.tensor),
+                        sup.base.elements)
+    if bad is not None:
+        sym, slot, rest, g, members, q = bad
+        m = characteristic_subset(sup.carrier, sup.base, members, q)
+        lhs = g[sup.qjoin(m)]
+        rhs = sup.qjoin(zadeh_forward(g, m, sup.carrier))
+        raise SlotPreservationFails(
+            f"{sym!r} slot {slot} with fixed args {rest!r}: "
+            f"op of join is {lhs!r}, join of op-image is {rhs!r}",
+            symbol=sym, slot=slot, rest=list(rest),
+            subset=m.table(), left=lhs, right=rhs)
     return QSupAlgebra(sup, algebra)
 
 
@@ -192,32 +202,28 @@ def validate_qmodule_algebra(module: QModule,
     if tuple(module.carrier) != tuple(algebra.carrier):
         raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
     lat = module.lattice
-    joins = (lat.bottom, lat.join2, module.action)
-    for sym in algebra.signature.symbols:
-        for slot, rest, g in _slot_maps(algebra, sym):
-            bad = preservation_failure(g, module.carrier, joins, joins,
-                                       module.base.elements)
-            if bad is None:
-                continue
-            members, q = bad
-            where = f"{sym!r} slot {slot} with fixed args {rest!r}"
-            pinned = {"symbol": sym, "slot": slot, "rest": list(rest)}
-            if not members:
-                raise SlotPreservationFails(
-                    f"{where} does not send bottom to bottom",
-                    **pinned, subset=[], value=g[lat.bottom])
-            if len(members) == 2:
-                a, b = members
-                raise SlotPreservationFails(
-                    f"{where} breaks the join of {[a, b]!r}",
-                    **pinned, subset=[a, b], left=g[lat.join2[members]],
-                    right=lat.join2[(g[a], g[b])])
-            b = members[0]
-            raise EquivarianceFails(
-                f"{where}: op({q!r}*{b!r}) != {q!r}*op({b!r})",
-                **pinned, scalar=q, element=b, left=g[module.act(q, b)],
-                right=module.act(q, g[b]))
-    return QModuleAlgebra(module, algebra)
+    bad = _slot_failure(algebra, (lat.bottom, lat.join2, module.action),
+                        module.base.elements)
+    if bad is None:
+        return QModuleAlgebra(module, algebra)
+    sym, slot, rest, g, members, q = bad
+    where = f"{sym!r} slot {slot} with fixed args {rest!r}"
+    pinned = {"symbol": sym, "slot": slot, "rest": list(rest)}
+    if not members:
+        raise SlotPreservationFails(
+            f"{where} does not send bottom to bottom",
+            **pinned, subset=[], value=g[lat.bottom])
+    if len(members) == 2:
+        a, b = members
+        raise SlotPreservationFails(
+            f"{where} breaks the join of {[a, b]!r}",
+            **pinned, subset=[a, b], left=g[lat.join2[members]],
+            right=lat.join2[(g[a], g[b])])
+    b = members[0]
+    raise EquivarianceFails(
+        f"{where}: op({q!r}*{b!r}) != {q!r}*op({b!r})",
+        **pinned, scalar=q, element=b, left=g[module.act(q, b)],
+        right=module.act(q, g[b]))
 
 
 def transport_algebra(x):
@@ -383,8 +389,7 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
         if table[free.eta[a]] != f[a]:
             raise InternalInconsistency(
                 f"extension does not restrict to the assignment at {a!r}")
-    fbar = StructureMap(free.module_algebra, target, table,
-                        "q-module-algebra")
+    fbar = StructureMap(free.module_algebra, target, table)
     if mod.lax:
         ok, witness = is_homomorphism(fbar, "q-module-algebra")
     else:
@@ -440,43 +445,20 @@ def _omega_hom_witness(table, source: OmegaAlgebra, target: OmegaAlgebra):
 
 
 def is_homomorphism(f: StructureMap, kind: str):
-    """Direct law check per kind; returns (ok, witness_dict_or_None).
+    """Direct law check; returns (ok, witness_dict_or_None).
 
-    Kinds: omega, sup, q-sup, q-module, q-sup-algebra, q-module-algebra.
+    Kinds: omega (plain signature algebras) and q-module-algebra (joins
+    and the action as well).  Other maps are checked by
+    `preservation_failure`, `is_qjoin_preserving` or `check_module_hom`.
     """
     src, tgt, table = f.source, f.target, f.table
     if kind == "omega":
         w = _omega_hom_witness(table, src, tgt)
         return (w is None), w
-    if kind == "sup":
-        bad = preservation_failure(table, src.elements,
-                                   (src.bottom, src.join2, None),
-                                   (tgt.bottom, tgt.join2, None))
-        if bad is None:
-            return True, None
-        members = bad[0]
-        if not members:
-            return False, {"subset": [], "value": table[src.bottom]}
-        j = src.join2[members]
-        return False, {"subset": list(members), "join": j, "value": table[j]}
-    if kind == "q-sup":
-        ok, m = is_qjoin_preserving(table, src, tgt)
-        return ok, (None if ok else {"subset": m.table()})
-    if kind == "q-module":
-        w = check_module_hom(table, src, tgt)
-        return (w is None), w
-    if kind == "q-sup-algebra":
-        ok, w = is_homomorphism(
-            StructureMap(src.sup, tgt.sup, table), "q-sup")
-        if not ok:
-            return False, w
-        w = _omega_hom_witness(table, src.algebra, tgt.algebra)
-        return (w is None), w
     if kind == "q-module-algebra":
         w = check_module_hom(table, src.module, tgt.module)
-        if w is not None:
-            return False, w
-        w = _omega_hom_witness(table, src.algebra, tgt.algebra)
+        if w is None:
+            w = _omega_hom_witness(table, src.algebra, tgt.algebra)
         return (w is None), w
     raise UnknownElement(kind, "homomorphism kind")
 
@@ -487,27 +469,17 @@ def bare_algebra(module: QModule) -> QModuleAlgebra:
         module, validate_omega_algebra(module.carrier, EMPTY_SIGNATURE, {}))
 
 
-def _module_sides(x):
-    if isinstance(x, QModuleAlgebra):
-        return x
-    if isinstance(x, QSupAlgebra):
-        return transport_algebra(x)
-    if isinstance(x, QSupLattice):
-        x = module_from_suplattice(x)
-    if isinstance(x, QModule):
-        return bare_algebra(x)
-    raise UnknownElement(type(x).__name__, "hom enumeration endpoint")
+def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
+                   fixed=None):
+    """All homomorphisms source -> target between module algebras,
+    exhaustively, in deterministic order: lexicographic in the source
+    carrier's order, each image ranging over the target carrier in its
+    order.
 
-
-def enumerate_homs(source, target, fixed=None):
-    """All homomorphisms source -> target, exhaustively, in deterministic
-    order: lexicographic in the source carrier's order, each image
-    ranging over the target carrier in its order.
-
-    Structure-preserving maps between fuzzy-complete algebras are
-    enumerated through their module faces (the bridge makes the two hom
-    sets coincide; the test suite keeps a brute-force cross-check).
-    `fixed` pins chosen images.  Raises TooLarge past
+    A bare module enters as `bare_algebra(module)`, a fuzzy-complete
+    algebra as its module face `transport_algebra(x)`: the bridge makes
+    the two hom sets coincide (the test suite keeps a brute-force
+    cross-check).  `fixed` pins chosen images.  Raises TooLarge past
     |target| ** |source|.
 
     The search is a backtracking one.  It visits the forced positions
@@ -525,17 +497,16 @@ def enumerate_homs(source, target, fixed=None):
     still differ first at a position visited in carrier order, in the
     order of that position's candidates.
     """
-    smalg, tmalg = _module_sides(source), _module_sides(target)
-    src, tgt = smalg.module, tmalg.module
+    src, tgt = source.module, target.module
     space = len(tgt.carrier) ** len(src.carrier)
     if space > limits.HOM_ENUM_BOUND:
         raise TooLarge("homomorphism search space", space,
                        limits.HOM_ENUM_BOUND)
 
     forced = {src.lattice.bottom: tgt.lattice.bottom}
-    for sym in smalg.algebra.signature.symbols:
-        if smalg.algebra.signature.arity(sym) == 0:
-            forced[smalg.algebra.apply(sym, ())] = tmalg.algebra.apply(sym, ())
+    for sym in source.algebra.signature.symbols:
+        if source.algebra.signature.arity(sym) == 0:
+            forced[source.algebra.apply(sym, ())] = target.algebra.apply(sym, ())
     for x, v in (fixed or {}).items():
         src.lattice.poset.check_element(x, "pinned position")
         tgt.lattice.poset.check_element(v, "pinned image")
@@ -596,7 +567,7 @@ def enumerate_homs(source, target, fixed=None):
     def dfs(k):
         if k == len(order):
             table = {x: assign[x] for x in carrier}
-            f = StructureMap(smalg, tmalg, table)
+            f = StructureMap(source, target, table)
             ok, _ = is_homomorphism(f, "q-module-algebra")
             if ok:
                 results.append(table)

@@ -32,7 +32,8 @@ from .errors import (
     UnknownElement,
     CertificationFails,
 )
-from .lattice import CompleteLattice, complete_lattice, preservation_failure
+from .lattice import CompleteLattice, StructureMap, complete_lattice, \
+    preservation_failure
 from .qorder import (
     QSupLattice,
     certify_qsuplattice,
@@ -185,19 +186,6 @@ def module_from_suplattice(sup: QSupLattice) -> QModule:
     return validate_qmodule(lat, sup.base, sup.tensor)
 
 
-@dataclass(frozen=True, eq=False)
-class StructureMap:
-    """A carrier map between two structures of the same flavor."""
-
-    source: object
-    target: object
-    table: Mapping[str, str]
-    kind: str = "map"
-
-    def __call__(self, a: str) -> str:
-        return self.table[a]
-
-
 def check_module_hom(table, source: QModule, target: QModule):
     """None when the map preserves joins and the action; otherwise a
     witness dict naming the first failure."""
@@ -221,15 +209,16 @@ def check_module_hom(table, source: QModule, target: QModule):
             "join": j, "value": table[j]}
 
 
-def transport_map(f: StructureMap, to: str) -> StructureMap:
-    """Recertify a map on the other side of the module/order bridge.
+def transport_map(f: StructureMap) -> StructureMap:
+    """Recertify a map on the other side of the module/order bridge; the
+    side is read off the source.
 
-    to="sup": f is a module homomorphism; the same table must preserve
-    fuzzy joins between the two derived orders.  to="module": f preserves
-    fuzzy joins; the same table must be a module homomorphism between the
-    derived modules.
+    Between modules, f must be a module homomorphism, and the same table
+    must preserve fuzzy joins between the two derived orders.  Between
+    fuzzy-complete orders, f must preserve fuzzy joins, and the same
+    table must be a module homomorphism between the derived modules.
     """
-    if to == "sup":
+    if isinstance(f.source, QModule):
         src = suplattice_from_module(f.source)
         tgt = suplattice_from_module(f.target)
         ok, witness = is_qjoin_preserving(f.table, src, tgt)
@@ -237,8 +226,8 @@ def transport_map(f: StructureMap, to: str) -> StructureMap:
             raise CertificationFails(
                 f"module homomorphism does not preserve fuzzy joins at "
                 f"{witness!r}", subset=witness.table())
-        return StructureMap(src, tgt, dict(f.table), "q-sup")
-    if to == "module":
+        return StructureMap(src, tgt, dict(f.table))
+    if isinstance(f.source, QSupLattice):
         src = module_from_suplattice(f.source)
         tgt = module_from_suplattice(f.target)
         witness = check_module_hom(f.table, src, tgt)
@@ -246,5 +235,5 @@ def transport_map(f: StructureMap, to: str) -> StructureMap:
             law = witness.pop("law")
             cls = NotJoinPreserving if law == "NotJoinPreserving" else NotActionHom
             raise cls(f"transported map fails {law}", **witness)
-        return StructureMap(src, tgt, dict(f.table), "q-module")
-    raise UnknownElement(to, "transport direction (sup|module)")
+        return StructureMap(src, tgt, dict(f.table))
+    raise UnknownElement(type(f.source).__name__, "transport_map source")

@@ -116,7 +116,7 @@ def scan_qsubsets(carrier, base):
     rather than scanning a part, so `exhaustive` is always true."""
     carrier = tuple(carrier)
     bound = limits.threshold()
-    space = limits.subset_space(len(base.elements), len(carrier))
+    space = len(base.elements) ** len(carrier)
     if space > bound:
         raise TooLarge("fuzzy subset space", space, bound)
     return (all_qsubsets(carrier, base), True,

@@ -62,11 +62,6 @@ class FiniteQuantale:
                 and dict(self.mult) == dict(other.mult))
 
 
-def residuate(q: FiniteQuantale, a: str, b: str) -> str:
-    """Largest r with a * r <= b."""
-    return q.residual[(a, b)]
-
-
 def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuantale:
     """Check the quantale laws and build the residuation table.
 

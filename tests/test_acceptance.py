@@ -95,10 +95,8 @@ def test_criterion_2_module_order_roundtrip(corpus_quantales,
             assert len(module_homs) == SELF_ENDO_HOMS[label], label
         for images in module_homs:
             table = dict(zip(carrier, images))
-            f = transport_map(StructureMap(mod, mod, table, "q-module"),
-                              to="sup")
-            g = transport_map(StructureMap(sup, sup, table, "q-sup"),
-                              to="module")
+            f = transport_map(StructureMap(mod, mod, table))
+            g = transport_map(StructureMap(sup, sup, table))
             assert dict(f.table) == table
             assert dict(g.table) == table
     elapsed = time.perf_counter() - t0

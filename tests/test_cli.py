@@ -123,6 +123,41 @@ def test_validate_builds_algebras_nothing_references(tmp_path, capsys):
     assert report["error"]["kind"] == "UnknownElement"
 
 
+def test_validate_rejects_op_tables_outside_the_signature(tmp_path,
+                                                          capsys):
+    bad = write_mutant(tmp_path, "two-meet.json",
+                       ("algebras", "z2", "ops", "extra"), [[["e"], "zz"]])
+    code, report = run_json(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+    assert "algebras.z2.ops.extra" in report["error"]["message"]
+
+
+HEALTHY_QSUBSET = {"base": "two", "carrier": ["0", "1"],
+                   "values": {"0": "0", "1": "1"}}
+
+
+def test_validate_builds_qsubsets(tmp_path, capsys):
+    path = write_mutant(tmp_path, "two-meet.json", ("qsubsets",),
+                        {"m": HEALTHY_QSUBSET})
+    code, report = run_json(capsys, "validate", path)
+    assert code == 0
+    assert "q-subset:m" in check_names(report)
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("values", {"0": "zz", "1": "1"}, "UnknownElement"),
+    ("base", "nope", "UnknownReference"),
+])
+def test_validate_rejects_a_bad_qsubset(tmp_path, capsys, field, value,
+                                        kind):
+    path = write_mutant(tmp_path, "two-meet.json", ("qsubsets",),
+                        {"m": {**HEALTHY_QSUBSET, field: value}})
+    code, report = run_json(capsys, "validate", path)
+    assert code == 2
+    assert report["error"]["kind"] == kind
+
+
 @pytest.mark.parametrize("elements,leq", [
     ([0, 1], [[0, 0], [0, 1], [1, 1]]),
     (["0", "1"], [[0, 0], [0, 1], [1, 1]]),

@@ -59,8 +59,10 @@ def test_dangling_reference_names_the_section():
         quantales={"q": TWO},
         modules={"m": {"base": "q", "poset": "missing",
                        "action": []}}))
-    with pytest.raises(UnknownReference):
+    with pytest.raises(UnknownReference) as err:
         doc.module("m")
+    assert str(err.value) == "unknown posets reference: 'missing'"
+    assert (err.value.kind, err.value.name) == ("posets", "missing")
 
 
 def test_malformed_leq_row_is_a_parse_error():
@@ -135,10 +137,11 @@ def test_every_kind_dispatches_on_the_bundled_corpus():
             for name in doc.names(section):
                 built[kind] = doc.build(kind, name)
     # the files between them exercise every dispatchable kind except
-    # q-order and q-sup-algebra (no corpus file declares one; covered
-    # below) and nucleus, whose only corpus declaration is the mutation
-    assert set(built) == set(KINDS) - {"q-order", "q-sup-algebra",
-                                       "nucleus"}
+    # q-order, q-subset and q-sup-algebra (no corpus file declares one;
+    # covered below and in the CLI tests) and nucleus, whose only corpus
+    # declaration is the mutation
+    assert set(built) == set(KINDS) - {"q-order", "q-subset",
+                                       "q-sup-algebra", "nucleus"}
     skew = loads(corpus_text("non-monotone-nucleus.json"))
     with pytest.raises(AxiomFails) as err:
         skew.build("nucleus", "skew")

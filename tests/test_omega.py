@@ -6,9 +6,14 @@ import pytest
 
 from qsalg import errors
 from qsalg import omega as omega_module
-from qsalg.lattice import chain_lattice, complete_lattice, validate_poset
-from qsalg.qmodule import (
+from qsalg.lattice import (
     StructureMap,
+    chain_lattice,
+    complete_lattice,
+    preservation_failure,
+    validate_poset,
+)
+from qsalg.qmodule import (
     check_module_hom,
     crisp_module,
     quantale_self_module,
@@ -20,6 +25,7 @@ from qsalg.omega import (
     EMPTY_SIGNATURE,
     QModuleAlgebra,
     QSupAlgebra,
+    bare_algebra,
     counit_map,
     enumerate_homs,
     extend_hom,
@@ -484,17 +490,25 @@ def test_every_operation_hom_extends_uniquely_on_the_group_case():
     assert len(enumerate_homs(free.module_algebra, target)) == 2
 
 
-def test_is_homomorphism_sup_kind_flags_the_transposition():
+def test_preservation_failure_flags_the_transposition():
     lat = chain_lattice(["0", "1"])
-    f = StructureMap(lat, lat, {"0": "1", "1": "0"})
-    ok, witness = is_homomorphism(f, "sup")
-    assert not ok and witness["subset"] == []
+    joins = (lat.bottom, lat.join2, None)
+    assert preservation_failure({"0": "1", "1": "0"}, lat.elements,
+                                joins, joins) == ((), None)
+
+
+def test_is_homomorphism_rejects_an_unknown_kind():
+    alg = z2_algebra()
+    f = StructureMap(alg, alg, {a: a for a in alg.carrier})
+    assert is_homomorphism(f, "omega") == (True, None)
+    with pytest.raises(errors.UnknownElement):
+        is_homomorphism(f, "sup")
 
 
 def test_module_hom_enumeration_on_the_self_module():
     # Both the identity and the bottom-collapse preserve joins and the
     # action; nothing in the module laws pins the image of the top.
-    mod = quantale_self_module(TWO)
+    mod = bare_algebra(quantale_self_module(TWO))
     homs = enumerate_homs(mod, mod)
     assert homs == [{"0": "0", "1": "0"}, {"0": "0", "1": "1"}]
 
@@ -503,7 +517,8 @@ def test_sup_side_enumeration_agrees_with_module_side():
     free = free_qsup_algebra(TWO, z2_algebra())
     target_m = meet_algebra_over_two()
     target_s = transport_algebra(target_m)
-    via_sup = enumerate_homs(transport_algebra(free.module_algebra),
-                             target_s)
+    source_s = transport_algebra(free.module_algebra)
+    via_sup = enumerate_homs(transport_algebra(source_s),
+                             transport_algebra(target_s))
     via_mod = enumerate_homs(free.module_algebra, target_m)
     assert via_sup == via_mod

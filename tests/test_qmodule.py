@@ -5,9 +5,9 @@ import weakref
 import pytest
 
 from qsalg import errors
-from qsalg.lattice import chain_lattice, diamond_lattice
+from qsalg.lattice import StructureMap, chain_lattice, diamond_lattice
 from qsalg.qmodule import (
-    StructureMap,
+    QModule,
     action_residual,
     check_module_hom,
     crisp_module,
@@ -17,7 +17,13 @@ from qsalg.qmodule import (
     transport_map,
     validate_qmodule,
 )
-from qsalg.qorder import all_qsubsets, crisp_qorder, certify_qsuplattice, qsubset
+from qsalg.qorder import (
+    QSupLattice,
+    all_qsubsets,
+    certify_qsuplattice,
+    crisp_qorder,
+    qsubset,
+)
 from qsalg.quantale import (
     boolean_quantale,
     diamond_meet_quantale,
@@ -155,30 +161,36 @@ def test_lax_module_fails_the_bridge_with_an_order_witness():
 def test_transport_module_hom_to_fuzzy_side():
     src = quantale_self_module(TWO)
     tgt = crisp_module(chain_lattice(["0", "1", "2"]), TWO)
-    f = StructureMap(src, tgt, {"0": "0", "1": "2"}, "q-module")
+    f = StructureMap(src, tgt, {"0": "0", "1": "2"})
     assert check_module_hom(f.table, src, tgt) is None
-    moved = transport_map(f, "sup")
-    assert moved.kind == "q-sup"
+    moved = transport_map(f)
+    assert isinstance(moved.source, QSupLattice)
 
 
 def test_transport_rejects_non_hom():
     src = quantale_self_module(TWO)
     tgt = crisp_module(chain_lattice(["0", "1", "2"]), TWO)
-    f = StructureMap(src, tgt, {"0": "1", "1": "2"}, "q-module")
+    f = StructureMap(src, tgt, {"0": "1", "1": "2"})
     witness = check_module_hom(f.table, src, tgt)
     assert witness is not None and witness["subset"] == []
     with pytest.raises(errors.CertificationFails):
-        transport_map(f, "sup")
+        transport_map(f)
 
 
 def test_transport_fuzzy_map_to_module_side():
     src = suplattice_from_module(quantale_self_module(TWO))
     tgt = suplattice_from_module(
         crisp_module(chain_lattice(["0", "1", "2"]), TWO))
-    f = StructureMap(src, tgt, {"0": "0", "1": "2"}, "q-sup")
-    moved = transport_map(f, "module")
-    assert moved.kind == "q-module"
+    f = StructureMap(src, tgt, {"0": "0", "1": "2"})
+    moved = transport_map(f)
+    assert isinstance(moved.source, QModule)
     assert check_module_hom(moved.table, moved.source, moved.target) is None
+
+
+def test_transport_rejects_a_source_off_the_bridge():
+    lat = chain_lattice(["0", "1"])
+    with pytest.raises(errors.UnknownElement):
+        transport_map(StructureMap(lat, lat, {"0": "0", "1": "1"}))
 
 
 def test_scaling_maps_transport_both_ways():
@@ -188,10 +200,10 @@ def test_scaling_maps_transport_both_ways():
     for mod in [quantale_self_module(L3), quantale_self_module(TWO)]:
         for q in mod.base.elements:
             table = {a: mod.act(q, a) for a in mod.carrier}
-            f = StructureMap(mod, mod, table, "q-module")
+            f = StructureMap(mod, mod, table)
             assert check_module_hom(table, mod, mod) is None
-            up = transport_map(f, "sup")
-            down = transport_map(up, "module")
+            up = transport_map(f)
+            down = transport_map(up)
             assert down.table == table
 
 

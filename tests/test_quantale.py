@@ -11,7 +11,6 @@ from qsalg.quantale import (
     godel_chain,
     lukasiewicz_chain,
     meet_quantale,
-    residuate,
     validate_quantale,
 )
 
@@ -59,25 +58,25 @@ def test_godel_mult_is_min():
 def test_residuate_frozen_values():
     # Values checked by hand against a*r <= b scans.
     two = boolean_quantale()
-    assert residuate(two, "1", "0") == "0"
-    assert residuate(two, "0", "0") == "1"
+    assert two.residual[("1", "0")] == "0"
+    assert two.residual[("0", "0")] == "1"
     l3 = lukasiewicz_chain(3)
-    assert residuate(l3, "1/2", "0") == "1/2"
-    assert residuate(l3, "1", "1/2") == "1/2"
-    assert residuate(l3, "0", "0") == "1"
+    assert l3.residual[("1/2", "0")] == "1/2"
+    assert l3.residual[("1", "1/2")] == "1/2"
+    assert l3.residual[("0", "0")] == "1"
     g3 = godel_chain(3)
-    assert residuate(g3, "1/2", "0") == "0"
-    assert residuate(g3, "1/2", "1/2") == "1"
+    assert g3.residual[("1/2", "0")] == "0"
+    assert g3.residual[("1/2", "1/2")] == "1"
     d = diamond_meet_quantale()
-    assert residuate(d, "a", "b") == "b"
-    assert residuate(d, "a", "top") == "top"
+    assert d.residual[("a", "b")] == "b"
+    assert d.residual[("a", "top")] == "top"
 
 
 def test_residuate_matches_oracle_everywhere():
     for q in corpus_quantales():
         for a in q.elements:
             for b in q.elements:
-                assert residuate(q, a, b) == residuate_oracle(q, a, b)
+                assert q.residual[(a, b)] == residuate_oracle(q, a, b)
 
 
 def test_residuation_adjunction_exhaustive():
@@ -90,7 +89,7 @@ def test_residuation_adjunction_exhaustive():
 def test_residual_into_top_is_top():
     for q in corpus_quantales():
         for a in q.elements:
-            assert residuate(q, a, q.top) == q.top
+            assert q.residual[(a, q.top)] == q.top
 
 
 def test_mult_is_monotone_in_each_slot():

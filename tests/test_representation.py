@@ -97,8 +97,9 @@ def test_representation_accepts_the_sup_face():
     from qsalg.omega import transport_algebra
     subject = bare(quantale_self_module(boolean_quantale()))
     sup_face = transport_algebra(subject)
-    cert = representation(sup_face)
+    cert = representation(transport_algebra(sup_face))
     assert cert["rho"] == {"0": "{0:1,1:0}", "1": "{0:1,1:1}"}
+    assert cert == representation(subject)
 
 
 def test_representation_on_crisp_modules():
