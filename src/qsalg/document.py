@@ -4,6 +4,7 @@ A document is one JSON object, format "qsalg/1", with named declarations
 grouped by section.  Order relations come as pair lists, multiplication
 and actions as triple lists, operations as [args, value] rows.  Labels
 and references are strings, arities non-negative integers, `lax` a boolean.
+A key given twice in one table is a ParseError, whatever its values.
 Every name used inside a declaration must be declared in the same
 document.
 
@@ -87,6 +88,8 @@ def _pairs_to_relation(rows, where):
         if not _strings(row) or len(row) != 2:
             raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
                              f"labels, got {row!r}")
+        if (row[0], row[1]) in rel:
+            raise ParseError(f"{where}: repeated leq row {row!r}")
         rel.add((row[0], row[1]))
     return rel
 
@@ -97,6 +100,8 @@ def _triples_to_table(rows, where):
         if not _strings(row) or len(row) != 3:
             raise ParseError(f"{where}: rows are [a, b, value] triples of "
                              f"string labels, got {row!r}")
+        if (row[0], row[1]) in table:
+            raise ParseError(f"{where}: repeated row for {row[:2]!r}")
         table[(row[0], row[1])] = row[2]
     return table
 
@@ -108,6 +113,8 @@ def _rows_to_op(rows, where):
                 or not _strings(row[0]) or not isinstance(row[1], str)):
             raise ParseError(f"{where}: op rows are [[args...], value] of "
                              f"string labels, got {row!r}")
+        if tuple(row[0]) in table:
+            raise ParseError(f"{where}: repeated row for {row[0]!r}")
         table[tuple(row[0])] = row[1]
     return table
 

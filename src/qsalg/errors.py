@@ -44,6 +44,15 @@ class UnknownElement(InputError):
         self.where = where
 
 
+def check_all_read(given, read, where):
+    """Reject a table key that its validator never read.  `read` holds the
+    distinct keys read, all of them in `given`, so only a longer `given`
+    has one; the length test keeps the common case cheap."""
+    if len(given) != len(read):
+        raise UnknownElement(next(k for k in given if k not in read),
+                             f"{where} (extra row)")
+
+
 class TooLarge(InputError):
     """An enumeration or materialization bound was exceeded."""
 

@@ -22,6 +22,7 @@ from .errors import (
     InternalInconsistency,
     TooLarge,
     UnknownElement,
+    check_all_read,
 )
 from .lattice import complete_lattice, preservation_failure, validate_poset
 from .omega import QModuleAlgebra, validate_omega_algebra, validate_qmodule_algebra
@@ -48,6 +49,7 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
         if a not in table:
             raise UnknownElement(a, "nucleus table (missing)")
         lat.poset.check_element(table[a], "nucleus value")
+    check_all_read(table, host.carrier, "nucleus table")
     for a in host.carrier:
         for b in host.carrier:
             if lat.leq(a, b) and not lat.leq(table[a], table[b]):

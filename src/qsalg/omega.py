@@ -29,6 +29,7 @@ from .errors import (
     SlotPreservationFails,
     TooLarge,
     UnknownElement,
+    check_all_read,
 )
 from .lattice import FinitePoset, StructureMap, complete_lattice, \
     preservation_failure
@@ -107,6 +108,7 @@ def validate_omega_algebra(carrier, sig: Signature, ops) -> OmegaAlgebra:
             if v not in known:
                 raise UnknownElement(v, f"op {sym!r} value")
             table[args] = v
+        check_all_read(ops[sym], table, f"op {sym!r} table")
         tables[sym] = table
     return OmegaAlgebra(carrier, sig, tables)
 
@@ -326,9 +328,9 @@ def free_qsup_algebra(base: FiniteQuantale,
             args = [atlas[i].values for i in arg_ids]
             out = [bottom] * len(gens)
             for xs, y in fibres:
-                prod = unit
-                for values, k in zip(args, xs):
-                    prod = mult[(prod, values[k])]
+                prod = args[0][xs[0]] if n else unit  # unit * x = x: skip it
+                for j in range(1, n):
+                    prod = mult[(prod, args[j][xs[j]])]
                 out[y] = join2[(out[y], prod)]
             table[arg_ids] = id_of[tuple(out)]
         ops[sym] = table

@@ -31,6 +31,7 @@ from .errors import (
     UnitActionFails,
     UnknownElement,
     CertificationFails,
+    check_all_read,
 )
 from .lattice import CompleteLattice, StructureMap, complete_lattice, \
     preservation_failure
@@ -77,6 +78,7 @@ def validate_qmodule(lattice: CompleteLattice, base: FiniteQuantale,
             v = action[(q, a)]
             lattice.poset.check_element(v, "action value")
             table[(q, a)] = v
+    check_all_read(action, table, "action table")
     bot_q, bot_a = base.bottom, lattice.bottom
     for a in lattice.elements:
         if table[(bot_q, a)] != bot_a:

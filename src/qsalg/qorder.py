@@ -31,6 +31,7 @@ from .errors import (
     TooLarge,
     TransitivityFails,
     UnknownElement,
+    check_all_read,
 )
 from .lattice import (
     FinitePoset,
@@ -80,6 +81,7 @@ def qsubset(carrier, base, table) -> QSubset:
         if v not in base.elements:
             raise UnknownElement(v, "fuzzy subset value")
         values.append(v)
+    check_all_read(table, set(carrier), "fuzzy subset")
     return QSubset(carrier, base, tuple(values))
 
 
@@ -155,6 +157,7 @@ def validate_qorder(carrier, base: FiniteQuantale, e) -> QOrderedSet:
             if v not in base.elements:
                 raise UnknownElement(v, "degree value")
             table[(x, y)] = v
+    check_all_read(e, table, "degree table")
     unit = base.unit
     for x in carrier:
         if not base.leq(unit, table[(x, x)]):

@@ -18,6 +18,7 @@ from .errors import (
     NotCommutative,
     UnitLawFails,
     UnknownElement,
+    check_all_read,
 )
 from .lattice import CompleteLattice, chain_lattice, diamond_lattice
 
@@ -78,6 +79,7 @@ def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuanta
             c = mult[(a, b)]
             lattice.poset.check_element(c, "mult value")
             table[(a, b)] = c
+    check_all_read(mult, table, "mult table")
     for a in els:
         for b in els:
             for c in els:

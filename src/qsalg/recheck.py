@@ -10,8 +10,11 @@ structurally unusable certificate (missing sections, partial tables,
 any format but FORMAT) raises ParseError instead.  The `checks` list and
 `meta.free_size` are claims too: both are rebuilt from the re-derived
 tables and must match exactly.  `meta.threshold` is the run parameter
-the certificate was made under and is not verified.  The free object's
-order is not shipped: it is derived pointwise from `free.subsets`.
+the certificate was made under and is not verified.  Each law has one
+path: the quantale is checked as a module over itself, and each order's
+joins come from one table built from up-sets.  The free object's order
+is not shipped: two ids compare coordinate by coordinate, from
+`free.subsets`, and the nucleus is checked monotone on covering pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ def _section(cert, key):
 
 
 class _Order:
-    """Crisp order arithmetic over a pair list: lub, bottom, monotone scans."""
+    """Crisp order over a pair list; `check_poset` builds its bottom and
+    binary join table."""
 
     def __init__(self, elements, pairs, where):
         self.elements = list(elements)
@@ -45,6 +49,8 @@ class _Order:
                 raise CertificateTampered(
                     where, f"leq mentions unknown element in {row!r}",
                     row=list(row))
+            if (row[0], row[1]) in self.rel:
+                raise ParseError(f"{where}: repeated leq row {row!r}")
             self.rel.add((row[0], row[1]))
 
     def leq(self, a, b):
@@ -64,20 +70,28 @@ class _Order:
                     raise CertificateTampered(
                         where, f"not transitive via {a!r} <= {b!r} <= {c!r}",
                         chain=[a, b, c])
+        # The join of a subset is the element whose up-set is the common
+        # up-set of its members; the bottom's up-set is everything.
+        up = {a: frozenset(b for b in self.elements if self.leq(a, b))
+              for a in self.elements}
+        by_up = {u: a for a, u in up.items()}
 
-    def lub(self, subset, where):
-        uppers = [u for u in self.elements
-                  if all(self.leq(s, u) for s in subset)]
-        least = [u for u in uppers
-                 if all(self.leq(u, v) for v in uppers)]
-        if len(least) != 1:
-            raise CertificateTampered(
-                where, f"subset {sorted(set(subset))!r} has no unique join",
-                subset=sorted(set(subset)))
-        return least[0]
+        def least(subset, common):
+            if common not in by_up:
+                raise CertificateTampered(
+                    where, f"subset {sorted(set(subset))!r} has no unique "
+                    "join", subset=sorted(set(subset)))
+            return by_up[common]
 
-    def bottom(self, where):
-        return self.lub([], where)
+        self.bottom = least([], frozenset(self.elements))
+        self.join2 = {(a, b): least([a, b], up[a] & up[b])
+                      for a in self.elements for b in self.elements}
+
+    def lub(self, subset):
+        out = self.bottom
+        for s in subset:
+            out = self.join2[(out, s)]
+        return out
 
 
 def _table3(rows, where):
@@ -85,6 +99,8 @@ def _table3(rows, where):
     for row in rows:
         if len(row) != 3:
             raise ParseError(f"{where}: bad triple {row!r}")
+        if (row[0], row[1]) in out:
+            raise ParseError(f"{where}: repeated row for {row[:2]!r}")
         out[(row[0], row[1])] = row[2]
     return out
 
@@ -96,60 +112,41 @@ def _ops_tables(raw, where):
         for row in rows:
             if len(row) != 2:
                 raise ParseError(f"{where}.{sym}: bad op row {row!r}")
+            if tuple(row[0]) in table:
+                raise ParseError(f"{where}.{sym}: repeated row for {row[0]!r}")
             table[tuple(row[0])] = row[1]
         out[sym] = table
     return out
 
 
+def _cell(table, key, where):
+    if key not in table:
+        raise ParseError(f"{where} missing {key!r}")
+    return table[key]
+
+
 class _Quantale:
+    """Checked as a module over itself, acting by `mult`; commutativity
+    is the one law that the module laws do not state."""
+
     def __init__(self, section):
         self.elements = section["elements"]
         self.unit = section["unit"]
-        self.order = _Order(self.elements, section["leq"], "quantale-order")
-        self.mult = _table3(section["mult"], "quantale")
+        self.side = _ModuleSide({"carrier": self.elements,
+                                 "leq": section["leq"],
+                                 "action": section["mult"]}, self, "quantale")
+        self.order = self.side.order
+        self.mul = self.side.act
+        self.join = self.order.lub
 
     def verify(self):
-        self.order.check_poset("quantale-order")
-        bot = self.order.bottom("quantale-order")
-        E = self.elements
-        for a in E:
-            for b in E:
-                if (a, b) not in self.mult:
-                    raise ParseError(f"mult missing {(a, b)!r}")
-                if self.mult[(a, b)] != self.mult[(b, a)]:
+        self.side.verify()
+        for a in self.elements:
+            for b in self.elements:
+                if self.mul(a, b) != self.mul(b, a):
                     raise CertificateTampered(
                         "quantale-laws", f"multiplication not commutative "
                         f"at {(a, b)!r}", pair=[a, b])
-        for a in E:
-            if self.mult[(self.unit, a)] != a:
-                raise CertificateTampered(
-                    "quantale-laws", f"unit law fails at {a!r}", element=a)
-            if self.mult[(a, bot)] != bot:
-                raise CertificateTampered(
-                    "quantale-laws", f"bottom not absorbed at {a!r}",
-                    element=a)
-            for b in E:
-                for c in E:
-                    if self.mult[(self.mult[(a, b)], c)] != \
-                            self.mult[(a, self.mult[(b, c)])]:
-                        raise CertificateTampered(
-                            "quantale-laws", "multiplication not "
-                            f"associative at {(a, b, c)!r}",
-                            triple=[a, b, c])
-                    j = self.order.lub([b, c], "quantale-laws")
-                    if self.mult[(a, j)] != self.order.lub(
-                            [self.mult[(a, b)], self.mult[(a, c)]],
-                            "quantale-laws"):
-                        raise CertificateTampered(
-                            "quantale-laws", "multiplication does not "
-                            f"distribute over the join of {(b, c)!r}",
-                            scalar=a, pair=[b, c])
-
-    def mul(self, a, b):
-        return self.mult[(a, b)]
-
-    def join(self, values):
-        return self.order.lub(list(values), "quantale-laws")
 
 
 class _ModuleSide:
@@ -165,19 +162,17 @@ class _ModuleSide:
         self.ops = _ops_tables(section.get("ops", {}), where + "-ops")
 
     def act(self, s, a):
-        if (s, a) not in self.action:
-            raise ParseError(f"{self.where}: action missing {(s, a)!r}")
-        return self.action[(s, a)]
+        return _cell(self.action, (s, a), f"{self.where}: action")
 
     def verify(self):
         w = self.where
         self.order.check_poset(w + "-order")
-        bot = self.order.bottom(w + "-order")
+        bot = self.order.bottom
         for a in self.carrier:
             if self.act(self.q.unit, a) != a:
                 raise CertificateTampered(
                     w + "-laws", f"unit action fails at {a!r}", element=a)
-            if self.act(self.q.order.bottom("quantale-order"), a) != bot:
+            if self.act(self.q.order.bottom, a) != bot:
                 raise CertificateTampered(
                     w + "-laws", f"bottom scalar does not crush {a!r}",
                     element=a)
@@ -194,26 +189,25 @@ class _ModuleSide:
                             f"{(s, t, a)!r}", scalars=[s, t], element=a)
                     sj = self.q.join([s, t])
                     if self.act(sj, a) != self.order.lub(
-                            [self.act(s, a), self.act(t, a)], w + "-laws"):
+                            [self.act(s, a), self.act(t, a)]):
                         raise CertificateTampered(
                             w + "-laws", "action does not distribute over "
                             f"the scalar join of {(s, t)!r}",
                             scalars=[s, t], element=a)
             for s in self.q.elements:
                 for b in self.carrier:
-                    j = self.order.lub([a, b], w + "-laws")
+                    j = self.order.lub([a, b])
                     if self.act(s, j) != self.order.lub(
-                            [self.act(s, a), self.act(s, b)], w + "-laws"):
+                            [self.act(s, a), self.act(s, b)]):
                         raise CertificateTampered(
                             w + "-laws", "action does not distribute over "
                             f"the join of {(a, b)!r}", scalar=s,
                             pair=[a, b])
+        known = set(self.carrier)
         for sym, table in self.ops.items():
             n = int(self.arities.get(sym, 0))
             for args in itertools.product(self.carrier, repeat=n):
-                if args not in table:
-                    raise ParseError(f"{w}: op {sym!r} missing {args!r}")
-                if table[args] not in set(self.carrier):
+                if _cell(table, args, f"{w}: op {sym!r}") not in known:
                     raise CertificateTampered(
                         w + "-laws", f"op {sym!r} leaves the carrier at "
                         f"{args!r}", symbol=sym, args=list(args))
@@ -242,53 +236,48 @@ def recheck_certificate(cert) -> list:
 
     fr = _section(cert, "free")
     ids = fr["ids"]
-    subsets = {i: fr["subsets"][i] for i in ids}
     if len(set(ids)) != len(ids):
         raise CertificateTampered("free-tables", "duplicate free ids")
     if len(ids) != len(q.elements) ** len(subject.carrier):
         raise CertificateTampered(
             "free-tables", "free carrier does not exhaust the fuzzy "
             "subsets", ids=len(ids))
-    seen = set()
+    values = {}
     for i in ids:
-        row = tuple(subsets[i].get(a) for a in subject.carrier)
-        if None in row:
+        values[i] = tuple(fr["subsets"][i].get(a) for a in subject.carrier)
+        if None in values[i]:
             raise ParseError(f"free subset {i!r} is partial")
-        seen.add(row)
-    if len(seen) != len(ids):
+    by_values = {row: i for i, row in values.items()}
+    if len(by_values) != len(ids):
         raise CertificateTampered("free-tables", "two free ids share a "
                                   "subset table")
     # The free side shares the subject's signature; its carrier is the
-    # ids, ordered pointwise.
-    leq = [(i, k) for i in ids for k in ids
-           if all(q.order.leq(subsets[i][a], subsets[k][a])
-                  for a in subject.carrier)]
-    free = _ModuleSide({"carrier": ids, "leq": leq,
-                        "action": fr["action"], "ops": fr["ops"],
-                        "arities": subject.arities}, q, "free")
-    by_values = {tuple(subsets[i][a] for a in subject.carrier): i
-                 for i in ids}
+    # ids, ordered coordinate by coordinate.
+    def fleq(i, k):
+        return all(map(q.order.leq, values[i], values[k]))
+
+    free_action = _table3(fr["action"], "free")
+    free_ops = _ops_tables(fr["ops"], "free-ops")
     for i in ids:
         for s in q.elements:
-            scaled = tuple(q.mul(s, subsets[i][a]) for a in subject.carrier)
-            if free.act(s, i) != by_values[scaled]:
+            scaled = tuple(q.mul(s, v) for v in values[i])
+            if _cell(free_action, (s, i), "free: action") != \
+                    by_values[scaled]:
                 raise CertificateTampered(
                     "free-tables", f"free action at {(s, i)!r} is not "
                     "pointwise multiplication", scalar=s, id=i)
-    for sym, table in free.ops.items():
-        n = int(free.arities.get(sym, 0))
+    for sym, table in free_ops.items():
+        n = int(subject.arities.get(sym, 0))
         for args in itertools.product(ids, repeat=n):
-            expected = {}
-            for a in subject.carrier:
-                expected[a] = []
+            expected = {a: [] for a in subject.carrier}
             for fiber in itertools.product(subject.carrier, repeat=n):
-                out = subject.ops[sym][fiber]
                 deg = q.unit
                 for i, a in zip(args, fiber):
-                    deg = q.mul(deg, subsets[i][a])
-                expected[out].append(deg)
-            values = tuple(q.join(expected[a]) for a in subject.carrier)
-            if table[args] != by_values[values]:
+                    deg = q.mul(deg, fr["subsets"][i][a])
+                expected[subject.ops[sym][fiber]].append(deg)
+            joined = tuple(q.join(expected[a]) for a in subject.carrier)
+            if _cell(table, args, f"free: op {sym!r}") != \
+                    by_values[joined]:
                 raise CertificateTampered(
                     "free-tables", f"free op {sym!r} at {args!r} is not "
                     "the convolution of the subject op", symbol=sym,
@@ -298,8 +287,7 @@ def recheck_certificate(cert) -> list:
     eps = _section(cert, "epsilon")
     for i in ids:
         folded = subject.order.lub(
-            [subject.act(subsets[i][a], a) for a in subject.carrier],
-            "evaluation")
+            [subject.act(v, a) for v, a in zip(values[i], subject.carrier)])
         if eps.get(i) != folded:
             raise CertificateTampered(
                 "evaluation", f"evaluation of {i!r} should be {folded!r}",
@@ -308,35 +296,34 @@ def recheck_certificate(cert) -> list:
 
     nuc = _section(cert, "nucleus")
     for i in ids:
-        values = tuple(subject.residual(a, eps[i])
-                       for a in subject.carrier)
-        if nuc.get(i) != by_values[values]:
+        cone = tuple(subject.residual(a, eps[i]) for a in subject.carrier)
+        if nuc.get(i) != by_values[cone]:
             raise CertificateTampered(
                 "nucleus-definition", f"nucleus at {i!r} is not the "
                 "residual cone over its evaluation", id=i)
+    # A map on a finite poset is monotone when it keeps every covering
+    # pair (Davey and Priestley, Introduction to Lattices and Order).
+    for i, k in _cover_pairs(q, values, by_values):
+        if not fleq(nuc[i], nuc[k]):
+            raise CertificateTampered(
+                "nucleus-axioms", "closure is not monotone", pair=[i, k])
     for i in ids:
-        for k in ids:
-            if free.order.leq(i, k) and not free.order.leq(nuc[i], nuc[k]):
-                raise CertificateTampered(
-                    "nucleus-axioms", "closure is not monotone",
-                    pair=[i, k])
-        if not free.order.leq(i, nuc[i]):
+        if not fleq(i, nuc[i]):
             raise CertificateTampered(
                 "nucleus-axioms", "closure is not inflationary", id=i)
-        if not free.order.leq(nuc[nuc[i]], nuc[i]):
+        if not fleq(nuc[nuc[i]], nuc[i]):
             raise CertificateTampered(
                 "nucleus-axioms", "closure is not weakly idempotent", id=i)
         for s in q.elements:
-            if not free.order.leq(free.act(s, nuc[i]),
-                                  nuc[free.act(s, i)]):
+            if not fleq(free_action[(s, nuc[i])], nuc[free_action[(s, i)]]):
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "
                     "with the action", scalar=s, id=i)
-    for sym, table in free.ops.items():
-        n = int(free.arities.get(sym, 0))
+    for sym, table in free_ops.items():
+        n = int(subject.arities.get(sym, 0))
         for args in itertools.product(ids, repeat=n):
             lifted = table[tuple(nuc[i] for i in args)]
-            if not free.order.leq(lifted, nuc[table[args]]):
+            if not fleq(lifted, nuc[table[args]]):
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "
                     f"with {sym!r}", symbol=sym, args=list(args))
@@ -379,19 +366,19 @@ def recheck_certificate(cert) -> list:
                                   "not the fixed-point set")
     for i in quot.carrier:
         for k in quot.carrier:
-            if quot.order.leq(i, k) != free.order.leq(i, k):
+            if quot.order.leq(i, k) != fleq(i, k):
                 raise CertificateTampered(
                     "quotient-tables", f"quotient order at {(i, k)!r} is "
                     "not restriction", pair=[i, k])
         for s in q.elements:
-            if quot.act(s, i) != nuc[free.act(s, i)]:
+            if quot.act(s, i) != nuc[free_action[(s, i)]]:
                 raise CertificateTampered(
                     "quotient-tables", f"quotient action at {(s, i)!r} is "
                     "not the closed free action", scalar=s, id=i)
     for sym, table in quot.ops.items():
         n = int(quot.arities.get(sym, 0))
         for args in itertools.product(quot.carrier, repeat=n):
-            if table[args] != nuc[free.ops[sym][args]]:
+            if table[args] != nuc[free_ops[sym][args]]:
                 raise CertificateTampered(
                     "quotient-tables", f"quotient op {sym!r} at {args!r} "
                     "is not the closed free op", symbol=sym,
@@ -420,19 +407,18 @@ def recheck_certificate(cert) -> list:
                 raise CertificateTampered(
                     "order-iso", f"residual degree at {(a, b)!r} is "
                     "distorted", pair=[a, b])
-            j = subject.order.lub([a, b], "order-iso")
-            if rho[j] != quot.order.lub([rho[a], rho[b]], "order-iso"):
+            j = subject.order.lub([a, b])
+            if rho[j] != quot.order.lub([rho[a], rho[b]]):
                 raise CertificateTampered(
                     "order-iso", f"join of {(a, b)!r} is not preserved",
                     pair=[a, b])
-    if rho[subject.order.bottom("order-iso")] != \
-            quot.order.bottom("order-iso"):
+    if rho[subject.order.bottom] != quot.order.bottom:
         raise CertificateTampered("order-iso", "bottom is not preserved")
     passed.append("order-iso")
 
     # Every law re-derived above, so the summary must claim exactly that.
     verdict = _section(cert, "verdict")
-    expected = _expected_checks(ids, fixed, subject, free)
+    expected = _expected_checks(ids, fixed, subject, free_ops)
     claimed = _section(cert, "checks")
     if verdict != "PASS" or not _same_claims(claimed, expected):
         raise CertificateTampered(
@@ -448,11 +434,23 @@ def recheck_certificate(cert) -> list:
     return passed
 
 
-def _expected_checks(ids, fixed, subject, free):
+def _cover_pairs(q, values, by_values):
+    """Pairs (i, k) where k raises one coordinate of i by one cover."""
+    above = {a: [b for b in q.elements if a != b and q.order.leq(a, b)]
+             for a in q.elements}
+    covers = {a: [b for b in up if all(b not in above[c] for c in up)]
+              for a, up in above.items()}
+    for i, row in values.items():
+        for p, v in enumerate(row):
+            for b in covers[v]:
+                yield i, by_values[row[:p] + (b,) + row[p + 1:]]
+
+
+def _expected_checks(ids, fixed, subject, free_ops):
     """The `checks` list of a representation run in which every law
     holds; the derived-law flags follow from the nucleus axioms."""
     n = len(ids)
-    total = sum(n ** int(free.arities.get(sym, 0)) for sym in free.ops)
+    total = sum(n ** int(subject.arities.get(sym, 0)) for sym in free_ops)
     if total * max(1, len(subject.carrier)) > limits.HOM_ENUM_BOUND:
         bound = {"status": "SKIPPED", "space": total,
                  "bound": limits.HOM_ENUM_BOUND}

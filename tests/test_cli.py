@@ -158,6 +158,60 @@ def test_validate_rejects_a_bad_qsubset(tmp_path, capsys, field, value,
     assert report["error"]["kind"] == kind
 
 
+def write_with_row(tmp_path, fname, path, row, first=False):
+    doc = json.loads(corpus_text(fname))
+    rows = doc
+    for key in path:
+        rows = rows[key]
+    rows.insert(0 if first else len(rows), row)
+    out = tmp_path / fname
+    out.write_text(json.dumps(doc))
+    return out
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+@pytest.mark.parametrize("path,row", [
+    (("quantales", "two", "mult"), ["1", "1", "0"]),
+    (("modules", "two-self", "action"), ["1", "1", "0"]),
+    (("algebras", "z2", "ops", "mul"), [["g", "g"], "g"]),
+    (("posets", "chain2", "leq"), ["0", "1"]),
+], ids=["mult", "action", "op", "leq"])
+def test_validate_rejects_a_repeated_row(tmp_path, capsys, path, row,
+                                         first):
+    bad = write_with_row(tmp_path, "two-meet.json", path, row, first)
+    code, report = run_json(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+    assert "repeated" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("path,row", [
+    (("quantales", "two", "mult"), ["0", "zz", "1"]),
+    (("modules", "two-self", "action"), ["zz", "0", "1"]),
+    (("algebras", "z2", "ops", "mul"), [["e", "zz"], "e"]),
+], ids=["mult", "action", "op"])
+def test_validate_rejects_a_row_outside_the_carrier(tmp_path, capsys, path,
+                                                    row):
+    bad = write_with_row(tmp_path, "two-meet.json", path, row)
+    code, report = run_json(capsys, "validate", bad)
+    assert code == 2
+    assert report["error"]["kind"] == "UnknownElement"
+    assert "zz" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("fname,path,value", [
+    ("two-meet.json", ("qsubsets",),
+     {"m": {**HEALTHY_QSUBSET, "values": {"0": "0", "1": "1", "zz": "1"}}}),
+    ("non-monotone-nucleus.json", ("nuclei", "skew", "table", "zz"), "0"),
+], ids=["qsubset", "nucleus"])
+def test_validate_rejects_a_label_map_key_outside_the_carrier(
+        tmp_path, capsys, fname, path, value):
+    code, report = run_json(capsys, "validate",
+                            write_mutant(tmp_path, fname, path, value))
+    assert code == 2
+    assert report["error"]["kind"] == "UnknownElement"
+
+
 @pytest.mark.parametrize("elements,leq", [
     ([0, 1], [[0, 0], [0, 1], [1, 1]]),
     (["0", "1"], [[0, 0], [0, 1], [1, 1]]),

@@ -48,6 +48,14 @@ def test_fuzzy_two_point_order_over_lukasiewicz():
         {("x", "x"), ("y", "y")})
 
 
+def test_keys_outside_the_carrier_are_unknown_elements():
+    e = {("x", "x"): "1", ("x", "zz"): "0"}
+    with pytest.raises(errors.UnknownElement, match="zz"):
+        validate_qorder(["x"], L3, e)
+    with pytest.raises(errors.UnknownElement, match="zz"):
+        qsubset(["x"], L3, {"x": "1", "zz": "0"})
+
+
 def test_everywhere_unit_table_breaks_antisymmetry():
     e = {(x, y): "1" for x in ["x", "y"] for y in ["x", "y"]}
     with pytest.raises(errors.AntisymmetryFails):

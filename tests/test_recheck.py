@@ -12,11 +12,18 @@ import json
 
 import pytest
 
-from qsalg.corpus import corpus_text
+from qsalg.cli import main
+from qsalg.corpus import bundled_quantales, corpus_text
 from qsalg.document import loads
-from qsalg.errors import CertificateTampered, ParseError
-from qsalg.recheck import recheck_certificate
+from qsalg.errors import CertificateTampered, NotComplete, ParseError
+from qsalg.lattice import (chain_lattice, complete_lattice, diamond_lattice,
+                           pentagon_lattice, reflexive_transitive_closure)
+from qsalg.omega import (EMPTY_SIGNATURE, validate_omega_algebra,
+                         validate_qmodule_algebra)
+from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
+from qsalg.recheck import _cover_pairs, _Order, _Quantale, recheck_certificate
 from qsalg.representation import representation
+from test_lattice import all_corpus_lattices, labelled_posets
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +306,168 @@ def test_closure_bound_status_follows_the_enumeration_bound(
     monkeypatch.undo()
     with pytest.raises(CertificateTampered):
         recheck_certificate(skipped)
+
+
+# -- oracles for the join table and the covering pairs --------------------
+
+
+def _order(poset):
+    return _Order(poset.elements, sorted(poset.relation), "x-order")
+
+
+def test_join_table_matches_complete_lattice_on_the_corpus():
+    lattices = all_corpus_lattices() + [
+        q.lattice for q in bundled_quantales().values()]
+    for lat in lattices:
+        order = _order(lat.poset)
+        order.check_poset("x-order")
+        assert order.bottom == lat.bottom
+        assert order.join2 == dict(lat.join2)
+
+
+def test_join_table_exists_exactly_on_lattices():
+    # every labelled poset on up to five elements
+    for poset in labelled_posets(5):
+        order = _order(poset)
+        try:
+            lat = complete_lattice(poset)
+        except NotComplete:
+            with pytest.raises(CertificateTampered) as err:
+                order.check_poset("x-order")
+            assert err.value.check == "x-order"
+        else:
+            order.check_poset("x-order")
+            assert (order.bottom, order.join2) == (lat.bottom,
+                                                   dict(lat.join2))
+
+
+def _bare(module):
+    return validate_qmodule_algebra(module, validate_omega_algebra(
+        module.carrier, EMPTY_SIGNATURE, {}))
+
+
+def small_certificates():
+    """Certificates with free size at most 81, over chain and diamond
+    bases and chain, diamond and pentagon carriers."""
+    qs = bundled_quantales()
+    subjects = [_bare(quantale_self_module(qs[name]))
+                for name in ("boolean", "godel3", "lukasiewicz3")]
+    for lat in (chain_lattice(["0", "1", "2", "3"]),
+                chain_lattice(["0", "1", "2", "3", "4", "5"]),
+                diamond_lattice(), pentagon_lattice()):
+        subjects.append(_bare(crisp_module(lat, qs["boolean"])))
+    # the diamond acts on a 2-chain through the up-set of one atom
+    diamond, two = qs["diamond-meet"], chain_lattice(["0", "1"])
+    atom = next(a for a in diamond.elements
+                if a not in (diamond.bottom, diamond.top))
+    subjects.append(_bare(validate_qmodule(two, diamond, {
+        (q, a): a if diamond.leq(atom, q) else "0"
+        for q in diamond.elements for a in two.elements})))
+    # Goedel 3 acts on a 4-chain by meet, embedded as 0 < 2 < 3
+    godel, chain4 = qs["godel3"], chain_lattice(["0", "1", "2", "3"])
+    embed = dict(zip(godel.elements, "023"))
+    subjects.append(_bare(validate_qmodule(chain4, godel, {
+        (q, a): min(embed[q], a) for q in godel.elements
+        for a in chain4.elements})))
+    for name in ("two-meet.json", "luk3-self.json"):
+        subjects.append(loads(corpus_text(name)).qmodule_algebra("subject"))
+    return [json.loads(json.dumps(representation(s))) for s in subjects]
+
+
+def test_cover_pairs_generate_the_coordinatewise_order():
+    sizes = []
+    for cert in small_certificates():
+        q = _Quantale(cert["quantale"])
+        q.verify()
+        carrier = cert["subject"]["carrier"]
+        ids = cert["free"]["ids"]
+        values = {i: tuple(cert["free"]["subsets"][i][a] for a in carrier)
+                  for i in ids}
+        by_values = {row: i for i, row in values.items()}
+        pairs = set(_cover_pairs(q, values, by_values))
+        assert all(i != k for i, k in pairs)
+        coordinatewise = {(i, k) for i in ids for k in ids if all(
+            q.order.leq(a, b) for a, b in zip(values[i], values[k]))}
+        assert reflexive_transitive_closure(ids, pairs) == coordinatewise
+        sizes.append(len(ids))
+    assert max(sizes) == 81 and min(sizes) == 4
+
+
+# -- each quantale law broken alone ---------------------------------------
+
+
+def _chain_quantale(elements, unit, mult):
+    return {"elements": elements, "unit": unit,
+            "leq": [[a, b] for k, a in enumerate(elements)
+                    for b in elements[k:]],
+            "mult": [[a, b, mult(a, b)] for a in elements for b in elements]}
+
+
+BROKEN_QUANTALES = [
+    # left unit, absorbing, associative, distributive: only 1*2 != 2*1
+    ("commutative", _chain_quantale(
+        ["0", "1", "2"], "2", lambda a, b: b if a == "2" else "0"),
+     "not commutative"),
+    ("associative", json.loads(corpus_text("broken-assoc.json"))[
+        "quantales"]["broken"], ""),
+    ("unital", _chain_quantale(["0", "1"], "1", lambda a, b: "0"),
+     "unit action fails"),
+    # commutative and associative, but 1*(1 v 2) = 0 < 1 = 1*1 v 1*2
+    ("distributive", _chain_quantale(
+        ["0", "1", "2", "3"], "3",
+        lambda a, b: ("0" if "0" in (a, b) else b if a == "3" else
+                      a if b == "3" else "1" if a == b == "1" else
+                      "2" if a == b == "2" else "0")),
+     "distribute"),
+]
+
+
+@pytest.mark.parametrize("law,section,words", BROKEN_QUANTALES,
+                         ids=[b[0] for b in BROKEN_QUANTALES])
+def test_each_broken_quantale_law_is_caught(luk3_cert, law, section,
+                                            words):
+    cert = copy.deepcopy(luk3_cert)
+    cert["quantale"] = section
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.check == "quantale-laws"
+    assert words in str(err.value)
+
+
+def test_a_leq_deletion_without_a_join_is_an_order_failure(luk3_cert):
+    # 0 <= 1/2 and 0 <= 1 with 1/2, 1 incomparable: a poset, no join
+    cert = copy.deepcopy(luk3_cert)
+    cert["quantale"]["leq"].remove(["1/2", "1"])
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.check == "quantale-order"
+    assert "no unique join" in str(err.value)
+
+
+# -- a repeated row is malformed, whatever its place ----------------------
+
+REPEATABLE = [("quantale", "mult"), ("subject", "action"),
+              ("free", "action"), ("quotient", "action"),
+              ("subject", "leq")]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+@pytest.mark.parametrize("section,table", REPEATABLE + [("free", "ops")],
+                         ids=[".".join(t) for t in REPEATABLE]
+                         + ["free.ops"])
+def test_a_repeated_row_is_a_parse_error(boolean_cert, tmp_path, capsys,
+                                         section, table, first):
+    cert = copy.deepcopy(boolean_cert)
+    rows = cert[section][table]
+    if table == "ops":
+        (rows,) = rows.values()
+    row = copy.deepcopy(rows[0])
+    if table != "leq":  # a conflicting value, not a copy
+        row[-1] = next(r[-1] for r in rows if r[-1] != row[-1])
+    rows.insert(0 if first else len(rows), row)
+    with pytest.raises(ParseError, match="repeated"):
+        recheck_certificate(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["recheck", str(path)]) == 2
+    capsys.readouterr()
