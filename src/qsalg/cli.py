@@ -372,7 +372,7 @@ def cmd_recheck(ns):
     report = _report("recheck", {"file": ns.file}, [ns.file])
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=document.unique_keys)
     except (OSError, json.JSONDecodeError) as err:
         raise ParseError(f"cannot read certificate: {err}") from err
     certs = _find_certificates(raw)

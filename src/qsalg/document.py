@@ -4,7 +4,7 @@ A document is one JSON object, format "qsalg/1", with named declarations
 grouped by section.  Order relations come as pair lists, multiplication
 and actions as triple lists, operations as [args, value] rows.  Labels
 and references are strings, arities non-negative integers, `lax` a boolean.
-A key given twice in one table is a ParseError, whatever its values.
+A key given twice in a table or a JSON object is a ParseError.
 Every name used inside a declaration must be declared in the same
 document.
 
@@ -287,9 +287,19 @@ class Document:
                        else section[:-1])(name)
 
 
+def unique_keys(pairs):
+    """`object_pairs_hook` for json: a repeated key is a ParseError."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"repeated JSON key {repeated!r}")
+    return out
+
+
 def loads(text, close=False, lax_modules=False) -> Document:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"not valid JSON: {err}") from err
     return Document(raw, close=close, lax_modules=lax_modules)

@@ -290,9 +290,10 @@ def free_qsup_algebra(base: FiniteQuantale,
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
-      sends to y, the products of the argument degrees at xs.  With the
-      other slots pinned, each product has the free slot's degree as a
-      factor, so the slot preserves joins by distributivity (bottom
+      sends to y, the products of the argument degrees at xs (over Q's
+      element indices, from the first factor on: unit * x = x).  With
+      the other slots pinned, each product has the free slot's degree
+      as a factor, so the slot preserves joins by distributivity (bottom
       absorbs) and the action by associativity and commutativity;
     - eta sends a to the point with degree unit at a.  Since unit * unit
       = unit and bottom absorbs, a product of points is the point at the
@@ -307,32 +308,38 @@ def free_qsup_algebra(base: FiniteQuantale,
     atlas = dict(zip(ids, subsets))
     id_of = {m.values: i for i, m in zip(ids, subsets)}
 
-    up = {a: [b for b in base.elements if base.leq(a, b)]
-          for a in base.elements}
-    rel = frozenset((i, id_of[above]) for i in ids for above in
-                    itertools.product(*(up[v] for v in atlas[i].values)))
-    mult, join2 = base.mult, base.lattice.join2
-    bottom, unit = base.bottom, base.unit
-    action = {(q, i): id_of[tuple(mult[(q, v)] for v in atlas[i].values)]
-              for q in base.elements for i in ids}
+    # The subsets come in product order, as do their index coordinates.
+    els, k = base.elements, len(base.elements)
+    index = {a: v for v, a in enumerate(els)}
+    mul = [index[base.mult[(a, b)]] for a in els for b in els]
+    join = [index[base.lattice.join2[(a, b)]] for a in els for b in els]
+    coords = list(itertools.product(range(k), repeat=len(gens)))
+    id_at = dict(zip(coords, ids))
 
-    pos = {a: k for k, a in enumerate(gens)}
+    up = [[index[b] for b in els if base.leq(a, b)] for a in els]
+    rel = frozenset((i, id_at[above]) for i, row in zip(ids, coords)
+                    for above in itertools.product(*(up[v] for v in row)))
+    action = {(q, i): id_at[tuple([mul[s * k + v] for v in row])]
+              for s, q in enumerate(els) for i, row in zip(ids, coords)}
+
+    pos = {a: x for x, a in enumerate(gens)}
+    bottom, unit = index[base.bottom], index[base.unit]
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
         # (coordinates of the arguments, coordinate of their image)
-        fibres = [(xs, pos[generators.apply(sym, [gens[k] for k in xs])])
+        fibres = [(xs, pos[generators.apply(sym, [gens[x] for x in xs])])
                   for xs in itertools.product(range(len(gens)), repeat=n)]
         table = {}
-        for arg_ids in itertools.product(ids, repeat=n):
-            args = [atlas[i].values for i in arg_ids]
+        for arg_ids, rows in zip(itertools.product(ids, repeat=n),
+                                 itertools.product(coords, repeat=n)):
             out = [bottom] * len(gens)
             for xs, y in fibres:
-                prod = args[0][xs[0]] if n else unit  # unit * x = x: skip it
+                prod = rows[0][xs[0]] if n else unit  # unit * x = x: skip it
                 for j in range(1, n):
-                    prod = mult[(prod, args[j][xs[j]])]
-                out[y] = join2[(out[y], prod)]
-            table[arg_ids] = id_of[tuple(out)]
+                    prod = mul[prod * k + rows[j][xs[j]]]
+                out[y] = join[out[y] * k + prod]
+            table[arg_ids] = id_at[tuple(out)]
         ops[sym] = table
 
     module = QModule(complete_lattice(FinitePoset(ids, rel)), base, action)
@@ -384,9 +391,8 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
         mod.lattice.poset.check_element(f[a], "generator image")
     table = {}
     for i in free.ids:
-        m = free.atlas[i]
-        table[i] = mod.lattice.join(
-            mod.act(m(a), f[a]) for a in free.generators.carrier)
+        table[i] = mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
+            free.atlas[i].values, free.generators.carrier))
     for a in free.generators.carrier:
         if table[free.eta[a]] != f[a]:
             raise InternalInconsistency(

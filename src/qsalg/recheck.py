@@ -2,8 +2,8 @@
 
 This module deliberately imports nothing from the construction side of
 the package.  Every law is re-derived from the tables the certificate
-embeds, using plain dictionary and set arithmetic, so a PASS here vouches
-for the certificate without trusting the code that produced it.
+embeds, using plain dictionary, list and set arithmetic, so a PASS here
+vouches for the certificate without trusting the code that produced it.
 
 The first violated claim raises CertificateTampered naming the check; a
 structurally unusable certificate (missing sections, partial tables,
@@ -15,6 +15,8 @@ path: the quantale is checked as a module over itself, and each order's
 joins come from one table built from up-sets.  The free object's order
 is not shipped: two ids compare coordinate by coordinate, from
 `free.subsets`, and the nucleus is checked monotone on covering pairs.
+The free tables are checked over Q's element indices; a fibre product
+starts at its first factor, as the unit law is checked first.
 """
 
 from __future__ import annotations
@@ -147,6 +149,13 @@ class _Quantale:
                     raise CertificateTampered(
                         "quantale-laws", f"multiplication not commutative "
                         f"at {(a, b)!r}", pair=[a, b])
+        # Once verified, its tables over the indices 0..m-1, at a * m + b.
+        els = self.elements
+        self.index = {a: k for k, a in enumerate(els)}
+        self.imul = [self.index[self.mul(a, b)] for a in els for b in els]
+        self.ijoin = [self.index[self.order.join2[(a, b)]]
+                      for a in els for b in els]
+        self.ileq = [self.order.leq(a, b) for a in els for b in els]
 
 
 class _ModuleSide:
@@ -242,11 +251,13 @@ def recheck_certificate(cert) -> list:
         raise CertificateTampered(
             "free-tables", "free carrier does not exhaust the fuzzy "
             "subsets", ids=len(ids))
+    m, index, carrier = len(q.elements), q.index, subject.carrier
+    mul, join, leq = q.imul, q.ijoin, q.ileq
     values = {}
     for i in ids:
-        values[i] = tuple(fr["subsets"][i].get(a) for a in subject.carrier)
+        values[i] = tuple(index.get(fr["subsets"][i].get(a)) for a in carrier)
         if None in values[i]:
-            raise ParseError(f"free subset {i!r} is partial")
+            raise ParseError(f"free subset {i!r} is partial or leaves Q")
     by_values = {row: i for i, row in values.items()}
     if len(by_values) != len(ids):
         raise CertificateTampered("free-tables", "two free ids share a "
@@ -254,30 +265,35 @@ def recheck_certificate(cert) -> list:
     # The free side shares the subject's signature; its carrier is the
     # ids, ordered coordinate by coordinate.
     def fleq(i, k):
-        return all(map(q.order.leq, values[i], values[k]))
+        return all([leq[a * m + b] for a, b in zip(values[i], values[k])])
 
     free_action = _table3(fr["action"], "free")
     free_ops = _ops_tables(fr["ops"], "free-ops")
     for i in ids:
-        for s in q.elements:
-            scaled = tuple(q.mul(s, v) for v in values[i])
+        for k, s in enumerate(q.elements):
+            scaled = tuple([mul[k * m + v] for v in values[i]])
             if _cell(free_action, (s, i), "free: action") != \
                     by_values[scaled]:
                 raise CertificateTampered(
                     "free-tables", f"free action at {(s, i)!r} is not "
                     "pointwise multiplication", scalar=s, id=i)
+    # Coordinate y of an op's value joins the products over its fibres.
+    pos = {a: y for y, a in enumerate(carrier)}
+    bottom, unit = index[q.order.bottom], index[q.unit]
     for sym, table in free_ops.items():
         n = int(subject.arities.get(sym, 0))
+        fibres = [(xs, pos[subject.ops[sym][tuple(carrier[x] for x in xs)]])
+                  for xs in itertools.product(range(len(carrier)), repeat=n)]
         for args in itertools.product(ids, repeat=n):
-            expected = {a: [] for a in subject.carrier}
-            for fiber in itertools.product(subject.carrier, repeat=n):
-                deg = q.unit
-                for i, a in zip(args, fiber):
-                    deg = q.mul(deg, fr["subsets"][i][a])
-                expected[subject.ops[sym][fiber]].append(deg)
-            joined = tuple(q.join(expected[a]) for a in subject.carrier)
+            rows = [values[i] for i in args]
+            out = [bottom] * len(carrier)
+            for xs, y in fibres:
+                p = rows[0][xs[0]] if n else unit
+                for j in range(1, n):
+                    p = mul[p * m + rows[j][xs[j]]]
+                out[y] = join[out[y] * m + p]
             if _cell(table, args, f"free: op {sym!r}") != \
-                    by_values[joined]:
+                    by_values[tuple(out)]:
                 raise CertificateTampered(
                     "free-tables", f"free op {sym!r} at {args!r} is not "
                     "the convolution of the subject op", symbol=sym,
@@ -286,8 +302,8 @@ def recheck_certificate(cert) -> list:
 
     eps = _section(cert, "epsilon")
     for i in ids:
-        folded = subject.order.lub(
-            [subject.act(v, a) for v, a in zip(values[i], subject.carrier)])
+        folded = subject.order.lub([subject.act(q.elements[v], a)
+                                    for v, a in zip(values[i], carrier)])
         if eps.get(i) != folded:
             raise CertificateTampered(
                 "evaluation", f"evaluation of {i!r} should be {folded!r}",
@@ -295,9 +311,11 @@ def recheck_certificate(cert) -> list:
     passed.append("evaluation")
 
     nuc = _section(cert, "nucleus")
+    # The residual cone over each subject element, as a free id.
+    cone = {b: by_values[tuple(index[subject.residual(a, b)]
+                               for a in carrier)] for b in carrier}
     for i in ids:
-        cone = tuple(subject.residual(a, eps[i]) for a in subject.carrier)
-        if nuc.get(i) != by_values[cone]:
+        if nuc.get(i) != cone[eps[i]]:
             raise CertificateTampered(
                 "nucleus-definition", f"nucleus at {i!r} is not the "
                 "residual cone over its evaluation", id=i)
@@ -342,9 +360,7 @@ def recheck_certificate(cert) -> list:
     if len(set(rho.values())) != len(subject.carrier):
         raise CertificateTampered("fixed-points", "embedding not injective")
     for a in subject.carrier:
-        expected = by_values[tuple(subject.residual(x, a)
-                                   for x in subject.carrier)]
-        if rho.get(a) != expected:
+        if rho.get(a) != cone[a]:
             raise CertificateTampered(
                 "fixed-points", f"embedding of {a!r} is not its residual "
                 "cone", element=a)
@@ -436,10 +452,11 @@ def recheck_certificate(cert) -> list:
 
 def _cover_pairs(q, values, by_values):
     """Pairs (i, k) where k raises one coordinate of i by one cover."""
-    above = {a: [b for b in q.elements if a != b and q.order.leq(a, b)]
-             for a in q.elements}
-    covers = {a: [b for b in up if all(b not in above[c] for c in up)]
-              for a, up in above.items()}
+    m = len(q.elements)
+    above = [[b for b in range(m) if a != b and q.ileq[a * m + b]]
+             for a in range(m)]
+    covers = [[b for b in up if all(b not in above[c] for c in up)]
+              for up in above]
     for i, row in values.items():
         for p, v in enumerate(row):
             for b in covers[v]:

@@ -218,19 +218,26 @@ def _closure_bound_check(subject, free, eps, table):
     if total * max(1, len(mod.carrier)) > limits.HOM_ENUM_BOUND:
         return {"name": "closure-bound", "status": "SKIPPED",
                 "space": total, "bound": limits.HOM_ENUM_BOUND}
+    # Action, order and closed subsets over Q's and the carrier's indices.
+    carrier, c = mod.carrier, len(mod.carrier)
+    at = {a: x for x, a in enumerate(carrier)}
+    degree = {s: v for v, s in enumerate(mod.base.elements)}
+    act = [at[mod.act(s, a)] for s in mod.base.elements for a in carrier]
+    leq = [mod.lattice.leq(a, b) for a in carrier for b in carrier]
+    rows = {i: [degree[v] for v in free.atlas[i].values] for i in free.ids}
     for sym in alg.signature.symbols:
         n = alg.signature.arity(sym)
         for args in itertools.product(free.ids, repeat=n):
-            closed = alg.apply(sym, tuple(table[i] for i in args))
-            target = eps.table[alg.apply(sym, args)]
-            w = free.atlas[closed]
-            for a in mod.carrier:
-                if not mod.lattice.leq(mod.act(w(a), a), target):
+            closed = rows[alg.apply(sym, tuple(table[i] for i in args))]
+            target = at[eps.table[alg.apply(sym, args)]]
+            for x, v in enumerate(closed):
+                scaled = act[v * c + x]
+                if not leq[scaled * c + target]:
                     raise TheoremFails(
                         "an operation over closed subsets escapes the "
                         "evaluation bound",
-                        symbol=sym, args=list(args), element=a,
-                        scaled=mod.act(w(a), a), bound=target)
+                        symbol=sym, args=list(args), element=carrier[x],
+                        scaled=carrier[scaled], bound=carrier[target])
     return {"name": "closure-bound", "status": "PASS", "tuples": total}
 
 

@@ -462,6 +462,50 @@ def test_recheck_truncated_file_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def with_repeated_key(doc, path, key, value, first):
+    """The JSON text of `doc` with a second copy of `key`, holding
+    `value`, written into the object at `path`, before or after the
+    first copy.  Parsed naively, the last copy would win."""
+    *outer, last = path
+    host = doc
+    for step in outer:
+        host = host[step]
+    pairs = list(host[last].items())
+    pairs.insert(0 if first else len(pairs), (key, value))
+    host[last] = "@"
+    return json.dumps(doc).replace('"@"', "{%s}" % ", ".join(
+        f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs))
+
+
+# A conflicting copy put first parses as the shipped file (which fails
+# with exit 1), put last as a monotone table (which validates).
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_validate_rejects_a_repeated_json_key(tmp_path, capsys, first):
+    doc = json.loads(corpus_text("non-monotone-nucleus.json"))
+    path = tmp_path / "doc.json"
+    path.write_text(with_repeated_key(
+        doc, ("nuclei", "skew", "table"), "1", "2", first))
+    code, report = run_json(capsys, "validate", path)
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+    assert "repeated JSON key '1'" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_recheck_rejects_a_repeated_json_key(tmp_path, capsys, first):
+    _, report = run_json(capsys, "check", corpus_path("two-meet.json"),
+                         "--theorem", "representation")
+    cert = report["checks"][0]["certificate"]
+    key, value = next(iter(cert["nucleus"].items()))
+    other = next(i for i in cert["free"]["ids"] if i != value)
+    path = tmp_path / "cert.json"
+    path.write_text(with_repeated_key(cert, ("nucleus",), key, other, first))
+    code, report = run_json(capsys, "recheck", path)
+    assert code == 2
+    assert report["error"]["kind"] == "ParseError"
+    assert f"repeated JSON key {key!r}" in report["error"]["message"]
+
+
 def test_recheck_without_certificates_is_exit_2(capsys):
     code, out = run(capsys, "recheck", corpus_path("lattices.json"))
     assert code == 2

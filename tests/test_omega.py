@@ -6,6 +6,8 @@ import pytest
 
 from qsalg import errors
 from qsalg import omega as omega_module
+from qsalg.corpus import corpus_text
+from qsalg.document import loads
 from qsalg.lattice import (
     StructureMap,
     chain_lattice,
@@ -276,23 +278,54 @@ def definition_level_free(free):
                                        for v in atlas[i].values)]
               for q in base.elements for i in free.ids}
     module = validate_qmodule(lat, base, action)
-    ops = {}
-    for sym in gens.signature.symbols:
-        n = gens.signature.arity(sym)
-        table = {}
-        for arg_ids in itertools.product(free.ids, repeat=n):
-            args = [atlas[i] for i in arg_ids]
-            out = {a: [] for a in gens.carrier}
-            for xs in itertools.product(gens.carrier, repeat=n):
-                prod = base.unit
-                for m, x in zip(args, xs):
-                    prod = base.mul(prod, m(x))
-                out[gens.apply(sym, xs)].append(prod)
-            table[arg_ids] = free.id_of[tuple(base.join(out[a])
-                                              for a in gens.carrier)]
-        ops[sym] = table
+    ops = {sym: label_convolution(free, sym) for sym in gens.signature.symbols}
     algebra = validate_omega_algebra(free.ids, gens.signature, ops)
     return validate_qmodule_algebra(module, algebra)
+
+
+def label_convolution(free, sym):
+    """The free op table from its definition, on labels: coordinate y of
+    the value joins, over the xs that the generator op sends to y, the
+    products of the argument degrees at xs, each product starting from
+    the unit.  It shares no code with the build's index kernel."""
+    base, gens = free.base, free.generators
+    mult, join2 = base.mult, base.lattice.join2
+    n = gens.signature.arity(sym)
+    table = {}
+    for arg_ids in itertools.product(free.ids, repeat=n):
+        degrees = [free.atlas[i].table() for i in arg_ids]
+        out = {y: base.bottom for y in gens.carrier}
+        for xs in itertools.product(gens.carrier, repeat=n):
+            prod = base.unit
+            for degree, x in zip(degrees, xs):
+                prod = mult[(prod, degree[x])]
+            y = gens.apply(sym, xs)
+            out[y] = join2[(out[y], prod)]
+        table[arg_ids] = free.id_of[tuple(out[y] for y in gens.carrier)]
+    return table
+
+
+def luk3_with_a_constant():
+    """The luk3-self subject with a nullary constant next to its binary
+    op: no corpus file declares a nullary symbol."""
+    subject = loads(corpus_text("luk3-self.json")).qmodule_algebra("subject")
+    alg = subject.algebra
+    sig = signature({**alg.signature.arities, "half": 0})
+    ops = {**alg.ops, "half": {(): "1/2"}}
+    return validate_qmodule_algebra(subject.module, validate_omega_algebra(
+        subject.carrier, sig, ops))
+
+
+def test_free_op_tables_match_the_label_convolution(all_subjects):
+    subjects = [s for _, s in all_subjects if s.algebra.signature.symbols]
+    assert len(subjects) == 99 + 2
+    for subject in subjects + [luk3_with_a_constant()]:
+        free = free_qsup_algebra(subject.base, subject.algebra)
+        for sym in subject.algebra.signature.symbols:
+            assert dict(free.module_algebra.algebra.ops[sym]) == \
+                label_convolution(free, sym), sym
+    # the free constant is the point at the subject's constant
+    assert free.module_algebra.algebra.apply("half", ()) == free.eta["1/2"]
 
 
 def test_free_build_matches_the_definition(all_subjects):

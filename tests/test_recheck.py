@@ -24,6 +24,7 @@ from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
 from qsalg.recheck import _cover_pairs, _Order, _Quantale, recheck_certificate
 from qsalg.representation import representation
 from test_lattice import all_corpus_lattices, labelled_posets
+from test_omega import luk3_with_a_constant
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +309,52 @@ def test_closure_bound_status_follows_the_enumeration_bound(
         recheck_certificate(skipped)
 
 
+# -- every free table cell, replaced by every other id --------------------
+
+
+def _free_rows(cert, path):
+    rows = cert["free"]
+    for step in path:
+        rows = rows[step]
+    return rows
+
+
+def test_every_free_op_and_action_cell_is_checked(boolean_cert):
+    # each table, with the witness fields a tampered row must fail with
+    tables = [(("action",), lambda row: {"scalar": row[0], "id": row[1]})]
+    tables += [(("ops", sym), lambda row, sym=sym: {"symbol": sym,
+                                                    "args": row[0]})
+               for sym in boolean_cert["free"]["ops"]]
+    tried = 0
+    for path, fields in tables:
+        for k, row in enumerate(_free_rows(boolean_cert, path)):
+            for other in boolean_cert["free"]["ids"]:
+                if other == row[-1]:
+                    continue
+                cert = copy.deepcopy(boolean_cert)
+                _free_rows(cert, path)[k][-1] = other
+                with pytest.raises(CertificateTampered) as err:
+                    recheck_certificate(cert)
+                assert err.value.check == "free-tables"
+                assert err.value.witness == {"check": "free-tables",
+                                             **fields(row)}
+                tried += 1
+    # 8 action cells and 16 cells of the one binary op, 3 other ids each
+    assert tried == (8 + 16) * 3
+
+
+def test_a_nullary_constant_certificate_rechecks():
+    cert = json.loads(json.dumps(representation(luk3_with_a_constant())))
+    point = "{0:0,1/2:1,1:0}"  # the free constant: the point at 1/2
+    assert cert["free"]["ops"]["half"] == [[[], point]]
+    assert recheck_certificate(cert)[-1] == "verdict"
+    cert["free"]["ops"]["half"][0][1] = cert["rho"]["1/2"]
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.witness == {"check": "free-tables", "symbol": "half",
+                                 "args": []}
+
+
 # -- oracles for the join table and the covering pairs --------------------
 
 
@@ -381,13 +428,14 @@ def test_cover_pairs_generate_the_coordinatewise_order():
         q.verify()
         carrier = cert["subject"]["carrier"]
         ids = cert["free"]["ids"]
-        values = {i: tuple(cert["free"]["subsets"][i][a] for a in carrier)
-                  for i in ids}
+        values = {i: tuple(q.index[cert["free"]["subsets"][i][a]]
+                           for a in carrier) for i in ids}
         by_values = {row: i for i, row in values.items()}
         pairs = set(_cover_pairs(q, values, by_values))
         assert all(i != k for i, k in pairs)
         coordinatewise = {(i, k) for i in ids for k in ids if all(
-            q.order.leq(a, b) for a, b in zip(values[i], values[k]))}
+            q.order.leq(q.elements[a], q.elements[b])
+            for a, b in zip(values[i], values[k]))}
         assert reflexive_transitive_closure(ids, pairs) == coordinatewise
         sizes.append(len(ids))
     assert max(sizes) == 81 and min(sizes) == 4
