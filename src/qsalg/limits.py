@@ -1,7 +1,8 @@
 """Shared enumeration bounds.
 
-Law checks never enumerate fuzzy subsets, so no verdict depends on a
-bound.  The bounds below only cap what is materialized in full: the
+Law checks never enumerate fuzzy subsets, so no verdict and no
+certificate claim depends on a bound, and `recheck` reads none of them.
+The bounds below only cap what is materialized in full: the
 free object and the fuzzy powerset (`threshold()`, which the
 QSALG_THRESHOLD environment variable can move; every report echoes the
 value in force), homomorphism search and nucleus enumeration.

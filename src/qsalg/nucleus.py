@@ -42,7 +42,13 @@ class Nucleus:
 
 
 def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
-    """Check the five nucleus axioms; first failure wins, with a witness."""
+    """Check the five nucleus axioms; first failure wins, with a witness.
+
+    For the canonical closure j on a free object, op-compatibility
+    w(j a1 .. j an) <= j(w(a1 .. an)) *is* the paper's closure bound:
+    as the action distributes over scalar joins, q <= j(b)(x) exactly
+    when q * x <= e(b), the evaluation (Stubbe, TAC 16, 2006).
+    """
     mod, alg = host.module, host.algebra
     lat = mod.lattice
     for a in host.carrier:

@@ -5,15 +5,22 @@ import itertools
 import pytest
 
 from qsalg import limits
+from qsalg.corpus import corpus_text
+from qsalg.document import loads
 from qsalg.errors import AxiomFails, InternalInconsistency, TooLarge
 from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import derived_laws, enumerate_nuclei, is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
+    OmegaAlgebra,
+    QModuleAlgebra,
+    counit_map,
+    free_qsup_algebra,
     signature,
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
+from qsalg.representation import canonical_closure
 from qsalg.quantale import boolean_quantale, lukasiewicz_chain
 from qsalg.qmodule import crisp_module, quantale_self_module
 
@@ -228,3 +235,62 @@ def test_enumeration_respects_the_bound(monkeypatch):
         enumerate_nuclei(host)
     monkeypatch.setattr(limits, "ENDOMAP_BOUND", 256)
     assert len(enumerate_nuclei(host)) == 8
+
+
+# -- the op-compatible axiom is the closure bound ---------------------------
+
+
+def residual_form_failure(subject, free, eps, table, alg):
+    """The paper's closure bound in its residual form, by definition:
+    every coordinate of an operation over closed subsets, acting on its
+    generator, stays below the evaluation of the raw result.  Returns
+    the first (symbol, args) where it fails, or None."""
+    mod = subject.module
+    for sym in alg.signature.symbols:
+        n = alg.signature.arity(sym)
+        for args in itertools.product(free.ids, repeat=n):
+            closed = free.atlas[alg.apply(sym, tuple(table[i]
+                                                     for i in args))]
+            bound = eps.table[alg.apply(sym, args)]
+            for x, q in zip(mod.carrier, closed.values):
+                if not mod.lattice.leq(mod.act(q, x), bound):
+                    return sym, args
+    return None
+
+
+@pytest.mark.parametrize("name,last_first,edits,breaking", [
+    ("two-meet.json", False, 48, 12),
+    ("luk3-self.json", True, 702, 240),
+])
+def test_op_compatible_fails_exactly_where_the_closure_bound_does(
+        name, last_first, edits, breaking):
+    # Single-cell edits of the free op table, on the canonical closure:
+    # every cell of two-meet's, and for luk3-self the cells whose first
+    # argument is the last free id.
+    subject = loads(corpus_text(name)).qmodule_algebra("subject")
+    free = free_qsup_algebra(subject.module.base, subject.algebra)
+    eps = counit_map(free, subject)
+    table = canonical_closure(free, eps)
+    host = free.module_algebra
+    (sym,) = host.algebra.signature.symbols
+    cells = host.algebra.ops[sym]
+    tried = broken = 0
+    for args, value in cells.items():
+        if last_first and args[0] != free.ids[-1]:
+            continue
+        for other in free.ids:
+            if other == value:
+                continue
+            alg = OmegaAlgebra(host.carrier, host.algebra.signature,
+                               {sym: {**cells, args: other}})
+            expected = residual_form_failure(subject, free, eps, table, alg)
+            try:
+                is_nucleus(QModuleAlgebra(host.module, alg), table)
+                found = None
+            except AxiomFails as err:
+                assert err.axiom == "op-compatible"
+                found = err.witness["symbol"], tuple(err.witness["args"])
+            assert found == expected, (args, other)
+            tried += 1
+            broken += expected is not None
+    assert (tried, broken) == (edits, breaking)

@@ -191,9 +191,21 @@ def test_single_edits_are_caught(luk3_cert, mutate, expected):
 
 
 def test_wrong_format_is_a_parse_error(luk3_cert):
+    # /1 shipped the free order; /2 claimed the closure bound on its own
+    for old in ("qsalg-cert/1", "qsalg-cert/2"):
+        cert = copy.deepcopy(luk3_cert)
+        cert["format"] = old
+        with pytest.raises(ParseError):
+            recheck_certificate(cert)
+
+
+@pytest.mark.parametrize("section,key", [("quantale", "elements"),
+                                         ("subject", "carrier"),
+                                         ("quotient", "carrier")])
+def test_a_repeated_element_is_a_parse_error(luk3_cert, section, key):
     cert = copy.deepcopy(luk3_cert)
-    cert["format"] = "qsalg-cert/1"
-    with pytest.raises(ParseError):
+    cert[section][key].append(cert[section][key][0])
+    with pytest.raises(ParseError, match="repeated element"):
         recheck_certificate(cert)
 
 
@@ -212,7 +224,7 @@ def test_missing_section_is_a_parse_error(luk3_cert):
 
 
 def test_rechecker_imports_no_construction_modules():
-    # Of the package, only the bounds and the error types.
+    # Of the package, only the error types.
     import qsalg.recheck as mod
     imported = set()
     for node in ast.walk(ast.parse(open(mod.__file__).read())):
@@ -229,7 +241,7 @@ def test_rechecker_imports_no_construction_modules():
                 imported.add(name.split(".")[0])
             else:
                 imported |= {a.name for a in node.names}
-    assert imported <= {"limits", "errors"}, imported
+    assert imported == {"errors"}, imported
 
 
 def test_a_certificate_is_json_native(boolean_cert):
@@ -261,7 +273,7 @@ def test_every_claim_field_is_bound(request, cert_name):
     fresh = request.getfixturevalue(cert_name)
     assert {key for check in fresh["checks"] for key in check} >= {
         "name", "status", "carrier", "join_law_checked", "op_law",
-        "fixed_points", "tuples"}
+        "fixed_points"}
     for k, check in enumerate(fresh["checks"]):
         for key, old in check.items():
             for value in _edited(old):
@@ -288,25 +300,6 @@ def test_threshold_is_not_a_verified_claim(boolean_cert):
     cert = copy.deepcopy(boolean_cert)
     cert["meta"]["threshold"] += 1
     assert recheck_certificate(cert)[-1] == "verdict"
-
-
-def test_closure_bound_status_follows_the_enumeration_bound(
-        boolean_cert, monkeypatch):
-    from qsalg import limits
-    monkeypatch.setattr(limits, "HOM_ENUM_BOUND", 10)
-    doc = loads(corpus_text("two-meet.json"))
-    skipped = json.loads(json.dumps(
-        representation(doc.qmodule_algebra("subject"))))
-    assert skipped["checks"][-1] == {
-        "name": "closure-bound", "status": "SKIPPED", "space": 16,
-        "bound": 10}
-    assert recheck_certificate(skipped)[-1] == "verdict"
-    # each certificate's claim only holds under the bound it was made with
-    with pytest.raises(CertificateTampered):
-        recheck_certificate(copy.deepcopy(boolean_cert))
-    monkeypatch.undo()
-    with pytest.raises(CertificateTampered):
-        recheck_certificate(skipped)
 
 
 # -- every free table cell, replaced by every other id --------------------
@@ -519,3 +512,134 @@ def test_a_repeated_row_is_a_parse_error(boolean_cert, tmp_path, capsys,
     path.write_text(json.dumps(cert))
     assert main(["recheck", str(path)]) == 2
     capsys.readouterr()
+
+
+# -- one signature: every side's op tables name exactly its symbols -------
+
+
+def _empty_ops(*sections):
+    def edit(c):
+        for section in sections:
+            c[section]["ops"] = {}
+    return edit
+
+
+def _set_arity(section, sym, value):
+    def edit(c):
+        c[section]["arities"][sym] = value
+    return edit
+
+
+def _extra_free_op(c):
+    c["free"]["ops"]["zz"] = copy.deepcopy(c["free"]["ops"]["mult"])
+
+
+SIGNATURE_EDITS = [
+    ("subject.ops empty", _empty_ops("subject")),
+    ("free.ops empty", _empty_ops("free")),
+    ("quotient.ops empty", _empty_ops("quotient")),
+    ("all ops empty", _empty_ops("subject", "free", "quotient")),
+    ("free.ops extra symbol", _extra_free_op),
+    ("subject arity string", _set_arity("subject", "mult", "2")),
+    ("subject arity float", _set_arity("subject", "mult", 2.0)),
+    ("subject arity negative", _set_arity("subject", "mult", -1)),
+    ("quotient arity string", _set_arity("quotient", "mult", "2")),
+    ("quotient arity float", _set_arity("quotient", "mult", 2.0)),
+    ("quotient arity other", _set_arity("quotient", "mult", 1)),
+    ("quotient extra symbol", _set_arity("quotient", "zz", 2)),
+    ("quotient arities empty",
+     lambda c: c["quotient"].update(arities={})),
+    ("subject arities missing", lambda c: c["subject"].pop("arities")),
+]
+
+
+def _parse_error_and_exit_2(cert, tmp_path, capsys, match=None):
+    with pytest.raises(ParseError, match=match):
+        recheck_certificate(cert)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["recheck", str(path)]) == 2
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("edit", [e for _, e in SIGNATURE_EDITS],
+                         ids=[name for name, _ in SIGNATURE_EDITS])
+def test_ops_and_arities_follow_the_one_signature(luk3_cert, tmp_path,
+                                                  capsys, edit):
+    cert = copy.deepcopy(luk3_cert)
+    edit(cert)
+    _parse_error_and_exit_2(cert, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("section", ["subject", "quotient"])
+def test_a_boolean_arity_is_a_parse_error(tmp_path, capsys, section):
+    # False == 0, so only the type tells it from the nullary arity
+    cert = json.loads(json.dumps(representation(luk3_with_a_constant())))
+    cert[section]["arities"]["half"] = False
+    _parse_error_and_exit_2(cert, tmp_path, capsys)
+
+
+# -- every row is read over its domain or rejected ------------------------
+
+
+def _extra_key(section):
+    def edit(c):
+        table = c[section]
+        table["zz"] = next(iter(table.values()))
+    return edit
+
+
+def _extra_subset_id(c):
+    subsets = c["free"]["subsets"]
+    subsets["zz"] = dict(next(iter(subsets.values())))
+
+
+def _extra_coordinate(c):
+    subsets = c["free"]["subsets"]
+    next(iter(subsets.values()))["zz"] = "0"
+
+
+def _extra_row(section, table, sym=None):
+    def edit(c):
+        rows = c[section][table] if sym is None else c[section][table][sym]
+        row = copy.deepcopy(rows[0])
+        if sym is None:
+            row[1] = "zz"
+        else:
+            row[0][-1] = "zz"
+        rows.append(row)
+    return edit
+
+
+ROW_EDITS = [
+    ("rho", _extra_key("rho"), "rho"),
+    ("epsilon", _extra_key("epsilon"), "epsilon"),
+    ("nucleus", _extra_key("nucleus"), "nucleus"),
+    ("free.subsets id", _extra_subset_id, "free.subsets"),
+    ("free subset coordinate", _extra_coordinate,
+     "free subset '{0:0,1:0}'"),
+    ("free.action", _extra_row("free", "action"), "free: action"),
+    ("subject.action", _extra_row("subject", "action"), "subject: action"),
+    ("quotient.action", _extra_row("quotient", "action"),
+     "quotient: action"),
+    ("quantale.mult", _extra_row("quantale", "mult"), "quantale: action"),
+    ("free.ops", _extra_row("free", "ops", "mul"), "free: op 'mul'"),
+    ("subject.ops", _extra_row("subject", "ops", "mul"),
+     "subject: op 'mul'"),
+    ("quotient.ops", _extra_row("quotient", "ops", "mul"),
+     "quotient: op 'mul'"),
+]
+
+
+@pytest.mark.parametrize("edit,where", [(e, w) for _, e, w in ROW_EDITS],
+                         ids=[name for name, _, _ in ROW_EDITS])
+def test_a_key_outside_its_domain_is_a_parse_error(boolean_cert, tmp_path,
+                                                    capsys, edit, where):
+    cert = copy.deepcopy(boolean_cert)
+    edit(cert)
+    with pytest.raises(ParseError) as err:
+        recheck_certificate(cert)
+    assert str(err.value).startswith(where + ":"), str(err.value)
+    assert "'zz'" in str(err.value) and "outside" in str(err.value)
+    _parse_error_and_exit_2(cert, tmp_path, capsys)

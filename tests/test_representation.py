@@ -46,12 +46,12 @@ def test_boolean_self_module_certificate_tables():
     assert cert["epsilon"]["{0:0,1:0}"] == "0"
     assert cert["nucleus"]["{0:0,1:0}"] == "{0:1,1:0}"
     assert sorted(cert["fixed"]) == ["{0:1,1:0}", "{0:1,1:1}"]
-    assert all(c["status"] in ("PASS", "SKIPPED") for c in cert["checks"])
+    assert all(c["status"] == "PASS" for c in cert["checks"])
     assert {c["name"] for c in cert["checks"]} == {
         "nucleus-axioms", "nucleus-derived-laws", "counit-retraction",
         "principal-subsets-fixed", "bijective-onto-fixed-points",
         "quotient-laws", "operation-hom", "action-hom", "qjoin-preserving",
-        "evaluation-inverse", "closure-bound",
+        "evaluation-inverse",
     }
 
 
@@ -87,10 +87,8 @@ def test_representation_at_free_size_256_is_rechecked():
 def test_representation_passes_with_operations():
     for q in (boolean_quantale(), lukasiewicz_chain(3)):
         cert = representation(with_mult_op(q))
-        assert {c["name"] for c in cert["checks"]} >= {
-            "operation-hom", "closure-bound"}
-        bound = [c for c in cert["checks"] if c["name"] == "closure-bound"]
-        assert bound[0]["status"] == "PASS"
+        assert "operation-hom" in {c["name"] for c in cert["checks"]}
+        assert cert["verdict"] == "PASS"
 
 
 def test_representation_accepts_the_sup_face():
