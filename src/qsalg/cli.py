@@ -372,8 +372,8 @@ def cmd_recheck(ns):
     report = _report("recheck", {"file": ns.file}, [ns.file])
     try:
         with open(ns.file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=document.unique_keys)
-    except (OSError, json.JSONDecodeError) as err:
+            raw = json.load(fh, object_pairs_hook=recheck.unique_keys)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ParseError(f"cannot read certificate: {err}") from err
     certs = _find_certificates(raw)
     if not certs:

@@ -2,11 +2,11 @@
 
 A document is one JSON object, format "qsalg/1", with named declarations
 grouped by section.  Order relations come as pair lists, multiplication
-and actions as triple lists, operations as [args, value] rows.  Labels
-and references are strings, arities non-negative integers, `lax` a boolean.
-A key given twice in a table or a JSON object is a ParseError.
-Every name used inside a declaration must be declared in the same
-document.
+and actions as triple lists, operations as [args, value] rows, all read
+by the typed readers that `recheck` shares with certificates.  Labels and
+references are strings, arities non-negative integers, `lax` a boolean.
+A key given twice in a table or a JSON object is a ParseError.  Every
+name used inside a declaration must be declared in the same document.
 
 Builders are memoized per document, so a declaration referenced twice is
 validated once.
@@ -29,6 +29,8 @@ from .omega import (
 from .qmodule import validate_qmodule
 from .qorder import certify_qsuplattice, qsubset, validate_qorder
 from .quantale import validate_quantale
+from .recheck import (_field, _label_map, _labels, _pairs_to_relation,
+                      _rows_to_op, _triples_to_table, unique_keys)
 
 FORMAT = "qsalg/1"
 
@@ -47,76 +49,6 @@ KINDS = {
     "q-module-algebra": "qmodule_algebras",
     "nucleus": "nuclei",
 }
-
-
-def _field(decl, key, where):
-    if key not in decl:
-        raise ParseError(f"{where}: missing field {key!r}")
-    return decl[key]
-
-
-def _rows(rows, where):
-    if not isinstance(rows, list):
-        raise ParseError(f"{where}: expected a list of rows, got {rows!r}")
-    return rows
-
-
-def _strings(row):
-    return isinstance(row, list) and all(isinstance(x, str) for x in row)
-
-
-def _labels(decl, key, where):
-    labels = _field(decl, key, where)
-    if not _strings(labels):
-        raise ParseError(f"{where}: {key} is a list of string labels, "
-                         f"got {labels!r}")
-    return labels
-
-
-def _label_map(decl, key, where):
-    table = _field(decl, key, where)
-    if not isinstance(table, dict) or \
-            not all(isinstance(v, str) for v in table.values()):
-        raise ParseError(f"{where}: {key} is an object of string labels, "
-                         f"got {table!r}")
-    return table
-
-
-def _pairs_to_relation(rows, where):
-    rel = set()
-    for row in _rows(rows, where):
-        if not _strings(row) or len(row) != 2:
-            raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
-                             f"labels, got {row!r}")
-        if (row[0], row[1]) in rel:
-            raise ParseError(f"{where}: repeated leq row {row!r}")
-        rel.add((row[0], row[1]))
-    return rel
-
-
-def _triples_to_table(rows, where):
-    table = {}
-    for row in _rows(rows, where):
-        if not _strings(row) or len(row) != 3:
-            raise ParseError(f"{where}: rows are [a, b, value] triples of "
-                             f"string labels, got {row!r}")
-        if (row[0], row[1]) in table:
-            raise ParseError(f"{where}: repeated row for {row[:2]!r}")
-        table[(row[0], row[1])] = row[2]
-    return table
-
-
-def _rows_to_op(rows, where):
-    table = {}
-    for row in _rows(rows, where):
-        if (not isinstance(row, list) or len(row) != 2
-                or not _strings(row[0]) or not isinstance(row[1], str)):
-            raise ParseError(f"{where}: op rows are [[args...], value] of "
-                             f"string labels, got {row!r}")
-        if tuple(row[0]) in table:
-            raise ParseError(f"{where}: repeated row for {row[0]!r}")
-        table[tuple(row[0])] = row[1]
-    return table
 
 
 class Document:
@@ -287,16 +219,6 @@ class Document:
                        else section[:-1])(name)
 
 
-def unique_keys(pairs):
-    """`object_pairs_hook` for json: a repeated key is a ParseError."""
-    out = dict(pairs)
-    if len(out) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ParseError(f"repeated JSON key {repeated!r}")
-    return out
-
-
 def loads(text, close=False, lax_modules=False) -> Document:
     try:
         raw = json.loads(text, object_pairs_hook=unique_keys)
@@ -309,6 +231,6 @@ def load(path, close=False, lax_modules=False) -> Document:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     return loads(text, close=close, lax_modules=lax_modules)

@@ -408,11 +408,10 @@ def certify_qsuplattice(order: QOrderedSet, candidates=None) -> QSupLattice:
     return QSupLattice(order, bottom, join2, tensor)
 
 
-def zadeh_forward(f: Mapping[str, str], m: QSubset, target_carrier,
-                  base=None) -> QSubset:
+def zadeh_forward(f: Mapping[str, str], m: QSubset,
+                  target_carrier) -> QSubset:
     """Push a fuzzy subset along a map: each image point collects the join
     of the degrees of its preimages."""
-    base = m.base if base is None else base
     target_carrier = tuple(target_carrier)
     sums = {y: [] for y in target_carrier}
     for x in m.carrier:
@@ -420,8 +419,8 @@ def zadeh_forward(f: Mapping[str, str], m: QSubset, target_carrier,
         if y not in sums:
             raise UnknownElement(y, "map image")
         sums[y].append(m(x))
-    return QSubset(target_carrier, base,
-                   tuple(base.join(sums[y]) for y in target_carrier))
+    return QSubset(target_carrier, m.base,
+                   tuple(m.base.join(sums[y]) for y in target_carrier))
 
 
 def is_qjoin_preserving(table: Mapping[str, str], source: QSupLattice,

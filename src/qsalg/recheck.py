@@ -4,21 +4,23 @@ This module deliberately imports nothing from the construction side of
 the package.  Every law is re-derived from the tables the certificate
 embeds, using plain dictionary, list and set arithmetic, so a PASS here
 vouches for the certificate without trusting the code that produced it.
+It owns the typed readers of the rows that documents and certificates
+share, and `document` imports them from here.
 
-The first violated claim raises CertificateTampered naming the check; a
-structurally unusable certificate (missing sections, partial tables, any
-format but FORMAT, a key outside the domain its section is read over, an
-op table or arity off the signature `subject.arities`) raises ParseError
-instead.  The `checks` list and `meta.free_size` are claims too: both are
-rebuilt from the re-derived tables and must match exactly; no claim
-depends on a bound.  `meta.threshold` is the run parameter the
-certificate was made under and is not verified.  Each law has one path:
-the quantale is checked as a module over itself, and each order's joins
-come from one table built from up-sets.  The free object's order is not
+The first violated claim raises CertificateTampered naming the check.  A
+malformed certificate raises ParseError instead: a missing section or a
+key outside the known ones, a field or row of the wrong JSON type, a
+partial table, any format but FORMAT, a key outside the domain its
+section is read over, an op table or arity off the signature
+`subject.arities`.  The `checks` list and `meta.free_size` are claims
+too, rebuilt from the re-derived tables; no claim depends on a bound.
+`meta.threshold`, the run parameter, is not verified.  Each law has one
+path: the quantale is checked as a module over itself, and each order's
+joins come from one table built from up-sets.  The free order is not
 shipped: two ids compare coordinate by coordinate, from `free.subsets`,
-and the nucleus is checked monotone on covering pairs.  The free tables
-are checked over Q's element indices; a fibre product starts at its
-first factor, as the unit law is checked first.
+over Q's element indices, and the nucleus is checked monotone on
+covering pairs.  A fibre product starts at its first factor, as the
+unit law is checked first.
 """
 
 from __future__ import annotations
@@ -30,33 +32,130 @@ from .errors import CertificateTampered, ParseError
 
 FORMAT = "qsalg-cert/3"
 
+# The keys each section may have; any other is a ParseError.
+CERTIFICATE_KEYS = {"format", "theorem", "verdict", "quantale", "subject",
+                    "free", "nucleus", "epsilon", "rho", "fixed", "quotient",
+                    "checks", "meta"}
+QUANTALE_KEYS = {"elements", "unit", "leq", "mult"}
+SIDE_KEYS = {"carrier", "leq", "action", "arities", "ops"}
+FREE_KEYS = {"ids", "subsets", "action", "ops"}
+META_KEYS = {"threshold", "free_size"}
 
-def _section(cert, key):
-    if key not in cert:
-        raise ParseError(f"certificate is missing the {key!r} section")
-    return cert[key]
+
+# -- typed readers: labels are strings, rows are lists -------------------
+
+
+def _field(decl, key, where):
+    if key not in decl:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return decl[key]
+
+
+def _rows(rows, where):
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: expected a list of rows, got {rows!r}")
+    return rows
+
+
+def _strings(row):
+    return isinstance(row, list) and {*map(type, row)} <= {str}
+
+
+def _labels(decl, key, where):
+    labels = _field(decl, key, where)
+    if not _strings(labels):
+        raise ParseError(f"{where}: {key} is a list of string labels, "
+                         f"got {labels!r}")
+    return labels
+
+
+def _label_map(decl, key, where):
+    table = _field(decl, key, where)
+    if not isinstance(table, dict) or {*map(type, table.values())} - {str}:
+        raise ParseError(f"{where}: {key} is an object of string labels, "
+                         f"got {table!r}")
+    return table
+
+
+def _object(decl, key, where, keys=None):
+    """`decl[key]` as a JSON object; with `keys`, one with no other key."""
+    table = _field(decl, key, where)
+    if not isinstance(table, dict):
+        raise ParseError(f"{where}: {key} is an object, got {table!r}")
+    if keys is not None:
+        _only(table, keys, key)
+    return table
+
+
+def _only(table, keys, where):
+    for key in table:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
+
+
+def _pairs_to_relation(rows, where):
+    rel = set()
+    for row in _rows(rows, where):
+        if not _strings(row) or len(row) != 2:
+            raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
+                             f"labels, got {row!r}")
+        if (row[0], row[1]) in rel:
+            raise ParseError(f"{where}: repeated leq row {row!r}")
+        rel.add((row[0], row[1]))
+    return rel
+
+
+def _triples_to_table(rows, where):
+    table = {}
+    for row in _rows(rows, where):
+        if not _strings(row) or len(row) != 3:
+            raise ParseError(f"{where}: rows are [a, b, value] triples of "
+                             f"string labels, got {row!r}")
+        if (row[0], row[1]) in table:
+            raise ParseError(f"{where}: repeated row for {row[:2]!r}")
+        table[(row[0], row[1])] = row[2]
+    return table
+
+
+def _rows_to_op(rows, where):
+    table = {}
+    for row in _rows(rows, where):
+        if (not isinstance(row, list) or len(row) != 2
+                or not _strings(row[0]) or not isinstance(row[1], str)):
+            raise ParseError(f"{where}: op rows are [[args...], value] of "
+                             f"string labels, got {row!r}")
+        args = tuple(row[0])
+        if args in table:
+            raise ParseError(f"{where}: repeated row for {row[0]!r}")
+        table[args] = row[1]
+    return table
+
+
+def unique_keys(pairs):
+    """`object_pairs_hook` for json: a repeated key is a ParseError."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ParseError(f"repeated JSON key {repeated!r}")
+    return out
 
 
 class _Order:
-    """Crisp order over a pair list; `check_poset` builds its bottom and
-    binary join table."""
+    """Crisp order over `leq` pair rows; `check_poset` builds its bottom
+    and binary join table."""
 
-    def __init__(self, elements, pairs, where):
+    def __init__(self, elements, rows, where):
         self.elements = list(elements)
         known = set(self.elements)
         if len(known) != len(self.elements):
             raise ParseError(f"{where}: repeated element")
-        self.rel = set()
-        for row in pairs:
-            if len(row) != 2:
-                raise ParseError(f"{where}: bad leq row {row!r}")
-            if row[0] not in known or row[1] not in known:
-                raise CertificateTampered(
-                    where, f"leq mentions unknown element in {row!r}",
-                    row=list(row))
-            if (row[0], row[1]) in self.rel:
-                raise ParseError(f"{where}: repeated leq row {row!r}")
-            self.rel.add((row[0], row[1]))
+        self.rel = _pairs_to_relation(rows, where)
+        unknown = [pair for pair in self.rel if not known.issuperset(pair)]
+        if unknown:
+            row = list(min(unknown))
+            raise CertificateTampered(
+                where, f"leq mentions unknown element in {row!r}", row=row)
 
     def leq(self, a, b):
         return (a, b) in self.rel
@@ -99,32 +198,13 @@ class _Order:
         return out
 
 
-def _table3(rows, where):
-    out = {}
-    for row in rows:
-        if len(row) != 3:
-            raise ParseError(f"{where}: bad triple {row!r}")
-        if (row[0], row[1]) in out:
-            raise ParseError(f"{where}: repeated row for {row[:2]!r}")
-        out[(row[0], row[1])] = row[2]
-    return out
-
-
-def _ops_tables(raw, where, arities):
-    if not isinstance(raw, dict) or raw.keys() != arities.keys():
+def _ops_tables(section, where, arities):
+    raw = _object(section, "ops", where)
+    if raw.keys() != arities.keys():
         raise ParseError(f"{where}: the op tables do not name exactly the "
                          f"symbols {sorted(arities)!r}")
-    out = {}
-    for sym, rows in raw.items():
-        table = {}
-        for row in rows:
-            if len(row) != 2:
-                raise ParseError(f"{where}.{sym}: bad op row {row!r}")
-            if tuple(row[0]) in table:
-                raise ParseError(f"{where}.{sym}: repeated row for {row[0]!r}")
-            table[tuple(row[0])] = row[1]
-        out[sym] = table
-    return out
+    return {sym: _rows_to_op(rows, f"{where}.ops.{sym}")
+            for sym, rows in raw.items()}
 
 
 def _cell(table, key, where):
@@ -148,24 +228,23 @@ class _Quantale:
     is the one law that the module laws do not state."""
 
     def __init__(self, section):
-        self.elements = section["elements"]
-        self.unit = section["unit"]
-        self.side = _ModuleSide({"carrier": self.elements,
-                                 "leq": section["leq"],
-                                 "action": section["mult"],
-                                 "arities": {}}, self, "quantale")
+        self.elements = _labels(section, "elements", "quantale")
+        self.unit = _field(section, "unit", "quantale")
+        if self.unit not in self.elements:
+            raise ParseError(f"quantale: unit {self.unit!r} is not an element")
+        self.side = _ModuleSide(dict(
+            section, carrier=self.elements, arities={}, ops={},
+            action=_field(section, "mult", "quantale")), self, "quantale")
         self.order = self.side.order
         self.mul = self.side.act
-        self.join = self.order.lub
 
     def verify(self):
         self.side.verify()
-        for a in self.elements:
-            for b in self.elements:
-                if self.mul(a, b) != self.mul(b, a):
-                    raise CertificateTampered(
-                        "quantale-laws", f"multiplication not commutative "
-                        f"at {(a, b)!r}", pair=[a, b])
+        for a, b in itertools.product(self.elements, repeat=2):
+            if self.mul(a, b) != self.mul(b, a):
+                raise CertificateTampered(
+                    "quantale-laws", f"multiplication not commutative at "
+                    f"{(a, b)!r}", pair=[a, b])
         # Once verified, its tables over the indices 0..m-1, at a * m + b.
         els = self.elements
         self.index = {a: k for k, a in enumerate(els)}
@@ -179,24 +258,39 @@ class _ModuleSide:
     """Carrier with order, action, and operations, as bare tables."""
 
     def __init__(self, section, q, where):
-        self.q = q
-        self.where = where
-        self.carrier = section["carrier"]
-        self.order = _Order(self.carrier, section["leq"], where + "-order")
-        self.action = _table3(section["action"], where)
-        self.arities = section.get("arities")
-        if not isinstance(self.arities, dict) or not all(
-                type(n) is int and n >= 0 for n in self.arities.values()):
+        self.q, self.where = q, where
+        self.carrier = _labels(section, "carrier", where)
+        self.order = _Order(self.carrier, _field(section, "leq", where),
+                            where + "-order")
+        self.action = _triples_to_table(_field(section, "action", where),
+                                        where)
+        self.arities = _object(section, "arities", where)
+        if not all(type(n) is int and n >= 0 for n in self.arities.values()):
             raise ParseError(f"{where}: arities must be non-negative ints")
-        self.ops = _ops_tables(section.get("ops", {}), where + "-ops",
-                               self.arities)
+        self.ops = _ops_tables(section, where, self.arities)
 
     def act(self, s, a):
-        return _cell(self.action, (s, a), f"{self.where}: action")
+        return self.action[(s, a)]
+
+    def _closed(self, table, keys, what, **witness):
+        """`table` maps exactly `keys`, each into the carrier.  `verify`
+        runs this on every table first, so the laws index them directly."""
+        where, known = f"{self.where}: {what}", set(self.carrier)
+        for key in keys:
+            if _cell(table, key, where) not in known:
+                raise CertificateTampered(
+                    self.where + "-laws", f"{what} leaves the carrier at "
+                    f"{key!r}", args=list(key), **witness)
+        _no_extra(table, len(keys), keys, where)
 
     def verify(self):
         w = self.where
         self.order.check_poset(w + "-order")
+        self._closed(self.action, list(itertools.product(
+            self.q.elements, self.carrier)), "action")
+        for sym, n in self.arities.items():
+            self._closed(self.ops[sym], list(itertools.product(
+                self.carrier, repeat=n)), f"op {sym!r}", symbol=sym)
         bot = self.order.bottom
         for a in self.carrier:
             if self.act(self.q.unit, a) != a:
@@ -217,40 +311,24 @@ class _ModuleSide:
                         raise CertificateTampered(
                             w + "-laws", "action does not compose at "
                             f"{(s, t, a)!r}", scalars=[s, t], element=a)
-                    sj = self.q.join([s, t])
+                    sj = self.q.order.lub([s, t])
                     if self.act(sj, a) != self.order.lub(
                             [self.act(s, a), self.act(t, a)]):
                         raise CertificateTampered(
                             w + "-laws", "action does not distribute over "
                             f"the scalar join of {(s, t)!r}",
                             scalars=[s, t], element=a)
-            for s in self.q.elements:
-                for b in self.carrier:
-                    j = self.order.lub([a, b])
-                    if self.act(s, j) != self.order.lub(
-                            [self.act(s, a), self.act(s, b)]):
-                        raise CertificateTampered(
-                            w + "-laws", "action does not distribute over "
-                            f"the join of {(a, b)!r}", scalar=s,
-                            pair=[a, b])
-        _no_extra(self.action, len(self.q.elements) * len(self.carrier),
-                  itertools.product(self.q.elements, self.carrier),
-                  f"{w}: action")
-        known = set(self.carrier)
-        for sym, n in self.arities.items():
-            table = self.ops[sym]
-            for args in itertools.product(self.carrier, repeat=n):
-                if _cell(table, args, f"{w}: op {sym!r}") not in known:
+            for s, b in itertools.product(self.q.elements, self.carrier):
+                j = self.order.lub([a, b])
+                if self.act(s, j) != self.order.lub(
+                        [self.act(s, a), self.act(s, b)]):
                     raise CertificateTampered(
-                        w + "-laws", f"op {sym!r} leaves the carrier at "
-                        f"{args!r}", symbol=sym, args=list(args))
-            _no_extra(table, len(self.carrier) ** n,
-                      itertools.product(self.carrier, repeat=n),
-                      f"{w}: op {sym!r}")
+                        w + "-laws", "action does not distribute over the "
+                        f"join of {(a, b)!r}", scalar=s, pair=[a, b])
 
     def residual(self, a, b):
-        return self.q.join([s for s in self.q.elements
-                            if self.order.leq(self.act(s, a), b)])
+        return self.q.order.lub([s for s in self.q.elements
+                                 if self.order.leq(self.act(s, a), b)])
 
 
 def recheck_certificate(cert) -> list:
@@ -258,21 +336,23 @@ def recheck_certificate(cert) -> list:
     the list of check names that passed; raises on the first failure."""
     if not isinstance(cert, dict) or cert.get("format") != FORMAT:
         raise ParseError(f"not a {FORMAT} certificate")
+    _only(cert, CERTIFICATE_KEYS, "certificate")
     if cert.get("theorem") != "representation":
         raise ParseError(f"unknown theorem {cert.get('theorem')!r}")
     passed = []
 
-    q = _Quantale(_section(cert, "quantale"))
+    q = _Quantale(_object(cert, "quantale", "certificate", QUANTALE_KEYS))
     q.verify()
     passed.append("quantale-laws")
 
-    subject = _ModuleSide(_section(cert, "subject"), q, "subject")
+    subject = _ModuleSide(_object(cert, "subject", "certificate",
+                                  SIDE_KEYS), q, "subject")
     subject.verify()
     arities = subject.arities
     passed.append("subject-laws")
 
-    fr = _section(cert, "free")
-    ids = fr["ids"]
+    fr = _object(cert, "free", "certificate", FREE_KEYS)
+    ids = _labels(fr, "ids", "free")
     if len(set(ids)) != len(ids):
         raise CertificateTampered("free-tables", "duplicate free ids")
     if len(ids) != len(q.elements) ** len(subject.carrier):
@@ -281,10 +361,10 @@ def recheck_certificate(cert) -> list:
             "subsets", ids=len(ids))
     m, index, carrier = len(q.elements), q.index, subject.carrier
     mul, join, leq = q.imul, q.ijoin, q.ileq
-    subsets = _section(fr, "subsets")
+    subsets = _object(fr, "subsets", "free")
     values = {}
     for i in ids:
-        subset = _cell(subsets, i, "free.subsets")
+        subset = _label_map(subsets, i, "free.subsets")
         values[i] = tuple(index.get(subset.get(a)) for a in carrier)
         if None in values[i]:
             raise ParseError(f"free subset {i!r} is partial or leaves Q")
@@ -299,8 +379,8 @@ def recheck_certificate(cert) -> list:
     def fleq(i, k):
         return all([leq[a * m + b] for a, b in zip(values[i], values[k])])
 
-    free_action = _table3(fr["action"], "free")
-    free_ops = _ops_tables(_section(fr, "ops"), "free-ops", arities)
+    free_action = _triples_to_table(_field(fr, "action", "free"), "free")
+    free_ops = _ops_tables(fr, "free", arities)
     for i in ids:
         for k, s in enumerate(q.elements):
             scaled = tuple([mul[k * m + v] for v in values[i]])
@@ -336,7 +416,7 @@ def recheck_certificate(cert) -> list:
                   f"free: op {sym!r}")
     passed.append("free-tables")
 
-    eps = _section(cert, "epsilon")
+    eps = _label_map(cert, "epsilon", "certificate")
     for i in ids:
         folded = subject.order.lub([subject.act(q.elements[v], a)
                                     for v, a in zip(values[i], carrier)])
@@ -347,7 +427,7 @@ def recheck_certificate(cert) -> list:
     _no_extra(eps, len(ids), ids, "epsilon")
     passed.append("evaluation")
 
-    nuc = _section(cert, "nucleus")
+    nuc = _label_map(cert, "nucleus", "certificate")
     # The residual cone over each subject element, as a free id.
     cone = {b: by_values[tuple(index[subject.residual(a, b)]
                                for a in carrier)] for b in carrier}
@@ -383,10 +463,9 @@ def recheck_certificate(cert) -> list:
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "
                     f"with {sym!r}", symbol=sym, args=list(args))
-    passed.append("nucleus-definition")
-    passed.append("nucleus-axioms")
+    passed += ["nucleus-definition", "nucleus-axioms"]
 
-    rho = _section(cert, "rho")
+    rho = _label_map(cert, "rho", "certificate")
     for a in subject.carrier:
         if rho.get(a) != cone[a]:
             raise CertificateTampered(
@@ -399,7 +478,7 @@ def recheck_certificate(cert) -> list:
     _no_extra(rho, len(subject.carrier), subject.carrier, "rho")
     # Evaluation inverts the embedding, so the embedding is injective and
     # inverts evaluation on its image: the fixed points, checked next.
-    fixed = _section(cert, "fixed")
+    fixed = _labels(cert, "fixed", "certificate")
     if set(fixed) != {i for i in ids if nuc[i] == i}:
         raise CertificateTampered("fixed-points", "fixed list does not "
                                   "match the closure table")
@@ -409,7 +488,8 @@ def recheck_certificate(cert) -> list:
             "points", image=sorted(set(rho.values())))
     passed.append("fixed-points")
 
-    quot = _ModuleSide(_section(cert, "quotient"), q, "quotient")
+    quot = _ModuleSide(_object(cert, "quotient", "certificate",
+                               SIDE_KEYS), q, "quotient")
     if quot.arities != arities:
         raise ParseError("quotient: arities differ from the subject's")
     quot.verify()
@@ -445,40 +525,37 @@ def recheck_certificate(cert) -> list:
                 raise CertificateTampered(
                     "embedding-hom", f"embedding breaks {sym!r} at "
                     f"{args!r}", symbol=sym, args=list(args))
-    for s in q.elements:
-        for a in subject.carrier:
-            if rho[subject.act(s, a)] != quot.act(s, rho[a]):
-                raise CertificateTampered(
-                    "embedding-hom", "embedding breaks the action at "
-                    f"{(s, a)!r}", scalar=s, element=a)
+    for s, a in itertools.product(q.elements, subject.carrier):
+        if rho[subject.act(s, a)] != quot.act(s, rho[a]):
+            raise CertificateTampered(
+                "embedding-hom", "embedding breaks the action at "
+                f"{(s, a)!r}", scalar=s, element=a)
     passed.append("embedding-hom")
 
-    for a in subject.carrier:
-        for b in subject.carrier:
-            if subject.residual(a, b) != quot.residual(rho[a], rho[b]):
-                raise CertificateTampered(
-                    "order-iso", f"residual degree at {(a, b)!r} is "
-                    "distorted", pair=[a, b])
-            j = subject.order.lub([a, b])
-            if rho[j] != quot.order.lub([rho[a], rho[b]]):
-                raise CertificateTampered(
-                    "order-iso", f"join of {(a, b)!r} is not preserved",
-                    pair=[a, b])
+    for a, b in itertools.product(subject.carrier, repeat=2):
+        if subject.residual(a, b) != quot.residual(rho[a], rho[b]):
+            raise CertificateTampered(
+                "order-iso", f"residual degree at {(a, b)!r} is distorted",
+                pair=[a, b])
+        j = subject.order.lub([a, b])
+        if rho[j] != quot.order.lub([rho[a], rho[b]]):
+            raise CertificateTampered(
+                "order-iso", f"join of {(a, b)!r} is not preserved",
+                pair=[a, b])
     if rho[subject.order.bottom] != quot.order.bottom:
         raise CertificateTampered("order-iso", "bottom is not preserved")
     passed.append("order-iso")
 
     # Every law re-derived above, so the summary must claim exactly that.
-    verdict = _section(cert, "verdict")
+    verdict = _field(cert, "verdict", "certificate")
     expected = _expected_checks(ids, fixed)
-    claimed = _section(cert, "checks")
+    claimed = _field(cert, "checks", "certificate")
     if verdict != "PASS" or not _same_claims(claimed, expected):
         raise CertificateTampered(
             "verdict", "certificate summary contradicts the re-verified "
             "laws", verdict=verdict, expected=expected)
-    meta = _section(cert, "meta")
-    if not isinstance(meta, dict) or not _same_claims(
-            meta.get("free_size"), len(ids)):
+    meta = _object(cert, "meta", "certificate", META_KEYS)
+    if not _same_claims(meta.get("free_size"), len(ids)):
         raise CertificateTampered(
             "verdict", "meta.free_size is not the free carrier size",
             expected=len(ids))

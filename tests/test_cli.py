@@ -72,6 +72,15 @@ def test_garbage_json_is_exit_2(tmp_path, capsys):
     assert "ParseError" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "recheck"])
+def test_a_file_that_is_not_utf8_is_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"format": "qsalg/1", "x": "\xff"}')
+    code, out = run(capsys, command, str(bad))
+    assert code == 2
+    assert "ParseError" in out
+
+
 def write_mutant(tmp_path, fname, path, value):
     doc = json.loads(corpus_text(fname))
     node = doc

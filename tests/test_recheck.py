@@ -352,7 +352,8 @@ def test_a_nullary_constant_certificate_rechecks():
 
 
 def _order(poset):
-    return _Order(poset.elements, sorted(poset.relation), "x-order")
+    return _Order(poset.elements, [list(p) for p in sorted(poset.relation)],
+                  "x-order")
 
 
 def test_join_table_matches_complete_lattice_on_the_corpus():
@@ -643,3 +644,38 @@ def test_a_key_outside_its_domain_is_a_parse_error(boolean_cert, tmp_path,
     assert str(err.value).startswith(where + ":"), str(err.value)
     assert "'zz'" in str(err.value) and "outside" in str(err.value)
     _parse_error_and_exit_2(cert, tmp_path, capsys)
+
+
+# -- an action value outside the carrier is a law failure -----------------
+
+
+@pytest.mark.parametrize("section,table", [("quantale", "mult"),
+                                           ("subject", "action"),
+                                           ("quotient", "action")])
+def test_an_action_value_outside_the_carrier_is_caught(
+        boolean_cert, tmp_path, capsys, section, table):
+    cert = copy.deepcopy(boolean_cert)
+    cert[section][table][0][2] = "zz"
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.check == f"{section}-laws"
+    assert "action leaves the carrier" in str(err.value)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["recheck", str(path)]) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+
+
+# -- every key of every section is read or rejected -----------------------
+
+
+@pytest.mark.parametrize("section", [None, "quantale", "subject", "free",
+                                     "quotient", "meta"])
+def test_an_unknown_key_is_a_parse_error(boolean_cert, tmp_path, capsys,
+                                         section):
+    cert = copy.deepcopy(boolean_cert)
+    (cert if section is None else cert[section])["zz"] = 1
+    where = section or "certificate"
+    _parse_error_and_exit_2(cert, tmp_path, capsys,
+                            match=f"^{where}: unknown key 'zz'$")
