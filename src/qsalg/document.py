@@ -29,8 +29,9 @@ from .omega import (
 from .qmodule import validate_qmodule
 from .qorder import certify_qsuplattice, qsubset, validate_qorder
 from .quantale import validate_quantale
-from .recheck import (_field, _label_map, _labels, _pairs_to_relation,
-                      _rows_to_op, _triples_to_table, unique_keys)
+from .recheck import (_field, _json_type, _label_map, _labels,
+                      _pairs_to_relation, _rows_to_op, _triples_to_table,
+                      unique_keys)
 
 FORMAT = "qsalg/1"
 
@@ -70,7 +71,7 @@ class Document:
                 raise ParseError(f"unknown section {key!r}")
             if key in SECTIONS and not isinstance(section, dict):
                 raise ParseError(f"section {key!r} is an object of named "
-                                 f"declarations, got {section!r}")
+                                 f"declarations, got {_json_type(section)}")
         self.raw = raw
         self.close = close
         self.lax_modules = lax_modules
@@ -85,12 +86,13 @@ class Document:
             raise UnknownReference(section, name)
         if not isinstance(decls[name], dict):
             raise ParseError(f"{section}.{name}: a declaration is an object, "
-                             f"got {decls[name]!r}")
+                             f"got {_json_type(decls[name])}")
         return decls[name]
 
     def _memo(self, section, name, build):
         if not isinstance(name, str):
-            raise ParseError(f"{section}: a reference is a name, got {name!r}")
+            raise ParseError(f"{section}: a reference is a name, got "
+                             f"{_json_type(name)}")
         key = (section, name)
         if key not in self._cache:
             self._cache[key] = build(self._decl(section, name))
@@ -158,9 +160,11 @@ class Document:
 
     def signature(self, name):
         def build(decl):
-            if not all(type(n) is int and n >= 0 for n in decl.values()):
-                raise ParseError(f"signatures.{name}: expected symbols with "
-                                 f"non-negative integer arities, got {decl!r}")
+            for sym, n in decl.items():
+                if type(n) is not int or n < 0:
+                    raise ParseError(
+                        f"signatures.{name}: the arity of {sym!r} "
+                        f"({_json_type(n)}) is not a non-negative integer")
             return signature(decl)
         return self._memo("signatures", name, build)
 
@@ -172,7 +176,7 @@ class Document:
             raw_ops = _field(decl, "ops", where)
             if not isinstance(raw_ops, dict):
                 raise ParseError(f"{where}.ops: expected a symbol-to-rows "
-                                 f"object, got {raw_ops!r}")
+                                 f"object, got {_json_type(raw_ops)}")
             ops = {sym: _rows_to_op(rows, f"{where}.ops.{sym}")
                    for sym, rows in raw_ops.items()}
             for sym in sig.symbols:

@@ -23,7 +23,6 @@ from typing import Mapping
 
 from .errors import (
     CompositionLawFails,
-    InternalInconsistency,
     JoinLawFails,
     NotActionHom,
     NotJoinPreserving,
@@ -171,20 +170,9 @@ def suplattice_from_module(module: QModule) -> QSupLattice:
 def module_from_suplattice(sup: QSupLattice) -> QModule:
     """Module of a fuzzy-complete order: induced crisp order, with the
     certified tensors (joins of one-point fuzzy subsets) as the action."""
+    # Its bottom and joins are the certified ones: read at the unit, so
+    # say e(bottom, y) = top and e(a v b, y) = e(a, y) meet e(b, y).
     lat = complete_lattice(induced_order(sup.order))
-    # The crisp joins must agree with the certified joins of the empty
-    # and two-point subsets; a mismatch means one of the two join paths
-    # is broken.
-    if lat.bottom != sup.bottom:
-        raise InternalInconsistency(
-            "crisp bottom disagrees with the join of the empty fuzzy subset")
-    for a in sup.carrier:
-        for b in sup.carrier:
-            crisp, fuzzy = lat.join2[(a, b)], sup.join2[(a, b)]
-            if crisp != fuzzy:
-                raise InternalInconsistency(
-                    f"join of {[a, b]!r}: crisp scan gives {crisp!r}, "
-                    f"fuzzy join gives {fuzzy!r}")
     return validate_qmodule(lat, sup.base, sup.tensor)
 
 

@@ -232,8 +232,14 @@ def powerset_order(carrier, base):
     return validate_qorder(ids, base, e), atlas
 
 
+_ESC = str.maketrans({c: "\\" + c for c in "\\,:{}"})
+
+
 def subset_id(m: QSubset) -> str:
-    return "{%s}" % ",".join(f"{x}:{v}" for x, v in zip(m.carrier, m.values))
+    """"{x:v,...}" with \\ , : { } escaped by a backslash in each label,
+    so distinct subsets of one carrier get distinct ids."""
+    return "{%s}" % ",".join(f"{x.translate(_ESC)}:{v.translate(_ESC)}"
+                             for x, v in zip(m.carrier, m.values))
 
 
 def _upper_cone(order: QOrderedSet, m: QSubset):

@@ -254,6 +254,42 @@ def test_representation_check_embeds_a_certificate(capsys):
     assert statuses["bijective-onto-fixed-points"] == "PASS"
 
 
+def crisp_two_chain(top):
+    """The crisp module on the 2-chain x < y over the Boolean quantale
+    {a < top}, as a bare module algebra."""
+    return {
+        "format": "qsalg/1",
+        "quantales": {"two": {
+            "elements": ["a", top], "unit": top,
+            "leq": [["a", "a"], ["a", top], [top, top]],
+            "mult": [["a", "a", "a"], ["a", top, "a"], [top, "a", "a"],
+                     [top, top, top]]}},
+        "posets": {"chain": {"elements": ["x", "y"],
+                             "leq": [["x", "x"], ["x", "y"], ["y", "y"]]}},
+        "modules": {"crisp": {"base": "two", "poset": "chain", "action": [
+            ["a", "x", "x"], ["a", "y", "x"], [top, "x", "x"],
+            [top, "y", "y"]]}},
+        "signatures": {"none": {}},
+        "algebras": {"bare": {"signature": "none", "carrier": ["x", "y"],
+                              "ops": {}}},
+        "qmodule_algebras": {"subject": {"module": "crisp",
+                                         "algebra": "bare"}},
+    }
+
+
+@pytest.mark.parametrize("top", ["t", "a,y:a"])
+def test_representation_whatever_the_labels(tmp_path, capsys, top):
+    # Unescaped, the top "a,y:a" gave the free ids {x:a,y:a,y:a} twice.
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(crisp_two_chain(top)))
+    code, report = run_json(capsys, "check", doc, "--theorem",
+                            "representation")
+    assert code == 0, report
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert run(capsys, "recheck", path)[0] == 0
+
+
 def test_representation_without_subjects_is_exit_2(capsys):
     code, _ = run(capsys, "check", corpus_path("boolean.json"),
                   "--theorem", "representation")

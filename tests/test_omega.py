@@ -40,7 +40,8 @@ from qsalg.omega import (
     validate_qmodule_algebra,
     validate_qsup_algebra,
 )
-from qsalg.quantale import boolean_quantale, lukasiewicz_chain
+from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
+                            validate_quantale)
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)
@@ -555,3 +556,21 @@ def test_sup_side_enumeration_agrees_with_module_side():
                              transport_algebra(target_s))
     via_mod = enumerate_homs(free.module_algebra, target_m)
     assert via_sup == via_mod
+
+
+@pytest.mark.parametrize("scalars,gens", [
+    (("a", "a,y:a"), ("x", "y")),
+    (("\\", "\\,"), ("{", "}")),
+    (("0", "1"), ("a:0,b", "a", "b:1}")),
+    (("a,", ",a"), ("x:", ":x")),
+])
+def test_free_ids_are_distinct_whatever_the_labels(scalars, gens):
+    # A Boolean quantale and generators whose labels hold the id syntax;
+    # unescaped, ("a", "a,y:a") over ("x", "y") gives one id twice.
+    bot, top = scalars
+    mult = {(p, q): top if p == q == top else bot
+            for p in scalars for q in scalars}
+    base = validate_quantale(chain_lattice(list(scalars)), mult, top)
+    free = free_qsup_algebra(
+        base, validate_omega_algebra(gens, EMPTY_SIGNATURE, {}))
+    assert len(set(free.ids)) == len(free.ids) == 2 ** len(gens)

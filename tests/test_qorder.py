@@ -5,6 +5,7 @@ import pytest
 from qsalg import errors
 from qsalg.lattice import chain_lattice, diamond_lattice, validate_poset
 from qsalg.qorder import (
+    QSubset,
     all_qsubsets,
     certify_qsuplattice,
     characteristic_subset,
@@ -16,6 +17,7 @@ from qsalg.qorder import (
     powerset_order,
     qjoin,
     qsubset,
+    subset_id,
     subsethood,
     validate_qorder,
     zadeh_forward,
@@ -249,3 +251,16 @@ def test_join_preservation_between_different_carriers():
     ok, witness = is_qjoin_preserving(shifted, two, three)
     assert not ok and witness.values == ("0", "0")
 
+
+
+def test_subset_ids_escape_the_id_syntax():
+    # Unescaped, ("a", "a,y:a") at ("x", "y") collides; escaping only
+    # , : { } leaves ("\\", ",:a") and (",:\\", "a") at ("a", "\\") alike.
+    labels = ["a", "\\", ",:a", ",:\\", "a,y:a", "y:a", "{", "}"]
+    two = boolean_quantale()
+    for carrier in itertools.permutations(["x", "y", "a", "\\"], 2):
+        ids = {subset_id(QSubset(carrier, two, values))
+               for values in itertools.product(labels, repeat=2)}
+        assert len(ids) == len(labels) ** 2, carrier
+    plain = QSubset(("0", "1"), two, ("1", "0"))
+    assert subset_id(plain) == "{0:1,1:0}"

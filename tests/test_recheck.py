@@ -8,6 +8,7 @@ genuine cross-examinations, not replays.
 
 import ast
 import copy
+import itertools
 import json
 
 import pytest
@@ -188,6 +189,55 @@ def test_single_edits_are_caught(luk3_cert, mutate, expected):
     with pytest.raises(CertificateTampered) as err:
         recheck_certificate(cert)
     assert err.value.check == expected
+
+
+def side_edits(cert):
+    """Every single-cell edit of a subject or quotient action value, and
+    every dropped or added `leq` row, as (name, edited copy)."""
+    for side in ("subject", "quotient"):
+        section = cert[side]
+        carrier = section["carrier"]
+        for k, (s, a, v) in enumerate(section["action"]):
+            for w in carrier:
+                if w != v:
+                    edited = copy.deepcopy(cert)
+                    edited[side]["action"][k] = [s, a, w]
+                    yield f"{side}.action {[s, a]} -> {w}", edited
+        for k, row in enumerate(section["leq"]):
+            edited = copy.deepcopy(cert)
+            del edited[side]["leq"][k]
+            yield f"{side}.leq drop {row}", edited
+        for pair in itertools.product(carrier, repeat=2):
+            if list(pair) not in section["leq"]:
+                edited = copy.deepcopy(cert)
+                edited[side]["leq"].append(list(pair))
+                yield f"{side}.leq add {list(pair)}", edited
+
+
+def test_order_iso_needs_no_degree_or_bottom_check(luk3_cert, boolean_cert):
+    """`order-iso` checks joins only: an edit of a side's action or order,
+    which could distort a degree or move a bottom, is caught before."""
+    edits = [e for cert in (boolean_cert, luk3_cert) for e in side_edits(cert)]
+    assert len(edits) == 70
+    for name, cert in edits:
+        with pytest.raises(CertificateTampered) as err:
+            recheck_certificate(cert)
+        check = err.value.check
+        assert check.endswith(("-laws", "-order")) or check in (
+            "quotient-tables", "evaluation"), (name, check)
+
+
+@pytest.mark.parametrize("edit,named", [
+    (lambda c: c["nucleus"].update({sorted(c["nucleus"])[0]: 5}),
+     "'{0:0,1/2:0,1:0}' has type number"),
+    (lambda c: c["free"]["ids"].__setitem__(3, 5), "entry 3 has type number"),
+])
+def test_a_parse_error_names_the_entry_not_the_table(luk3_cert, edit, named):
+    cert = copy.deepcopy(luk3_cert)
+    edit(cert)
+    with pytest.raises(ParseError) as err:
+        recheck_certificate(cert)
+    assert named in str(err.value) and len(str(err.value)) < 200
 
 
 def test_wrong_format_is_a_parse_error(luk3_cert):

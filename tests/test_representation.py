@@ -1,18 +1,26 @@
 """End-to-end certification of the free-cover embedding."""
 
+import itertools
+
 import pytest
 
 from qsalg.lattice import chain_lattice, diamond_lattice
+from qsalg.nucleus import is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
+    counit_map,
+    free_qsup_algebra,
     signature,
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
-from qsalg.qmodule import crisp_module, quantale_self_module
+from qsalg.qmodule import (crisp_module, quantale_self_module,
+                           suplattice_from_module)
+from qsalg.qorder import is_qjoin_preserving
 from qsalg.quantale import boolean_quantale, godel_chain, lukasiewicz_chain
 from qsalg.representation import (
     all_down_sets,
+    canonical_closure,
     crisp_specialization,
     principal_subset,
     representation,
@@ -171,3 +179,33 @@ def test_certificate_meta_records_the_scan_parameters(monkeypatch):
     assert cert["theorem"] == "representation"
     assert cert["meta"]["threshold"] == 5000
     assert cert["meta"]["free_size"] == 4
+
+
+def test_claims_argued_in_representation_hold_on_the_corpus(all_subjects):
+    """`representation` argues these claims from the ones it checks; here
+    they are scanned on every subject of the corpus.  The quotient is
+    rebuilt the way the run builds it, and rho from a fresh pass of the
+    principal down-sets."""
+    assert len(all_subjects) == 115
+    for label, subject in all_subjects:
+        mod = subject.module
+        cert = representation(subject)
+        free = free_qsup_algebra(mod.base, subject.algebra)
+        eps = counit_map(free, subject)
+        quot = quotient(is_nucleus(free.module_algebra,
+                                   canonical_closure(free, eps)))
+        rho = {a: free.id_of[principal_subset(mod, a).values]
+               for a in mod.carrier}
+        assert rho == cert["rho"], label
+        assert list(quot.carrier) == cert["fixed"], label
+        # injective, and inverse to evaluation on the fixed points
+        assert len(set(rho.values())) == len(rho), label
+        assert all(rho[eps.table[i]] == i for i in quot.carrier), label
+        # the Q-order faces of the subject and the quotient
+        source = suplattice_from_module(mod)
+        target = suplattice_from_module(quot.module)
+        for a, b in itertools.product(mod.carrier, repeat=2):
+            assert source.order.degree(a, b) == \
+                target.order.degree(rho[a], rho[b]), (label, a, b)
+        assert is_qjoin_preserving(rho, source, target) == (True, None), \
+            label
