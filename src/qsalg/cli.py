@@ -297,8 +297,8 @@ def _enumerate_nuclei(ns, report, artifacts):
         doc = {"format": document.FORMAT,
                "description": f"All nuclei on the {qname} quantale acting "
                               "on itself (no operations).",
-               "quantales": {"q": corpus._quantale(q)},
-               "posets": {"carrier": corpus._poset(q.lattice)},
+               "quantales": {"q": document.quantale_section(q)},
+               "posets": {"carrier": document.poset_section(q.lattice)},
                "modules": {"self": corpus._self_module(q, "carrier")},
                "signatures": {"empty": {}},
                "algebras": {"bare": {"carrier": list(q.elements),

@@ -14,6 +14,7 @@ import json
 from importlib import resources
 
 from . import limits
+from .document import leq_rows, op_rows, poset_section, quantale_section
 from .errors import SpecViolation, TooLarge
 from .lattice import (
     antichain_cube_lattice,
@@ -32,35 +33,15 @@ from .quantale import (
 FORMAT = "qsalg/1"
 
 
-def _leq(lat):
-    return sorted([a, b] for a in lat.elements for b in lat.elements
-                  if lat.leq(a, b))
-
-
-def _poset(lat):
-    return {"elements": list(lat.elements), "leq": _leq(lat)}
-
-
-def _quantale(q):
-    return {"elements": list(q.elements), "unit": q.unit,
-            "leq": _leq(q.lattice),
-            "mult": sorted([a, b, q.mul(a, b)]
-                           for a in q.elements for b in q.elements)}
-
-
 def _self_module(q, poset_name):
     return {"base": "q", "poset": poset_name,
             "action": sorted([a, b, q.mul(a, b)]
                              for a in q.elements for b in q.elements)}
 
 
-def _op_rows(table):
-    return sorted([list(args), v] for args, v in table.items())
-
-
 def _quantale_file(q, description):
     return {"format": FORMAT, "description": description,
-            "quantales": {"q": _quantale(q)}}
+            "quantales": {"q": quantale_section(q)}}
 
 
 def corpus_documents():
@@ -91,13 +72,13 @@ def corpus_documents():
                        "elements, the diamond, the pentagon, and the "
                        "three-atom cube section.",
         "posets": {
-            "chain2": _poset(chain_lattice(["0", "1"])),
-            "chain3": _poset(chain_lattice(["0", "1", "2"])),
-            "chain4": _poset(chain_lattice(["0", "1", "2", "3"])),
-            "chain5": _poset(chain_lattice(["0", "1", "2", "3", "4"])),
-            "diamond": _poset(diamond_lattice()),
-            "pentagon": _poset(pentagon_lattice()),
-            "m3": _poset(antichain_cube_lattice()),
+            "chain2": poset_section(chain_lattice(["0", "1"])),
+            "chain3": poset_section(chain_lattice(["0", "1", "2"])),
+            "chain4": poset_section(chain_lattice(["0", "1", "2", "3"])),
+            "chain5": poset_section(chain_lattice(["0", "1", "2", "3", "4"])),
+            "diamond": poset_section(diamond_lattice()),
+            "pentagon": poset_section(pentagon_lattice()),
+            "m3": poset_section(antichain_cube_lattice()),
         },
     }
 
@@ -108,8 +89,8 @@ def corpus_documents():
         "description": "The two-element quantale acting on itself, with "
                        "binary meet as the single operation; the smallest "
                        "interesting representation subject.",
-        "quantales": {"two": _quantale(two)},
-        "posets": {"chain2": _poset(two.lattice)},
+        "quantales": {"two": quantale_section(two)},
+        "posets": {"chain2": poset_section(two.lattice)},
         "modules": {"two-self": {"base": "two", "poset": "chain2",
                                  "action": sorted(
                                      [a, b, v]
@@ -117,7 +98,7 @@ def corpus_documents():
         "signatures": {"one-binary": {"mul": 2}},
         "algebras": {
             "two-meet": {"carrier": ["0", "1"], "signature": "one-binary",
-                         "ops": {"mul": _op_rows(meet_op)}},
+                         "ops": {"mul": op_rows(meet_op)}},
             "z2": {"carrier": ["e", "g"], "signature": "one-binary",
                    "ops": {"mul": [[["e", "e"], "e"], [["e", "g"], "g"],
                                    [["g", "e"], "g"], [["g", "g"], "e"]]}},
@@ -132,13 +113,13 @@ def corpus_documents():
         "description": "The three-element Lukasiewicz chain as a module "
                        "algebra over itself, multiplication doubling as "
                        "the single binary operation.",
-        "quantales": {"q": _quantale(l3)},
-        "posets": {"carrier": _poset(l3.lattice)},
+        "quantales": {"q": quantale_section(l3)},
+        "posets": {"carrier": poset_section(l3.lattice)},
         "modules": {"self": _self_module(l3, "carrier")},
         "signatures": {"one-binary": {"mult": 2}},
         "algebras": {"self-with-mult": {
             "carrier": list(l3.elements), "signature": "one-binary",
-            "ops": {"mult": _op_rows(l3_mult)}}},
+            "ops": {"mult": op_rows(l3_mult)}}},
         "qmodule_algebras": {"subject": {"module": "self",
                                          "algebra": "self-with-mult"}},
     }
@@ -155,7 +136,7 @@ def corpus_documents():
                        "and multiplication is no longer associative.",
         "quantales": {"broken": {
             "elements": ["0", "1", "2"], "unit": "2",
-            "leq": _leq(chain3),
+            "leq": leq_rows(chain3),
             "mult": sorted([a, b, v] for (a, b), v in broken.items())}},
     }
 
@@ -165,8 +146,8 @@ def corpus_documents():
                        "bottom.  Joins and composition survive, but the "
                        "unit law fails, and in lax mode the derived "
                        "fuzzy order collapses.",
-        "quantales": {"two": _quantale(two)},
-        "posets": {"chain2": _poset(two.lattice)},
+        "quantales": {"two": quantale_section(two)},
+        "posets": {"chain2": poset_section(two.lattice)},
         "modules": {"flat": {"base": "two", "poset": "chain2",
                              "action": [["0", "0", "0"], ["0", "1", "0"],
                                         ["1", "0", "0"], ["1", "1", "0"]]}},
@@ -182,8 +163,8 @@ def corpus_documents():
         "description": "Mutation: an inflationary table on a three-chain "
                        "host that closes the bottom past the middle, "
                        "breaking monotonicity.",
-        "quantales": {"two": _quantale(two)},
-        "posets": {"chain3": _poset(chain3)},
+        "quantales": {"two": quantale_section(two)},
+        "posets": {"chain3": poset_section(chain3)},
         "modules": {"crisp3": {"base": "two", "poset": "chain3",
                                "action": sorted(
                                    [q, a, a if q == "1" else "0"]

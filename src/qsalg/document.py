@@ -9,7 +9,10 @@ A key given twice in a table or a JSON object is a ParseError.  Every
 name used inside a declaration must be declared in the same document.
 
 Builders are memoized per document, so a declaration referenced twice is
-validated once.
+validated once.  The writers at the end give the same rows back: the
+bundled corpus, the CLI's generated documents and representation
+certificates all serialize their orders, quantales and op tables
+through them.
 """
 
 from __future__ import annotations
@@ -238,3 +241,28 @@ def load(path, close=False, lax_modules=False) -> Document:
     except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
     return loads(text, close=close, lax_modules=lax_modules)
+
+
+# -- writers: the rows the readers above take -----------------------------
+
+
+def leq_rows(lat):
+    """The order of a lattice or poset as sorted [a, b] rows."""
+    return sorted([a, b] for a in lat.elements for b in lat.elements
+                  if lat.leq(a, b))
+
+
+def poset_section(lat):
+    return {"elements": list(lat.elements), "leq": leq_rows(lat)}
+
+
+def quantale_section(q):
+    return {"elements": list(q.elements), "unit": q.unit,
+            "leq": leq_rows(q.lattice),
+            "mult": sorted([a, b, q.mul(a, b)]
+                           for a in q.elements for b in q.elements)}
+
+
+def op_rows(table):
+    """An op table as sorted [[args...], value] rows."""
+    return sorted([list(args), v] for args, v in table.items())

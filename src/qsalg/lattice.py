@@ -3,12 +3,15 @@
 Element identity is an opaque string everywhere; order comes only from the
 supplied relation, never from parsing the labels.  On a finite carrier,
 completeness is equivalent to "a bottom exists and every pair has a join",
-so that is exactly what certification checks.
+so that is exactly what certification checks.  A power of a certified
+lattice needs no certification: `power_lattice` reads its order, joins,
+meets and covers off the factor's tables, one coordinate at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -96,7 +99,9 @@ class CompleteLattice:
     over it, with join([]) = bottom.  Meets are looked up, not stored as
     a table: down maps each element to its down-set bitmask, by_down
     inverts it, and a meet is the element whose down-set is the AND of
-    the members' (meet([]) = top).
+    the members' (meet([]) = top).  `index`, `ijoin` and `covers()` are
+    derived from these on each read, for the callers that work over
+    element positions or covering pairs.
     """
 
     poset: FinitePoset
@@ -124,6 +129,34 @@ class CompleteLattice:
         for s in subset:
             mask &= self.down[s]
         return self.by_down[mask]
+
+    @property
+    def index(self):
+        """Each element's position in `elements`."""
+        return dict(zip(self.elements, range(len(self.elements))))
+
+    @property
+    def ijoin(self):
+        """The join table over positions: entry i*n+k is the position of
+        the join of elements i and k."""
+        ix, els = self.index, self.elements
+        return [ix[self.join2[(a, b)]] for a in els for b in els]
+
+    def covers(self):
+        """The covering pairs (a, b): a < b, and nothing lies strictly
+        between them."""
+        els = self.elements
+        above = [u & ~(1 << i) for i, u in
+                 enumerate(up_masks(els, self.poset.relation))]
+        out = []
+        for a, up in zip(els, above):
+            between = 0
+            for k, u in enumerate(above):
+                if up >> k & 1:
+                    between |= u
+            out += [(a, b) for k, b in enumerate(els)
+                    if (up & ~between) >> k & 1]
+        return out
 
 
 def up_masks(elements, pairs):
@@ -170,8 +203,130 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                            dict(zip(elements, down)), by_down)
 
 
+def _power_table(table, m, k):
+    """The flat table of a binary operation on the k-th power of an
+    m-element set, applied coordinate by coordinate, from its flat table
+    `table` on the set: a Kronecker expansion, one digit at a time.
+    Positions spell coordinate tuples in radix m, and every coordinate
+    reads the same table, so a new digit may go first: positions i, j of
+    size s become u*s+i, v*s+j, with entry table[u*m+v]*s + out[i*s+j].
+    Row u*s+i is then m rows of `out` shifted, laid end to end, and only
+    the m shifts of each row are computed."""
+    out, s = [0], 1
+    for _ in range(k):
+        rows = [out[i * s:(i + 1) * s] for i in range(s)]
+        shifted = [rows]
+        for c in range(1, m):
+            shift = list(range(c * s, (c + 1) * s)).__getitem__
+            shifted.append([list(map(shift, row)) for row in rows])
+        out = []
+        for u in range(m):
+            for i in range(s):
+                for v in range(m):
+                    out += shifted[table[u * m + v]][i]
+        s *= m
+    return out
+
+
+@dataclass(eq=False)
+class PowerLattice:
+    """The power L^k of a finite complete lattice L, ordered coordinate by
+    coordinate: a complete lattice whose joins and meets are L's, taken
+    in each coordinate.  Its elements name L's coordinate tuples in
+    product order (the last coordinate runs fastest), so the digits of a
+    position in radix |L| are the positions of its coordinates in L.
+
+    Nothing is searched and no law is checked again: the order, the
+    joins, the meets and the covers are read off L's certified tables
+    one coordinate at a time.  `ijoin` is the join table over positions,
+    as for `CompleteLattice`.  The label-keyed `join2` is built from it
+    on first read and kept, for the callers that read label pairs (the
+    hom search, `check_module_hom`, the module-to-order bridge); the
+    representation path reads positions only.
+    """
+
+    poset: FinitePoset
+    factor: CompleteLattice
+    degree: int
+    bottom: str
+    top: str
+    index: Mapping[str, int] = field(repr=False)
+    ijoin: list = field(repr=False)
+    _join2: dict = field(default=None, init=False, repr=False)
+
+    @property
+    def elements(self):
+        return self.poset.elements
+
+    def leq(self, a, b):
+        return self.poset.leq(a, b)
+
+    def join(self, subset) -> str:
+        ix, n, ijoin = self.index, len(self.elements), self.ijoin
+        out = ix[self.bottom]
+        for s in subset:
+            out = ijoin[out * n + ix[s]]
+        return self.elements[out]
+
+    def meet(self, subset) -> str:
+        f, k = self.factor, self.degree
+        m, fix = len(f.elements), f.index
+        digits = [f.top] * k
+        for s in subset:
+            i = self.index[s]
+            for p in reversed(range(k)):
+                i, d = divmod(i, m)
+                digits[p] = f.meet((digits[p], f.elements[d]))
+        out = 0
+        for x in digits:
+            out = out * m + fix[x]
+        return self.elements[out]
+
+    @property
+    def join2(self):
+        if self._join2 is None:
+            els = self.elements
+            self._join2 = dict(zip(product(els, repeat=2),
+                                   map(els.__getitem__, self.ijoin)))
+        return self._join2
+
+    def covers(self):
+        """(a, b) where b raises one coordinate of a to a cover of it in
+        L: exactly the covering pairs of a product of posets."""
+        f, els, k = self.factor, self.elements, self.degree
+        m, fix = len(f.elements), f.index
+        steps = [[] for _ in range(m)]
+        for a, b in f.covers():
+            steps[fix[a]].append(fix[b] - fix[a])
+        weights = [m ** p for p in reversed(range(k))]
+        return [(els[i], els[i + d * w])
+                for i, row in enumerate(product(range(m), repeat=k))
+                for v, w in zip(row, weights) for d in steps[v]]
+
+
+def power_lattice(factor: CompleteLattice, k: int, labels) -> PowerLattice:
+    """The power factor^k on `labels`, which name the coordinate tuples
+    in product order.  The up-set of a tuple is the product of its
+    coordinates' up-sets, expanded one coordinate at a time like the
+    joins."""
+    labels, m, ix = tuple(labels), len(factor.elements), factor.index
+    up = [[ix[b] for b in factor.elements if factor.leq(a, b)]
+          for a in factor.elements]
+    ups, bottom, top = [[0]], 0, 0
+    for _ in range(k):
+        ups = [[t * m + b for t in above for b in up[u]]
+               for above in ups for u in range(m)]
+        bottom, top = bottom * m + ix[factor.bottom], top * m + ix[factor.top]
+    rel = frozenset((labels[i], labels[t])
+                    for i, above in enumerate(ups) for t in above)
+    return PowerLattice(FinitePoset(labels, rel), factor, k, labels[bottom],
+                        labels[top], dict(zip(labels, range(len(labels)))),
+                        _power_table(factor.ijoin, m, k))
+
+
 def _poset_of(obj) -> FinitePoset:
-    return obj.poset if isinstance(obj, CompleteLattice) else obj
+    return obj.poset if isinstance(obj, (CompleteLattice, PowerLattice)) \
+        else obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +408,8 @@ def right_adjoint(f: StructureMap) -> StructureMap:
     failure is converted into the join-preservation witness that caused it.
     """
     src, tgt = f.source, f.target
-    if not isinstance(src, CompleteLattice) or not isinstance(tgt, CompleteLattice):
+    lattices = (CompleteLattice, PowerLattice)
+    if not isinstance(src, lattices) or not isinstance(tgt, lattices):
         raise UnknownElement("<lattice>", "right_adjoint endpoints")
     g = {b: src.join(a for a in src.elements if tgt.leq(f.table[a], b))
          for b in tgt.elements}

@@ -31,8 +31,7 @@ from .errors import (
     UnknownElement,
     check_all_read,
 )
-from .lattice import FinitePoset, StructureMap, complete_lattice, \
-    preservation_failure
+from .lattice import StructureMap, power_lattice, preservation_failure
 from .qmodule import (
     QModule,
     check_module_hom,
@@ -284,9 +283,12 @@ def free_qsup_algebra(base: FiniteQuantale,
     Every law of Q^X is a law of Q read one coordinate at a time, so
     none is certified again here:
 
-    - the order is the product of Q's order (the up-set of alpha is the
-      product of its coordinates' up-sets), hence a partial order;
-      `complete_lattice` derives its joins and meets;
+    - the order is the product of Q's order, so the lattice is the
+      power of Q's lattice, `lattice.power_lattice`: its order, joins,
+      meets and covers are Q's, read one coordinate at a time, over the
+      ids in their mixed-radix order, and no join is searched for.  The
+      join table is one flat integer table, expanded from Q's one digit
+      at a time;
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
@@ -310,15 +312,11 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     # The subsets come in product order, as do their index coordinates.
     els, k = base.elements, len(base.elements)
-    index = {a: v for v, a in enumerate(els)}
+    index, join = base.lattice.index, base.lattice.ijoin
     mul = [index[base.mult[(a, b)]] for a in els for b in els]
-    join = [index[base.lattice.join2[(a, b)]] for a in els for b in els]
     coords = list(itertools.product(range(k), repeat=len(gens)))
     id_at = dict(zip(coords, ids))
 
-    up = [[index[b] for b in els if base.leq(a, b)] for a in els]
-    rel = frozenset((i, id_at[above]) for i, row in zip(ids, coords)
-                    for above in itertools.product(*(up[v] for v in row)))
     action = {(q, i): id_at[tuple([mul[s * k + v] for v in row])]
               for s, q in enumerate(els) for i, row in zip(ids, coords)}
 
@@ -342,7 +340,8 @@ def free_qsup_algebra(base: FiniteQuantale,
             table[arg_ids] = id_at[tuple(out)]
         ops[sym] = table
 
-    module = QModule(complete_lattice(FinitePoset(ids, rel)), base, action)
+    module = QModule(power_lattice(base.lattice, len(gens), ids), base,
+                     action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
     eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
     return FreeAlgebra(base, generators, ids, atlas, id_of,
@@ -417,12 +416,15 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
     to f along the generator embedding.
 
     Returns "unique" or "skipped" (search space past the bound); a second
-    extension raises TheoremFails, and is never silently ignored.
+    extension raises TheoremFails, and is never silently ignored.  fbar
+    is `extend_hom`'s extension of f, which that call certified, so the
+    search does not scan its table again when it reaches it.
     """
     if len(target.carrier) ** len(free.ids) > limits.HOM_ENUM_BOUND:
         return "skipped"
     pinned = {free.eta[a]: f[a] for a in free.generators.carrier}
-    tables = enumerate_homs(free.module_algebra, target, fixed=pinned)
+    tables = _search_homs(free.module_algebra, target, pinned,
+                          dict(fbar.table))
     if dict(fbar.table) not in tables:
         raise InternalInconsistency(
             "canonical extension is missing from the exhaustive "
@@ -505,6 +507,12 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
     still differ first at a position visited in carrier order, in the
     order of that position's candidates.
     """
+    return _search_homs(source, target, fixed, None)
+
+
+def _search_homs(source, target, fixed, certified):
+    """`enumerate_homs`, where the leaf equal to the table `certified`, a
+    homomorphism already certified, is not scanned again."""
     src, tgt = source.module, target.module
     space = len(tgt.carrier) ** len(src.carrier)
     if space > limits.HOM_ENUM_BOUND:
@@ -575,9 +583,9 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
     def dfs(k):
         if k == len(order):
             table = {x: assign[x] for x in carrier}
-            f = StructureMap(source, target, table)
-            ok, _ = is_homomorphism(f, "q-module-algebra")
-            if ok:
+            if table == certified or is_homomorphism(
+                    StructureMap(source, target, table),
+                    "q-module-algebra")[0]:
                 results.append(table)
             return
         x = order[k]

@@ -109,12 +109,31 @@ def _only(table, keys, where):
             raise ParseError(f"{where}: unknown key {key!r}")
 
 
+def _row_fault(row, width, nested=None):
+    """How `row` fails to be a list of `width` string cells, naming its
+    first bad cell and that cell's JSON type; None when it is one.  Cell
+    `nested`, if given, must instead be a list of strings."""
+    if not isinstance(row, list):
+        return f"is {_json_type(row)}"
+    if len(row) != width:
+        return f"has {len(row)} cells"
+    for c, cell in enumerate(row):
+        if c == nested and isinstance(cell, list):
+            for a, arg in enumerate(cell):
+                if type(arg) is not str:
+                    return f"argument {a} has type {_json_type(arg)}"
+        elif c == nested or type(cell) is not str:
+            return f"cell {c} has type {_json_type(cell)}"
+    return None
+
+
 def _pairs_to_relation(rows, where):
     rel = set()
-    for row in _rows(rows, where):
-        if not _strings(row) or len(row) != 2:
+    for k, row in enumerate(_rows(rows, where)):
+        fault = _row_fault(row, 2)
+        if fault:
             raise ParseError(f"{where}: leq rows are [a, b] pairs of string "
-                             f"labels, got {row!r}")
+                             f"labels, row {k} {fault}")
         if (row[0], row[1]) in rel:
             raise ParseError(f"{where}: repeated leq row {row!r}")
         rel.add((row[0], row[1]))
@@ -123,10 +142,11 @@ def _pairs_to_relation(rows, where):
 
 def _triples_to_table(rows, where):
     table = {}
-    for row in _rows(rows, where):
-        if not _strings(row) or len(row) != 3:
+    for k, row in enumerate(_rows(rows, where)):
+        fault = _row_fault(row, 3)
+        if fault:
             raise ParseError(f"{where}: rows are [a, b, value] triples of "
-                             f"string labels, got {row!r}")
+                             f"string labels, row {k} {fault}")
         if (row[0], row[1]) in table:
             raise ParseError(f"{where}: repeated row for {row[:2]!r}")
         table[(row[0], row[1])] = row[2]
@@ -135,11 +155,11 @@ def _triples_to_table(rows, where):
 
 def _rows_to_op(rows, where):
     table = {}
-    for row in _rows(rows, where):
-        if (not isinstance(row, list) or len(row) != 2
-                or not _strings(row[0]) or not isinstance(row[1], str)):
+    for k, row in enumerate(_rows(rows, where)):
+        fault = _row_fault(row, 2, nested=0)
+        if fault:
             raise ParseError(f"{where}: op rows are [[args...], value] of "
-                             f"string labels, got {row!r}")
+                             f"string labels, row {k} {fault}")
         args = tuple(row[0])
         if args in table:
             raise ParseError(f"{where}: repeated row for {row[0]!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from . import limits
-from .corpus import _leq, _op_rows, _quantale
+from .document import leq_rows, op_rows, quantale_section
 from .errors import InternalInconsistency, LemmaFails, TheoremFails
 from .lattice import CompleteLattice
 from .nucleus import derived_laws, is_nucleus, quotient
@@ -55,14 +55,14 @@ def _action_triples(module: QModule):
 
 
 def _op_tables(algebra):
-    return {sym: _op_rows(algebra.ops[sym])
+    return {sym: op_rows(algebra.ops[sym])
             for sym in algebra.signature.symbols}
 
 
 def _module_algebra_section(x: QModuleAlgebra):
     return {
         "carrier": list(x.carrier),
-        "leq": _leq(x.module.lattice),
+        "leq": leq_rows(x.module.lattice),
         "action": _action_triples(x.module),
         "arities": {s: x.algebra.signature.arity(s)
                     for s in x.algebra.signature.symbols},
@@ -145,7 +145,7 @@ def representation(subject: QModuleAlgebra) -> dict:
         "format": FORMAT,
         "theorem": "representation",
         "verdict": "PASS",
-        "quantale": _quantale(mod.base),
+        "quantale": quantale_section(mod.base),
         "subject": _module_algebra_section(subject),
         "free": {
             "ids": list(free.ids),

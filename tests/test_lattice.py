@@ -185,6 +185,25 @@ def test_complete_lattice_matches_the_definition_on_small_posets():
     assert set(outcomes) == {"lattice", "bottom", "upper", "least"}
 
 
+def test_covers_match_the_definition():
+    # a < b with nothing strictly between, on every lattice among the
+    # labelled posets of up to four elements and the corpus lattices
+    lattices = list(all_corpus_lattices())
+    for poset in labelled_posets(4):
+        try:
+            lattices.append(complete_lattice(poset))
+        except errors.NotComplete:
+            pass
+    assert len(lattices) == 8 + 1 + 2 + 6 + 24 + 12
+    for lat in lattices:
+        els = lat.elements
+        expected = [(a, b) for a in els for b in els if a != b
+                    and lat.leq(a, b) and not any(
+                        lat.leq(a, c) and lat.leq(c, b)
+                        for c in els if c not in (a, b))]
+        assert lat.covers() == expected, els
+
+
 def test_monotone_map_rejects_order_breaker():
     lat = chain_lattice(["0", "1"])
     with pytest.raises(errors.NotMonotone):

@@ -9,7 +9,8 @@ from qsalg.corpus import corpus_text
 from qsalg.document import loads
 from qsalg.errors import AxiomFails, InternalInconsistency, TooLarge
 from qsalg.lattice import chain_lattice, diamond_lattice
-from qsalg.nucleus import derived_laws, enumerate_nuclei, is_nucleus, quotient
+from qsalg.nucleus import (Nucleus, derived_laws, enumerate_nuclei, is_nucleus,
+                            quotient)
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     OmegaAlgebra,
@@ -294,3 +295,132 @@ def test_op_compatible_fails_exactly_where_the_closure_bound_does(
             tried += 1
             broken += expected is not None
     assert (tried, broken) == (edits, breaking)
+
+
+# -- monotonicity on covers, the join law over indices ----------------------
+
+
+def all_pairs_monotone_failure(host, table):
+    """The first a <= b, in carrier order, with j(a) not <= j(b), by the
+    definition's all-pairs scan; None when j is monotone."""
+    lat = host.module.lattice
+    for a in host.carrier:
+        for b in host.carrier:
+            if lat.leq(a, b) and not lat.leq(table[a], table[b]):
+                return [a, b]
+    return None
+
+
+def assert_monotone_verdict_matches_all_pairs(host, table):
+    """is_nucleus fails at "monotone" exactly when the all-pairs scan
+    finds a pair, and with that pair as its witness.  Returns whether
+    it did."""
+    pair = all_pairs_monotone_failure(host, table)
+    try:
+        is_nucleus(host, table)
+        axiom = None
+    except AxiomFails as err:
+        axiom = err.axiom
+        if axiom == "monotone":
+            a, b = pair
+            assert err.witness == {"axiom": "monotone", "pair": pair,
+                                   "images": [table[a], table[b]]}
+    assert (axiom == "monotone") == (pair is not None), (table, axiom)
+    return pair is not None
+
+
+def test_cover_monotonicity_matches_all_pairs_on_every_endo_map():
+    from test_lattice import all_corpus_lattices
+
+    maps = broken = 0
+    for lat in all_corpus_lattices():
+        if len(lat.elements) > 4:
+            continue
+        host = bare_host(crisp_module(lat, boolean_quantale()))
+        for images in itertools.product(lat.elements,
+                                        repeat=len(lat.elements)):
+            table = dict(zip(lat.elements, images))
+            broken += assert_monotone_verdict_matches_all_pairs(host, table)
+            maps += 1
+    # chains of 1 to 4 elements and the diamond
+    assert maps == 1 + 4 + 27 + 256 + 256
+    assert 0 < broken < maps
+
+
+def canonical_host(subject):
+    free = free_qsup_algebra(subject.module.base, subject.algebra)
+    return free, canonical_closure(free, counit_map(free, subject))
+
+
+def closure_subjects():
+    two_meet = loads(corpus_text("two-meet.json")).qmodule_algebra("subject")
+    luk3 = loads(corpus_text("luk3-self.json")).qmodule_algebra("subject")
+    crisp5 = bare_host(crisp_module(chain_lattice(list("01234")),
+                                    boolean_quantale()))
+    return [two_meet, luk3, crisp5]
+
+
+def test_cover_monotonicity_matches_all_pairs_on_closure_edits():
+    # Seeded single-cell edits of canonical closures on free hosts.
+    import random
+
+    rng = random.Random(16)
+    edits = broken = 0
+    for subject in closure_subjects():
+        free, table = canonical_host(subject)
+        for _ in range(150):
+            i, v = rng.choice(free.ids), rng.choice(free.ids)
+            edited = {**table, i: v}
+            broken += assert_monotone_verdict_matches_all_pairs(
+                free.module_algebra, edited)
+            edits += 1
+    assert edits == 450 and 0 < broken < edits
+
+
+def label_join_law_message(nucleus):
+    """The binary join law's first failure, by the label loop over the
+    label-keyed join table: the message derived_laws raises, or None."""
+    host, j = nucleus.host, nucleus.table
+    join2 = host.module.lattice.join2
+    for a in host.carrier:
+        for b in host.carrier:
+            lhs = j[join2[(a, b)]]
+            rhs = j[join2[(j[a], j[b])]]
+            if lhs != rhs:
+                return (f"j(join {[a, b]!r}) = {lhs!r} but joining the "
+                        f"nucleus images first gives {rhs!r}")
+    return None
+
+
+def assert_join_law_message_matches_the_label_loop(nucleus):
+    expected = label_join_law_message(nucleus)
+    try:
+        derived_laws(nucleus)
+        got = None
+    except InternalInconsistency as err:
+        got = str(err)
+    assert got == expected
+    return expected is not None
+
+
+def test_index_join_law_reports_the_label_loops_pair():
+    # Planted bad pairs: tables that keep j(j(a)) = j(a) but break the
+    # join law, built without is_nucleus.  On the diamond, a -> b breaks
+    # it at (a, b): j(top) = top while j(b v b) = b.
+    host = bare_host(crisp_module(diamond_lattice(), boolean_quantale()))
+    planted = Nucleus(host, {"bot": "bot", "a": "b", "b": "b", "top": "top"})
+    assert assert_join_law_message_matches_the_label_loop(planted)
+    # On free hosts: send one id that is not fixed to another fixed point.
+    import random
+
+    rng = random.Random(16)
+    broken = 0
+    for subject in closure_subjects():
+        free, table = canonical_host(subject)
+        fixed = [i for i in free.ids if table[i] == i]
+        for _ in range(40):
+            i = rng.choice([i for i in free.ids if table[i] != i])
+            edited = {**table, i: rng.choice(fixed)}
+            broken += assert_join_law_message_matches_the_label_loop(
+                Nucleus(free.module_algebra, edited))
+    assert broken > 0

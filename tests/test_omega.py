@@ -334,13 +334,81 @@ def test_free_build_matches_the_definition(all_subjects):
     # each free object the definition-level way and compare the tables.
     for base, gens, _ in free_inputs(all_subjects):
         free = free_qsup_algebra(base, gens)
-        assert definition_level_free(free).same_tables(free.module_algebra)
+        oracle = definition_level_free(free)
+        assert oracle.same_tables(free.module_algebra)
+        assert_same_lattice(free.module.lattice, oracle.module.lattice)
         alg = free.module_algebra.algebra
         for sym in gens.signature.symbols:
             n = gens.signature.arity(sym)
             for xs in itertools.product(gens.carrier, repeat=n):
                 assert alg.apply(sym, tuple(free.eta[x] for x in xs)) \
                     == free.eta[gens.apply(sym, xs)], (sym, xs)
+
+
+def definition_covers(lat):
+    """Covering pairs by definition: a < b, with no c strictly between."""
+    return sorted((a, b) for a, b in lat.poset.relation if a != b
+                  and not any(lat.leq(a, c) and lat.leq(c, b)
+                              for c in lat.elements if c not in (a, b)))
+
+
+def assert_same_lattice(lat, oracle):
+    """The free object's product lattice against the definition-level
+    one: the order, bottom, top, the join and meet of every pair, the
+    flat join table and the covers."""
+    els = oracle.elements
+    assert lat.elements == els
+    assert lat.poset.relation == oracle.poset.relation
+    assert (lat.bottom, lat.top) == (oracle.bottom, oracle.top)
+    assert (lat.join(()), lat.meet(())) == (oracle.bottom, oracle.top)
+    assert lat.ijoin == oracle.ijoin
+    assert lat.join2 == oracle.join2
+    assert all(lat.join((a, b)) == oracle.join2[(a, b)]
+               and lat.meet((a, b)) == oracle.meet((a, b))
+               for a in els for b in els)
+    assert sorted(lat.covers()) == definition_covers(oracle)
+
+
+def crisp_chain_free(n):
+    """The free object of the bare crisp module on an n-chain: 2^n ids."""
+    labels = [str(i) for i in range(n)]
+    subject = bare_algebra(crisp_module(chain_lattice(labels), TWO))
+    return free_qsup_algebra(TWO, subject.algebra)
+
+
+def test_crisp_chain_free_lattices_are_the_definition_level_lattice():
+    # The product lattice is read off Q's tables, nothing searched; the
+    # definition-level lattice searches joins over the pointwise order.
+    for n in range(1, 8):
+        free = crisp_chain_free(n)
+        oracle = definition_level_free(free).module.lattice
+        assert_same_lattice(free.module.lattice, oracle)
+    assert len(free.ids) == 128
+
+
+def test_the_sweep_scans_each_extension_once(monkeypatch):
+    # extend_hom certifies the extension; the uniqueness search reaches
+    # the same table and does not scan it again.
+    scanned = []
+    scan = omega_module._omega_hom_witness
+
+    def counted(table, source, target):
+        scanned.append(dict(table))
+        return scan(table, source, target)
+
+    monkeypatch.setattr(omega_module, "_omega_hom_witness", counted)
+    homs = 0
+    for gens, target in ((z2_algebra(), meet_algebra_over_two()),
+                         (meet_algebra_over_two().algebra,
+                          meet_algebra_over_two())):
+        free = free_qsup_algebra(TWO, gens)
+        for f in operation_homs(gens, target):
+            fbar = extend_hom(free, target, f)
+            assert extension_unique(free, target, f, fbar) == "unique"
+            assert scanned.count(dict(fbar.table)) == 1, f
+            scanned.clear()
+            homs += 1
+    assert homs == 5
 
 
 def test_counit_frozen_values_and_retraction():

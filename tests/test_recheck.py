@@ -240,6 +240,26 @@ def test_a_parse_error_names_the_entry_not_the_table(luk3_cert, edit, named):
     assert named in str(err.value) and len(str(err.value)) < 200
 
 
+@pytest.mark.parametrize("edit,named", [
+    (lambda c: c["free"]["action"][0].__setitem__(
+        0, copy.deepcopy(c["nucleus"])), "row 0 cell 0 has type object"),
+    (lambda c: c["subject"]["leq"].__setitem__(
+        1, [copy.deepcopy(c["epsilon"]), "0"]), "row 1 cell 0 has type object"),
+    (lambda c: c["free"]["ops"]["mult"][2][0].__setitem__(
+        1, copy.deepcopy(c["rho"])), "row 2 argument 1 has type object"),
+    (lambda c: c["quantale"]["mult"].__setitem__(3, ["0", "1"]),
+     "row 3 has 2 cells"),
+])
+def test_a_parse_error_names_the_cell_not_the_row(luk3_cert, edit, named):
+    # A row can hold a nested table; the message names its first bad
+    # cell, that cell's place and its JSON type, and not the row.
+    cert = copy.deepcopy(luk3_cert)
+    edit(cert)
+    with pytest.raises(ParseError) as err:
+        recheck_certificate(cert)
+    assert named in str(err.value) and len(str(err.value)) < 200
+
+
 def test_wrong_format_is_a_parse_error(luk3_cert):
     # /1 shipped the free order; /2 claimed the closure bound on its own
     for old in ("qsalg-cert/1", "qsalg-cert/2"):
