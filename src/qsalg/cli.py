@@ -299,7 +299,7 @@ def _enumerate_nuclei(ns, report, artifacts):
                               "on itself (no operations).",
                "quantales": {"q": document.quantale_section(q)},
                "posets": {"carrier": document.poset_section(q.lattice)},
-               "modules": {"self": corpus._self_module(q, "carrier")},
+               "modules": {"self": document.self_module_section(q, "carrier")},
                "signatures": {"empty": {}},
                "algebras": {"bare": {"carrier": list(q.elements),
                                      "signature": "empty", "ops": {}}},

@@ -14,7 +14,8 @@ import json
 from importlib import resources
 
 from . import limits
-from .document import leq_rows, op_rows, poset_section, quantale_section
+from .document import (leq_rows, op_rows, poset_section, quantale_section,
+                       self_module_section)
 from .errors import SpecViolation, TooLarge
 from .lattice import (
     antichain_cube_lattice,
@@ -31,12 +32,6 @@ from .quantale import (
 )
 
 FORMAT = "qsalg/1"
-
-
-def _self_module(q, poset_name):
-    return {"base": "q", "poset": poset_name,
-            "action": sorted([a, b, q.mul(a, b)]
-                             for a in q.elements for b in q.elements)}
 
 
 def _quantale_file(q, description):
@@ -115,7 +110,7 @@ def corpus_documents():
                        "the single binary operation.",
         "quantales": {"q": quantale_section(l3)},
         "posets": {"carrier": poset_section(l3.lattice)},
-        "modules": {"self": _self_module(l3, "carrier")},
+        "modules": {"self": self_module_section(l3, "carrier")},
         "signatures": {"one-binary": {"mult": 2}},
         "algebras": {"self-with-mult": {
             "carrier": list(l3.elements), "signature": "one-binary",

@@ -263,6 +263,13 @@ def quantale_section(q):
                            for a in q.elements for b in q.elements)}
 
 
+def self_module_section(q, poset_name):
+    """Q, declared as "q", acting on itself by multiplication."""
+    return {"base": "q", "poset": poset_name,
+            "action": sorted([a, b, q.mul(a, b)]
+                             for a in q.elements for b in q.elements)}
+
+
 def op_rows(table):
     """An op table as sorted [[args...], value] rows."""
     return sorted([list(args), v] for args, v in table.items())

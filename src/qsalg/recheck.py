@@ -32,7 +32,7 @@ import json
 
 from .errors import CertificateTampered, ParseError
 
-FORMAT = "qsalg-cert/3"
+FORMAT = "qsalg-cert/4"
 
 # The keys each section may have; any other is a ParseError.
 CERTIFICATE_KEYS = {"format", "theorem", "verdict", "quantale", "subject",
@@ -607,12 +607,13 @@ def _cover_pairs(q, values, by_values):
 
 def _expected_checks(ids, fixed):
     """The `checks` list of a representation run in which every law
-    holds; the derived-law flags follow from the nucleus axioms."""
+    holds; the derived-law flags follow from the nucleus axioms, and no
+    join-law pair is compared."""
     n = len(ids)
     claims = {
         "nucleus-axioms": {"carrier": n},
         "nucleus-derived-laws": {
-            "idempotent": True, "join_law": True, "join_law_checked": n * n,
+            "idempotent": True, "join_law": True, "join_law_checked": 0,
             "op_law": True, "action_law": True},
         "counit-retraction": {}, "principal-subsets-fixed": {},
         "bijective-onto-fixed-points": {"fixed_points": len(fixed)},

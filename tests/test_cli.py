@@ -332,6 +332,48 @@ def test_non_unital_action_fails_the_universal_property(capsys, lax, law,
         "message": report["checks"][0]["message"], "witness": witness}]
 
 
+# The 3-chain over the two-element quantale with the lax action
+# 1*(0, 1, 2) = (0, 1, 0) and a nucleus that passes all five axioms.
+LAX_CHAIN_DOC = {
+    "format": "qsalg/1",
+    "quantales": {"two": {
+        "elements": ["0", "1"], "unit": "1",
+        "leq": [["0", "0"], ["0", "1"], ["1", "1"]],
+        "mult": [["0", "0", "0"], ["0", "1", "0"], ["1", "0", "0"],
+                 ["1", "1", "1"]]}},
+    "posets": {"chain3": {
+        "elements": ["0", "1", "2"],
+        "leq": [["0", "0"], ["0", "1"], ["0", "2"], ["1", "1"], ["1", "2"],
+                ["2", "2"]]}},
+    "modules": {"lax": {
+        "base": "two", "poset": "chain3", "lax": True,
+        "action": [["0", "0", "0"], ["0", "1", "0"], ["0", "2", "0"],
+                   ["1", "0", "0"], ["1", "1", "1"], ["1", "2", "0"]]}},
+    "signatures": {"empty": {}},
+    "algebras": {"bare": {"carrier": ["0", "1", "2"], "signature": "empty",
+                          "ops": {}}},
+    "qmodule_algebras": {"host": {"module": "lax", "algebra": "bare"}},
+    "nuclei": {"j": {"host": "host",
+                     "table": {"0": "0", "1": "2", "2": "2"}}},
+}
+
+
+def test_a_lax_host_fails_the_action_law_with_a_witness(tmp_path, capsys):
+    # q*- is not monotone on a lax module, so the nucleus axioms do not
+    # give j(q*a) = j(q*ja): j(1*1) = 2 while j(1*j(1)) = j(0) = 0.
+    path = tmp_path / "lax-chain.json"
+    path.write_text(json.dumps(LAX_CHAIN_DOC))
+    assert run(capsys, "validate", path)[0] == 0
+    code, report = run_json(capsys, "check", path,
+                            "--theorem", "nucleus-derived-laws")
+    assert code == 1
+    check = report["checks"][0]
+    assert (check["name"], check["status"], check["law"]) == \
+        ("nucleus:j", "FAIL", "TheoremFails")
+    assert check["witness"] == {"scalar": "1", "element": "1",
+                                "left": "2", "right": "0"}
+
+
 def test_roundtrip_suite_on_modules(capsys):
     code, report = run_json(capsys, "check", corpus_path("luk3-self.json"),
                             "--theorem", "solovyov-roundtrip")

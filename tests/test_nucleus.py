@@ -7,10 +7,9 @@ import pytest
 from qsalg import limits
 from qsalg.corpus import corpus_text
 from qsalg.document import loads
-from qsalg.errors import AxiomFails, InternalInconsistency, TooLarge
+from qsalg.errors import AxiomFails, TooLarge
 from qsalg.lattice import chain_lattice, diamond_lattice
-from qsalg.nucleus import (Nucleus, derived_laws, enumerate_nuclei, is_nucleus,
-                            quotient)
+from qsalg.nucleus import derived_laws, enumerate_nuclei, is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     OmegaAlgebra,
@@ -176,10 +175,16 @@ def test_nuclei_are_closed_under_pointwise_meet():
 
 
 def test_derived_laws_hold_exhaustively_on_small_hosts():
+    # Idempotence, the join law and the op law are argued from the
+    # axioms, so no join-law pair is compared; the definition-level scans
+    # stay in test_reductions as their oracle.
     host = bare_host(quantale_self_module(lukasiewicz_chain(3)))
-    for nuc in enumerate_nuclei(host):
-        report = derived_laws(nuc)
-        assert report["join_law_checked"] == 9
+    nuclei = enumerate_nuclei(host)
+    assert len(nuclei) == 3
+    for nuc in nuclei:
+        assert derived_laws(nuc) == {
+            "idempotent": True, "join_law": True, "join_law_checked": 0,
+            "op_law": True, "action_law": True}
 
 
 def test_quotient_of_identity_is_the_host():
@@ -219,14 +224,6 @@ def test_every_enumerated_quotient_validates():
         for nuc in enumerate_nuclei(host):
             quot = quotient(nuc)  # validates internally
             assert set(quot.carrier) <= set(host.carrier)
-
-
-def test_fixed_point_image_mismatch_is_internal():
-    host = bare_host(quantale_self_module(boolean_quantale()))
-    nuc = is_nucleus(host, {"0": "1", "1": "1"})
-    object.__setattr__(nuc, "table", {"0": "1", "1": "0"})
-    with pytest.raises(InternalInconsistency):
-        quotient(nuc)
 
 
 def test_enumeration_respects_the_bound(monkeypatch):
@@ -297,7 +294,7 @@ def test_op_compatible_fails_exactly_where_the_closure_bound_does(
     assert (tried, broken) == (edits, breaking)
 
 
-# -- monotonicity on covers, the join law over indices ----------------------
+# -- monotonicity on covers --------------------------------------------------
 
 
 def all_pairs_monotone_failure(host, table):
@@ -375,52 +372,3 @@ def test_cover_monotonicity_matches_all_pairs_on_closure_edits():
                 free.module_algebra, edited)
             edits += 1
     assert edits == 450 and 0 < broken < edits
-
-
-def label_join_law_message(nucleus):
-    """The binary join law's first failure, by the label loop over the
-    label-keyed join table: the message derived_laws raises, or None."""
-    host, j = nucleus.host, nucleus.table
-    join2 = host.module.lattice.join2
-    for a in host.carrier:
-        for b in host.carrier:
-            lhs = j[join2[(a, b)]]
-            rhs = j[join2[(j[a], j[b])]]
-            if lhs != rhs:
-                return (f"j(join {[a, b]!r}) = {lhs!r} but joining the "
-                        f"nucleus images first gives {rhs!r}")
-    return None
-
-
-def assert_join_law_message_matches_the_label_loop(nucleus):
-    expected = label_join_law_message(nucleus)
-    try:
-        derived_laws(nucleus)
-        got = None
-    except InternalInconsistency as err:
-        got = str(err)
-    assert got == expected
-    return expected is not None
-
-
-def test_index_join_law_reports_the_label_loops_pair():
-    # Planted bad pairs: tables that keep j(j(a)) = j(a) but break the
-    # join law, built without is_nucleus.  On the diamond, a -> b breaks
-    # it at (a, b): j(top) = top while j(b v b) = b.
-    host = bare_host(crisp_module(diamond_lattice(), boolean_quantale()))
-    planted = Nucleus(host, {"bot": "bot", "a": "b", "b": "b", "top": "top"})
-    assert assert_join_law_message_matches_the_label_loop(planted)
-    # On free hosts: send one id that is not fixed to another fixed point.
-    import random
-
-    rng = random.Random(16)
-    broken = 0
-    for subject in closure_subjects():
-        free, table = canonical_host(subject)
-        fixed = [i for i in free.ids if table[i] == i]
-        for _ in range(40):
-            i = rng.choice([i for i in free.ids if table[i] != i])
-            edited = {**table, i: rng.choice(fixed)}
-            broken += assert_join_law_message_matches_the_label_loop(
-                Nucleus(free.module_algebra, edited))
-    assert broken > 0

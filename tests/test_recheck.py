@@ -261,8 +261,9 @@ def test_a_parse_error_names_the_cell_not_the_row(luk3_cert, edit, named):
 
 
 def test_wrong_format_is_a_parse_error(luk3_cert):
-    # /1 shipped the free order; /2 claimed the closure bound on its own
-    for old in ("qsalg-cert/1", "qsalg-cert/2"):
+    # /1 shipped the free order; /2 claimed the closure bound on its own;
+    # /3 claimed n^2 compared join-law pairs
+    for old in ("qsalg-cert/1", "qsalg-cert/2", "qsalg-cert/3"):
         cert = copy.deepcopy(luk3_cert)
         cert["format"] = old
         with pytest.raises(ParseError):

@@ -1,11 +1,12 @@
 """The exact finite reductions against the definition-level scans.
 
-Fuzzy-join certification, fuzzy-join preservation and the nucleus join
-law are each checked through a small set of identities instead of by
-enumerating subsets.  Here every reduction is compared with the plain
-scan it replaces, on every instance whose subset space fits the
-threshold, and every witness a reduction reports is confirmed by the
-scan.
+Fuzzy-join certification and fuzzy-join preservation are each checked
+through a small set of identities instead of by enumerating subsets, and
+the nucleus's derived laws and its quotient's joins are argued from the
+nucleus axioms instead of being scanned.  Here every reduction and every
+argument is compared with the plain scan it replaces, on every instance
+whose subset space fits the threshold, and every witness a reduction
+reports is confirmed by the scan.
 """
 
 import ast
@@ -19,6 +20,7 @@ from qsalg.corpus import bundled_quantales, corpus_text
 from qsalg.document import loads
 from qsalg.errors import (
     AntisymmetryFails,
+    AxiomFails,
     InternalInconsistency,
     NotQJoinComplete,
     SpecViolation,
@@ -31,9 +33,11 @@ from qsalg.lattice import (
     pentagon_lattice,
     validate_poset,
 )
-from qsalg.nucleus import Nucleus, derived_laws, enumerate_nuclei
+from qsalg.nucleus import (Nucleus, derived_laws, enumerate_nuclei, is_nucleus,
+                            quotient)
 from qsalg.omega import (
     EMPTY_SIGNATURE,
+    counit_map,
     free_qsup_algebra,
     validate_omega_algebra,
     validate_qmodule_algebra,
@@ -56,7 +60,7 @@ from qsalg.qorder import (
 )
 from qsalg.quantale import boolean_quantale
 from qsalg.recheck import recheck_certificate
-from qsalg.representation import representation
+from qsalg.representation import canonical_closure, representation
 
 TWO = boolean_quantale()
 QUANTALES = bundled_quantales()
@@ -197,6 +201,13 @@ def test_preservation_verdict_matches_the_scan(enumerated_modules):
     assert kept and dropped
 
 
+# -- the nucleus laws `derived_laws` and `quotient` argue ---------------------
+
+# Past this carrier size the crisp-subset scan is left to the binary
+# label loop, which gives it by induction.
+CRISP_SCAN_LIMIT = 12
+
+
 def join_law_by_scan(nucleus):
     """j(join S) = j(join j(S)) over every crisp subset S."""
     lat, j = nucleus.host.module.lattice, nucleus.table
@@ -206,47 +217,112 @@ def join_law_by_scan(nucleus):
                for s in itertools.combinations(carrier, r))
 
 
-def derived_laws_pass(nucleus):
-    try:
-        derived_laws(nucleus)
-    except InternalInconsistency:
-        return False
-    return True
+def derived_law_failures(nucleus):
+    """The derived equalities the definition-level scans find broken:
+    idempotence, the binary join law over label pairs, the join law over
+    every crisp subset (on carriers up to CRISP_SCAN_LIMIT) and the op
+    law over every argument tuple."""
+    host, j = nucleus.host, nucleus.table
+    join2, alg = host.module.lattice.join2, host.algebra
+    carrier = host.carrier
+    bad = []
+    if any(j[j[a]] != j[a] for a in carrier):
+        bad.append("idempotent")
+    if any(j[join2[(a, b)]] != j[join2[(j[a], j[b])]]
+           for a in carrier for b in carrier):
+        bad.append("join-law")
+    if len(carrier) <= CRISP_SCAN_LIMIT and not join_law_by_scan(nucleus):
+        bad.append("crisp-join-law")
+    for sym in alg.signature.symbols:
+        n = alg.signature.arity(sym)
+        if any(j[alg.apply(sym, args)]
+               != j[alg.apply(sym, tuple(j[a] for a in args))]
+               for args in itertools.product(carrier, repeat=n)):
+            bad.append(f"op-law:{sym}")
+    return bad
+
+
+def quotient_failures(nucleus):
+    """What the quotient would break: the fixed points must be the image,
+    and the quotient's bottom and binary joins the nucleus images of the
+    host's."""
+    host, j = nucleus.host, nucleus.table
+    lat = host.module.lattice
+    fixed = [a for a in host.carrier if j[a] == a]
+    bad = []
+    if set(fixed) != set(j.values()):
+        bad.append("fixed-points-are-image")
+    qlat = quotient(nucleus).module.lattice
+    if qlat.elements != tuple(fixed) or qlat.bottom != j[lat.bottom]:
+        bad.append("carrier-or-bottom")
+    if any(qlat.join2[(a, b)] != j[lat.join2[(a, b)]]
+           for a in fixed for b in fixed):
+        bad.append("joins")
+    return bad
+
+
+def assert_the_argued_laws_hold(nucleus):
+    assert derived_laws(nucleus)["join_law_checked"] == 0
+    assert derived_law_failures(nucleus) == []
+    assert quotient_failures(nucleus) == []
 
 
 def test_derived_join_law_matches_the_crisp_subset_scan():
-    # On a crisp host without operations the action law is idempotence,
-    # so derived_laws passes exactly when the join law does: every
-    # endo-map, nucleus or not, is a test case.
-    passed = failed = 0
+    # The join law is argued from the axioms, so every endo-map that
+    # is_nucleus accepts must pass the crisp-subset scan; the maps the
+    # scan rejects show that it can fail.
+    accepted = failed = 0
     for name in ("chain3", "diamond", "pentagon"):
         host = bare(crisp_module(LATTICES[name], TWO))
         for images in itertools.product(host.carrier,
                                         repeat=len(host.carrier)):
-            nuc = Nucleus(host, dict(zip(host.carrier, images)))
-            verdict = derived_laws_pass(nuc)
-            assert verdict == join_law_by_scan(nuc), (name, images)
-            passed += verdict
-            failed += not verdict
-    assert passed and failed
+            table = dict(zip(host.carrier, images))
+            try:
+                nuc = is_nucleus(host, table)
+            except AxiomFails:
+                failed += not join_law_by_scan(Nucleus(host, table))
+                continue
+            assert join_law_by_scan(nuc), (name, images)
+            accepted += 1
+    assert accepted and failed
 
 
 def test_every_nucleus_passes_both(handwritten_subjects):
+    from test_nucleus import meet_host
+
     hosts = [bare(quantale_self_module(q)) for q in QUANTALES.values()]
     hosts += [host for _, host in handwritten_subjects]
+    # Three closures on the diamond break the op law, so only the
+    # op-compatible axiom keeps them out.
+    hosts += [meet_host(LATTICES[n], TWO) for n in ("chain3", "diamond")]
+    nuclei = 0
     for host in hosts:
         for nuc in enumerate_nuclei(host):
-            assert derived_laws_pass(nuc) and join_law_by_scan(nuc)
-            assert derived_laws(nuc)["join_law_checked"] == \
-                len(host.carrier) ** 2
+            assert_the_argued_laws_hold(nuc)
+            nuclei += 1
+    assert nuclei > len(hosts)
+
+
+def test_every_canonical_closure_passes_the_scans(all_subjects):
+    subjects = [s for _, s in all_subjects]
+    subjects += [bare(crisp_module(chain_lattice(list("0123456"[:n])), TWO))
+                 for n in range(1, 8)]
+    sizes = set()
+    for subject in subjects:
+        free = free_qsup_algebra(subject.module.base, subject.algebra)
+        table = canonical_closure(free, counit_map(free, subject))
+        assert_the_argued_laws_hold(is_nucleus(free.module_algebra, table))
+        sizes.add(len(free.ids))
+    assert max(sizes) == 128
 
 
 def test_mutation_files_fail_both():
     doc = loads(corpus_text("non-monotone-nucleus.json"))
     host = doc.qmodule_algebra("host")
-    skew = Nucleus(host, doc.raw["nuclei"]["skew"]["table"])
-    assert not derived_laws_pass(skew)
-    assert not join_law_by_scan(skew)
+    table = doc.raw["nuclei"]["skew"]["table"]
+    with pytest.raises(AxiomFails):
+        is_nucleus(host, table)
+    assert not join_law_by_scan(Nucleus(host, table))
 
     # Lax mode lets the flat action build; its residual degrees are all
     # top, so the bridge stops at antisymmetry, and on the raw table the
