@@ -34,16 +34,15 @@ def small_quantales(corpus_quantales):
             if len(q.elements) <= 3}
 
 
-@pytest.fixture(scope="session")
-def enumerated_modules(small_quantales):
-    """Every module on a chain of up to three elements over every small
-    base, found by exhausting action tables.
+def modules_on_chains(quantales):
+    """Every module on a chain of up to three elements over each of
+    `quantales`, found by exhausting action tables.
 
     A lattice with at most three elements is a chain, so chains cover
     the whole |A| <= 3 family.
     """
     found = []
-    for qname, base in small_quantales.items():
+    for qname, base in quantales.items():
         for n in (1, 2, 3):
             lat = chain_lattice(CHAIN_LABELS[:n])
             cells = list(itertools.product(base.elements, lat.elements))
@@ -60,13 +59,12 @@ def enumerated_modules(small_quantales):
     return found
 
 
-@pytest.fixture(scope="session")
-def enumerated_subjects(enumerated_modules):
-    """Bare and one-binary-operation algebras over every enumerated
+def subjects_over(modules):
+    """Bare and one-binary-operation algebras over every labelled
     module."""
     sig = signature({"mul": 2})
     subjects = []
-    for label, mod in enumerated_modules:
+    for label, mod in modules:
         carrier = mod.carrier
         bare = validate_omega_algebra(carrier, EMPTY_SIGNATURE, {})
         subjects.append((f"{label}/bare",
@@ -85,14 +83,40 @@ def enumerated_subjects(enumerated_modules):
     return subjects
 
 
-@pytest.fixture(scope="session")
-def handwritten_subjects():
+def corpus_subjects():
     """The two healthy subjects shipped as corpus files."""
     out = []
     for fname in ("two-meet.json", "luk3-self.json"):
         doc = load(str(corpus_path(fname)))
         out.append((fname[:-5], doc.qmodule_algebra("subject")))
     return out
+
+
+def subject_corpus():
+    """The 115 subjects of `all_subjects`, built outside a session."""
+    small = {name: q for name, q in bundled_quantales().items()
+             if len(q.elements) <= 3}
+    return subjects_over(modules_on_chains(small)) + corpus_subjects()
+
+
+@pytest.fixture(scope="session")
+def enumerated_modules(small_quantales):
+    """Every module on a chain of up to three elements over every small
+    base."""
+    return modules_on_chains(small_quantales)
+
+
+@pytest.fixture(scope="session")
+def enumerated_subjects(enumerated_modules):
+    """Bare and one-binary-operation algebras over every enumerated
+    module."""
+    return subjects_over(enumerated_modules)
+
+
+@pytest.fixture(scope="session")
+def handwritten_subjects():
+    """The two healthy subjects shipped as corpus files."""
+    return corpus_subjects()
 
 
 @pytest.fixture(scope="session")
