@@ -99,9 +99,10 @@ class CompleteLattice:
     over it, with join([]) = bottom.  Meets are looked up, not stored as
     a table: down maps each element to its down-set bitmask, by_down
     inverts it, and a meet is the element whose down-set is the AND of
-    the members' (meet([]) = top).  `index`, `ijoin` and `covers()` are
-    derived from these on each read, for the callers that work over
-    element positions or covering pairs.
+    the members' (meet([]) = top).  For the callers that work over
+    element positions, `index` gives each element's position and `ijoin`
+    is the join table over positions: entry i*n+k is the position of the
+    join of elements i and k.  `covers()` derives the covering pairs.
     """
 
     poset: FinitePoset
@@ -110,6 +111,8 @@ class CompleteLattice:
     join2: Mapping[tuple[str, str], str] = field(repr=False)
     down: Mapping[str, int] = field(repr=False)
     by_down: Mapping[int, str] = field(repr=False)
+    index: Mapping[str, int] = field(repr=False)
+    ijoin: list = field(repr=False)
 
     @property
     def elements(self):
@@ -129,18 +132,6 @@ class CompleteLattice:
         for s in subset:
             mask &= self.down[s]
         return self.by_down[mask]
-
-    @property
-    def index(self):
-        """Each element's position in `elements`."""
-        return dict(zip(self.elements, range(len(self.elements))))
-
-    @property
-    def ijoin(self):
-        """The join table over positions: entry i*n+k is the position of
-        the join of elements i and k."""
-        ix, els = self.index, self.elements
-        return [ix[self.join2[(a, b)]] for a in els for b in els]
 
     def covers(self):
         """The covering pairs (a, b): a < b, and nothing lies strictly
@@ -174,16 +165,17 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
 
     The join of a and b is the element whose up-set is up(a) & up(b),
     so one dict lookup finds it or proves it missing.  The down-sets are
-    kept for `CompleteLattice.meet`.
+    kept for `CompleteLattice.meet`, and the joins over positions too.
     """
     elements = poset.elements
     up = up_masks(elements, poset.relation)
     down = up_masks(elements, ((b, a) for a, b in poset.relation))
     by_up, by_down = dict(zip(up, elements)), dict(zip(down, elements))
+    index = dict(zip(elements, range(len(elements))))
     full = (1 << len(elements)) - 1
     if full not in by_up:
         raise NotComplete("no bottom element", pair=[])
-    join2 = {}
+    join2, ijoin = {}, []
     for a, ua in zip(elements, up):
         for b, ub in zip(elements, up):
             bounds = ua & ub
@@ -196,11 +188,12 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                 raise NotComplete(f"join of {(a, b)!r} has no least element "
                                   f"among {members}", pair=[a, b],
                                   bounds=members)
-            join2[(a, b)] = by_up[bounds]
+            join2[(a, b)] = j = by_up[bounds]
+            ijoin.append(index[j])
     # A bottom and all binary joins make a lattice, so every AND of
     # down-sets is a down-set in by_down.
     return CompleteLattice(poset, by_up[full], by_down[full], join2,
-                           dict(zip(elements, down)), by_down)
+                           dict(zip(elements, down)), by_down, index, ijoin)
 
 
 def _power_table(table, m, k):

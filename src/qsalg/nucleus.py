@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, eq
 from typing import Mapping
 
 from . import limits
@@ -52,6 +53,11 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
     element of Q has.  A failure is reported at the first pair a <= b, in
     carrier order, that j does not keep, as the all-pairs scan finds it.
 
+    Op-compatibility is checked in one pass over all argument tuples,
+    over element positions: a <= b is read as a v b = b off the flat
+    join table, and the first failing position, in product order, names
+    the witness.
+
     For the canonical closure j on a free object, op-compatibility
     w(j a1 .. j an) <= j(w(a1 .. an)) *is* the paper's closure bound:
     as the action distributes over scalar joins, q <= j(b)(x) exactly
@@ -86,17 +92,26 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
                 f"j(j({a!r})) = {table[table[a]]!r} is not <= "
                 f"j({a!r}) = {table[a]!r}",
                 element=a, image=table[a], double=table[table[a]])
+    carrier, ix, ijoin = host.carrier, lat.index, lat.ijoin
+    size, images = len(carrier), [table[a] for a in carrier]
     for sym in alg.signature.symbols:
-        n = alg.signature.arity(sym)
-        for args in itertools.product(host.carrier, repeat=n):
-            lifted = alg.apply(sym, tuple(table[a] for a in args))
-            if not lat.leq(lifted, table[alg.apply(sym, args)]):
-                raise AxiomFails(
-                    "op-compatible",
-                    f"{sym!r} of nucleus images at {args!r} gives "
-                    f"{lifted!r}, above j of the raw result",
-                    symbol=sym, args=list(args), lifted=lifted,
-                    bound=table[alg.apply(sym, args)])
+        n, op = alg.signature.arity(sym), alg.ops[sym].__getitem__
+        lifted = list(map(ix.__getitem__, map(op, itertools.product(
+            images, repeat=n))))
+        bound = list(map(ix.__getitem__, map(table.__getitem__, map(
+            op, itertools.product(carrier, repeat=n)))))
+        ok = list(map(eq, map(ijoin.__getitem__, map(
+            add, map(size.__mul__, lifted), bound)), bound))
+        if False in ok:
+            t = ok.index(False)
+            args = next(itertools.islice(itertools.product(
+                carrier, repeat=n), t, None))
+            lifted, bound = carrier[lifted[t]], carrier[bound[t]]
+            raise AxiomFails(
+                "op-compatible",
+                f"{sym!r} of nucleus images at {args!r} gives "
+                f"{lifted!r}, above j of the raw result",
+                symbol=sym, args=list(args), lifted=lifted, bound=bound)
     for q in mod.base.elements:
         for a in host.carrier:
             lhs = mod.act(q, table[a])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Mapping
 
 from . import limits
@@ -285,11 +286,16 @@ def free_qsup_algebra(base: FiniteQuantale,
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
-      sends to y, the products of the argument degrees at xs (over Q's
-      element indices, from the first factor on: unit * x = x).  With
-      the other slots pinned, each product has the free slot's degree
-      as a factor, so the slot preserves joins by distributivity (bottom
-      absorbs) and the action by associativity and commutativity;
+      sends to y, the products of the argument degrees at xs.  With the
+      other slots pinned, each product has the free slot's degree as a
+      factor, so the slot preserves joins by distributivity (bottom
+      absorbs) and the action by associativity and commutativity.  The
+      table is built a row at a time over Q's element indices: with the
+      first n-1 arguments fixed, scale[x][y] joins their products over
+      the xs with last generator x and image y (distributivity again),
+      and coordinate y's column over every last argument b, the join of
+      scale[x][y] * b(x), grows one generator at a time, a block per
+      degree of b(x);
     - eta sends a to the point with degree unit at a.  Since unit * unit
       = unit and bottom absorbs, a product of points is the point at the
       image, so eta is an operation homomorphism.
@@ -314,24 +320,36 @@ def free_qsup_algebra(base: FiniteQuantale,
               for s, q in enumerate(els) for i, row in zip(ids, coords)}
 
     pos = {a: x for x, a in enumerate(gens)}
-    bottom, unit = index[base.bottom], index[base.unit]
+    bottom, unit, g = index[base.bottom], index[base.unit], len(gens)
+    joinrow = [join[t * k:(t + 1) * k].__getitem__ for t in range(k)]
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
         # (coordinates of the arguments, coordinate of their image)
         fibres = [(xs, pos[generators.apply(sym, [gens[x] for x in xs])])
-                  for xs in itertools.product(range(len(gens)), repeat=n)]
-        table = {}
-        for arg_ids, rows in zip(itertools.product(ids, repeat=n),
-                                 itertools.product(coords, repeat=n)):
-            out = [bottom] * len(gens)
+                  for xs in itertools.product(range(g), repeat=n)]
+        if n == 0:
+            ops[sym] = {(): id_at[tuple(
+                unit if x == fibres[0][1] else bottom for x in range(g))]}
+            continue
+        values = []
+        for rows in itertools.product(coords, repeat=n - 1):
+            scale = [[bottom] * g for _ in range(g)]
             for xs, y in fibres:
-                prod = rows[0][xs[0]] if n else unit  # unit * x = x: skip it
-                for j in range(1, n):
-                    prod = mul[prod * k + rows[j][xs[j]]]
-                out[y] = join[out[y] * k + prod]
-            table[arg_ids] = id_at[tuple(out)]
-        ops[sym] = table
+                prod = unit
+                for row, x in zip(rows, xs):
+                    prod = mul[prod * k + row[x]]
+                scale[xs[-1]][y] = join[scale[xs[-1]][y] * k + prod]
+            out = itertools.repeat(0)
+            for y in range(g):
+                col = [bottom]
+                for x in reversed(range(g)):
+                    c = scale[x][y]
+                    col = col * k if c == bottom else list(itertools.chain(
+                        *[map(joinrow[t], col) for t in mul[c * k:][:k]]))
+                out = map(add, map((k ** (g - 1 - y)).__mul__, col), out)
+            values += map(ids.__getitem__, out)
+        ops[sym] = dict(zip(itertools.product(ids, repeat=n), values))
 
     module = QModule(power_lattice(base.lattice, len(gens), ids), base,
                      action)

@@ -19,8 +19,9 @@ path: the quantale is checked as a module over itself, and each order's
 joins come from one table built from up-sets.  The free order is not
 shipped: two ids compare coordinate by coordinate, from `free.subsets`,
 over Q's element indices, and the nucleus is checked monotone on
-covering pairs.  A fibre product starts at its first factor, as the
-unit law is checked first.  `order-iso` checks binary joins only: the
+covering pairs.  The free ops are recomputed a row of argument tuples
+at a time, as the builder computes them, by the distributivity checked
+with the quantale.  `order-iso` checks binary joins only: the
 embedding is then a bijection onto the quotient keeping binary joins, an
 order isomorphism, which keeps the bottom and, with the action, degrees.
 """
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from operator import add, eq
 
 from .errors import CertificateTampered, ParseError
 
@@ -427,23 +429,42 @@ def recheck_certificate(cert) -> list:
                     "pointwise multiplication", scalar=s, id=i)
     _no_extra(free_action, m * len(ids), itertools.product(q.elements, ids),
               "free: action")
-    # Coordinate y of an op's value joins the products over its fibres.
+    # Columns run over the subsets in radix order, which `at_rank` names;
+    # a constant's row is read at the subset of all units.
     pos = {a: y for y, a in enumerate(carrier)}
-    bottom, unit = index[q.order.bottom], index[q.unit]
+    bottom, unit, g = index[q.order.bottom], index[q.unit], len(carrier)
+    at_rank = [by_values[t] for t in itertools.product(range(m), repeat=g)]
+    order = list(map(dict(zip(at_rank, range(len(ids)))).__getitem__, ids))
+    joinrow = [join[t * m:(t + 1) * m].__getitem__ for t in range(m)]
+    last = [(b,) for b in ids]
     for sym, n in arities.items():
         table = free_ops[sym]
         fibres = [(xs, pos[subject.ops[sym][tuple(carrier[x] for x in xs)]])
-                  for xs in itertools.product(range(len(carrier)), repeat=n)]
-        for args in itertools.product(ids, repeat=n):
-            rows = [values[i] for i in args]
-            out = [bottom] * len(carrier)
+                  for xs in itertools.product(range(g), repeat=n)]
+        for pre in itertools.product(ids, repeat=max(n - 1, 0)):
+            scale = [[bottom] * g for _ in range(g)]
             for xs, y in fibres:
-                p = rows[0][xs[0]] if n else unit
-                for j in range(1, n):
-                    p = mul[p * m + rows[j][xs[j]]]
-                out[y] = join[out[y] * m + p]
-            if _cell(table, args, f"free: op {sym!r}") != \
-                    by_values[tuple(out)]:
+                p = unit
+                for i, x in zip(pre, xs):
+                    p = mul[p * m + values[i][x]]
+                x = xs[-1] if n else y
+                scale[x][y] = join[scale[x][y] * m + p]
+            out = itertools.repeat(0)
+            for y in range(g):
+                col = [bottom]
+                for x in reversed(range(g)):
+                    c = scale[x][y]
+                    col = col * m if c == bottom else list(itertools.chain(
+                        *[map(joinrow[t], col) for t in mul[c * m:][:m]]))
+                out = map(add, map((m ** (g - 1 - y)).__mul__, col), out)
+            out = list(map(at_rank.__getitem__, out))
+            keys = list(map(pre.__add__, last)) if n else [()]
+            expected = list(map(out.__getitem__, order)) if n else \
+                [out[unit * sum(m ** e for e in range(g))]]
+            claimed = list(map(table.get, keys))
+            if claimed != expected:
+                args = keys[list(map(eq, claimed, expected)).index(False)]
+                _cell(table, args, f"free: op {sym!r}")
                 raise CertificateTampered(
                     "free-tables", f"free op {sym!r} at {args!r} is not "
                     "the convolution of the subject op", symbol=sym,
@@ -491,14 +512,25 @@ def recheck_certificate(cert) -> list:
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "
                     "with the action", scalar=s, id=i)
+    # The op law a row at a time, as above, and <= one coordinate at a
+    # time over its columns; a constant is below its closure by inflation.
+    images = [(nuc[b],) for b in ids]
     for sym, n in arities.items():
-        table = free_ops[sym]
-        for args in itertools.product(ids, repeat=n):
-            lifted = table[tuple(nuc[i] for i in args)]
-            if not fleq(lifted, nuc[table[args]]):
+        op = free_ops[sym].__getitem__
+        for pre in itertools.product(ids, repeat=n - 1) if n else ():
+            keys = list(map(pre.__add__, last))
+            lifted = map(values.__getitem__, map(op, map(tuple(map(
+                nuc.__getitem__, pre)).__add__, images)))
+            bound = map(values.__getitem__, map(nuc.__getitem__, map(
+                op, keys)))
+            ok = list(map(all, zip(*[map(leq.__getitem__, map(add, map(
+                m.__mul__, a), b)) for a, b in zip(zip(*lifted),
+                                                   zip(*bound))])))
+            if False in ok:
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "
-                    f"with {sym!r}", symbol=sym, args=list(args))
+                    f"with {sym!r}", symbol=sym,
+                    args=list(keys[ok.index(False)]))
     passed += ["nucleus-definition", "nucleus-axioms"]
 
     rho = _label_map(cert, "rho", "certificate")
