@@ -65,11 +65,11 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
     """
     mod, alg = host.module, host.algebra
     lat = mod.lattice
-    known = lat.index
+    ix = lat.index
     for a in host.carrier:
         if a not in table:
             raise UnknownElement(a, "nucleus table (missing)")
-        if table[a] not in known:
+        if table[a] not in ix:
             raise UnknownElement(table[a], "nucleus value")
     check_all_read(table, host.carrier, "nucleus table")
     if not all([lat.leq(table[a], table[b]) for a, b in lat.covers()]):
@@ -92,7 +92,7 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
                 f"j(j({a!r})) = {table[table[a]]!r} is not <= "
                 f"j({a!r}) = {table[a]!r}",
                 element=a, image=table[a], double=table[table[a]])
-    carrier, ix, ijoin = host.carrier, lat.index, lat.ijoin
+    carrier, ijoin = host.carrier, lat.ijoin
     size, images = len(carrier), [table[a] for a in carrier]
     for sym in alg.signature.symbols:
         n, op = alg.signature.arity(sym), alg.ops[sym].__getitem__

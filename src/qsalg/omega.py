@@ -346,7 +346,7 @@ def free_qsup_algebra(base: FiniteQuantale,
                 for x in reversed(range(g)):
                     c = scale[x][y]
                     col = col * k if c == bottom else list(itertools.chain(
-                        *[map(joinrow[t], col) for t in mul[c * k:][:k]]))
+                        *[map(joinrow[t], col) for t in mul[c * k:c * k + k]]))
                 out = map(add, map((k ** (g - 1 - y)).__mul__, col), out)
             values += map(ids.__getitem__, out)
         ops[sym] = dict(zip(itertools.product(ids, repeat=n), values))

@@ -429,8 +429,9 @@ def recheck_certificate(cert) -> list:
                     "pointwise multiplication", scalar=s, id=i)
     _no_extra(free_action, m * len(ids), itertools.product(q.elements, ids),
               "free: action")
-    # Columns run over the subsets in radix order, which `at_rank` names;
-    # a constant's row is read at the subset of all units.
+    # Columns run over the subsets in radix order, which `at_rank` names.
+    # A constant's fibre has no last argument: it sets scale[y][y] to the
+    # unit, and its row is read at the subset with every degree unit.
     pos = {a: y for y, a in enumerate(carrier)}
     bottom, unit, g = index[q.order.bottom], index[q.unit], len(carrier)
     at_rank = [by_values[t] for t in itertools.product(range(m), repeat=g)]
@@ -455,7 +456,7 @@ def recheck_certificate(cert) -> list:
                 for x in reversed(range(g)):
                     c = scale[x][y]
                     col = col * m if c == bottom else list(itertools.chain(
-                        *[map(joinrow[t], col) for t in mul[c * m:][:m]]))
+                        *[map(joinrow[t], col) for t in mul[c * m:c * m + m]]))
                 out = map(add, map((m ** (g - 1 - y)).__mul__, col), out)
             out = list(map(at_rank.__getitem__, out))
             keys = list(map(pre.__add__, last)) if n else [()]
@@ -523,9 +524,9 @@ def recheck_certificate(cert) -> list:
                 nuc.__getitem__, pre)).__add__, images)))
             bound = map(values.__getitem__, map(nuc.__getitem__, map(
                 op, keys)))
-            ok = list(map(all, zip(*[map(leq.__getitem__, map(add, map(
-                m.__mul__, a), b)) for a, b in zip(zip(*lifted),
-                                                   zip(*bound))])))
+            below = [map(leq.__getitem__, map(add, map(m.__mul__, a), b))
+                     for a, b in zip(zip(*lifted), zip(*bound))]
+            ok = list(map(all, zip(*below)))
             if False in ok:
                 raise CertificateTampered(
                     "nucleus-axioms", "closure is not laxly compatible "

@@ -266,13 +266,13 @@ def certificate(name):
 
 def first_failure(cert):
     """(check, witness) of the first claim `recheck` rejects, ("parse",
-    None) for a ParseError, or None when it passes."""
+    message) for a ParseError, or None when it passes."""
     try:
         recheck_certificate(cert)
     except CertificateTampered as err:
         return err.check, err.witness
-    except ParseError:
-        return "parse", None
+    except ParseError as err:
+        return "parse", str(err)
     return None
 
 
@@ -304,7 +304,8 @@ def test_free_op_edits_fail_where_the_per_tuple_loop_does(name):
             continue
         sym, args, is_missing = want
         if is_missing:
-            assert got == ("parse", None)
+            assert got == ("parse",
+                           f"free: op {sym!r} missing {tuple(args)!r}")
             missing += 1
         else:
             assert got == ("free-tables", {"check": "free-tables",
