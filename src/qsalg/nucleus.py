@@ -24,9 +24,9 @@ from .errors import (
     UnknownElement,
     check_all_read,
 )
-from .lattice import complete_lattice, validate_poset
-from .omega import QModuleAlgebra, validate_omega_algebra, validate_qmodule_algebra
-from .qmodule import validate_qmodule
+from .lattice import FinitePoset, complete_lattice
+from .omega import OmegaAlgebra, QModuleAlgebra, validate_qmodule_algebra
+from .qmodule import QModule, validate_qmodule
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,25 +159,44 @@ def derived_laws(nucleus: Nucleus) -> dict:
 
 def quotient(nucleus: Nucleus) -> QModuleAlgebra:
     """The module algebra on the fixed points of a nucleus, which are its
-    image (inflation and weak idempotence).  For fixed a, b, j(a v b) is
-    their least fixed upper bound and j(bottom) the least fixed point, so
-    the lattice found on the fixed points has the nucleus images of the
-    host's joins."""
+    image (inflation and weak idempotence), built from the axioms with
+    no law scanned again.  For fixed a, b, j(a v b) is their least fixed
+    upper bound and j(bottom) the least fixed point, so the lattice
+    found on the fixed points has the nucleus images of the host's
+    joins.  The action q.a = j(q*a) and the operations w(a..) = j(w(a..))
+    land in it, and on a full host they keep the laws, by the derived
+    laws j(x v y) = j(jx v jy), j(w(x..)) = j(w(jx..)) and j(q*x) =
+    j(q*jx) (`derived_laws`):
+
+    - unit.a = j(a) = a, and bottom.a = j(bottom), the least fixed point;
+    - (p v q).a = j(p*a v q*a) = j(j(p*a) v j(q*a)), the quotient join;
+    - p.(q.a) = j(p*j(q*a)) = j(p*(q*a)) = j((p q)*a) = (p q).a;
+    - q.(a v b) = j(q*j(a v b)) = j(q*a v q*b), the join of q.a and q.b,
+      and q.j(bottom) = j(q*bottom) = j(bottom);
+    - with the other slots pinned, each slot of w keeps j(bottom), the
+      quotient's binary joins and its action the same way, through the
+      host's slot laws.
+
+    On a lax host q*- need not be monotone, so j(q*x) = j(q*jx), and with
+    it the composition and slot laws, is not implied, nor is the unit
+    law: its quotient is validated as a full module algebra."""
     host, j = nucleus.host, nucleus.table
     lat = host.module.lattice
     fixed = tuple(a for a in host.carrier if j[a] == a)
-    rel = {(a, b) for a in fixed for b in fixed if lat.leq(a, b)}
-    qlat = complete_lattice(validate_poset(fixed, rel))
+    rel = frozenset((a, b) for a in fixed for b in fixed if lat.leq(a, b))
+    qlat = complete_lattice(FinitePoset(fixed, rel))
     action = {(q, a): j[host.module.act(q, a)]
               for q in host.base.elements for a in fixed}
-    qmod = validate_qmodule(qlat, host.base, action)
     ops = {}
     for sym in host.algebra.signature.symbols:
         n = host.algebra.signature.arity(sym)
         ops[sym] = {args: j[host.algebra.apply(sym, args)]
                     for args in itertools.product(fixed, repeat=n)}
-    qalg = validate_omega_algebra(fixed, host.algebra.signature, ops)
-    return validate_qmodule_algebra(qmod, qalg)
+    qalg = OmegaAlgebra(fixed, host.algebra.signature, ops)
+    if host.module.lax:
+        return validate_qmodule_algebra(
+            validate_qmodule(qlat, host.base, action), qalg)
+    return QModuleAlgebra(QModule(qlat, host.base, action), qalg)
 
 
 def _linear_extension(lat):

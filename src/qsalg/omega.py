@@ -401,8 +401,18 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
       composition law and q*(a v b) = q*a v q*b, q*bottom = bottom by the
       second-argument join law.
 
+    The operation part is checked on the generators, over |X|^n tuples,
+    not on the extension over |free|^n: fbar is an operation
+    homomorphism exactly when f is one, so a failure names generator
+    arguments.  The target's operations keep joins and the action in
+    each slot (`validate_qmodule_algebra`), so w(fbar a1 .. fbar an)
+    and fbar(w(a1 .. an)) both expand to the join, over x1 .. xn, of
+    the products a1(x1) .. an(xn) acting on w(f x1 .. f xn) and on
+    f(w(x1 .. xn)) respectively, which f's law makes equal.  Conversely
+    f is fbar after eta, and eta is an operation homomorphism.
+
     A lax module skips the second-argument join law, so for a lax
-    target the module part is scanned as well.
+    target the module part and the free op tables are scanned as well.
     """
     mod = target.module
     for a in free.generators.carrier:
@@ -419,12 +429,10 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
                 f"extension does not restrict to the assignment at {a!r}")
     fbar = StructureMap(free.module_algebra, target, table)
     if mod.lax:
-        ok, witness = is_homomorphism(fbar, "q-module-algebra")
+        witness = is_homomorphism(fbar, "q-module-algebra")[1]
     else:
-        witness = _omega_hom_witness(table, free.module_algebra.algebra,
-                                     target.algebra)
-        ok = witness is None
-    if not ok:
+        witness = _omega_hom_witness(f, free.generators, target.algebra)
+    if witness is not None:
         raise CertificationFails(
             f"extension of a non-homomorphic assignment: {witness}",
             **witness)

@@ -12,9 +12,9 @@ from qsalg.lattice import (
     monotone_map,
     pentagon_lattice,
     reflexive_transitive_closure,
-    right_adjoint,
     validate_poset,
 )
+from oracles import right_adjoint
 
 
 def lub_oracle(poset, subset):

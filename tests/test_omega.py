@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qsalg import errors
+from qsalg import errors, limits
 from qsalg import omega as omega_module
 from qsalg.corpus import bundled_quantales, corpus_documents, corpus_text
 from qsalg.document import loads
@@ -407,29 +407,49 @@ def test_crisp_chain_free_lattices_are_the_definition_level_lattice():
     assert len(free.ids) == 128
 
 
-def test_the_sweep_scans_each_extension_once(monkeypatch):
-    # extend_hom certifies the extension; the uniqueness search reaches
-    # the same table and does not scan it again.
+def test_extend_hom_scans_no_free_table(monkeypatch, all_subjects):
+    # On a lawful target extend_hom checks the op law on the generators,
+    # which the slot laws make equivalent to the |free|^n scan of the
+    # extension: it must raise exactly when that scan fails, for every
+    # assignment, hom or not.  The uniqueness search reaches the same
+    # extension and does not scan it either.
     scanned = []
     scan = omega_module._omega_hom_witness
 
     def counted(table, source, target):
-        scanned.append(dict(table))
+        scanned.append(source.carrier)
         return scan(table, source, target)
 
     monkeypatch.setattr(omega_module, "_omega_hom_witness", counted)
-    homs = 0
-    for gens, target in ((z2_algebra(), meet_algebra_over_two()),
-                         (meet_algebra_over_two().algebra,
-                          meet_algebra_over_two())):
-        free = free_qsup_algebra(TWO, gens)
-        for f in operation_homs(gens, target):
-            fbar = extend_hom(free, target, f)
-            assert extension_unique(free, target, f, fbar) == "unique"
-            assert scanned.count(dict(fbar.table)) == 1, f
+    homs = non_homs = 0
+    for base, gens, target in free_inputs(all_subjects):
+        free = free_qsup_algebra(base, gens)
+        mod = target.module
+        for values in itertools.product(target.carrier,
+                                        repeat=len(gens.carrier)):
+            f = dict(zip(gens.carrier, values))
+            extension = {i: mod.lattice.join(
+                mod.act(v, f[a]) for v, a in zip(free.atlas[i].values,
+                                                  gens.carrier))
+                for i in free.ids}
+            full = scan(extension, free.module_algebra.algebra,
+                        target.algebra)
+            try:
+                fbar = extend_hom(free, target, f)
+            except errors.CertificationFails as err:
+                assert full is not None, f
+                assert err.witness == scan(f, gens, target.algebra)
+                non_homs += 1
+            else:
+                assert full is None and fbar.table == extension, f
+                if len(target.carrier) ** len(free.ids) <= \
+                        limits.HOM_ENUM_BOUND:
+                    assert extension_unique(free, target, f, fbar) == \
+                        "unique"
+                homs += 1
+            assert free.ids not in scanned
             scanned.clear()
-            homs += 1
-    assert homs == 5
+    assert (homs, non_homs) == (703, 1964)
 
 
 def test_counit_frozen_values_and_retraction():

@@ -10,6 +10,7 @@ import ast
 import copy
 import itertools
 import json
+import random
 
 import pytest
 
@@ -22,7 +23,9 @@ from qsalg.lattice import (chain_lattice, complete_lattice, diamond_lattice,
 from qsalg.omega import (EMPTY_SIGNATURE, validate_omega_algebra,
                          validate_qmodule_algebra)
 from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
-from qsalg.recheck import _cover_pairs, _Order, _Quantale, recheck_certificate
+from qsalg.recheck import (_cover_pairs, _json_type, _Order,
+                           _pairs_to_relation, _Quantale, _rows_to_op,
+                           _triples_to_table, recheck_certificate)
 from qsalg.representation import representation
 from test_lattice import all_corpus_lattices, labelled_posets
 from test_omega import luk3_with_a_constant
@@ -417,6 +420,124 @@ def test_a_nullary_constant_certificate_rechecks():
         recheck_certificate(cert)
     assert err.value.witness == {"check": "free-tables", "symbol": "half",
                                  "args": []}
+
+
+def test_a_free_id_deleted_throughout_fails_free_tables(boolean_cert):
+    # Every section stays consistent with the ids that are left, so only
+    # the carrier-size check stands between the missing subset and a
+    # KeyError in the free-op columns.
+    cert = copy.deepcopy(boolean_cert)
+    fr = cert["free"]
+    gone = next(i for i in fr["ids"] if i not in cert["fixed"])
+    fr["ids"].remove(gone)
+    del fr["subsets"][gone], cert["nucleus"][gone], cert["epsilon"][gone]
+    fr["action"] = [row for row in fr["action"] if gone not in row]
+    for sym, rows in fr["ops"].items():
+        fr["ops"][sym] = [row for row in rows
+                          if gone not in row[0] and row[1] != gone]
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.witness == {"check": "free-tables", "ids": 3}
+
+
+# -- the row readers against the row walk -----------------------------------
+
+
+def _walk_fault(row, width, nested=None):
+    if not isinstance(row, list):
+        return f"is {_json_type(row)}"
+    if len(row) != width:
+        return f"has {len(row)} cells"
+    for c, cell in enumerate(row):
+        if c == nested and isinstance(cell, list):
+            for a, arg in enumerate(cell):
+                if type(arg) is not str:
+                    return f"argument {a} has type {_json_type(arg)}"
+        elif c == nested or type(cell) is not str:
+            return f"cell {c} has type {_json_type(cell)}"
+    return None
+
+
+def _walk(rows, where, width, what, repeat, nested=None):
+    """The readers as a walk from the first row, a call per row: the
+    first row that is malformed or repeats a key names the error."""
+    table = {}
+    for k, row in enumerate(rows):
+        fault = _walk_fault(row, width, nested)
+        if fault:
+            raise ParseError(f"{where}: {what}, row {k} {fault}")
+        key = tuple(row[0]) if nested == 0 else (row[0], row[1])
+        if key in table:
+            shown = row[0] if nested == 0 else row[:2]
+            raise ParseError(f"{where}: repeated {repeat} {shown!r}")
+        table[key] = row[-1]
+    return table
+
+
+READERS = [
+    (_pairs_to_relation, 2, None,
+     "leq rows are [a, b] pairs of string labels", "leq row"),
+    (_triples_to_table, 3, None,
+     "rows are [a, b, value] triples of string labels", "row for"),
+    (_rows_to_op, 2, 0, "op rows are [[args...], value] of string labels",
+     "row for"),
+]
+ODD_CELLS = [5, 2.5, None, True, [], ["a"], {"a": "b"}]
+
+
+def _malformed(rng, rows, width, nested):
+    """One seeded defect in a sound row: a row of another type or width,
+    a cell of another type, args that are not a list of strings, or a
+    repeated key later on (with the same or another value)."""
+    sound = [k for k, row in enumerate(rows)
+             if isinstance(row, list) and len(row) == width]
+    if not sound:
+        return
+    k = rng.choice(sound)
+    row = list(rows[k])
+    kind = rng.choice(["row", "width", "cell", "args", "repeat"])
+    if kind == "row":
+        rows[k] = rng.choice(["a", 5, None, {"a": 1}])
+    elif kind == "width":
+        rows[k] = row + ["a"] if rng.random() < 0.5 else row[:-1]
+    elif kind == "args" and nested is not None:
+        rows[k] = [rng.choice(["a", 5, None, ["a", 5], [None]]), row[1]]
+    elif kind == "repeat":
+        rows.insert(rng.randrange(k + 1, len(rows) + 1),
+                    row if rng.random() < 0.5 else row[:-1] + ["zz"])
+    else:
+        row[rng.randrange(width)] = rng.choice(ODD_CELLS)
+        rows[k] = row
+
+
+@pytest.mark.parametrize("reader,width,nested,what,repeat", READERS,
+                         ids=[r[0].__name__ for r in READERS])
+def test_row_readers_match_the_row_walk(reader, width, nested, what,
+                                        repeat):
+    rng = random.Random(21)
+    labels = ["0", "1/2", "1", "a\\,b"]
+    raised = 0
+    for trial in range(400):
+        if nested is None:
+            rows = [[a, b, rng.choice(labels)][:width]
+                    for a, b in itertools.product(labels, repeat=2)]
+        else:
+            rows = [[list(args), rng.choice(labels)] for args in
+                    itertools.product(labels, repeat=trial % 3)]
+        rng.shuffle(rows)
+        for _ in range(rng.randint(0, 3)):
+            _malformed(rng, rows, width, nested)
+        try:
+            want = _walk(rows, "x", width, what, repeat, nested)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                reader(copy.deepcopy(rows), "x")
+            assert str(got.value) == str(err)
+            raised += 1
+            continue
+        got = reader(copy.deepcopy(rows), "x")
+        assert got == (set(want) if reader is _pairs_to_relation else want)
+    assert 100 < raised < 400
 
 
 # -- oracles for the join table and the covering pairs --------------------

@@ -2,11 +2,11 @@
 
 Fuzzy-join certification and fuzzy-join preservation are each checked
 through a small set of identities instead of by enumerating subsets, and
-the nucleus's derived laws and its quotient's joins are argued from the
-nucleus axioms instead of being scanned.  Here every reduction and every
-argument is compared with the plain scan it replaces, on every instance
-whose subset space fits the threshold, and every witness a reduction
-reports is confirmed by the scan.
+the nucleus's derived laws and its quotient's joins and laws are argued
+from the nucleus axioms instead of being scanned.  Here every reduction
+and every argument is compared with the plain scan it replaces, on every
+instance whose subset space fits the threshold, and every witness a
+reduction reports is confirmed by the scan.
 """
 
 import ast
@@ -43,7 +43,8 @@ from qsalg.omega import (
     validate_qmodule_algebra,
 )
 from qsalg.qmodule import action_residual, crisp_module, \
-    module_from_suplattice, quantale_self_module, suplattice_from_module
+    module_from_suplattice, quantale_self_module, suplattice_from_module, \
+    validate_qmodule
 from qsalg.qorder import (
     QOrderedSet,
     all_qsubsets,
@@ -244,20 +245,32 @@ def derived_law_failures(nucleus):
 
 def quotient_failures(nucleus):
     """What the quotient would break: the fixed points must be the image,
-    and the quotient's bottom and binary joins the nucleus images of the
-    host's."""
+    the quotient's bottom and binary joins the nucleus images of the
+    host's, its order the host's restricted, and its tables must pass
+    the poset, module and slot-law scans that `quotient` argues."""
     host, j = nucleus.host, nucleus.table
     lat = host.module.lattice
     fixed = [a for a in host.carrier if j[a] == a]
     bad = []
     if set(fixed) != set(j.values()):
         bad.append("fixed-points-are-image")
-    qlat = quotient(nucleus).module.lattice
+    quot = quotient(nucleus)
+    qlat = quot.module.lattice
     if qlat.elements != tuple(fixed) or qlat.bottom != j[lat.bottom]:
         bad.append("carrier-or-bottom")
     if any(qlat.join2[(a, b)] != j[lat.join2[(a, b)]]
            for a in fixed for b in fixed):
         bad.append("joins")
+    if any(qlat.leq(a, b) != lat.leq(a, b) for a in fixed for b in fixed):
+        bad.append("order")
+    try:
+        validate_poset(fixed, qlat.poset.relation)
+        validate_qmodule_algebra(
+            validate_qmodule(qlat, host.base, dict(quot.module.action)),
+            validate_omega_algebra(fixed, host.algebra.signature,
+                                   quot.algebra.ops))
+    except SpecViolation as err:
+        bad.append(f"laws: {type(err).__name__}")
     return bad
 
 
