@@ -31,7 +31,7 @@ from .errors import (
     SpecViolation,
     TooLarge,
 )
-from .nucleus import derived_laws, enumerate_nuclei, is_nucleus
+from .nucleus import derived_laws, enumerate_nuclei, nucleus_given_op_law
 from .omega import (
     bare_algebra,
     counit_map,
@@ -222,7 +222,9 @@ def _check_universal(doc, report):
 def _canonical_laws(subject):
     free = free_qsup_algebra(subject.module.base, subject.algebra)
     eps = counit_map(free, subject)
-    nuc = is_nucleus(free.module_algebra, canonical_closure(free, eps))
+    # The closure's op law is argued, as in `representation`.
+    nuc = nucleus_given_op_law(free.module_algebra,
+                               canonical_closure(free, eps))
     return {"free_size": len(free.ids), **derived_laws(nuc)}
 
 

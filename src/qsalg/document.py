@@ -17,6 +17,7 @@ through them.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .errors import ParseError, PartialTable, UnknownReference
@@ -270,6 +271,9 @@ def self_module_section(q, poset_name):
                              for a in q.elements for b in q.elements)}
 
 
-def op_rows(table):
-    """An op table as sorted [[args...], value] rows."""
-    return sorted([list(args), v] for args, v in table.items())
+def op_rows(table, carrier):
+    """A total op table on `carrier` as sorted [[args...], value] rows,
+    walked in that order: the product over the sorted carrier."""
+    n = len(next(iter(table)))
+    return [[list(args), table[args]]
+            for args in itertools.product(sorted(carrier), repeat=n)]

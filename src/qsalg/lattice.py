@@ -119,6 +119,9 @@ class CompleteLattice:
     def leq(self, a, b):
         return self.poset.leq(a, b)
 
+    def check_element(self, a, where="lattice"):
+        self.poset.check_element(a, where)
+
     def join(self, subset) -> str:
         out = self.bottom
         for s in subset:
@@ -194,31 +197,6 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                            dict(zip(elements, down)), by_down, index, ijoin)
 
 
-def _power_table(table, m, k):
-    """The flat table of a binary operation on the k-th power of an
-    m-element set, applied coordinate by coordinate, from its flat table
-    `table` on the set: a Kronecker expansion, one digit at a time.
-    Positions spell coordinate tuples in radix m, and every coordinate
-    reads the same table, so a new digit may go first: positions i, j of
-    size s become u*s+i, v*s+j, with entry table[u*m+v]*s + out[i*s+j].
-    Row u*s+i is then m rows of `out` shifted, laid end to end, and only
-    the m shifts of each row are computed."""
-    out, s = [0], 1
-    for _ in range(k):
-        rows = [out[i * s:(i + 1) * s] for i in range(s)]
-        shifted = [rows]
-        for c in range(1, m):
-            shift = list(range(c * s, (c + 1) * s)).__getitem__
-            shifted.append([list(map(shift, row)) for row in rows])
-        out = []
-        for u in range(m):
-            for i in range(s):
-                for v in range(m):
-                    out += shifted[table[u * m + v]][i]
-        s *= m
-    return out
-
-
 @dataclass(eq=False)
 class PowerLattice:
     """The power L^k of a finite complete lattice L, ordered coordinate by
@@ -227,30 +205,33 @@ class PowerLattice:
     product order (the last coordinate runs fastest), so the digits of a
     position in radix |L| are the positions of its coordinates in L.
 
-    Nothing is searched and no law is checked again: the order, the
-    joins, the meets and the covers are read off L's certified tables
-    one coordinate at a time.  `ijoin` is the join table over positions,
-    as for `CompleteLattice`.  The label-keyed `join2` is built from it
-    on first read and kept, for the callers that read label pairs (the
-    hom search, `check_module_hom`, the module-to-order bridge); the
-    representation path reads positions only.
+    Nothing is searched and no law is checked again: all is read off
+    L's certified tables one coordinate at a time.  With |L| bits a
+    coordinate, `hot` sets each digit's bit and `down` its down-set in
+    L, so a <= b is one AND, hot(a) & down(b) == hot(a).  The join
+    tables `ijoin` (over positions, as for `CompleteLattice`) and `join2`
+    are built on first read, by `join`, the hom search and a lax
+    module's scans; the representation path reads neither.
     """
 
-    poset: FinitePoset
+    elements: tuple[str, ...]
     factor: CompleteLattice
     degree: int
     bottom: str
     top: str
     index: Mapping[str, int] = field(repr=False)
-    ijoin: list = field(repr=False)
+    hot: list = field(repr=False)
+    down: list = field(repr=False)
+    _ijoin: list = field(default=None, init=False, repr=False)
     _join2: dict = field(default=None, init=False, repr=False)
 
-    @property
-    def elements(self):
-        return self.poset.elements
-
     def leq(self, a, b):
-        return self.poset.leq(a, b)
+        h = self.hot[self.index[a]]
+        return h & self.down[self.index[b]] == h
+
+    def check_element(self, a, where="lattice"):
+        if a not in self.index:
+            raise UnknownElement(a, where)
 
     def join(self, subset) -> str:
         ix, n, ijoin = self.index, len(self.elements), self.ijoin
@@ -260,18 +241,30 @@ class PowerLattice:
         return self.elements[out]
 
     def meet(self, subset) -> str:
-        f, k = self.factor, self.degree
-        m, fix = len(f.elements), f.index
-        digits = [f.top] * k
+        """Each coordinate of the AND of `down` masks is a meet's down-set."""
+        f, m, ix = self.factor, len(self.factor.elements), self.index
+        mask = self.down[ix[self.top]]
         for s in subset:
-            i = self.index[s]
-            for p in reversed(range(k)):
-                i, d = divmod(i, m)
-                digits[p] = f.meet((digits[p], f.elements[d]))
-        out = 0
-        for x in digits:
-            out = out * m + fix[x]
-        return self.elements[out]
+            mask &= self.down[ix[s]]
+        return self.elements[sum(
+            f.index[f.by_down[mask >> j * m & (1 << m) - 1]] * m ** j
+            for j in range(self.degree))]
+
+    @property
+    def ijoin(self):
+        """Expanded from L's a digit at a time: positions i, j of size s
+        become i*m+u, j*m+v, with entry out[i*s+j]*m + table[u*m+v],
+        read from `pos` so that equal entries share one int object."""
+        if self._ijoin is None:
+            table, m = self.factor.ijoin, len(self.factor.elements)
+            out, s, pos = [0], 1, list(range(len(self.elements)))
+            for _ in range(self.degree):
+                out = [pos[o * m + t] for i in range(s) for u in range(m)
+                       for o in out[i * s:(i + 1) * s]
+                       for t in table[u * m:(u + 1) * m]]
+                s *= m
+            self._ijoin = out
+        return self._ijoin
 
     @property
     def join2(self):
@@ -297,27 +290,16 @@ class PowerLattice:
 
 def power_lattice(factor: CompleteLattice, k: int, labels) -> PowerLattice:
     """The power factor^k on `labels`, which name the coordinate tuples
-    in product order.  The up-set of a tuple is the product of its
-    coordinates' up-sets, expanded one coordinate at a time like the
-    joins."""
+    in product order; the order masks grow a digit at a time."""
     labels, m, ix = tuple(labels), len(factor.elements), factor.index
-    up = [[ix[b] for b in factor.elements if factor.leq(a, b)]
-          for a in factor.elements]
-    ups, bottom, top = [[0]], 0, 0
+    downs = [factor.down[a] for a in factor.elements]
+    hot, down, bottom, top = [0], [0], 0, 0
     for _ in range(k):
-        ups = [[t * m + b for t in above for b in up[u]]
-               for above in ups for u in range(m)]
+        hot = [h << m | 1 << u for h in hot for u in range(m)]
+        down = [d << m | du for d in down for du in downs]
         bottom, top = bottom * m + ix[factor.bottom], top * m + ix[factor.top]
-    rel = frozenset((labels[i], labels[t])
-                    for i, above in enumerate(ups) for t in above)
-    return PowerLattice(FinitePoset(labels, rel), factor, k, labels[bottom],
-                        labels[top], dict(zip(labels, range(len(labels)))),
-                        _power_table(factor.ijoin, m, k))
-
-
-def _poset_of(obj) -> FinitePoset:
-    return obj.poset if isinstance(obj, (CompleteLattice, PowerLattice)) \
-        else obj
+    return PowerLattice(labels, factor, k, labels[bottom], labels[top],
+                        dict(zip(labels, range(len(labels)))), hot, down)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,14 +317,13 @@ class StructureMap:
 
 
 def monotone_map(source, target, table) -> StructureMap:
-    src, tgt = _poset_of(source), _poset_of(target)
-    for a in src.elements:
+    for a in source.elements:
         if a not in table:
             raise UnknownElement(a, "map table (missing)")
-        tgt.check_element(table[a], "map target")
-    for a in src.elements:
-        for b in src.elements:
-            if src.leq(a, b) and not tgt.leq(table[a], table[b]):
+        target.check_element(table[a], "map target")
+    for a in source.elements:
+        for b in source.elements:
+            if source.leq(a, b) and not target.leq(table[a], table[b]):
                 raise NotMonotone(
                     f"{a!r} <= {b!r} but f({a!r}) = {table[a]!r} "
                     f"is not <= f({b!r}) = {table[b]!r}",

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import add, eq
 from typing import Mapping
 
 from . import limits
 from .errors import (
     AxiomFails,
-    InternalInconsistency,
     TheoremFails,
     TooLarge,
     UnknownElement,
@@ -42,7 +40,23 @@ class Nucleus:
 
 
 def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
-    """Check the five nucleus axioms; first failure wins, with a witness.
+    """Check the five nucleus axioms in this order; the first failure
+    wins, with a witness."""
+    _order_axioms(host, table)
+    op_compatible(host, table)
+    return _action_axiom(host, table)
+
+
+def nucleus_given_op_law(host: QModuleAlgebra, table) -> Nucleus:
+    """`is_nucleus` but for the op-compatible axiom, which the caller
+    argues instead of scanning |host|^n argument tuples."""
+    _order_axioms(host, table)
+    return _action_axiom(host, table)
+
+
+def _order_axioms(host: QModuleAlgebra, table) -> None:
+    """The table is total on the carrier, and monotone, inflationary and
+    idempotent.
 
     Monotonicity is decided on the host's covering pairs: a map between
     finite posets is monotone exactly when it keeps every covering pair
@@ -52,24 +66,12 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
     so there are at most n*|X|*c of them, c the most upper covers an
     element of Q has.  A failure is reported at the first pair a <= b, in
     carrier order, that j does not keep, as the all-pairs scan finds it.
-
-    Op-compatibility is checked in one pass over all argument tuples,
-    over element positions: a <= b is read as a v b = b off the flat
-    join table, and the first failing position, in product order, names
-    the witness.
-
-    For the canonical closure j on a free object, op-compatibility
-    w(j a1 .. j an) <= j(w(a1 .. an)) *is* the paper's closure bound:
-    as the action distributes over scalar joins, q <= j(b)(x) exactly
-    when q * x <= e(b), the evaluation (Stubbe, TAC 16, 2006).
     """
-    mod, alg = host.module, host.algebra
-    lat = mod.lattice
-    ix = lat.index
+    lat = host.module.lattice
     for a in host.carrier:
         if a not in table:
             raise UnknownElement(a, "nucleus table (missing)")
-        if table[a] not in ix:
+        if table[a] not in lat.index:
             raise UnknownElement(table[a], "nucleus value")
     check_all_read(table, host.carrier, "nucleus table")
     if not all([lat.leq(table[a], table[b]) for a, b in lat.covers()]):
@@ -92,30 +94,39 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
                 f"j(j({a!r})) = {table[table[a]]!r} is not <= "
                 f"j({a!r}) = {table[a]!r}",
                 element=a, image=table[a], double=table[table[a]])
-    carrier, ijoin = host.carrier, lat.ijoin
-    size, images = len(carrier), [table[a] for a in carrier]
+
+
+def op_compatible(host: QModuleAlgebra, table) -> None:
+    """The op-compatible axiom w(j a1 .. j an) <= j(w(a1 .. an)), checked
+    in one pass over all argument tuples; the first failing tuple, in
+    product order, names the witness."""
+    lat, alg, carrier = host.module.lattice, host.algebra, host.carrier
+    images = [table[a] for a in carrier]
     for sym in alg.signature.symbols:
         n, op = alg.signature.arity(sym), alg.ops[sym].__getitem__
-        lifted = list(map(ix.__getitem__, map(op, itertools.product(
-            images, repeat=n))))
-        bound = list(map(ix.__getitem__, map(table.__getitem__, map(
-            op, itertools.product(carrier, repeat=n)))))
-        ok = list(map(eq, map(ijoin.__getitem__, map(
-            add, map(size.__mul__, lifted), bound)), bound))
+        lifted = list(map(op, itertools.product(images, repeat=n)))
+        bound = list(map(table.__getitem__, map(op, itertools.product(
+            carrier, repeat=n))))
+        ok = list(map(lat.leq, lifted, bound))
         if False in ok:
             t = ok.index(False)
             args = next(itertools.islice(itertools.product(
                 carrier, repeat=n), t, None))
-            lifted, bound = carrier[lifted[t]], carrier[bound[t]]
+            lifted, bound = lifted[t], bound[t]
             raise AxiomFails(
                 "op-compatible",
                 f"{sym!r} of nucleus images at {args!r} gives "
                 f"{lifted!r}, above j of the raw result",
                 symbol=sym, args=list(args), lifted=lifted, bound=bound)
+
+
+def _action_axiom(host: QModuleAlgebra, table) -> Nucleus:
+    """The action-compatible axiom q*j(a) <= j(q*a); the nucleus."""
+    mod = host.module
     for q in mod.base.elements:
         for a in host.carrier:
             lhs = mod.act(q, table[a])
-            if not lat.leq(lhs, table[mod.act(q, a)]):
+            if not mod.lattice.leq(lhs, table[mod.act(q, a)]):
                 raise AxiomFails(
                     "action-compatible",
                     f"{q!r}*j({a!r}) = {lhs!r} is not <= "
@@ -199,20 +210,6 @@ def quotient(nucleus: Nucleus) -> QModuleAlgebra:
     return QModuleAlgebra(QModule(qlat, host.base, action), qalg)
 
 
-def _linear_extension(lat):
-    remaining = list(lat.elements)
-    out = []
-    while remaining:
-        for x in remaining:
-            if all(not lat.leq(y, x) for y in remaining if y != x):
-                out.append(x)
-                remaining.remove(x)
-                break
-        else:
-            raise InternalInconsistency("no minimal element in a poset")
-    return out
-
-
 def enumerate_nuclei(host: QModuleAlgebra):
     """Every nucleus on the host, exhaustively, sorted by value table.
 
@@ -224,7 +221,10 @@ def enumerate_nuclei(host: QModuleAlgebra):
     n = len(host.carrier)
     if n ** n > limits.ENDOMAP_BOUND:
         raise TooLarge("endo-map space", n ** n, limits.ENDOMAP_BOUND)
-    order = _linear_extension(lat)
+    # A linear extension (fewer elements lie below a than below b > a),
+    # so an assigned y is below x or incomparable to it.
+    order = sorted(lat.elements,
+                   key=lambda x: sum(lat.leq(y, x) for y in lat.elements))
     found = []
     assign = {}
 
@@ -237,21 +237,13 @@ def enumerate_nuclei(host: QModuleAlgebra):
             return
         x = order[k]
         for v in lat.elements:
-            if not lat.leq(x, v):
-                continue
-            ok = True
-            for y, w in assign.items():
-                if lat.leq(y, x) and not lat.leq(w, v):
-                    ok = False
-                    break
-                if lat.leq(x, y) and not lat.leq(v, w):
-                    ok = False
-                    break
-            if ok:
+            if lat.leq(x, v) and all(lat.leq(w, v) for y, w in assign.items()
+                                     if lat.leq(y, x)):
                 assign[x] = v
                 dfs(k + 1)
                 del assign[x]
 
     dfs(0)
+    del dfs  # a recursive closure is a cycle; free its tables now
     found.sort(key=lambda nuc: nuc.values())
     return found

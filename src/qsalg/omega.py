@@ -278,11 +278,9 @@ def free_qsup_algebra(base: FiniteQuantale,
     none is certified again here:
 
     - the order is the product of Q's order, so the lattice is the
-      power of Q's lattice, `lattice.power_lattice`: its order, joins,
-      meets and covers are Q's, read one coordinate at a time, over the
-      ids in their mixed-radix order, and no join is searched for.  The
-      join table is one flat integer table, expanded from Q's one digit
-      at a time;
+      power of Q's lattice over the ids in their mixed-radix order,
+      `lattice.power_lattice`: no join is searched for, no relation or
+      join table is built;
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
@@ -418,7 +416,7 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
     for a in free.generators.carrier:
         if a not in f:
             raise PartialTable("generator assignment", a)
-        mod.lattice.poset.check_element(f[a], "generator image")
+        mod.lattice.check_element(f[a], "generator image")
     table = {}
     for i in free.ids:
         table[i] = mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
@@ -553,8 +551,8 @@ def _search_homs(source, target, fixed, certified):
         if source.algebra.signature.arity(sym) == 0:
             forced[source.algebra.apply(sym, ())] = target.algebra.apply(sym, ())
     for x, v in (fixed or {}).items():
-        src.lattice.poset.check_element(x, "pinned position")
-        tgt.lattice.poset.check_element(v, "pinned image")
+        src.lattice.check_element(x, "pinned position")
+        tgt.lattice.check_element(v, "pinned image")
         if forced.get(x, v) != v:
             return []
         forced[x] = v
@@ -625,4 +623,5 @@ def _search_homs(source, target, fixed, certified):
             del assign[x]
 
     dfs(0)
+    del dfs  # a recursive closure is a cycle; free its tables now
     return results

@@ -203,10 +203,9 @@ def induced_order(order: QOrderedSet) -> FinitePoset:
 
 def crisp_qorder(poset, base: FiniteQuantale) -> QOrderedSet:
     """Embed a crisp poset: degree unit where x <= y, bottom elsewhere."""
-    p = poset.poset if hasattr(poset, "poset") else poset
-    e = {(x, y): base.unit if p.leq(x, y) else base.bottom
-         for x in p.elements for y in p.elements}
-    return validate_qorder(p.elements, base, e)
+    e = {(x, y): base.unit if poset.leq(x, y) else base.bottom
+         for x in poset.elements for y in poset.elements}
+    return validate_qorder(poset.elements, base, e)
 
 
 def subsethood(m: QSubset, n: QSubset) -> str:

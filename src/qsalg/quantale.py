@@ -58,7 +58,7 @@ class FiniteQuantale:
 
     def same_tables(self, other) -> bool:
         return (self.elements == other.elements
-                and self.lattice.poset.relation == other.lattice.poset.relation
+                and set(self.lattice.covers()) == set(other.lattice.covers())
                 and self.unit == other.unit
                 and dict(self.mult) == dict(other.mult))
 
@@ -70,14 +70,14 @@ def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuanta
     joins, which on a finite carrier covers every join.
     """
     els = lattice.elements
-    lattice.poset.check_element(unit, "quantale unit")
+    lattice.check_element(unit, "quantale unit")
     table = {}
     for a in els:
         for b in els:
             if (a, b) not in mult:
                 raise UnknownElement((a, b), "mult table (missing)")
             c = mult[(a, b)]
-            lattice.poset.check_element(c, "mult value")
+            lattice.check_element(c, "mult value")
             table[(a, b)] = c
     check_all_read(mult, table, "mult table")
     for a in els:

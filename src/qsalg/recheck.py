@@ -17,7 +17,7 @@ too, rebuilt from the re-derived tables; no claim depends on a bound.
 `meta.threshold`, the run parameter, is not verified.  Each law has one
 path: the quantale is checked as a module over itself, and each order's
 joins come from one table built from up-sets.  The free order is not
-shipped: two ids compare coordinate by coordinate, from `free.subsets`,
+shipped: two ids compare by one AND of digit masks, from `free.subsets`
 over Q's element indices, and the nucleus is checked monotone on
 covering pairs.  The free ops are recomputed a row of argument tuples
 at a time, as the builder computes them, by the distributivity checked
@@ -466,9 +466,16 @@ def recheck_certificate(cert) -> list:
         raise CertificateTampered("free-tables", "two free ids share a "
                                   "subset table")
     # The free side shares the subject's signature; its carrier is the
-    # ids, ordered coordinate by coordinate.
+    # ids, ordered coordinate by coordinate: with m bits a coordinate,
+    # i <= k when i's one-hot digits lie in the down-sets of k's.
+    qdown = [sum(leq[a * m + b] << a for a in range(m)) for b in range(m)]
+    hot = {i: sum(1 << p * m + v for p, v in enumerate(row))
+           for i, row in values.items()}
+    down = {i: sum(qdown[v] << p * m for p, v in enumerate(row))
+            for i, row in values.items()}
+
     def fleq(i, k):
-        return all([leq[a * m + b] for a, b in zip(values[i], values[k])])
+        return hot[i] & down[k] == hot[i]
 
     free_action = _triples_to_table(_field(fr, "action", "free"), "free")
     free_ops = _ops_tables(fr, "free", arities)

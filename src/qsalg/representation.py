@@ -20,7 +20,7 @@ from . import limits
 from .document import leq_rows, op_rows, quantale_section
 from .errors import InternalInconsistency, LemmaFails, TheoremFails
 from .lattice import CompleteLattice
-from .nucleus import derived_laws, is_nucleus, quotient
+from .nucleus import derived_laws, nucleus_given_op_law, quotient
 from .omega import (
     QModuleAlgebra,
     bare_algebra,
@@ -55,7 +55,7 @@ def _action_triples(module: QModule):
 
 
 def _op_tables(algebra):
-    return {sym: op_rows(algebra.ops[sym])
+    return {sym: op_rows(algebra.ops[sym], algebra.carrier)
             for sym in algebra.signature.symbols}
 
 
@@ -78,7 +78,21 @@ def representation(subject: QModuleAlgebra) -> dict:
     certified on its module face, `transport_algebra(x)`.  Any failed
     claim raises (LemmaFails / TheoremFails with a witness); a wrong
     intermediate table raises InternalInconsistency, so every check
-    passes.  The closure bound is `is_nucleus`'s op-compatible axiom.
+    passes.
+
+    The closure j's op law w(j a1 .. j an) <= j(w(a1 .. an)), the
+    paper's closure bound, is argued, not scanned over |free|^n tuples
+    (`nucleus.op_compatible` is the tests' oracle).  j(b) is the residual
+    cone over e(b), e the counit, so q <= j(b)(x) iff q*x <= e(b)
+    (Stubbe, TAC 16, 2006).  Coordinate y of w(j a1 ..) joins products
+    q1 .. qn, qi = j(ai)(xi), over the xs that the subject's op v sends
+    to y, and (q1 .. qn)*y = v(q1*x1 ..) by composition and each slot
+    keeping the action.  Each qi*xi <= e(ai) and each slot is monotone,
+    so that is below v(e(a1) ..) = e(w(a..)), e being an op hom
+    (`extend_hom`), and by the adjunction each product is below
+    j(w(a..))(y).  The laws read are the subject's slot laws, scalar
+    joins and composition, all checked on lax modules too, and Q's
+    associativity and commutativity, which make Q^X a module algebra.
     """
     mod = subject.module
     checks = []
@@ -87,7 +101,7 @@ def representation(subject: QModuleAlgebra) -> dict:
     eps = counit_map(free, subject)
 
     table = canonical_closure(free, eps)
-    nuc = is_nucleus(free.module_algebra, table)
+    nuc = nucleus_given_op_law(free.module_algebra, table)
     checks.append({"name": "nucleus-axioms", "status": "PASS",
                    "carrier": len(free.ids)})
     laws = derived_laws(nuc)

@@ -7,9 +7,11 @@ import pytest
 from qsalg import limits
 from qsalg.corpus import corpus_text
 from qsalg.document import loads
-from qsalg.errors import AxiomFails, TooLarge
+from qsalg.errors import (AxiomFails, EquivarianceFails, SlotPreservationFails,
+                          TooLarge)
 from qsalg.lattice import chain_lattice, diamond_lattice
-from qsalg.nucleus import derived_laws, enumerate_nuclei, is_nucleus, quotient
+from qsalg.nucleus import (derived_laws, enumerate_nuclei, is_nucleus,
+                           op_compatible, quotient)
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     OmegaAlgebra,
@@ -20,7 +22,7 @@ from qsalg.omega import (
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
-from qsalg.representation import canonical_closure
+from qsalg.representation import canonical_closure, representation
 from qsalg.quantale import boolean_quantale, lukasiewicz_chain
 from qsalg.qmodule import crisp_module, quantale_self_module
 
@@ -292,6 +294,53 @@ def test_op_compatible_fails_exactly_where_the_closure_bound_does(
             tried += 1
             broken += expected is not None
     assert (tried, broken) == (edits, breaking)
+
+
+def test_the_argued_op_law_holds_on_every_canonical_closure(all_subjects):
+    # `representation` argues the closure's op law from the subject's
+    # slot laws; the full op-compatible scan stays its oracle, on every
+    # op-bearing subject of the family and luk3-self.
+    subjects = {label: s for label, s in all_subjects
+                if s.algebra.signature.symbols}
+    assert "luk3-self" in subjects and len(subjects) == 101
+    for label, subject in subjects.items():
+        free, table = canonical_host(subject)
+        assert len(free.ids) <= 81, label
+        op_compatible(free.module_algebra, table)
+        assert representation(subject)["nucleus"] == table, label
+
+
+@pytest.mark.parametrize("name,edits,passed", [
+    ("two-meet.json", 4, 1), ("luk3-self.json", 18, 0)])
+def test_a_slot_law_breaker_is_rejected_before_representation(
+        name, edits, passed):
+    # Every single-cell edit of the subject op: the argument's premise
+    # fails with a slot-law witness, or the edit keeps the slot laws and
+    # the closure passes the op scan.
+    doc = loads(corpus_text(name))
+    subject = doc.qmodule_algebra("subject")
+    (sym,) = subject.algebra.signature.symbols
+    cells = subject.algebra.ops[sym]
+    tried = kept = 0
+    for args, value in cells.items():
+        for other in subject.carrier:
+            if other == value:
+                continue
+            tried += 1
+            alg = validate_omega_algebra(
+                subject.carrier, subject.algebra.signature,
+                {sym: {**cells, args: other}})
+            try:
+                edited = validate_qmodule_algebra(subject.module, alg)
+            except (SlotPreservationFails, EquivarianceFails) as err:
+                assert {"symbol", "slot", "rest"} <= err.witness.keys()
+                assert err.witness["symbol"] == sym
+                continue
+            kept += 1
+            free, table = canonical_host(edited)
+            op_compatible(free.module_algebra, table)
+            representation(edited)
+    assert (tried, kept) == (edits, passed)
 
 
 # -- monotonicity on covers --------------------------------------------------

@@ -12,10 +12,12 @@ from qsalg.lattice import (
     StructureMap,
     chain_lattice,
     complete_lattice,
+    power_lattice,
     preservation_failure,
     validate_poset,
 )
 from qsalg.qmodule import (
+    QModule,
     check_module_hom,
     crisp_module,
     quantale_self_module,
@@ -376,10 +378,11 @@ def definition_covers(lat):
 def assert_same_lattice(lat, oracle):
     """The free object's product lattice against the definition-level
     one: the order, bottom, top, the join and meet of every pair, the
-    flat join table and the covers."""
+    flat join table and the covers.  The power keeps no relation, so the
+    order is compared as `leq` on every pair."""
     els = oracle.elements
     assert lat.elements == els
-    assert lat.poset.relation == oracle.poset.relation
+    assert all(lat.leq(a, b) == oracle.leq(a, b) for a in els for b in els)
     assert (lat.bottom, lat.top) == (oracle.bottom, oracle.top)
     assert (lat.join(()), lat.meet(())) == (oracle.bottom, oracle.top)
     assert lat.ijoin == oracle.ijoin
@@ -405,6 +408,32 @@ def test_crisp_chain_free_lattices_are_the_definition_level_lattice():
         oracle = definition_level_free(free).module.lattice
         assert_same_lattice(free.module.lattice, oracle)
     assert len(free.ids) == 128
+
+
+def test_same_tables_compares_orders_not_representations():
+    # Qx keeps masks where a declared lattice keeps a relation; modules
+    # on either agree exactly when their orders do.
+    free, again = crisp_chain_free(3), crisp_chain_free(3)
+    power, ids = free.module, free.ids
+    declared = definition_level_free(free).module
+    assert power.lattice is not again.module.lattice
+    assert power.same_tables(again.module)
+    assert power.same_tables(declared) and declared.same_tables(power)
+    # The same 8 labels as one 8-chain: a power (degree 1) and a
+    # declared lattice, each with the free action, neither the cube.
+    chain8 = power_lattice(chain_lattice(ids), 1, ids)
+    for lat in (chain8, chain_lattice(ids)):
+        other = QModule(lat, TWO, power.action)
+        assert lat.elements == ids
+        assert not power.same_tables(other)
+        assert not other.same_tables(power)
+        assert not declared.same_tables(other)
+    assert QModule(chain8, TWO, power.action).same_tables(
+        QModule(chain_lattice(ids), TWO, power.action))
+    # the same labels listed in another order: another carrier tuple
+    moved = QModule(power_lattice(TWO.lattice, 3, ids[::-1]), TWO,
+                    power.action)
+    assert not power.same_tables(moved)
 
 
 def test_extend_hom_scans_no_free_table(monkeypatch, all_subjects):

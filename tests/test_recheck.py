@@ -668,6 +668,34 @@ def test_each_broken_quantale_law_is_caught(luk3_cert, law, section,
     assert words in str(err.value)
 
 
+# Each edit of the subject's 0 < 1/2 < 1 breaks one poset law only.
+ORDER_FORGERIES = [
+    ("unknown-element", lambda leq: leq.append(["0", "zz"]),
+     "unknown element", "row", ["0", "zz"]),
+    ("antisymmetry", lambda leq: leq.append(["1", "1/2"]),
+     "not antisymmetric", "pair", None),
+    ("transitivity", lambda leq: leq.remove(["0", "1"]),
+     "not transitive", "chain", ["0", "1/2", "1"]),
+]
+
+
+@pytest.mark.parametrize("edit,words,key,witness",
+                         [f[1:] for f in ORDER_FORGERIES],
+                         ids=[f[0] for f in ORDER_FORGERIES])
+def test_each_order_law_of_a_side_is_checked(luk3_cert, edit, words, key,
+                                             witness):
+    cert = copy.deepcopy(luk3_cert)
+    edit(cert["subject"]["leq"])
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert err.value.check == "subject-order"
+    assert words in str(err.value)
+    if witness is None:
+        assert sorted(err.value.witness[key]) == ["1", "1/2"]
+    else:
+        assert err.value.witness[key] == witness
+
+
 def test_a_leq_deletion_without_a_join_is_an_order_failure(luk3_cert):
     # 0 <= 1/2 and 0 <= 1 with 1/2, 1 incomparable: a poset, no join
     cert = copy.deepcopy(luk3_cert)
