@@ -93,7 +93,7 @@ def corpus_documents():
         "signatures": {"one-binary": {"mul": 2}},
         "algebras": {
             "two-meet": {"carrier": ["0", "1"], "signature": "one-binary",
-                         "ops": {"mul": op_rows(meet_op, two.elements)}},
+                         "ops": {"mul": op_rows(meet_op, two.elements, 2)}},
             "z2": {"carrier": ["e", "g"], "signature": "one-binary",
                    "ops": {"mul": [[["e", "e"], "e"], [["e", "g"], "g"],
                                    [["g", "e"], "g"], [["g", "g"], "e"]]}},
@@ -114,7 +114,7 @@ def corpus_documents():
         "signatures": {"one-binary": {"mult": 2}},
         "algebras": {"self-with-mult": {
             "carrier": list(l3.elements), "signature": "one-binary",
-            "ops": {"mult": op_rows(l3_mult, l3.elements)}}},
+            "ops": {"mult": op_rows(l3_mult, l3.elements, 2)}}},
         "qmodule_algebras": {"subject": {"module": "self",
                                          "algebra": "self-with-mult"}},
     }

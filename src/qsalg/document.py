@@ -271,9 +271,8 @@ def self_module_section(q, poset_name):
                              for a in q.elements for b in q.elements)}
 
 
-def op_rows(table, carrier):
-    """A total op table on `carrier` as sorted [[args...], value] rows,
-    walked in that order: the product over the sorted carrier."""
-    n = len(next(iter(table)))
+def op_rows(table, carrier, n):
+    """An n-ary op table read on `carrier` as sorted [[args...], value]
+    rows, walked in that order: the product over the sorted carrier."""
     return [[list(args), table[args]]
             for args in itertools.product(sorted(carrier), repeat=n)]

@@ -210,8 +210,8 @@ class PowerLattice:
     coordinate, `hot` sets each digit's bit and `down` its down-set in
     L, so a <= b is one AND, hot(a) & down(b) == hot(a).  The join
     tables `ijoin` (over positions, as for `CompleteLattice`) and `join2`
-    are built on first read, by `join`, the hom search and a lax
-    module's scans; the representation path reads neither.
+    are built on first read, by `join` and the hom search; the
+    representation path reads neither, on a lax subject too.
     """
 
     elements: tuple[str, ...]

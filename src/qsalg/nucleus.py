@@ -98,12 +98,12 @@ def _order_axioms(host: QModuleAlgebra, table) -> None:
 
 def op_compatible(host: QModuleAlgebra, table) -> None:
     """The op-compatible axiom w(j a1 .. j an) <= j(w(a1 .. an)), checked
-    in one pass over all argument tuples; the first failing tuple, in
-    product order, names the witness."""
+    in one pass over all argument tuples, so over each op read whole; the
+    first failing tuple, in product order, names the witness."""
     lat, alg, carrier = host.module.lattice, host.algebra, host.carrier
     images = [table[a] for a in carrier]
     for sym in alg.signature.symbols:
-        n, op = alg.signature.arity(sym), alg.ops[sym].__getitem__
+        n, op = alg.signature.arity(sym), dict(alg.ops[sym]).__getitem__
         lifted = list(map(op, itertools.product(images, repeat=n)))
         bound = list(map(table.__getitem__, map(op, itertools.product(
             carrier, repeat=n))))

@@ -268,6 +268,85 @@ class FreeAlgebra:
         return self.module_algebra.module
 
 
+class FreeOp(Mapping):
+    """One operation of the free object: `coords` holds each id's
+    coordinates over Q's element indices, `flat` is |Q|, Q's flat `mul`
+    and `join` and its bottom and unit, and `fibres` pairs the generator
+    arguments' coordinates with their image's.  A read is one
+    convolution over the |X|^n fibres.  The first full read (iteration:
+    the hom search, `same_tables`, the tests' scans) builds the |free|^n
+    table, as `PowerLattice.ijoin` is built, for every later read; the
+    theorem path reads |A|^n cells and never builds it.
+    """
+
+    def __init__(self, ids, index, coords, flat, fibres, n):
+        self.ids, self.index, self.coords = ids, index, coords
+        self.flat, self.fibres, self.n = flat, fibres, n
+        self._table = None
+        if not n:
+            self._table = {(): self[()]}
+
+    def __getitem__(self, args):
+        if self._table is not None:
+            return self._table[args]
+        if len(args) != self.n:
+            raise KeyError(args)
+        k, mul, join, bottom, unit = self.flat
+        rows = [self.coords[self.index[a]] for a in args]
+        out = [bottom] * len(self.coords[0])
+        for xs, y in self.fibres:
+            prod = unit
+            for row, x in zip(rows, xs):
+                prod = mul[prod * k + row[x]]
+            out[y] = join[out[y] * k + prod]
+        at = 0
+        for v in out:
+            at = at * k + v
+        return self.ids[at]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.ids) ** self.n
+
+    def items(self):
+        """The table's view, no call per cell: the hom search walks it."""
+        return self.table.items()
+
+    @property
+    def table(self):
+        """A row at a time: with the first n-1 arguments fixed,
+        scale[x][y] joins their products over the xs with last generator
+        x and image y (distributivity), and coordinate y's column over
+        every last argument b, the join of scale[x][y] * b(x), grows one
+        generator at a time, a block per degree of b(x)."""
+        if self._table is not None:
+            return self._table
+        (k, mul, join, bottom, unit), ids = self.flat, self.ids
+        g = len(self.coords[0])
+        joinrow = [join[t * k:(t + 1) * k].__getitem__ for t in range(k)]
+        values = []
+        for rows in itertools.product(self.coords, repeat=self.n - 1):
+            scale = [[bottom] * g for _ in range(g)]
+            for xs, y in self.fibres:
+                prod = unit
+                for row, x in zip(rows, xs):
+                    prod = mul[prod * k + row[x]]
+                scale[xs[-1]][y] = join[scale[xs[-1]][y] * k + prod]
+            out = itertools.repeat(0)
+            for y in range(g):
+                col = [bottom]
+                for x in reversed(range(g)):
+                    c = scale[x][y]
+                    col = col * k if c == bottom else list(itertools.chain(
+                        *[map(joinrow[t], col) for t in mul[c * k:c * k + k]]))
+                out = map(add, map((k ** (g - 1 - y)).__mul__, col), out)
+            values += map(ids.__getitem__, out)
+        self._table = dict(zip(itertools.product(ids, repeat=self.n), values))
+        return self._table
+
+
 def free_qsup_algebra(base: FiniteQuantale,
                       generators: OmegaAlgebra) -> FreeAlgebra:
     """The free object over a plain signature algebra X: the power Q^X,
@@ -284,16 +363,14 @@ def free_qsup_algebra(base: FiniteQuantale,
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
-      sends to y, the products of the argument degrees at xs.  With the
-      other slots pinned, each product has the free slot's degree as a
-      factor, so the slot preserves joins by distributivity (bottom
-      absorbs) and the action by associativity and commutativity.  The
-      table is built a row at a time over Q's element indices: with the
-      first n-1 arguments fixed, scale[x][y] joins their products over
-      the xs with last generator x and image y (distributivity again),
-      and coordinate y's column over every last argument b, the join of
-      scale[x][y] * b(x), grows one generator at a time, a block per
-      degree of b(x);
+      sends to y, the products of the argument degrees at xs (`FreeOp`,
+      which builds no |free|^n table until one is read whole).  With
+      the other slots pinned, each product has the free slot's degree
+      as a factor, so the slot preserves joins by distributivity
+      (bottom absorbs) and the action by associativity and
+      commutativity.  Each a is the join of the a(x) * eta(x), so these
+      laws fix the operation from its values at the points, where it
+      is eta(w(x1 .. xn));
     - eta sends a to the point with degree unit at a.  Since unit * unit
       = unit and bottom absorbs, a product of points is the point at the
       image, so eta is an operation homomorphism.
@@ -309,7 +386,7 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     # The subsets come in product order, as do their index coordinates.
     els, k = base.elements, len(base.elements)
-    index, join = base.lattice.index, base.lattice.ijoin
+    index = base.lattice.index
     mul = [index[base.mult[(a, b)]] for a in els for b in els]
     coords = list(itertools.product(range(k), repeat=len(gens)))
     id_at = dict(zip(coords, ids))
@@ -317,40 +394,17 @@ def free_qsup_algebra(base: FiniteQuantale,
     action = {(q, i): id_at[tuple([mul[s * k + v] for v in row])]
               for s, q in enumerate(els) for i, row in zip(ids, coords)}
 
+    lattice = power_lattice(base.lattice, len(gens), ids)
     pos = {a: x for x, a in enumerate(gens)}
-    bottom, unit, g = index[base.bottom], index[base.unit], len(gens)
-    joinrow = [join[t * k:(t + 1) * k].__getitem__ for t in range(k)]
+    flat = (k, mul, base.lattice.ijoin, index[base.bottom], index[base.unit])
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
-        # (coordinates of the arguments, coordinate of their image)
         fibres = [(xs, pos[generators.apply(sym, [gens[x] for x in xs])])
-                  for xs in itertools.product(range(g), repeat=n)]
-        if n == 0:
-            ops[sym] = {(): id_at[tuple(
-                unit if x == fibres[0][1] else bottom for x in range(g))]}
-            continue
-        values = []
-        for rows in itertools.product(coords, repeat=n - 1):
-            scale = [[bottom] * g for _ in range(g)]
-            for xs, y in fibres:
-                prod = unit
-                for row, x in zip(rows, xs):
-                    prod = mul[prod * k + row[x]]
-                scale[xs[-1]][y] = join[scale[xs[-1]][y] * k + prod]
-            out = itertools.repeat(0)
-            for y in range(g):
-                col = [bottom]
-                for x in reversed(range(g)):
-                    c = scale[x][y]
-                    col = col * k if c == bottom else list(itertools.chain(
-                        *[map(joinrow[t], col) for t in mul[c * k:c * k + k]]))
-                out = map(add, map((k ** (g - 1 - y)).__mul__, col), out)
-            values += map(ids.__getitem__, out)
-        ops[sym] = dict(zip(itertools.product(ids, repeat=n), values))
+                  for xs in itertools.product(range(len(gens)), repeat=n)]
+        ops[sym] = FreeOp(ids, lattice.index, coords, flat, fibres, n)
 
-    module = QModule(power_lattice(base.lattice, len(gens), ids), base,
-                     action)
+    module = QModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
     eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
     return FreeAlgebra(base, generators, ids, atlas, id_of,
@@ -409,8 +463,12 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
     f(w(x1 .. xn)) respectively, which f's law makes equal.  Conversely
     f is fbar after eta, and eta is an operation homomorphism.
 
-    A lax module skips the second-argument join law, so for a lax
-    target the module part and the free op tables are scanned as well.
+    The bottom, join and operation steps read the bottom scalar,
+    scalar joins, composition and the slot laws, which a lax module
+    keeps too; only the action step reads the second-argument join law.
+    So on a lax target the action alone is scanned, fbar(q*i) =
+    q*fbar(i) over |Q| * |free|, in the order of `check_module_hom`,
+    whose witness it gives.
     """
     mod = target.module
     for a in free.generators.carrier:
@@ -425,16 +483,21 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
         if table[free.eta[a]] != f[a]:
             raise InternalInconsistency(
                 f"extension does not restrict to the assignment at {a!r}")
-    fbar = StructureMap(free.module_algebra, target, table)
+    src, witness = free.module, None
     if mod.lax:
-        witness = is_homomorphism(fbar, "q-module-algebra")[1]
-    else:
+        witness = next(({"law": "NotActionHom", "scalar": q, "element": i,
+                         "left": table[src.act(q, i)],
+                         "right": mod.act(q, table[i])}
+                        for q in src.base.elements for i in free.ids
+                        if table[src.act(q, i)] != mod.act(q, table[i])),
+                       None)
+    if witness is None:
         witness = _omega_hom_witness(f, free.generators, target.algebra)
     if witness is not None:
         raise CertificationFails(
             f"extension of a non-homomorphic assignment: {witness}",
             **witness)
-    return fbar
+    return StructureMap(free.module_algebra, target, table)
 
 
 def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,

@@ -54,9 +54,10 @@ def _action_triples(module: QModule):
                   for q in module.base.elements for a in module.carrier)
 
 
-def _op_tables(algebra):
-    return {sym: op_rows(algebra.ops[sym], algebra.carrier)
-            for sym in algebra.signature.symbols}
+def _op_tables(algebra, carrier):
+    sig = algebra.signature
+    return {sym: op_rows(algebra.ops[sym], carrier, sig.arity(sym))
+            for sym in sig.symbols}
 
 
 def _module_algebra_section(x: QModuleAlgebra):
@@ -66,7 +67,7 @@ def _module_algebra_section(x: QModuleAlgebra):
         "action": _action_triples(x.module),
         "arities": {s: x.algebra.signature.arity(s)
                     for s in x.algebra.signature.symbols},
-        "ops": _op_tables(x.algebra),
+        "ops": _op_tables(x.algebra, x.carrier),
     }
 
 
@@ -93,6 +94,10 @@ def representation(subject: QModuleAlgebra) -> dict:
     j(w(a..))(y).  The laws read are the subject's slot laws, scalar
     joins and composition, all checked on lax modules too, and Q's
     associativity and commutativity, which make Q^X a module algebra.
+
+    No free op table is built: the quotient's |A|^n cells and the |A|^n
+    generator rows of `free.ops`, w(eta x1 ..) = eta(v(x1 ..)), are read
+    one convolution each (`omega.FreeOp`); the slot laws fix the rest.
     """
     mod = subject.module
     checks = []
@@ -165,7 +170,8 @@ def representation(subject: QModuleAlgebra) -> dict:
             "ids": list(free.ids),
             "subsets": {i: free.atlas[i].table() for i in free.ids},
             "action": _action_triples(free.module),
-            "ops": _op_tables(free.module_algebra.algebra),
+            "ops": _op_tables(free.module_algebra.algebra,
+                              free.eta.values()),
         },
         "nucleus": dict(table),
         "epsilon": dict(eps.table),

@@ -1,10 +1,13 @@
 """The row kernels against the per-tuple loops they replaced.
 
-The free object's operation tables are built, checked by `is_nucleus`
-and re-derived by `recheck` over flat integer tables, a row of argument
-tuples (or all of them) at a time.  The loops below walk one argument
-tuple at a time, as those functions used to; each kernel must give the
-same tables, the same verdicts and the same witnesses.
+The free object's operation tables are built a row of argument tuples
+at a time on first full read, a single cell before that by one
+convolution, and `is_nucleus` checks op-compatibility in one pass.  The
+loops below walk one argument tuple at a time; each kernel must give
+the same tables, the same verdicts and the same witnesses.  `recheck`
+reads free.ops at the generator arguments only, and the convolution
+oracle here re-expands them to every tuple where a test needs the
+whole free op.
 """
 
 import copy
@@ -94,14 +97,23 @@ def per_tuple_ops(free):
 
 
 def test_the_build_matches_the_per_tuple_loop(all_subjects):
+    # Seeded single reads first, each one convolution, which must leave
+    # the table unbuilt (a constant's one cell is its table from the
+    # start); then the full read, built by the row kernel.
     cases = [(base, gens) for base, gens, _ in free_inputs(all_subjects)]
     cases += [(TWO, meet_chain(n).algebra) for n in range(1, 8)]
     cases += [(L3, constant_and_ternary())]
     assert len(cases) == 120 + 7 + 1
+    rng = random.Random(23)
     for base, gens in cases:
         free = free_qsup_algebra(base, gens)
         got = free.module_algebra.algebra.ops
         want = per_tuple_ops(free)
+        for sym, table in want.items():
+            cells = rng.sample(sorted(table), min(len(table), 20))
+            assert [got[sym][args] for args in cells] == \
+                [table[args] for args in cells]
+        assert all(op._table is None for op in got.values() if op.n)
         # the same cells, in the same (product) order
         assert {s: list(t.items()) for s, t in got.items()} == \
             {s: list(t.items()) for s, t in want.items()}
@@ -211,6 +223,13 @@ class CertTables:
                             for s, rows in cert["subject"]["ops"].items()}
         self.free_ops = {s: {tuple(a): v for a, v in rows}
                          for s, rows in cert["free"]["ops"].items()}
+        index = self.q.index
+        self.join = {(index[a], index[b]): index[v]
+                     for (a, b), v in self.q.order.join2.items()}
+        unit = self.q.index[cert["quantale"]["unit"]]
+        self.points = {a: self.by_values[tuple(
+            unit if b == a else self.q.index[self.q.order.bottom]
+            for b in self.carrier)] for a in self.carrier}
 
     def convolution(self, sym, args):
         """The free op's value at `args`, one fibre at a time."""
@@ -225,32 +244,44 @@ class CertTables:
             p = rows[0][xs[0]] if args else q.index[q.unit]
             for j in range(1, len(args)):
                 p = q.imul[p * m + rows[j][xs[j]]]
-            out[y] = q.ijoin[out[y] * m + p]
+            out[y] = self.join[(out[y], p)]
         return self.by_values[tuple(out)]
 
 
 def per_tuple_free_op_failure(cert):
-    """The free-tables op check one argument tuple at a time: the first
-    failing (symbol, args), with whether the cell is missing; None when
-    every cell is the convolution."""
+    """The free-tables op check one generator tuple at a time, in product
+    order over the subject's carrier: the first (symbol, args, kind),
+    kind "missing" or "value", or else the first row, in row order, at
+    arguments that are not all points ("extra"); None when free.ops holds
+    exactly the generator rows, each the point at the subject op's
+    value."""
     t = CertTables(cert)
     for sym, n in t.arities.items():
-        for args in itertools.product(t.ids, repeat=n):
-            if t.free_ops[sym].get(args) != t.convolution(sym, args):
-                return sym, list(args), args not in t.free_ops[sym]
+        gen = {}
+        for xs in itertools.product(t.carrier, repeat=n):
+            args = tuple(t.points[a] for a in xs)
+            gen[args] = t.points[t.subject_ops[sym][xs]]
+            if args not in t.free_ops[sym]:
+                return sym, list(args), "missing"
+            if t.free_ops[sym][args] != gen[args]:
+                return sym, list(args), "value"
+        extra = [args for args in t.free_ops[sym] if args not in gen]
+        if extra:
+            return sym, list(extra[0]), "extra"
     return None
 
 
 def per_tuple_op_law_failure(cert):
-    """The nucleus op law one argument tuple at a time: the first (symbol,
-    args) where the closure is not lax, or None."""
+    """The nucleus op law one argument tuple at a time, on the free op
+    re-expanded by the convolution oracle: the first (symbol, args) where
+    the closure is not lax, or None."""
     t = CertTables(cert)
     nuc, m, leq = cert["nucleus"], len(t.q.elements), t.q.ileq
     for sym, n in t.arities.items():
-        table = t.free_ops[sym]
         for args in itertools.product(t.ids, repeat=n):
-            lifted = t.values[table[tuple(nuc[i] for i in args)]]
-            bound = t.values[nuc[table[args]]]
+            lifted = t.values[t.convolution(sym, tuple(nuc[i]
+                                                      for i in args))]
+            bound = t.values[nuc[t.convolution(sym, args)]]
             if not all(leq[a * m + b] for a, b in zip(lifted, bound)):
                 return sym, list(args)
     return None
@@ -279,38 +310,48 @@ def first_failure(cert):
 @pytest.mark.parametrize("name", ["two-meet", "luk3-self", "luk3-constant",
                                   "meet-chain5"])
 def test_free_op_edits_fail_where_the_per_tuple_loop_does(name):
-    # One to three seeded cell edits or deletions in free.ops, half of
-    # them under a shuffled id order, so the first failure in product
-    # order is not simply the one edited cell.
+    # One to three seeded edits of free.ops: a generator row's value
+    # changed or the row deleted, or a row added at arguments that are
+    # not all points; half of them under a shuffled id order, which the
+    # check must not depend on.  With several edits, the first failure
+    # in product order is not simply the one edited row.
     fresh = certificate(name)
     rng = random.Random(20)
-    missing = 0
+    kinds = set()
     for k in range(60):
         cert = copy.deepcopy(fresh)
         if k % 2:
             rng.shuffle(cert["free"]["ids"])
         for _ in range(rng.randint(1, 3)):
-            rows = rng.choice([rows for _, rows in sorted(
-                cert["free"]["ops"].items()) if rows])
-            r = rng.randrange(len(rows))
-            if rng.random() < 0.2:
-                del rows[r]
-            else:
-                rows[r][1] = rng.choice(cert["free"]["ids"])
+            sym, rows = rng.choice(sorted(cert["free"]["ops"].items()))
+            n, u = cert["subject"]["arities"][sym], rng.random()
+            if u < 0.2 and n:
+                args = [rng.choice(cert["free"]["ids"]) for _ in range(n)]
+                if args not in [row[0] for row in rows]:
+                    rows.insert(rng.randint(0, len(rows)),
+                                [args, rng.choice(cert["free"]["ids"])])
+            elif rows:
+                r = rng.randrange(len(rows))
+                if u < 0.4:
+                    del rows[r]
+                else:
+                    rows[r][1] = rng.choice(cert["free"]["ids"])
         want = per_tuple_free_op_failure(cert)
         got = first_failure(cert)
         if want is None:
             assert got is None or got[0] != "free-tables"
             continue
-        sym, args, is_missing = want
-        if is_missing:
-            assert got == ("parse",
-                           f"free: op {sym!r} missing {tuple(args)!r}")
-            missing += 1
-        else:
-            assert got == ("free-tables", {"check": "free-tables",
-                                           "symbol": sym, "args": args})
-    assert missing > 0
+        sym, args, kind = want
+        kinds.add(kind)
+        where = f"free: op {sym!r}"
+        assert got == {
+            "missing": ("parse", f"{where} missing {tuple(args)!r}"),
+            "extra": ("parse", f"{where}: {tuple(args)!r} is outside its "
+                      "domain"),
+            "value": ("free-tables", {"check": "free-tables",
+                                      "symbol": sym, "args": args}),
+        }[kind]
+    assert kinds == {"missing", "value", "extra"}
 
 
 def per_tuple_slot_law_failure(cert):
@@ -350,9 +391,10 @@ def per_tuple_slot_law_failure(cert):
 @pytest.mark.parametrize("name", ["two-meet", "luk3-self", "meet-chain5"])
 def test_op_law_failures_match_the_per_tuple_loop(name):
     # The op law is reached by editing a subject op cell and re-deriving
-    # free.ops from it: the closure then need not be lax over the new
-    # op.  recheck no longer scans that law, since the subject's slot
-    # laws imply it, so every edit that breaks it must fail earlier, at
+    # free.ops' generator rows from it: the closure then need not be lax
+    # over the new op, read whole through the convolution oracle.
+    # recheck does not scan that law, since the subject's slot laws
+    # imply it, so every edit that breaks it must fail earlier, at
     # subject-laws, with the slot-law oracle's witness; and on every
     # edit that keeps the slot laws the op-law oracle finds nothing.
     fresh = certificate(name)
@@ -365,8 +407,8 @@ def test_op_law_failures_match_the_per_tuple_loop(name):
         rows[rng.randrange(len(rows))][1] = rng.choice(
             cert["subject"]["carrier"])
         t = CertTables(cert)
-        cert["free"]["ops"][sym] = [[list(args), t.convolution(sym, args)]
-                                    for args, _ in t.free_ops[sym].items()]
+        for row in cert["free"]["ops"][sym]:
+            row[1] = t.convolution(sym, tuple(row[0]))
         slot_law = per_tuple_slot_law_failure(cert)
         got = first_failure(cert)
         if slot_law is None:

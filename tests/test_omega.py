@@ -7,7 +7,7 @@ import pytest
 from qsalg import errors, limits
 from qsalg import omega as omega_module
 from qsalg.corpus import bundled_quantales, corpus_documents, corpus_text
-from qsalg.document import loads
+from qsalg.document import Document, loads
 from qsalg.lattice import (
     StructureMap,
     chain_lattice,
@@ -561,6 +561,89 @@ def test_extension_into_a_lax_target_still_scans_the_action():
     assert info.value.witness == {"law": "NotActionHom", "scalar": "1",
                                   "element": "{x:1,y:1}", "left": "1",
                                   "right": "a"}
+
+
+def lax_targets():
+    """The lax corpus subjects (every module algebra of a corpus file
+    read with --lax-modules that validates) and the lax census: every
+    action on a chain of up to three elements over TWO and L3 that
+    validates with lax=True, bare and, where it keeps the slot laws,
+    with the chain's meet as a binary op."""
+    out = []
+    for name, text in corpus_documents().items():
+        doc = Document(text, lax_modules=True)
+        for sub in doc.names("qmodule_algebras"):
+            try:
+                out.append(doc.qmodule_algebra(sub))
+            except errors.SpecViolation:
+                pass
+    for base in (TWO, L3):
+        for n in (1, 2, 3):
+            lat = chain_lattice([str(i) for i in range(n)])
+            cells = list(itertools.product(base.elements, lat.elements))
+            meet = {(a, b): lat.meet((a, b))
+                    for a in lat.elements for b in lat.elements}
+            for images in itertools.product(lat.elements, repeat=len(cells)):
+                try:
+                    mod = validate_qmodule(lat, base, dict(zip(cells, images)),
+                                           lax=True)
+                except errors.SpecViolation:
+                    continue
+                out.append(bare_algebra(mod))
+                try:
+                    out.append(validate_qmodule_algebra(
+                        mod, validate_omega_algebra(lat.elements, BIN,
+                                                    {"mul": meet})))
+                except errors.SpecViolation:
+                    pass
+    return out
+
+
+def test_a_lax_extension_scans_the_action_and_the_generators():
+    # On a lax target extend_hom scans only fbar(q*i) = q*fbar(i) and the
+    # op law on the generators.  The full law scan of the extension is
+    # the oracle: the same verdict on every assignment, the same witness
+    # when the first failure is in the module part, and the generator
+    # witness when it is in the op part.
+    targets = lax_targets() + [lax_diamond_target()]
+    assert all(t.module.lax for t in targets)
+    pair = validate_omega_algebra(("x", "y"), EMPTY_SIGNATURE, {})
+    seen = {"hom": 0, "module": 0, "op": 0, "restriction": 0}
+    for target, gens in [(t, g) for t in targets for g in (t.algebra, pair)
+                         if g.signature.same_tables(t.algebra.signature)]:
+        mod = target.module
+        free = free_qsup_algebra(target.base, gens)
+        for values in itertools.product(target.carrier,
+                                        repeat=len(gens.carrier)):
+            f = dict(zip(gens.carrier, values))
+            extension = {i: mod.lattice.join(
+                mod.act(v, f[a]) for v, a in zip(free.atlas[i].values,
+                                                  gens.carrier))
+                for i in free.ids}
+            full = is_homomorphism(StructureMap(
+                free.module_algebra, target, extension),
+                "q-module-algebra")[1]
+            try:
+                fbar = extend_hom(free, target, f)
+            except errors.InternalInconsistency:
+                # unit*f(a) is not f(a): the lax unit law, as before
+                assert any(extension[free.eta[a]] != f[a] for a in f)
+                seen["restriction"] += 1
+            except errors.CertificationFails as err:
+                assert full is not None, f
+                if "law" in full:
+                    assert full["law"] == "NotActionHom"
+                    assert err.witness == full
+                    seen["module"] += 1
+                else:
+                    assert err.witness == omega_module._omega_hom_witness(
+                        f, gens, target.algebra)
+                    seen["op"] += 1
+            else:
+                assert full is None and fbar.table == extension, f
+                seen["hom"] += 1
+    assert len(targets) == 36 and seen == {
+        "hom": 355, "module": 52, "op": 68, "restriction": 556}
 
 
 def test_extension_rejects_non_homomorphic_assignments():

@@ -19,11 +19,11 @@ from qsalg.corpus import bundled_quantales, corpus_text
 from qsalg.document import loads
 from qsalg.errors import CertificateTampered, NotComplete, ParseError
 from qsalg.lattice import (chain_lattice, complete_lattice, diamond_lattice,
-                           pentagon_lattice, reflexive_transitive_closure)
+                           pentagon_lattice)
 from qsalg.omega import (EMPTY_SIGNATURE, validate_omega_algebra,
                          validate_qmodule_algebra)
 from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
-from qsalg.recheck import (_cover_pairs, _json_type, _Order,
+from qsalg.recheck import (_json_type, _Order,
                            _pairs_to_relation, _Quantale, _rows_to_op,
                            _triples_to_table, recheck_certificate)
 from qsalg.representation import representation
@@ -218,8 +218,9 @@ def side_edits(cert):
 
 
 def test_order_iso_needs_no_degree_or_bottom_check(luk3_cert, boolean_cert):
-    """`order-iso` checks joins only: an edit of a side's action or order,
-    which could distort a degree or move a bottom, is caught before."""
+    """`order-iso` is argued, not scanned: an edit of a side's action or
+    order, which could distort a degree or move a bottom, is caught
+    before."""
     edits = [e for cert in (boolean_cert, luk3_cert) for e in side_edits(cert)]
     assert len(edits) == 70
     for name, cert in edits:
@@ -265,8 +266,10 @@ def test_a_parse_error_names_the_cell_not_the_row(luk3_cert, edit, named):
 
 def test_wrong_format_is_a_parse_error(luk3_cert):
     # /1 shipped the free order; /2 claimed the closure bound on its own;
-    # /3 claimed n^2 compared join-law pairs
-    for old in ("qsalg-cert/1", "qsalg-cert/2", "qsalg-cert/3"):
+    # /3 claimed n^2 compared join-law pairs; /4 shipped every |free|^n
+    # row of a free op
+    for old in ("qsalg-cert/1", "qsalg-cert/2", "qsalg-cert/3",
+                "qsalg-cert/4"):
         cert = copy.deepcopy(luk3_cert)
         cert["format"] = old
         with pytest.raises(ParseError):
@@ -406,8 +409,53 @@ def test_every_free_op_and_action_cell_is_checked(boolean_cert):
                 assert err.value.witness == {"check": "free-tables",
                                              **fields(row)}
                 tried += 1
-    # 8 action cells and 16 cells of the one binary op, 3 other ids each
-    assert tried == (8 + 16) * 3
+    # 8 action cells and the 4 generator rows of the one binary op, 3
+    # other ids each
+    assert tried == (8 + 4) * 3
+
+
+@pytest.mark.parametrize("cert_name", ["boolean_cert", "luk3_cert"])
+def test_free_ops_holds_exactly_the_generator_rows(request, cert_name):
+    # Each row is at the points eta(x1), eta(x2): a missing one, or one
+    # more at arguments that are not all points, is malformed.
+    fresh = request.getfixturevalue(cert_name)
+    (sym, rows), = fresh["free"]["ops"].items()
+    carrier = fresh["subject"]["carrier"]
+    assert len(rows) == len(carrier) ** 2
+    points = {i for args, _ in rows for i in args}
+    assert len(points) == len(carrier)
+    for k, (args, _) in enumerate(rows):
+        cert = copy.deepcopy(fresh)
+        del cert["free"]["ops"][sym][k]
+        with pytest.raises(ParseError, match="missing"):
+            recheck_certificate(cert)
+    others = [i for i in fresh["free"]["ids"] if i not in points]
+    for args in itertools.product(fresh["free"]["ids"], repeat=2):
+        if points.issuperset(args):
+            continue
+        cert = copy.deepcopy(fresh)
+        cert["free"]["ops"][sym].append([list(args), others[0]])
+        with pytest.raises(ParseError, match="outside its domain"):
+            recheck_certificate(cert)
+
+
+def test_every_quotient_op_cell_is_checked(luk3_cert):
+    # The quotient op at rho(a), rho(b) must be rho(a * b): every other
+    # value of every cell fails quotient-tables, naming the cell.
+    (sym, rows), = luk3_cert["quotient"]["ops"].items()
+    tried = 0
+    for k, (args, value) in enumerate(rows):
+        for other in luk3_cert["fixed"]:
+            if other == value:
+                continue
+            cert = copy.deepcopy(luk3_cert)
+            cert["quotient"]["ops"][sym][k][1] = other
+            with pytest.raises(CertificateTampered) as err:
+                recheck_certificate(cert)
+            assert err.value.witness == {"check": "quotient-tables",
+                                         "symbol": sym, "args": args}
+            tried += 1
+    assert tried == 9 * 2
 
 
 def test_a_nullary_constant_certificate_rechecks():
@@ -425,7 +473,7 @@ def test_a_nullary_constant_certificate_rechecks():
 def test_a_free_id_deleted_throughout_fails_free_tables(boolean_cert):
     # Every section stays consistent with the ids that are left, so only
     # the carrier-size check stands between the missing subset and a
-    # KeyError in the free-op columns.
+    # KeyError where the subsets are looked up by their values.
     cert = copy.deepcopy(boolean_cert)
     fr = cert["free"]
     gone = next(i for i in fr["ids"] if i not in cert["fixed"])
@@ -438,6 +486,16 @@ def test_a_free_id_deleted_throughout_fails_free_tables(boolean_cert):
     with pytest.raises(CertificateTampered) as err:
         recheck_certificate(cert)
     assert err.value.witness == {"check": "free-tables", "ids": 3}
+
+
+def test_a_repeated_free_id_fails_free_tables(boolean_cert):
+    # The list keeps its length, so the carrier-size check alone would
+    # pass it.
+    cert = copy.deepcopy(boolean_cert)
+    cert["free"]["ids"][1] = cert["free"]["ids"][0]
+    with pytest.raises(CertificateTampered) as err:
+        recheck_certificate(cert)
+    assert "duplicate free ids" in str(err.value)
 
 
 # -- the row readers against the row walk -----------------------------------
@@ -607,22 +665,51 @@ def small_certificates():
     return [json.loads(json.dumps(representation(s))) for s in subjects]
 
 
-def test_cover_pairs_generate_the_coordinatewise_order():
+def test_the_argued_nucleus_laws_hold_on_every_certificate():
+    # recheck argues these from the laws it checks and scans none of
+    # them; here they are scanned, on the certificate tables: the
+    # closure is monotone, inflationary, idempotent and laxly compatible
+    # with the free action, evaluation inverts rho, rho is an order iso
+    # onto the quotient keeping the action, and every scalar fixes the
+    # bottom of each side.
     sizes = []
     for cert in small_certificates():
+        assert recheck_certificate(cert)[-1] == "verdict"
         q = _Quantale(cert["quantale"])
         q.verify()
-        carrier = cert["subject"]["carrier"]
-        ids = cert["free"]["ids"]
-        values = {i: tuple(q.index[cert["free"]["subsets"][i][a]]
-                           for a in carrier) for i in ids}
-        by_values = {row: i for i, row in values.items()}
-        pairs = set(_cover_pairs(q, values, by_values))
-        assert all(i != k for i, k in pairs)
-        coordinatewise = {(i, k) for i in ids for k in ids if all(
-            q.order.leq(q.elements[a], q.elements[b])
-            for a, b in zip(values[i], values[k]))}
-        assert reflexive_transitive_closure(ids, pairs) == coordinatewise
+        carrier, ids = cert["subject"]["carrier"], cert["free"]["ids"]
+        values = {i: [cert["free"]["subsets"][i][a] for a in carrier]
+                  for i in ids}
+        nuc, eps = cert["nucleus"], cert["epsilon"]
+        act = {(s, i): v for s, i, v in cert["free"]["action"]}
+
+        def leq(i, k):
+            return all(q.order.leq(a, b) for a, b in zip(values[i],
+                                                         values[k]))
+
+        for i, k in itertools.product(ids, repeat=2):
+            assert not leq(i, k) or leq(nuc[i], nuc[k])
+        for i in ids:
+            assert leq(i, nuc[i]) and nuc[nuc[i]] == nuc[i]
+            assert all(leq(act[(s, nuc[i])], nuc[act[(s, i)]])
+                       for s in q.elements)
+        assert all(eps[cert["rho"][a]] == a for a in carrier)
+        # rho is an order iso onto the quotient and keeps the action
+        rho, sub, quot = cert["rho"], cert["subject"], cert["quotient"]
+        sleq, qleq = ({tuple(r) for r in sec["leq"]} for sec in (sub, quot))
+        assert all(((a, b) in sleq) == ((rho[a], rho[b]) in qleq)
+                   for a, b in itertools.product(carrier, repeat=2))
+        sact, qact = ({(s, a): v for s, a, v in sec["action"]}
+                      for sec in (sub, quot))
+        assert all(rho[sact[(s, a)]] == qact[(s, rho[a])]
+                   for s in q.elements for a in carrier)
+        for side in ("subject", "quotient", "quantale"):
+            rows = cert[side].get("action", cert[side].get("mult"))
+            elements = cert[side].get("carrier", q.elements)
+            table = {(s, a): v for s, a, v in rows}
+            bottom = next(b for b in elements if all(
+                [b, a] in cert[side]["leq"] for a in elements))
+            assert all(table[(s, bottom)] == bottom for s in q.elements)
         sizes.append(len(ids))
     assert max(sizes) == 81 and min(sizes) == 4
 
@@ -694,6 +781,132 @@ def test_each_order_law_of_a_side_is_checked(luk3_cert, edit, words, key,
         assert sorted(err.value.witness[key]) == ["1", "1/2"]
     else:
         assert err.value.witness[key] == witness
+
+
+def first_action_law_failure(cert, side):
+    """The action laws of a side one at a time, in recheck's order, on
+    the certificate's label rows with joins read off the `leq` rows:
+    (message words, witness) of the first broken law, or None."""
+    sec, qsec = cert[side], cert["quantale"]
+    carrier, qels, unit = sec["carrier"], qsec["elements"], qsec["unit"]
+    leq = {tuple(r) for r in sec["leq"]}
+    qleq = {tuple(r) for r in qsec["leq"]}
+    act = {(s, a): v for s, a, v in sec["action"]}
+    mul = {(s, t): v for s, t, v in qsec["mult"]}
+
+    def lub(order, els, *xs):
+        ups = [u for u in els if all((x, u) in order for x in xs)]
+        return next(u for u in ups if all((u, v) in order for v in ups))
+
+    bot, qbot = lub(leq, carrier), lub(qleq, qels)
+    for a in carrier:
+        if act[(unit, a)] != a:
+            return "unit action fails", {"element": a}
+        if act[(qbot, a)] != bot:
+            return "does not crush", {"element": a}
+        for s, t in itertools.product(qels, repeat=2):
+            if act[(s, act[(t, a)])] != act[(mul[(s, t)], a)]:
+                return "does not compose", {"scalars": [s, t], "element": a}
+            if act[(lub(qleq, qels, s, t), a)] != lub(
+                    leq, carrier, act[(s, a)], act[(t, a)]):
+                return "the scalar join", {"scalars": [s, t], "element": a}
+        for s, b in itertools.product(qels, carrier):
+            if act[(s, lub(leq, carrier, a, b))] != lub(
+                    leq, carrier, act[(s, a)], act[(s, b)]):
+                return "over the join", {"scalar": s, "pair": [a, b]}
+    return None
+
+
+def action_edits(cert, side, cells):
+    """Every edit of `cells` cells in distinct rows of a side's action,
+    each to another carrier element."""
+    rows, carrier = cert[side]["action"], cert[side]["carrier"]
+    single = [(k, w) for k, row in enumerate(rows) for w in carrier
+              if w != row[2]]
+    for edit in itertools.combinations(single, cells):
+        if len({k for k, _ in edit}) == cells:
+            edited = copy.deepcopy(cert)
+            for k, w in edit:
+                edited[side]["action"][k][2] = w
+            yield edited
+
+
+def test_each_action_law_of_a_side_is_checked(luk3_cert, boolean_cert):
+    # Every single-cell edit of a subject or quotient action, and every
+    # two-cell edit of luk3's subject action: the first action law it
+    # breaks, in recheck's order, names the failure, with its message
+    # and witness.  Each of the five laws is the first broken by some
+    # edit (the scalar join law by a two-cell edit only).
+    laws = set()
+    cases = [(cert, side, edited)
+             for cert in (boolean_cert, luk3_cert)
+             for side in ("subject", "quotient")
+             for edited in action_edits(cert, side, 1)]
+    cases += [(luk3_cert, "subject", edited)
+              for edited in action_edits(luk3_cert, "subject", 2)]
+    for cert, side, edited in cases:
+        want = first_action_law_failure(edited, side)
+        if want is None:
+            continue
+        with pytest.raises(CertificateTampered) as err:
+            recheck_certificate(edited)
+        assert err.value.check == side + "-laws"
+        assert want[0] in str(err.value)
+        assert err.value.witness == {"check": side + "-laws", **want[1]}
+        laws.add(want[0])
+    assert len(laws) == 5
+
+
+def _unary_quotient(c):
+    # a quotient op of arity 1, with a table of that arity
+    quot = c["quotient"]
+    quot["arities"]["mul"] = 1
+    quot["ops"]["mul"] = [[[a], a] for a in quot["carrier"]]
+
+
+def _renamed_quotient_element(c):
+    # one quotient element renamed, throughout the quotient, to an id
+    # that is not a fixed point: the quotient alone stays lawful
+    old = c["quotient"]["carrier"][0]
+    new = next(i for i in c["free"]["ids"] if i not in c["fixed"])
+    c["quotient"] = json.loads(json.dumps(c["quotient"]).replace(
+        json.dumps(old), json.dumps(new)))
+
+
+def _reversed_quotient_order(c):
+    # two-meet's quotient is a 2-chain b < t; reversed, with the bottom
+    # scalar sending everything to t, it is still a lawful module
+    quot = c["quotient"]
+    b, t = c["rho"]["0"], c["rho"]["1"]
+    quot["leq"] = [[t, t], [t, b], [b, b]]
+    quot["action"] = [[s, a, t if s == "0" else a] for s, a, _ in
+                      quot["action"]]
+
+
+QUOTIENT_FORGERIES = [
+    ("arity", _unary_quotient, ParseError, "arities differ", None),
+    ("carrier", _renamed_quotient_element, CertificateTampered,
+     "not the fixed-point set", {"check": "quotient-tables"}),
+    ("order", _reversed_quotient_order, CertificateTampered,
+     "not restriction", {"check": "quotient-tables",
+                         "pair": ["{0:1,1:0}", "{0:1,1:1}"]}),
+]
+
+
+@pytest.mark.parametrize("edit,error,words,witness",
+                         [f[1:] for f in QUOTIENT_FORGERIES],
+                         ids=[f[0] for f in QUOTIENT_FORGERIES])
+def test_each_quotient_claim_is_checked(boolean_cert, edit, error, words,
+                                        witness):
+    # Each forged quotient is lawful on its own, so only the claim that
+    # ties it to the subject and the closure catches it.
+    cert = copy.deepcopy(boolean_cert)
+    edit(cert)
+    with pytest.raises(error) as err:
+        recheck_certificate(cert)
+    assert words in str(err.value)
+    if witness is not None:
+        assert err.value.witness == witness
 
 
 def test_a_leq_deletion_without_a_join_is_an_order_failure(luk3_cert):

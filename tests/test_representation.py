@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from qsalg import cli, omega
+from qsalg import representation as representation_module
 from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import is_nucleus, quotient
 from qsalg.omega import (
@@ -209,3 +211,37 @@ def test_claims_argued_in_representation_hold_on_the_corpus(all_subjects):
                 target.order.degree(rho[a], rho[b]), (label, a, b)
         assert is_qjoin_preserving(rho, source, target) == (True, None), \
             label
+
+
+def test_the_theorem_path_builds_no_free_op_table(monkeypatch):
+    # The crisp 12-chain with its meet: free size 4,096, so the meet of
+    # Q^X has 16.7M cells.  representation reads the 144 generator rows
+    # and the quotient's 144 cells, one convolution each, and the CLI's
+    # canonical nucleus laws read none; neither builds the table.
+    lat = chain_lattice([str(i) for i in range(12)])
+    meet = {(a, b): lat.meet((a, b))
+            for a in lat.elements for b in lat.elements}
+    subject = validate_qmodule_algebra(
+        crisp_module(lat, boolean_quantale()),
+        validate_omega_algebra(lat.elements, signature({"meet": 2}),
+                               {"meet": meet}))
+    frees, reads = [], []
+    read = omega.FreeOp.__getitem__
+
+    def spy(base, gens):
+        frees.append(free_qsup_algebra(base, gens))
+        return frees[-1]
+
+    monkeypatch.setattr(representation_module, "free_qsup_algebra", spy)
+    monkeypatch.setattr(cli, "free_qsup_algebra", spy)
+    monkeypatch.setattr(omega.FreeOp, "__getitem__",
+                        lambda op, args: reads.append(args) or read(op, args))
+    cert = representation(subject)
+    assert len(reads) == 144 + 144
+    assert cli._canonical_laws(subject)["free_size"] == 4096
+    assert len(reads) == 288
+    assert cert["meta"]["free_size"] == 4096
+    assert len(cert["free"]["ops"]["meet"]) == 144
+    assert len(frees) == 2 and all(
+        op._table is None
+        for free in frees for op in free.module_algebra.algebra.ops.values())
