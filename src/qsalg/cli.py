@@ -31,7 +31,7 @@ from .errors import (
     SpecViolation,
     TooLarge,
 )
-from .nucleus import derived_laws, enumerate_nuclei, nucleus_given_op_law
+from .nucleus import Nucleus, derived_laws, enumerate_nuclei
 from .omega import (
     bare_algebra,
     counit_map,
@@ -222,9 +222,8 @@ def _check_universal(doc, report):
 def _canonical_laws(subject):
     free = free_qsup_algebra(subject.module.base, subject.algebra)
     eps = counit_map(free, subject)
-    # The closure's op law is argued, as in `representation`.
-    nuc = nucleus_given_op_law(free.module_algebra,
-                               canonical_closure(free, eps))
+    # The closure's nucleus axioms are argued, as in `representation`.
+    nuc = Nucleus(free.module_algebra, canonical_closure(free, eps))
     return {"free_size": len(free.ids), **derived_laws(nuc)}
 
 

@@ -3,9 +3,11 @@ that are lax over every operation and over the scalar action.
 
 The quotient of a nucleus keeps exactly the fixed points; joins, the
 action, and the operations are recomputed through the nucleus.
-`is_nucleus` checks the five axioms.  What follows from them is argued
-where a check would stand, not scanned (Rosenthal, Quantales and their
-Applications, 1990, ch. 3); the tests keep the scans as oracles.
+`is_nucleus` checks the five axioms.  A caller that argues them, as
+`representation` does for the canonical closure, builds `Nucleus`
+directly.  What follows from the axioms is argued where a check would
+stand, not scanned (Rosenthal, Quantales and their Applications, 1990,
+ch. 3); the tests keep the scans as oracles.
 """
 
 from __future__ import annotations
@@ -44,13 +46,6 @@ def is_nucleus(host: QModuleAlgebra, table) -> Nucleus:
     wins, with a witness."""
     _order_axioms(host, table)
     op_compatible(host, table)
-    return _action_axiom(host, table)
-
-
-def nucleus_given_op_law(host: QModuleAlgebra, table) -> Nucleus:
-    """`is_nucleus` but for the op-compatible axiom, which the caller
-    argues instead of scanning |host|^n argument tuples."""
-    _order_axioms(host, table)
     return _action_axiom(host, table)
 
 

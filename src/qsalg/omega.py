@@ -29,6 +29,7 @@ from .errors import (
     PartialTable,
     SlotPreservationFails,
     TooLarge,
+    UnitActionFails,
     UnknownElement,
     check_all_read,
 )
@@ -479,10 +480,15 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
     for i in free.ids:
         table[i] = mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
             free.atlas[i].values, free.generators.carrier))
+    # fbar(eta(a)) joins unit*f(a) with bottom-scalar terms, which are
+    # the bottom, so restricting to f is the unit law at each f(a): a
+    # full target never fails it, a lax one may.
     for a in free.generators.carrier:
         if table[free.eta[a]] != f[a]:
-            raise InternalInconsistency(
-                f"extension does not restrict to the assignment at {a!r}")
+            raise UnitActionFails(
+                f"unit*{f[a]!r} = {table[free.eta[a]]!r}, so the extension "
+                f"does not restrict to the assignment at {a!r}",
+                element=f[a], value=table[free.eta[a]], generator=a)
     src, witness = free.module, None
     if mod.lax:
         witness = next(({"law": "NotActionHom", "scalar": q, "element": i,

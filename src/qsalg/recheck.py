@@ -22,9 +22,11 @@ over Q's element indices.  `free.ops` holds the |A|^n rows at generator
 arguments only, and `subject-laws` checks each subject op's slot laws
 on |A|^n argument tuples; no |free|^n tuple is read, and the nucleus
 axioms are not scanned (the comment at them says why).  Nor are
-`embedding-hom` and `order-iso`: once `quotient-tables` holds, rho is a
-module iso onto the quotient, which carries the subject's slot laws
-over.  The row readers check a table's JSON types in one pass, and walk
+`embedding-hom` and `order-iso`, nor the quotient's own laws: once
+`quotient-tables` holds, rho is a module iso onto the quotient, which
+carries the subject's laws over.  `expected_checks` is the one
+statement of the certificate's claims list, which `representation`
+ships.  The row readers check a table's JSON types in one pass, and walk
 its rows only to name a bad one.
 """
 
@@ -327,8 +329,7 @@ class _ModuleSide:
         return self.action[(s, a)]
 
     def _closed(self, table, keys, what, **witness):
-        """`table` maps exactly `keys`, each into the carrier.  `verify`
-        runs this on every table first, so the laws index them directly."""
+        """`table` maps exactly `keys`, each into the carrier."""
         where, known = f"{self.where}: {what}", set(self.carrier)
         for key in keys:
             if _cell(table, key, where) not in known:
@@ -337,14 +338,19 @@ class _ModuleSide:
                     f"{key!r}", args=list(key), **witness)
         _no_extra(table, len(keys), keys, where)
 
-    def verify(self):
-        w = self.where
-        self.order.check_poset(w + "-order")
+    def closed(self):
+        """Every action and op table is total and lands in the carrier,
+        so the laws and the quotient's ties index them directly."""
         self._closed(self.action, list(itertools.product(
             self.q.elements, self.carrier)), "action")
         for sym, n in self.arities.items():
             self._closed(self.ops[sym], list(itertools.product(
                 self.carrier, repeat=n)), f"op {sym!r}", symbol=sym)
+
+    def verify(self):
+        w = self.where
+        self.order.check_poset(w + "-order")
+        self.closed()
         bot = self.order.bottom
         for a in self.carrier:
             if self.act(self.q.unit, a) != a:
@@ -560,7 +566,14 @@ def recheck_certificate(cert) -> list:
                                SIDE_KEYS), q, "quotient")
     if quot.arities != arities:
         raise ParseError("quotient: arities differ from the subject's")
-    quot.verify()
+    # The quotient's laws are not scanned.  quotient-tables ties its order
+    # to the free order's restriction, its action to the closed free
+    # action and its ops at rho(a1 ..) to rho(v(a1 ..)), with its carrier
+    # the fixed points, rho's image.  rho is then an order iso onto it
+    # that keeps the action and the ops (the comment at embedding-hom),
+    # so its poset, join, module and slot laws are the subject's, which
+    # subject-laws checked.
+    quot.closed()
     if sorted(quot.carrier) != sorted(fixed):
         raise CertificateTampered("quotient-tables", "quotient carrier is "
                                   "not the fixed-point set")
@@ -597,7 +610,7 @@ def recheck_certificate(cert) -> list:
 
     # Every law re-derived above, so the summary must claim exactly that.
     verdict = _field(cert, "verdict", "certificate")
-    expected = _expected_checks(ids, fixed)
+    expected = expected_checks(ids, fixed)
     claimed = _field(cert, "checks", "certificate")
     if verdict != "PASS" or not _same_claims(claimed, expected):
         raise CertificateTampered(
@@ -612,10 +625,10 @@ def recheck_certificate(cert) -> list:
     return passed
 
 
-def _expected_checks(ids, fixed):
+def expected_checks(ids, fixed):
     """The `checks` list of a representation run in which every law
-    holds; the derived-law flags follow from the nucleus axioms, and no
-    join-law pair is compared."""
+    holds, which `representation` ships; the derived-law flags follow
+    from the nucleus axioms, and no join-law pair is compared."""
     n = len(ids)
     claims = {
         "nucleus-axioms": {"carrier": n},

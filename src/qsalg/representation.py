@@ -6,10 +6,12 @@ sending a fuzzy subset to the residual cone over its evaluation is a
 nucleus on the free algebra.  Sending each element to its fuzzy principal
 down-set then lands A isomorphically on the fixed points of that nucleus.
 
-`representation` certifies every step of this on concrete tables and
-returns a self-contained certificate: all tables needed to re-verify the
-claims are embedded, so an independent checker needs nothing from this
-package but the table arithmetic.
+`representation` checks the free build and the counit on concrete
+tables and argues every later step, so the closure is a `Nucleus` and
+its quotient is built with no law scanned again.  It returns a
+self-contained certificate: all tables needed to re-verify the claims
+are embedded, so `recheck` needs nothing from this package but the
+table arithmetic, and the claims list is `recheck.expected_checks`.
 """
 
 from __future__ import annotations
@@ -18,19 +20,19 @@ import itertools
 
 from . import limits
 from .document import leq_rows, op_rows, quantale_section
-from .errors import InternalInconsistency, LemmaFails, TheoremFails
+from .errors import InternalInconsistency, TheoremFails
 from .lattice import CompleteLattice
-from .nucleus import derived_laws, nucleus_given_op_law, quotient
+from .nucleus import Nucleus, quotient
 from .omega import (
     QModuleAlgebra,
     bare_algebra,
     counit_map,
     free_qsup_algebra,
 )
-from .qmodule import QModule, action_residual, check_module_hom, crisp_module
+from .qmodule import QModule, action_residual, crisp_module
 from .qorder import qsubset
 from .quantale import boolean_quantale
-from .recheck import FORMAT
+from .recheck import FORMAT, expected_checks
 
 
 def principal_subset(module: QModule, a: str):
@@ -76,89 +78,72 @@ def representation(subject: QModuleAlgebra) -> dict:
     its free cover, and return the full certificate.
 
     The subject is a module algebra; a fuzzy-complete algebra is
-    certified on its module face, `transport_algebra(x)`.  Any failed
-    claim raises (LemmaFails / TheoremFails with a witness); a wrong
-    intermediate table raises InternalInconsistency, so every check
-    passes.
+    certified on its module face, `transport_algebra(x)`.  Only the free
+    build and `counit_map` check anything, and a failed law raises there
+    with a witness.  Each later claim is argued below from those checks,
+    as `recheck` argues it from `nucleus-definition` and `evaluation`,
+    and is not scanned; `tests/test_representation.py` keeps the scans
+    as oracles.  Write e for the counit, cone(c) for the residual cone
+    over c, j = cone . e for the closure, v for a subject op and w for
+    its free op.
 
-    The closure j's op law w(j a1 .. j an) <= j(w(a1 .. an)), the
-    paper's closure bound, is argued, not scanned over |free|^n tuples
-    (`nucleus.op_compatible` is the tests' oracle).  j(b) is the residual
-    cone over e(b), e the counit, so q <= j(b)(x) iff q*x <= e(b)
-    (Stubbe, TAC 16, 2006).  Coordinate y of w(j a1 ..) joins products
-    q1 .. qn, qi = j(ai)(xi), over the xs that the subject's op v sends
-    to y, and (q1 .. qn)*y = v(q1*x1 ..) by composition and each slot
-    keeping the action.  Each qi*xi <= e(ai) and each slot is monotone,
-    so that is below v(e(a1) ..) = e(w(a..)), e being an op hom
-    (`extend_hom`), and by the adjunction each product is below
-    j(w(a..))(y).  The laws read are the subject's slot laws, scalar
-    joins and composition, all checked on lax modules too, and Q's
-    associativity and commutativity, which make Q^X a module algebra.
+    - nucleus-axioms: q <= cone(c)(x) iff q*x <= c, as the action keeps
+      scalar joins, and e(a) joins the a(x)*x, so a <= cone(c) iff
+      e(a) <= c.  e is monotone and keeps the action (`extend_hom`),
+      and e(j(a)) = e(a): <= by the adjunction at j(a) = cone(e(a)),
+      >= as a <= j(a).
+      Read through that adjunction, j is monotone, inflationary,
+      idempotent and laxly compatible with the action.
+    - The op law w(j a1 .. j an) <= j(w(a1 .. an)), the paper's closure
+      bound.  Coordinate y of w(j a1 ..) joins products q1 .. qn,
+      qi = j(ai)(xi), over the xs that v sends to y, and
+      (q1 .. qn)*y = v(q1*x1 ..) by composition and each slot keeping
+      the action.  Each qi*xi <= e(ai) and each slot is monotone, so
+      that is below v(e(a1) ..) = e(w(a..)), e being an op hom
+      (`extend_hom`), and by the adjunction each product is below
+      j(w(a..))(y).  Q's associativity and commutativity make Q^X a
+      module algebra.
+    - nucleus-derived-laws: the host Q^X is never lax, so `derived_laws`
+      argues all four, the action law too.
+    - counit-retraction: e(cone(a)) = a, <= by the adjunction, >= as
+      unit*a = a.  So principal-subsets-fixed: j(rho(a)) = cone(a) =
+      rho(a).  rho is then injective, and a fixed i is j(i) =
+      rho(e(i)): bijective-onto-fixed-points and evaluation-inverse.
+    - quotient-laws: `quotient` builds Fix(j) from the nucleus axioms.
+    - operation-hom: the quotient op at rho(a1 ..) is
+      cone(e(w(rho a1 ..))) = cone(v(a1 ..)) = rho(v(a1 ..)), e being
+      an op hom and e . rho = id.
+    - action-hom and qjoin-preserving: rho(a) <= rho(b) iff a <= b, by
+      the adjunction and e . rho = id, and the quotient order is the
+      restriction, so rho is an order iso onto Fix(j) and keeps joins;
+      the quotient action at rho(a) is j(q*rho(a)) = cone(q*a) =
+      rho(q*a), as e keeps the action.  A bijection keeping the order
+      and the action keeps every residual degree, so every fuzzy join.
+
+    These read the subject's slot laws, scalar joins and composition,
+    which a lax module keeps too, and two laws it need not keep, the
+    unit law and e(q*a) = q*e(a).  A lax subject has both once
+    `counit_map` passes: at the identity assignment, `extend_hom`'s
+    restriction check is the unit law, and its action scan is
+    e(q*a) = q*e(a).  Before either, the bridge `suplattice_from_module`
+    certifies the residual order, with the bottom, binary joins and the
+    action as its fuzzy joins; a module passes it exactly when it keeps
+    every module law, so the certificate's subject passes `recheck`'s
+    `subject-laws` (the tests scan this on the lax census).
 
     No free op table is built: the quotient's |A|^n cells and the |A|^n
     generator rows of `free.ops`, w(eta x1 ..) = eta(v(x1 ..)), are read
     one convolution each (`omega.FreeOp`); the slot laws fix the rest.
     """
     mod = subject.module
-    checks = []
-
     free = free_qsup_algebra(mod.base, subject.algebra)
     eps = counit_map(free, subject)
 
     table = canonical_closure(free, eps)
-    nuc = nucleus_given_op_law(free.module_algebra, table)
-    checks.append({"name": "nucleus-axioms", "status": "PASS",
-                   "carrier": len(free.ids)})
-    laws = derived_laws(nuc)
-    checks.append({"name": "nucleus-derived-laws", "status": "PASS", **laws})
-
-    # The closure sends i to the cone over eps(i), and extend_hom checked
-    # eps(eta(a)) = a: the cone over a is the closure of eta(a).
+    nuc = Nucleus(free.module_algebra, table)
     rho = {a: table[free.eta[a]] for a in mod.carrier}
-    for a, i in rho.items():
-        if eps.table[i] != a:
-            raise LemmaFails(
-                f"evaluating the principal down-set of {a!r} gives "
-                f"{eps.table[i]!r}", element=a, evaluated=eps.table[i])
-    checks.append({"name": "counit-retraction", "status": "PASS"})
-    # So the closure of rho(a) is the cone over eps(rho(a)) = a: rho(a).
-    checks.append({"name": "principal-subsets-fixed", "status": "PASS"})
-
-    # eps . rho = id makes rho injective: a bijection onto the fixed points.
     fixed = [i for i in free.ids if table[i] == i]
-    if set(rho.values()) != set(fixed):
-        raise TheoremFails(
-            "fixed points are not exactly the principal down-sets",
-            fixed=sorted(fixed), principal=sorted(rho.values()))
-    checks.append({"name": "bijective-onto-fixed-points", "status": "PASS",
-                   "fixed_points": len(fixed)})
-
     quot = quotient(nuc)
-    checks.append({"name": "quotient-laws", "status": "PASS"})
-
-    for sym in subject.algebra.signature.symbols:
-        n = subject.algebra.signature.arity(sym)
-        for args in itertools.product(mod.carrier, repeat=n):
-            lhs = rho[subject.algebra.apply(sym, args)]
-            rhs = quot.algebra.apply(sym, tuple(rho[a] for a in args))
-            if lhs != rhs:
-                raise TheoremFails(
-                    f"the embedding is not a homomorphism for {sym!r}",
-                    symbol=sym, args=list(args), left=lhs, right=rhs)
-    checks.append({"name": "operation-hom", "status": "PASS"})
-
-    # One scan of the action, the bottom and binary joins.  Fuzzy joins
-    # fold these three, and a bijection keeping binary joins is an order
-    # isomorphism, so with the action it keeps every residual degree.
-    witness = check_module_hom(rho, mod, quot.module)
-    if witness is not None:
-        raise TheoremFails(f"the embedding fails {witness.pop('law')}",
-                           **witness)
-    checks.append({"name": "action-hom", "status": "PASS"})
-    checks.append({"name": "qjoin-preserving", "status": "PASS"})
-
-    # A fixed point i is some rho(a), so rho(eps(i)) = i by eps . rho = id.
-    checks.append({"name": "evaluation-inverse", "status": "PASS"})
 
     return {
         "format": FORMAT,
@@ -178,7 +163,7 @@ def representation(subject: QModuleAlgebra) -> dict:
         "rho": rho,
         "fixed": fixed,
         "quotient": _module_algebra_section(quot),
-        "checks": checks,
+        "checks": expected_checks(free.ids, fixed),
         "meta": {
             "threshold": limits.threshold(),
             "free_size": len(free.ids),

@@ -625,9 +625,13 @@ def test_a_lax_extension_scans_the_action_and_the_generators():
                 "q-module-algebra")[1]
             try:
                 fbar = extend_hom(free, target, f)
-            except errors.InternalInconsistency:
-                # unit*f(a) is not f(a): the lax unit law, as before
-                assert any(extension[free.eta[a]] != f[a] for a in f)
+            except errors.UnitActionFails as err:
+                # unit*f(a) is not f(a): the lax unit law, at the first
+                # generator whose image it moves
+                a = next(a for a in gens.carrier
+                         if extension[free.eta[a]] != f[a])
+                assert err.witness == {"element": f[a], "generator": a,
+                                       "value": extension[free.eta[a]]}
                 seen["restriction"] += 1
             except errors.CertificationFails as err:
                 assert full is not None, f

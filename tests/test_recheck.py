@@ -172,8 +172,8 @@ TAMPERS = [
     (tamper_rho, "fixed-points"),
     (tamper_fixed_drop, "fixed-points"),
     (tamper_fixed_add, "fixed-points"),
-    (tamper_quotient_order, "quotient-order"),
-    (tamper_quotient_action, "quotient-laws"),
+    (tamper_quotient_order, "quotient-tables"),
+    (tamper_quotient_action, "quotient-tables"),
     (tamper_quotient_op, "quotient-tables"),
     (tamper_verdict, "verdict"),
     (tamper_check_status, "verdict"),
@@ -832,29 +832,43 @@ def action_edits(cert, side, cells):
 
 
 def test_each_action_law_of_a_side_is_checked(luk3_cert, boolean_cert):
-    # Every single-cell edit of a subject or quotient action, and every
-    # two-cell edit of luk3's subject action: the first action law it
-    # breaks, in recheck's order, names the failure, with its message
-    # and witness.  Each of the five laws is the first broken by some
-    # edit (the scalar join law by a two-cell edit only).
+    # Every single-cell edit of a subject action, and every two-cell edit
+    # of luk3's: the first action law it breaks, in recheck's order,
+    # names the failure, with its message and witness.  Each of the five
+    # laws is the first broken by some edit (the scalar join law by a
+    # two-cell edit only).  The quotient's laws are not scanned: every
+    # single-cell edit of its action, lawful or not, fails
+    # quotient-tables at the edited cell.
     laws = set()
-    cases = [(cert, side, edited)
-             for cert in (boolean_cert, luk3_cert)
-             for side in ("subject", "quotient")
-             for edited in action_edits(cert, side, 1)]
-    cases += [(luk3_cert, "subject", edited)
+    cases = [(cert, edited) for cert in (boolean_cert, luk3_cert)
+             for edited in action_edits(cert, "subject", 1)]
+    cases += [(luk3_cert, edited)
               for edited in action_edits(luk3_cert, "subject", 2)]
-    for cert, side, edited in cases:
-        want = first_action_law_failure(edited, side)
+    for cert, edited in cases:
+        want = first_action_law_failure(edited, "subject")
         if want is None:
             continue
         with pytest.raises(CertificateTampered) as err:
             recheck_certificate(edited)
-        assert err.value.check == side + "-laws"
+        assert err.value.check == "subject-laws"
         assert want[0] in str(err.value)
-        assert err.value.witness == {"check": side + "-laws", **want[1]}
+        assert err.value.witness == {"check": "subject-laws", **want[1]}
         laws.add(want[0])
     assert len(laws) == 5
+    edits = 0
+    for cert in (boolean_cert, luk3_cert):
+        for edited in action_edits(cert, "quotient", 1):
+            (s, i, _), = [new for new, old in zip(
+                edited["quotient"]["action"], cert["quotient"]["action"])
+                if new != old]
+            with pytest.raises(CertificateTampered) as err:
+                recheck_certificate(edited)
+            assert "not the closed free action" in str(err.value)
+            assert err.value.witness == {"check": "quotient-tables",
+                                         "scalar": s, "id": i}
+            edits += 1
+    # 2x2 cells with one other value each, and 3x3 cells with two
+    assert edits == 4 + 18
 
 
 def _unary_quotient(c):

@@ -1,13 +1,14 @@
 """End-to-end certification of the free-cover embedding."""
 
 import itertools
+import json
 
 import pytest
 
-from qsalg import cli, omega
+from qsalg import cli, errors, omega
 from qsalg import representation as representation_module
 from qsalg.lattice import chain_lattice, diamond_lattice
-from qsalg.nucleus import is_nucleus, quotient
+from qsalg.nucleus import derived_laws, is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     counit_map,
@@ -16,10 +17,12 @@ from qsalg.omega import (
     validate_omega_algebra,
     validate_qmodule_algebra,
 )
-from qsalg.qmodule import (crisp_module, quantale_self_module,
-                           suplattice_from_module)
+from qsalg.qmodule import (check_module_hom, crisp_module,
+                           quantale_self_module, suplattice_from_module,
+                           validate_qmodule)
 from qsalg.qorder import is_qjoin_preserving
 from qsalg.quantale import boolean_quantale, godel_chain, lukasiewicz_chain
+from qsalg.recheck import recheck_certificate
 from qsalg.representation import (
     all_down_sets,
     canonical_closure,
@@ -27,6 +30,7 @@ from qsalg.representation import (
     principal_subset,
     representation,
 )
+from test_omega import lax_targets
 
 
 def bare(module):
@@ -183,34 +187,107 @@ def test_certificate_meta_records_the_scan_parameters(monkeypatch):
     assert cert["meta"]["free_size"] == 4
 
 
+def hand_built_checks(free_size, fixed_points):
+    """The claims list as `representation` once appended it, claim by
+    claim, after scanning each."""
+    return [
+        {"name": "nucleus-axioms", "status": "PASS", "carrier": free_size},
+        {"name": "nucleus-derived-laws", "status": "PASS",
+         "idempotent": True, "join_law": True, "join_law_checked": 0,
+         "op_law": True, "action_law": True},
+        {"name": "counit-retraction", "status": "PASS"},
+        {"name": "principal-subsets-fixed", "status": "PASS"},
+        {"name": "bijective-onto-fixed-points", "status": "PASS",
+         "fixed_points": fixed_points},
+        {"name": "quotient-laws", "status": "PASS"},
+        {"name": "operation-hom", "status": "PASS"},
+        {"name": "action-hom", "status": "PASS"},
+        {"name": "qjoin-preserving", "status": "PASS"},
+        {"name": "evaluation-inverse", "status": "PASS"},
+    ]
+
+
+def scan_argued_claims(label, subject):
+    """Scan each claim `representation` argues after the counit: the
+    five nucleus axioms and the derived laws, e . rho = id, the fixed
+    points as rho's image, the embedding as an op, module and Q-order
+    hom, and the claims list.  The quotient is built from the checked
+    nucleus, and rho from a fresh pass of the principal down-sets."""
+    mod, sig = subject.module, subject.algebra.signature
+    cert = representation(subject)
+    free = free_qsup_algebra(mod.base, subject.algebra)
+    eps = counit_map(free, subject)
+    nuc = is_nucleus(free.module_algebra, canonical_closure(free, eps))
+    assert nuc.table == cert["nucleus"], label
+    assert derived_laws(nuc) == {
+        "idempotent": True, "join_law": True, "join_law_checked": 0,
+        "op_law": True, "action_law": True}, label
+    quot = quotient(nuc)
+    rho = {a: free.id_of[principal_subset(mod, a).values]
+           for a in mod.carrier}
+    assert rho == cert["rho"], label
+    assert all(eps.table[rho[a]] == a for a in mod.carrier), label
+    assert len(set(rho.values())) == len(rho), label
+    assert set(quot.carrier) == set(rho.values()), label
+    assert list(quot.carrier) == cert["fixed"], label
+    assert all(rho[eps.table[i]] == i for i in quot.carrier), label
+    for sym in sig.symbols:
+        for args in itertools.product(mod.carrier, repeat=sig.arity(sym)):
+            assert rho[subject.algebra.apply(sym, args)] == \
+                quot.algebra.apply(sym, tuple(rho[a] for a in args)), \
+                (label, sym, args)
+    assert check_module_hom(rho, mod, quot.module) is None, label
+    # the Q-order faces of the subject and the quotient
+    source = suplattice_from_module(mod)
+    target = suplattice_from_module(quot.module)
+    for a, b in itertools.product(mod.carrier, repeat=2):
+        assert source.order.degree(a, b) == \
+            target.order.degree(rho[a], rho[b]), (label, a, b)
+    assert is_qjoin_preserving(rho, source, target) == (True, None), label
+    assert json.dumps(cert["checks"]) == json.dumps(
+        hand_built_checks(len(free.ids), len(quot.carrier))), label
+    recheck_certificate(json.loads(json.dumps(cert)))
+
+
 def test_claims_argued_in_representation_hold_on_the_corpus(all_subjects):
-    """`representation` argues these claims from the ones it checks; here
-    they are scanned on every subject of the corpus.  The quotient is
-    rebuilt the way the run builds it, and rho from a fresh pass of the
-    principal down-sets."""
+    """`representation` argues these claims from the free build and the
+    counit; here they are scanned on every subject of the corpus, and on
+    every lax target that passes `counit_map`."""
     assert len(all_subjects) == 115
     for label, subject in all_subjects:
-        mod = subject.module
-        cert = representation(subject)
-        free = free_qsup_algebra(mod.base, subject.algebra)
-        eps = counit_map(free, subject)
-        quot = quotient(is_nucleus(free.module_algebra,
-                                   canonical_closure(free, eps)))
-        rho = {a: free.id_of[principal_subset(mod, a).values]
-               for a in mod.carrier}
-        assert rho == cert["rho"], label
-        assert list(quot.carrier) == cert["fixed"], label
-        # injective, and inverse to evaluation on the fixed points
-        assert len(set(rho.values())) == len(rho), label
-        assert all(rho[eps.table[i]] == i for i in quot.carrier), label
-        # the Q-order faces of the subject and the quotient
-        source = suplattice_from_module(mod)
-        target = suplattice_from_module(quot.module)
-        for a, b in itertools.product(mod.carrier, repeat=2):
-            assert source.order.degree(a, b) == \
-                target.order.degree(rho[a], rho[b]), (label, a, b)
-        assert is_qjoin_preserving(rho, source, target) == (True, None), \
-            label
+        scan_argued_claims(label, subject)
+    passed = 0
+    for k, subject in enumerate(lax_targets()):
+        free = free_qsup_algebra(subject.module.base, subject.algebra)
+        try:
+            counit_map(free, subject)
+        except errors.SpecViolation:
+            continue
+        scan_argued_claims(f"lax target {k}", subject)
+        passed += 1
+    assert passed == 16
+
+
+def test_the_bridge_passes_exactly_on_full_modules():
+    """A lax module passes `suplattice_from_module` exactly when it
+    keeps every module law, so a lax subject past `counit_map` is a full
+    module: `representation`'s docstring reads this."""
+    mods = list({id(t.module): t.module for t in lax_targets()}.values())
+    seen = {True: 0, False: 0}
+    for mod in mods:
+        try:
+            validate_qmodule(mod.lattice, mod.base, dict(mod.action))
+            full = True
+        except errors.SpecViolation:
+            full = False
+        try:
+            suplattice_from_module(mod)
+            bridge = True
+        except errors.SpecViolation:
+            bridge = False
+        assert full == bridge, dict(mod.action)
+        seen[full] += 1
+    assert seen == {True: 10, False: 13}
 
 
 def test_the_theorem_path_builds_no_free_op_table(monkeypatch):
