@@ -180,19 +180,6 @@ def render(doc) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def write_corpus(directory):
-    """Regenerate every corpus file under the given directory."""
-    import os
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name, doc in sorted(corpus_documents().items()):
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render(doc))
-        written.append(path)
-    return written
-
-
 def corpus_path(name):
     return resources.files("qsalg").joinpath("corpus", name)
 

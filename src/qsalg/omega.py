@@ -376,28 +376,42 @@ def free_qsup_algebra(base: FiniteQuantale,
       = unit and bottom absorbs, a product of points is the point at the
       image, so eta is an operation homomorphism.
 
+    The ids come in product order over Q's elements, the last generator
+    running fastest, so the digits of an id's position in radix |Q| are
+    its degrees' positions.  The ids grow one generator at a time, by
+    prefix over its `subset_id` pieces x:v, and so does each scalar's
+    action over positions, p*|Q| + d going to p'*|Q| + mul(s, d), from
+    Q's flat `mul` row, as `PowerLattice.ijoin` grows.
+
     The test suite keeps the definition-level certification as an oracle.
     """
     gens = generators.carrier
     subsets, _, _ = scan_qsubsets(gens, base)
-    subsets = list(subsets)
-    ids = tuple(subset_id(m) for m in subsets)
-    atlas = dict(zip(ids, subsets))
-    id_of = {m.values: i for i, m in zip(ids, subsets)}
-
-    # The subsets come in product order, as do their index coordinates.
     els, k = base.elements, len(base.elements)
+    names = ["{"]
+    for x, a in enumerate(gens):
+        sep = "," if x else ""
+        pieces = [sep + subset_id(QSubset((a,), base, (v,)))[1:-1]
+                  for v in els]
+        names = [n + p for n in names for p in pieces]
+    ids = tuple(n + "}" for n in names)
+    atlas = dict(zip(ids, subsets))
+    id_of = dict(zip(itertools.product(els, repeat=len(gens)), ids))
+
     index = base.lattice.index
     mul = [index[base.mult[(a, b)]] for a in els for b in els]
-    coords = list(itertools.product(range(k), repeat=len(gens)))
-    id_at = dict(zip(coords, ids))
-
-    action = {(q, i): id_at[tuple([mul[s * k + v] for v in row])]
-              for s, q in enumerate(els) for i, row in zip(ids, coords)}
+    action = {}
+    for s, q in enumerate(els):
+        row = [0]
+        for _ in gens:
+            row = [r * k + t for r in row for t in mul[s * k:(s + 1) * k]]
+        action.update(zip(zip(itertools.repeat(q), ids),
+                          map(ids.__getitem__, row)))
 
     lattice = power_lattice(base.lattice, len(gens), ids)
     pos = {a: x for x, a in enumerate(gens)}
     flat = (k, mul, base.lattice.ijoin, index[base.bottom], index[base.unit])
+    coords = list(itertools.product(range(k), repeat=len(gens)))
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
@@ -470,16 +484,25 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
     So on a lax target the action alone is scanned, fbar(q*i) =
     q*fbar(i) over |Q| * |free|, in the order of `check_module_hom`,
     whose witness it gives.
+
+    The table grows one generator at a time over the target's positions,
+    as the free ids do: with E the images of the ids over the first
+    generators, the next one, x, gives E <- [J(e, t) for e in E for t in
+    step_x], J the target's `ijoin` and step_x the positions of the
+    q*f(x) over Q's elements.  That joins each id's terms from the
+    bottom in generator order, as the join over x of alpha(x)*f(x) reads.
     """
-    mod = target.module
+    mod, lat = target.module, target.module.lattice
     for a in free.generators.carrier:
         if a not in f:
             raise PartialTable("generator assignment", a)
-        mod.lattice.check_element(f[a], "generator image")
-    table = {}
-    for i in free.ids:
-        table[i] = mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
-            free.atlas[i].values, free.generators.carrier))
+        lat.check_element(f[a], "generator image")
+    n, ix = len(lat.elements), lat.index
+    images = [ix[lat.bottom]]
+    for a in free.generators.carrier:
+        step = [ix[mod.act(q, f[a])] for q in free.base.elements]
+        images = [lat.ijoin[e * n + t] for e in images for t in step]
+    table = dict(zip(free.ids, map(lat.elements.__getitem__, images)))
     # fbar(eta(a)) joins unit*f(a) with bottom-scalar terms, which are
     # the bottom, so restricting to f is the unit law at each f(a): a
     # full target never fails it, a lax one may.

@@ -85,10 +85,6 @@ def qsubset(carrier, base, table) -> QSubset:
     return QSubset(carrier, base, tuple(values))
 
 
-def constant_subset(carrier, base, q) -> QSubset:
-    return QSubset(tuple(carrier), base, (q,) * len(tuple(carrier)))
-
-
 def characteristic_subset(carrier, base, members, degree=None) -> QSubset:
     """The subset taking `degree` (default: the unit) on `members`, bottom off."""
     carrier = tuple(carrier)
@@ -199,36 +195,6 @@ def induced_order(order: QOrderedSet) -> FinitePoset:
     rel = {(x, y) for x in order.carrier for y in order.carrier
            if order.base.leq(unit, order.e[(x, y)])}
     return validate_poset(order.carrier, rel)
-
-
-def crisp_qorder(poset, base: FiniteQuantale) -> QOrderedSet:
-    """Embed a crisp poset: degree unit where x <= y, bottom elsewhere."""
-    e = {(x, y): base.unit if poset.leq(x, y) else base.bottom
-         for x in poset.elements for y in poset.elements}
-    return validate_qorder(poset.elements, base, e)
-
-
-def subsethood(m: QSubset, n: QSubset) -> str:
-    """Degree to which m is contained in n: meet of pointwise residuals."""
-    if m.carrier != n.carrier or m.base is not n.base:
-        raise CarrierMismatch("subsethood needs one carrier and one base",
-                              left=list(m.carrier), right=list(n.carrier))
-    q = m.base
-    return q.meet(q.residual[(mv, nv)] for mv, nv in zip(m.values, n.values))
-
-
-def powerset_order(carrier, base):
-    """The fuzzy order of all fuzzy subsets under subsethood.
-
-    Returns (order, atlas) where atlas maps the synthetic element ids back
-    to the subsets.  Materializes the whole space, so it is gated by the
-    threshold of `scan_qsubsets`.
-    """
-    subsets, _, _ = scan_qsubsets(carrier, base)
-    atlas = {subset_id(m): m for m in subsets}
-    ids = tuple(atlas)
-    e = {(i, j): subsethood(atlas[i], atlas[j]) for i in ids for j in ids}
-    return validate_qorder(ids, base, e), atlas
 
 
 _ESC = str.maketrans({c: "\\" + c for c in "\\,:{}"})

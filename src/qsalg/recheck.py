@@ -18,10 +18,15 @@ too, rebuilt from the re-derived tables; no claim depends on a bound.
 path: the quantale is checked as a module over itself, and each order's
 joins come from one table built from up-sets.  The free order is not
 shipped: two ids compare by one AND of digit masks, from `free.subsets`
-over Q's element indices.  `free.ops` holds the |A|^n rows at generator
-arguments only, and `subject-laws` checks each subject op's slot laws
-on |A|^n argument tuples; no |free|^n tuple is read, and the nucleus
-axioms are not scanned (the comment at them says why).  Nor are
+over Q's element indices.  Those |Q|^|A| distinct rows are all of Q^A,
+so the ids are indexed by position, and the expected free action and
+`epsilon` grow one generator at a time from Q's flat `mul` and the
+subject's join table, each compared with its shipped table in one ==;
+the ids are walked only to name the first bad entry.  `free.ops` holds
+the |A|^n rows at generator arguments only, and `subject-laws` checks
+each subject op's slot laws on |A|^n argument tuples; no |free|^n tuple
+is read, and the nucleus axioms are not scanned (the comment at them
+says why).  Nor are
 `embedding-hom` and `order-iso`, nor the quotient's own laws: once
 `quotient-tables` holds, rho is a module iso onto the quotient, which
 carries the subject's laws over.  `expected_checks` is the one
@@ -453,7 +458,7 @@ def recheck_certificate(cert) -> list:
     values = {}
     for i in ids:
         subset = _label_map(subsets, i, "free.subsets")
-        values[i] = tuple(index.get(subset.get(a)) for a in carrier)
+        values[i] = tuple(map(index.get, map(subset.get, carrier)))
         if None in values[i]:
             raise ParseError(f"free subset {i!r} is partial or leaves Q")
         _no_extra(subset, len(carrier), carrier, f"free subset {i!r}")
@@ -462,30 +467,31 @@ def recheck_certificate(cert) -> list:
     if len(by_values) != len(ids):
         raise CertificateTampered("free-tables", "two free ids share a "
                                   "subset table")
-    # The free side shares the subject's signature; its carrier is the
-    # ids, ordered coordinate by coordinate: with m bits a coordinate,
-    # i <= k when i's one-hot digits lie in the down-sets of k's.
-    qdown = [sum(leq[a * m + b] << a for a in range(m)) for b in range(m)]
-    hot = {i: sum(1 << p * m + v for p, v in enumerate(row))
-           for i, row in values.items()}
-    down = {i: sum(qdown[v] << p * m for p, v in enumerate(row))
-            for i, row in values.items()}
+    # |Q|^|A| distinct rows over Q's indices are all of Q^A, so the ids
+    # are indexed by position, the digits of p in radix m being p's row.
+    at = [*map(by_values.get, itertools.product(range(m),
+                                                repeat=len(carrier)))]
 
-    def fleq(i, k):
-        return hot[i] & down[k] == hot[i]
-
+    # Each scalar's action over positions, grown a coordinate at a time
+    # from its row of Q's flat mul: p*m + d goes to p'*m + mul(s, d).
     free_action = _triples_to_table(_field(fr, "action", "free"), "free")
     free_ops = _ops_tables(fr, "free", arities)
-    for i in ids:
-        for k, s in enumerate(q.elements):
-            scaled = tuple([mul[k * m + v] for v in values[i]])
-            if _cell(free_action, (s, i), "free: action") != \
-                    by_values[scaled]:
-                raise CertificateTampered(
-                    "free-tables", f"free action at {(s, i)!r} is not "
-                    "pointwise multiplication", scalar=s, id=i)
-    _no_extra(free_action, m * len(ids), itertools.product(q.elements, ids),
-              "free: action")
+    scaled = {}
+    for k, s in enumerate(q.elements):
+        row = [0]
+        for _ in carrier:
+            row = [r * m + t for r in row for t in mul[k * m:k * m + m]]
+        scaled.update(zip(zip(itertools.repeat(s), at), map(at.__getitem__,
+                                                             row)))
+    if free_action != scaled:
+        for i in ids:
+            for s in q.elements:
+                if _cell(free_action, (s, i), "free: action") != \
+                        scaled[(s, i)]:
+                    raise CertificateTampered(
+                        "free-tables", f"free action at {(s, i)!r} is not "
+                        "pointwise multiplication", scalar=s, id=i)
+        _no_extra(free_action, len(scaled), scaled, "free: action")
     # At the points eta(x1) .. eta(xn), the point at the subject op's
     # value; the comment at the nucleus axioms says why that is enough.
     bottom, unit = index[q.order.bottom], index[q.unit]
@@ -504,15 +510,25 @@ def recheck_certificate(cert) -> list:
         _no_extra(table, len(rows), rows, where)
     passed.append("free-tables")
 
+    # Evaluation joins the a(x) * x from the bottom in carrier order,
+    # grown the same way over the subject's positions: E <- J(e, t) for
+    # e in E, t over the positions of the s * x.
     eps = _label_map(cert, "epsilon", "certificate")
-    for i in ids:
-        folded = subject.order.lub([subject.act(q.elements[v], a)
-                                    for v, a in zip(values[i], carrier)])
-        if eps.get(i) != folded:
-            raise CertificateTampered(
-                "evaluation", f"evaluation of {i!r} should be {folded!r}",
-                id=i, claimed=eps.get(i))
-    _no_extra(eps, len(ids), ids, "epsilon")
+    n, pos = len(carrier), {a: k for k, a in enumerate(carrier)}
+    join = [pos[subject.order.join2[(a, b)]] for a in carrier
+            for b in carrier]
+    images = [pos[subject.order.bottom]]
+    for a in carrier:
+        step = [pos[subject.act(s, a)] for s in q.elements]
+        images = [join[e * n + t] for e in images for t in step]
+    folded = dict(zip(at, map(carrier.__getitem__, images)))
+    if eps != folded:
+        for i in ids:
+            if eps.get(i) != folded[i]:
+                raise CertificateTampered(
+                    "evaluation", f"evaluation of {i!r} should be "
+                    f"{folded[i]!r}", id=i, claimed=eps.get(i))
+        _no_extra(eps, len(ids), ids, "epsilon")
     passed.append("evaluation")
 
     nuc = _label_map(cert, "nucleus", "certificate")
@@ -577,9 +593,16 @@ def recheck_certificate(cert) -> list:
     if sorted(quot.carrier) != sorted(fixed):
         raise CertificateTampered("quotient-tables", "quotient carrier is "
                                   "not the fixed-point set")
+    # The free order, coordinate by coordinate: with m bits a coordinate,
+    # i <= k when i's one-hot digits lie in the down-sets of k's.
+    qdown = [sum(leq[a * m + b] << a for a in range(m)) for b in range(m)]
+    hot = {i: sum(1 << p * m + v for p, v in enumerate(values[i]))
+           for i in quot.carrier}
+    down = {i: sum(qdown[v] << p * m for p, v in enumerate(values[i]))
+            for i in quot.carrier}
     for i in quot.carrier:
         for k in quot.carrier:
-            if quot.order.leq(i, k) != fleq(i, k):
+            if quot.order.leq(i, k) != (hot[i] & down[k] == hot[i]):
                 raise CertificateTampered(
                     "quotient-tables", f"quotient order at {(i, k)!r} is "
                     "not restriction", pair=[i, k])

@@ -1,9 +1,15 @@
 """Package code that only the tests call, kept here as oracles."""
 
-from qsalg.errors import (InternalInconsistency, NotJoinPreserving,
-                          UnknownElement)
+import os
+
+from qsalg.corpus import corpus_documents, render
+from qsalg.errors import (CarrierMismatch, InternalInconsistency,
+                          NotJoinPreserving, UnknownElement)
 from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
                            monotone_map, preservation_failure)
+from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
+                          validate_qorder)
+from qsalg.quantale import FiniteQuantale
 
 
 def _join_failure_witness(f, src, tgt):
@@ -45,3 +51,49 @@ def right_adjoint(f: StructureMap) -> StructureMap:
                     f"but join of images is {jf!r}",
                     subset=list(subset), join=j, f_of_join=fj, join_of_images=jf)
     return monotone_map(tgt, src, g)
+
+
+def constant_subset(carrier, base, q) -> QSubset:
+    return QSubset(tuple(carrier), base, (q,) * len(tuple(carrier)))
+
+
+def crisp_qorder(poset, base: FiniteQuantale) -> QOrderedSet:
+    """Embed a crisp poset: degree unit where x <= y, bottom elsewhere."""
+    e = {(x, y): base.unit if poset.leq(x, y) else base.bottom
+         for x in poset.elements for y in poset.elements}
+    return validate_qorder(poset.elements, base, e)
+
+
+def subsethood(m: QSubset, n: QSubset) -> str:
+    """Degree to which m is contained in n: meet of pointwise residuals."""
+    if m.carrier != n.carrier or m.base is not n.base:
+        raise CarrierMismatch("subsethood needs one carrier and one base",
+                              left=list(m.carrier), right=list(n.carrier))
+    q = m.base
+    return q.meet(q.residual[(mv, nv)] for mv, nv in zip(m.values, n.values))
+
+
+def powerset_order(carrier, base):
+    """The fuzzy order of all fuzzy subsets under subsethood.
+
+    Returns (order, atlas) where atlas maps the synthetic element ids back
+    to the subsets.  Materializes the whole space, so it is gated by the
+    threshold of `scan_qsubsets`.
+    """
+    subsets, _, _ = scan_qsubsets(carrier, base)
+    atlas = {subset_id(m): m for m in subsets}
+    ids = tuple(atlas)
+    e = {(i, j): subsethood(atlas[i], atlas[j]) for i in ids for j in ids}
+    return validate_qorder(ids, base, e), atlas
+
+
+def write_corpus(directory):
+    """Regenerate every corpus file under the given directory."""
+    os.makedirs(directory, exist_ok=True)
+    written = []
+    for name, doc in sorted(corpus_documents().items()):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render(doc))
+        written.append(path)
+    return written

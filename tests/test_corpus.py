@@ -10,12 +10,13 @@ from qsalg.corpus import (
     corpus_listing,
     corpus_text,
     render,
-    write_corpus,
 )
 from qsalg.document import loads
 from qsalg.errors import SpecViolation, TooLarge
 from qsalg.lattice import complete_lattice, validate_poset
 from qsalg.quantale import validate_quantale
+
+from oracles import write_corpus
 
 
 def test_bundled_files_match_the_generator(tmp_path):

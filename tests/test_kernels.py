@@ -1,15 +1,18 @@
-"""The row kernels against the per-tuple loops they replaced.
+"""The row and digit kernels against the per-tuple loops they replaced.
 
 The free object's operation tables are built a row of argument tuples
 at a time on first full read, a single cell before that by one
 convolution, and `is_nucleus` checks op-compatibility in one pass.  The
-loops below walk one argument tuple at a time; each kernel must give
-the same tables, the same verdicts and the same witnesses.  `recheck`
-reads free.ops at the generator arguments only, and the convolution
-oracle here re-expands them to every tuple where a test needs the
-whole free op.
+free ids, the free action and the extension of a generator assignment
+grow one generator at a time, on the build side and in `recheck`.  The
+loops below walk one argument tuple or one id at a time; each kernel
+must give the same tables, the same verdicts and the same witnesses.
+`recheck` reads free.ops at the generator arguments only, and the
+convolution oracle here re-expands them to every tuple where a test
+needs the whole free op.
 """
 
+import collections
 import copy
 import itertools
 import json
@@ -17,18 +20,23 @@ import random
 
 import pytest
 
+from qsalg import errors
 from qsalg.corpus import corpus_text
 from qsalg.document import loads
 from qsalg.errors import AxiomFails, CertificateTampered, ParseError
 from qsalg.lattice import chain_lattice
 from qsalg.nucleus import is_nucleus
-from qsalg.omega import (counit_map, free_qsup_algebra, signature,
+from qsalg.omega import (EMPTY_SIGNATURE, _omega_hom_witness, bare_algebra,
+                         counit_map, extend_hom, free_qsup_algebra, signature,
                          validate_omega_algebra, validate_qmodule_algebra)
 from qsalg.qmodule import crisp_module
-from qsalg.quantale import boolean_quantale, lukasiewicz_chain
+from qsalg.qorder import all_qsubsets, subset_id
+from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
+                            validate_quantale)
 from qsalg.recheck import _Quantale, recheck_certificate
 from qsalg.representation import canonical_closure, representation
-from test_omega import free_inputs, luk3_with_a_constant
+from test_omega import (free_inputs, lax_diamond_target, lax_targets,
+                        luk3_with_a_constant)
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)
@@ -118,6 +126,121 @@ def test_the_build_matches_the_per_tuple_loop(all_subjects):
         assert {s: list(t.items()) for s, t in got.items()} == \
             {s: list(t.items()) for s, t in want.items()}
     assert len(free.ids) == 27 and len(got["t"]) == 27 ** 3
+
+
+# -- ids, action and extension, a generator at a time ----------------------
+
+
+def escaped_labels():
+    """L3 relabelled, and four generators, with every character that
+    `subset_id` escapes in their labels: 81 ids."""
+    names = dict(zip(L3.elements, ["0\\", "{1,2}", "1:}"]))
+    mult = {(names[a], names[b]): names[v] for (a, b), v in L3.mult.items()}
+    base = validate_quantale(chain_lattice(names.values()), mult,
+                             names[L3.unit])
+    gens = validate_omega_algebra(("a,b", "x:{y}", "\\", "}{"),
+                                  EMPTY_SIGNATURE, {})
+    return base, gens
+
+
+def test_the_ids_and_the_action_match_the_subset_scan(all_subjects):
+    # The build names each id by prefix over escaped x:v pieces and grows
+    # each scalar's action by digits; the scan names every subset by
+    # `subset_id` and scales it one coordinate at a time.
+    cases = [(base, gens) for base, gens, _ in free_inputs(all_subjects)]
+    cases += [escaped_labels(), (TWO, meet_chain(7).algebra),
+              (L3, validate_omega_algebra((), EMPTY_SIGNATURE, {}))]
+    for base, gens in cases:
+        free = free_qsup_algebra(base, gens)
+        subsets = list(all_qsubsets(gens.carrier, base))
+        assert free.ids == tuple(map(subset_id, subsets))
+        assert list(free.atlas.values()) == subsets
+        assert free.id_of == {m.values: i for i, m in zip(free.ids, subsets)}
+        assert free.module.action == {
+            (q, i): free.id_of[tuple(base.mul(q, v)
+                                     for v in free.atlas[i].values)]
+            for q in base.elements for i in free.ids}
+    free = free_qsup_algebra(*escaped_labels())
+    assert len(set(free.ids)) == 81
+    assert free.ids[5] == "{a\\,b:0\\\\,x\\:\\{y\\}:0\\\\," \
+        "\\\\:\\{1\\,2\\},\\}\\{:1\\:\\}}"
+
+
+def per_id_extension(free, target, f):
+    """`extend_hom` one id at a time on labels, each id's terms joined
+    from the bottom: the table, or the (error type, message, witness) it
+    raises."""
+    mod, gens = target.module, free.generators.carrier
+    table = {i: mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
+        free.atlas[i].values, gens)) for i in free.ids}
+    for a in gens:
+        if table[free.eta[a]] != f[a]:
+            return (errors.UnitActionFails,
+                    f"unit*{f[a]!r} = {table[free.eta[a]]!r}, so the "
+                    f"extension does not restrict to the assignment at "
+                    f"{a!r}", {"element": f[a], "value": table[free.eta[a]],
+                               "generator": a})
+    src, witness = free.module, None
+    if mod.lax:
+        witness = next(({"law": "NotActionHom", "scalar": q, "element": i,
+                         "left": table[src.act(q, i)],
+                         "right": mod.act(q, table[i])}
+                        for q in src.base.elements for i in free.ids
+                        if table[src.act(q, i)] != mod.act(q, table[i])),
+                       None)
+    if witness is None:
+        witness = _omega_hom_witness(f, free.generators, target.algebra)
+    if witness is not None:
+        return (errors.CertificationFails, "extension of a non-homomorphic "
+                f"assignment: {witness}", witness)
+    return table
+
+
+def extension_outcome(free, target, f):
+    try:
+        return extend_hom(free, target, f).table
+    except errors.SpecViolation as err:
+        return type(err), str(err), err.witness
+
+
+def test_the_digit_extension_matches_the_per_id_fold(all_subjects):
+    # Every family subject's counit; every assignment of the target's own
+    # generators and of two bare ones into each lax census target, where
+    # the restriction and action scans read the table; and seeded
+    # assignments of bare generators into crisp chains, free size up to
+    # 128.
+    for _, subject in all_subjects:
+        free = free_qsup_algebra(subject.base, subject.algebra)
+        assert counit_map(free, subject).table == per_id_extension(
+            free, subject, {a: a for a in subject.carrier})
+    pair = validate_omega_algebra(("x", "y"), EMPTY_SIGNATURE, {})
+    seen = collections.Counter()
+    for target in lax_targets() + [lax_diamond_target()]:
+        for gens in (target.algebra, pair):
+            if not gens.signature.same_tables(target.algebra.signature):
+                continue
+            free = free_qsup_algebra(target.base, gens)
+            for values in itertools.product(target.carrier,
+                                            repeat=len(gens.carrier)):
+                f = dict(zip(gens.carrier, values))
+                want = per_id_extension(free, target, f)
+                assert extension_outcome(free, target, f) == want
+                seen[want[0].__name__ if type(want) is tuple else "hom"] += 1
+    assert seen == {"hom": 355, "CertificationFails": 120,
+                    "UnitActionFails": 556}
+    rng = random.Random(25)
+    for g in range(8):
+        gens = validate_omega_algebra([f"g{x}" for x in range(g)],
+                                      EMPTY_SIGNATURE, {})
+        free = free_qsup_algebra(TWO, gens)
+        for n in (1, 2, 5, 9):
+            target = bare_algebra(crisp_module(
+                chain_lattice([str(i) for i in range(n)]), TWO))
+            for _ in range(3):
+                f = {a: rng.choice(target.carrier) for a in gens.carrier}
+                assert extend_hom(free, target, f).table == \
+                    per_id_extension(free, target, f)
+    assert len(free.ids) == 128
 
 
 # -- is_nucleus --------------------------------------------------------------
@@ -419,3 +542,102 @@ def test_op_law_failures_match_the_per_tuple_loop(name):
             assert got == ("subject-laws", slot_law)
             broken += per_tuple_op_law_failure(cert) is not None
     assert broken > 0 and lawful > 0
+
+
+def per_id_free_walk(cert):
+    """The free.action and epsilon checks one id at a time on labels, in
+    the certificate's id order, each scalar in Q's order: (error type,
+    message, witness) of the first failure, or None.  A row or key
+    outside the domain is named once every expected one is found."""
+    t = CertTables(cert)
+    els, m, carrier = t.q.elements, len(t.q.elements), t.carrier
+    action = {(s, i): v for s, i, v in cert["free"]["action"]}
+    for i in t.ids:
+        for k, s in enumerate(els):
+            if (s, i) not in action:
+                return ParseError, f"free: action missing {(s, i)!r}", None
+            scaled = tuple(t.q.imul[k * m + v] for v in t.values[i])
+            if action[(s, i)] != t.by_values[scaled]:
+                return (CertificateTampered, f"free action at {(s, i)!r} "
+                        "is not pointwise multiplication",
+                        {"check": "free-tables", "scalar": s, "id": i})
+    extra = [key for key in action if key[1] not in t.values]
+    if extra:
+        return (ParseError, f"free: action: {extra[0]!r} is outside its "
+                "domain", None)
+    sub = cert["subject"]
+    act = {(s, a): v for s, a, v in sub["action"]}
+    leq = {tuple(row) for row in sub["leq"]}
+
+    def lub(xs):
+        ups = [u for u in carrier if all((x, u) in leq for x in xs)]
+        return next(u for u in ups if all((u, v) in leq for v in ups))
+
+    eps = cert["epsilon"]
+    for i in t.ids:
+        folded = lub([act[(els[v], a)] for v, a in zip(t.values[i], carrier)])
+        if eps.get(i) != folded:
+            return (CertificateTampered, f"evaluation of {i!r} should be "
+                    f"{folded!r}", {"check": "evaluation", "id": i,
+                                    "claimed": eps.get(i)})
+    extra = [i for i in eps if i not in t.values]
+    if extra:
+        return ParseError, f"epsilon: {extra[0]!r} is outside its domain", None
+    return None
+
+
+def recheck_outcome(cert):
+    try:
+        recheck_certificate(cert)
+    except (CertificateTampered, ParseError) as err:
+        return type(err), str(err), getattr(err, "witness", None)
+    return None
+
+
+@pytest.mark.parametrize("name", ["two-meet", "luk3-self", "luk3-constant",
+                                  "meet-chain5"])
+def test_free_action_and_epsilon_edits_fail_as_the_per_id_walk_does(name):
+    # One or two seeded edits of one section: a free.action row's value
+    # changed, the row deleted, or a row added at an unknown id; an
+    # epsilon entry changed, deleted, or added at an unknown id.  Half
+    # of them under a shuffled id order, so the failure the walk names
+    # first is the first in the certificate's order, not the build's.
+    fresh = certificate(name)
+    rng = random.Random(25)
+    seen = collections.Counter()
+    for k in range(72):
+        cert = copy.deepcopy(fresh)
+        ids, carrier = cert["free"]["ids"], cert["subject"]["carrier"]
+        if k % 2:
+            rng.shuffle(ids)
+        section = ("action", "epsilon")[k // 2 % 2]
+        kind = ("edit", "delete", "add")[k // 4 % 3]
+        count = rng.randint(1, 2)
+        if section == "action":
+            rows = cert["free"]["action"]
+            for j, r in enumerate(sorted(rng.sample(range(len(rows)), count),
+                                         reverse=True)):
+                if kind == "edit":
+                    rows[r][2] = rng.choice([i for i in ids
+                                             if i != rows[r][2]])
+                elif kind == "delete":
+                    del rows[r]
+                else:
+                    rows.insert(r, [rows[r][0], f"zz{j}", rows[r][2]])
+        else:
+            eps = cert["epsilon"]
+            for j, i in enumerate(rng.sample(ids, count)):
+                if kind == "edit":
+                    eps[i] = rng.choice([a for a in carrier if a != eps[i]])
+                elif kind == "delete":
+                    del eps[i]
+                else:
+                    eps[f"zz{j}"] = carrier[0]
+        want = per_id_free_walk(cert)
+        assert want is not None
+        assert recheck_outcome(cert) == want
+        seen[section, want[0].__name__] += 1
+    assert set(seen) == {("action", "ParseError"),
+                         ("action", "CertificateTampered"),
+                         ("epsilon", "ParseError"),
+                         ("epsilon", "CertificateTampered")}

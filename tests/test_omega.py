@@ -24,7 +24,7 @@ from qsalg.qmodule import (
     suplattice_from_module,
     validate_qmodule,
 )
-from qsalg.qorder import certify_qsuplattice, crisp_qorder, subsethood
+from qsalg.qorder import certify_qsuplattice
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     QModuleAlgebra,
@@ -44,6 +44,8 @@ from qsalg.omega import (
 )
 from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             validate_quantale)
+
+from oracles import crisp_qorder, subsethood
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)

@@ -21,7 +21,6 @@ from qsalg.qorder import (
     QSupLattice,
     all_qsubsets,
     certify_qsuplattice,
-    crisp_qorder,
     qsubset,
 )
 from qsalg.quantale import (
@@ -30,6 +29,8 @@ from qsalg.quantale import (
     godel_chain,
     lukasiewicz_chain,
 )
+
+from oracles import crisp_qorder
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)

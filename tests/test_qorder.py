@@ -9,20 +9,18 @@ from qsalg.qorder import (
     all_qsubsets,
     certify_qsuplattice,
     characteristic_subset,
-    constant_subset,
-    crisp_qorder,
     induced_order,
     is_qjoin_preserving,
     point_subset,
-    powerset_order,
     qjoin,
     qsubset,
     subset_id,
-    subsethood,
     validate_qorder,
     zadeh_forward,
 )
 from qsalg.quantale import boolean_quantale, godel_chain, lukasiewicz_chain
+
+from oracles import constant_subset, crisp_qorder, powerset_order, subsethood
 
 
 TWO = boolean_quantale()

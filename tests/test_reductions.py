@@ -50,10 +50,7 @@ from qsalg.qorder import (
     all_qsubsets,
     certify_qsuplattice,
     characteristic_subset,
-    constant_subset,
-    crisp_qorder,
     is_qjoin_preserving,
-    powerset_order,
     qjoin,
     scan_qsubsets,
     validate_qorder,
@@ -62,6 +59,8 @@ from qsalg.qorder import (
 from qsalg.quantale import boolean_quantale
 from qsalg.recheck import recheck_certificate
 from qsalg.representation import canonical_closure, representation
+
+from oracles import constant_subset, crisp_qorder, powerset_order
 
 TWO = boolean_quantale()
 QUANTALES = bundled_quantales()
