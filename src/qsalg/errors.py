@@ -101,10 +101,6 @@ class NotComplete(SpecViolation):
     """Some pair has no least upper bound, or there is no bottom."""
 
 
-class NotMonotone(SpecViolation):
-    pass
-
-
 class NotJoinPreserving(SpecViolation):
     """Witness holds a subset S with f(join S) != join f(S)."""
 
@@ -189,10 +185,6 @@ class AxiomFails(SpecViolation):
     def __init__(self, axiom, message, **witness):
         super().__init__(message, axiom=axiom, **witness)
         self.axiom = axiom
-
-
-class LemmaFails(SpecViolation):
-    pass
 
 
 class TheoremFails(SpecViolation):

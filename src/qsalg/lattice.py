@@ -18,7 +18,6 @@ from .errors import (
     EmptyCarrier,
     NotAntisymmetric,
     NotComplete,
-    NotMonotone,
     NotReflexive,
     NotTransitive,
     UnknownElement,
@@ -70,14 +69,14 @@ def validate_poset(elements: Iterable[str], relation) -> FinitePoset:
         raise NotAntisymmetric("duplicate element ids", elements=sorted(
             e for e in elements if elements.count(e) > 1))
     rel = frozenset((a, b) for a, b in relation)
-    known = set(elements)
-    for (a, b) in rel:
+    known, pairs = set(elements), sorted(rel)
+    for (a, b) in pairs:
         if a not in known or b not in known:
             raise UnknownElement(a if a not in known else b, "poset relation")
     for a in elements:
         if (a, a) not in rel:
             raise NotReflexive(f"{a!r} <= {a!r} missing", element=a)
-    for (a, b) in sorted(rel):
+    for (a, b) in pairs:
         for c in elements:
             if (b, c) in rel and (a, c) not in rel:
                 raise NotTransitive(
@@ -314,21 +313,6 @@ class StructureMap:
 
     def __call__(self, a: str) -> str:
         return self.table[a]
-
-
-def monotone_map(source, target, table) -> StructureMap:
-    for a in source.elements:
-        if a not in table:
-            raise UnknownElement(a, "map table (missing)")
-        target.check_element(table[a], "map target")
-    for a in source.elements:
-        for b in source.elements:
-            if source.leq(a, b) and not target.leq(table[a], table[b]):
-                raise NotMonotone(
-                    f"{a!r} <= {b!r} but f({a!r}) = {table[a]!r} "
-                    f"is not <= f({b!r}) = {table[b]!r}",
-                    pair=[a, b], images=[table[a], table[b]])
-    return StructureMap(source, target, table)
 
 
 def preservation_failure(table, elements, source, target, scalars=()):

@@ -2,37 +2,30 @@
 
 This module deliberately imports nothing from the construction side of
 the package.  Every law is re-derived from the tables the certificate
-embeds, using plain dictionary, list and set arithmetic, so a PASS here
-vouches for the certificate without trusting the code that produced it.
-It owns the typed readers of the rows that documents and certificates
-share, and `document` imports them from here.
+embeds, so a PASS here vouches for the certificate without trusting the
+code that produced it.  It owns the typed readers of the rows that
+documents and certificates share, and `document` imports them from here.
+
+Each side (quantale, subject, quotient) is parsed once into label tables
+and read over carrier positions: its order as up-set bitmasks and a flat
+join table, and, once `closed()`, the action at s*n + a and each op's
+values in radix order.  The laws read only these lists; labels only name
+a witness.  The quantale is a module over itself.  The free ids are
+indexed by position in Q^A, read off `free.subsets` in one pass; the
+expected free action and `epsilon` grow one generator at a time, each
+compared with its shipped table in one ==.  A table is walked only to
+name its first bad entry.  `free.ops` holds the |A|^n rows at generator
+arguments, and `subject-laws` checks each op's slot laws on |A|^n tuples,
+so no |free|^n tuple is read.  The nucleus axioms, `embedding-hom`,
+`order-iso` and the quotient's own laws are argued in place, not scanned.
 
 The first violated claim raises CertificateTampered naming the check.  A
-malformed certificate raises ParseError instead: a missing section or a
-key outside the known ones, a field or row of the wrong JSON type, a
-partial table, any format but FORMAT, a key outside the domain its
-section is read over, an op table or arity off the signature
-`subject.arities`.  The `checks` list and `meta.free_size` are claims
-too, rebuilt from the re-derived tables; no claim depends on a bound.
-`meta.threshold`, the run parameter, is not verified.  Each law has one
-path: the quantale is checked as a module over itself, and each order's
-joins come from one table built from up-sets.  The free order is not
-shipped: two ids compare by one AND of digit masks, from `free.subsets`
-over Q's element indices.  Those |Q|^|A| distinct rows are all of Q^A,
-so the ids are indexed by position, and the expected free action and
-`epsilon` grow one generator at a time from Q's flat `mul` and the
-subject's join table, each compared with its shipped table in one ==;
-the ids are walked only to name the first bad entry.  `free.ops` holds
-the |A|^n rows at generator arguments only, and `subject-laws` checks
-each subject op's slot laws on |A|^n argument tuples; no |free|^n tuple
-is read, and the nucleus axioms are not scanned (the comment at them
-says why).  Nor are
-`embedding-hom` and `order-iso`, nor the quotient's own laws: once
-`quotient-tables` holds, rho is a module iso onto the quotient, which
-carries the subject's laws over.  `expected_checks` is the one
-statement of the certificate's claims list, which `representation`
-ships.  The row readers check a table's JSON types in one pass, and walk
-its rows only to name a bad one.
+malformed certificate raises ParseError instead: a missing section or an
+unknown key, a field or row of the wrong JSON type, a partial table, any
+format but FORMAT, a key outside its section's domain, an op table or
+arity off `subject.arities`.  The `checks` list and `meta.free_size` are
+claims too, rebuilt by `expected_checks`; `meta.threshold`, the run
+parameter, is not verified.
 """
 
 from __future__ import annotations
@@ -70,23 +63,12 @@ def _field(decl, key, where):
     return decl[key]
 
 
-def _rows(rows, where):
-    if not isinstance(rows, list):
-        raise ParseError(f"{where}: expected a list of rows, got "
-                         f"{_json_type(rows)}")
-    return rows
-
-
-def _strings(row):
-    return isinstance(row, list) and {*map(type, row)} <= {str}
-
-
 def _labels(decl, key, where):
     labels = _field(decl, key, where)
     if not isinstance(labels, list):
         raise ParseError(f"{where}: {key} is a list of string labels, "
                          f"got {_json_type(labels)}")
-    if not _strings(labels):
+    if {*map(type, labels)} - {str}:
         k = next(k for k, v in enumerate(labels) if type(v) is not str)
         raise ParseError(f"{where}: {key} is a list of string labels, "
                          f"entry {k} has type {_json_type(labels[k])}")
@@ -159,7 +141,9 @@ def _read_rows(rows, where, width, what, repeat, nested=None):
     cell `nested` as a tuple, or else the first two cells.  Only when the
     bulk check or a repeated key fails are the rows walked, to name the
     first malformed or repeated row, as a walk from the first row would."""
-    rows = _rows(rows, where)
+    if not isinstance(rows, list):
+        raise ParseError(f"{where}: expected a list of rows, got "
+                         f"{_json_type(rows)}")
     cols = _columns(rows, width, nested)
     if cols:
         keys = (zip(cols[0], cols[1]) if nested is None
@@ -204,61 +188,68 @@ def unique_keys(pairs):
     return out
 
 
+def _first_diff(xs, ys):
+    """The first index at which two equally long lists differ."""
+    return next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
+def _digits(k, base, width):
+    """The `width` digits of k in radix `base`, most significant first:
+    the argument positions of entry k of a table in radix order."""
+    return [k // base ** e % base for e in range(width - 1, -1, -1)]
+
+
 class _Order:
-    """Crisp order over `leq` pair rows; `check_poset` builds its bottom
-    and binary join table."""
+    """Crisp order over `leq` pair rows, read over carrier positions:
+    `pos` maps a label to its index and bit j of `up[k]` says element k
+    is below element j.  `check_poset` builds the bottom's position
+    `ibottom` and the flat join table `ijoin`, entry a*n+b."""
 
     def __init__(self, elements, rows, where):
         self.elements = list(elements)
-        known = set(self.elements)
-        if len(known) != len(self.elements):
+        self.pos = {a: k for k, a in enumerate(self.elements)}
+        if len(self.pos) != len(self.elements):
             raise ParseError(f"{where}: repeated element")
-        self.rel = _pairs_to_relation(rows, where)
-        unknown = [pair for pair in self.rel if not known.issuperset(pair)]
+        rel = _pairs_to_relation(rows, where)
+        unknown = [pair for pair in rel if not self.pos.keys() >= {*pair}]
         if unknown:
             row = list(min(unknown))
             raise CertificateTampered(
                 where, f"leq mentions unknown element in {row!r}", row=row)
-
-    def leq(self, a, b):
-        return (a, b) in self.rel
+        self.up = [0] * len(self.elements)
+        for a, b in rel:
+            self.up[self.pos[a]] |= 1 << self.pos[b]
 
     def check_poset(self, where):
-        for a in self.elements:
-            if not self.leq(a, a):
-                raise CertificateTampered(where, f"not reflexive at {a!r}",
-                                          element=a)
-        for a, b in self.rel:
-            if self.leq(b, a) and a != b:
+        els, up = self.elements, self.up
+        for a, x in enumerate(els):
+            if not up[a] >> a & 1:
+                raise CertificateTampered(where, f"not reflexive at {x!r}",
+                                          element=x)
+        # The pairs a <= b in carrier order, so a witness is named the
+        # same way in every run.
+        for (a, x), (b, y) in itertools.product(enumerate(els), repeat=2):
+            if up[a] >> b & 1 and up[b] >> a & 1 and a != b:
                 raise CertificateTampered(where, f"not antisymmetric on "
-                                          f"{a!r}, {b!r}", pair=[a, b])
-            for c in self.elements:
-                if self.leq(b, c) and not self.leq(a, c):
-                    raise CertificateTampered(
-                        where, f"not transitive via {a!r} <= {b!r} <= {c!r}",
-                        chain=[a, b, c])
-        # The join of a subset is the element whose up-set is the common
-        # up-set of its members; the bottom's up-set is everything.
-        up = {a: frozenset(b for b in self.elements if self.leq(a, b))
-              for a in self.elements}
-        by_up = {u: a for a, u in up.items()}
-
-        def least(subset, common):
-            if common not in by_up:
+                                          f"{x!r}, {y!r}", pair=[x, y])
+            out = up[b] & ~up[a] if up[a] >> b & 1 else 0
+            if out:
+                z = els[(out & -out).bit_length() - 1]
                 raise CertificateTampered(
-                    where, f"subset {sorted(set(subset))!r} has no unique "
-                    "join", subset=sorted(set(subset)))
-            return by_up[common]
-
-        self.bottom = least([], frozenset(self.elements))
-        self.join2 = {(a, b): least([a, b], up[a] & up[b])
-                      for a in self.elements for b in self.elements}
-
-    def lub(self, subset):
-        out = self.bottom
-        for s in subset:
-            out = self.join2[(out, s)]
-        return out
+                    where, f"not transitive via {x!r} <= {y!r} <= {z!r}",
+                    chain=[x, y, z])
+        # The join of a subset is the element whose up-set is the common
+        # up-set of its members; the bottom's up-set is everything.  Entry
+        # 0 is the bottom, the join of no element.
+        by_up, n = {u: a for a, u in enumerate(up)}, len(els)
+        joins = [*map(by_up.get, [(1 << n) - 1] + [u & v for u in up
+                                                   for v in up])]
+        if None in joins:
+            k = joins.index(None)
+            subset = sorted({els[a] for a in divmod(k - 1, n)}) if k else []
+            raise CertificateTampered(where, f"subset {subset!r} has no "
+                                      "unique join", subset=subset)
+        self.ibottom, *self.ijoin = joins
 
 
 def _ops_tables(section, where, arities):
@@ -286,43 +277,18 @@ def _no_extra(table, size, domain, where):
         raise ParseError(f"{where}: {extra!r} is outside its domain")
 
 
-class _Quantale:
-    """Checked as a module over itself, acting by `mult`; commutativity
-    is the one law that the module laws do not state."""
-
-    def __init__(self, section):
-        self.elements = _labels(section, "elements", "quantale")
-        self.unit = _field(section, "unit", "quantale")
-        if self.unit not in self.elements:
-            raise ParseError(f"quantale: unit {self.unit!r} is not an element")
-        self.side = _ModuleSide(dict(
-            section, carrier=self.elements, arities={}, ops={},
-            action=_field(section, "mult", "quantale")), self, "quantale")
-        self.order = self.side.order
-        self.mul = self.side.act
-
-    def verify(self):
-        self.side.verify()
-        for a, b in itertools.product(self.elements, repeat=2):
-            if self.mul(a, b) != self.mul(b, a):
-                raise CertificateTampered(
-                    "quantale-laws", f"multiplication not commutative at "
-                    f"{(a, b)!r}", pair=[a, b])
-        # Once verified, its tables over the indices 0..m-1, at a * m + b.
-        els = self.elements
-        self.index = {a: k for k, a in enumerate(els)}
-        self.imul = [self.index[self.mul(a, b)] for a in els for b in els]
-        self.ileq = [self.order.leq(a, b) for a in els for b in els]
-
-
 class _ModuleSide:
-    """Carrier with order, action, and operations, as bare tables."""
+    """Carrier with order, action, and operations, parsed once as label
+    tables; `closed()` reads them over carrier positions, the action as
+    `iact[s*n + a]` with s a scalar's index, and each op's values in the
+    radix order of its arguments, `iops`.  The laws read only these."""
 
     def __init__(self, section, q, where):
         self.q, self.where = q, where
         self.carrier = _labels(section, "carrier", where)
         self.order = _Order(self.carrier, _field(section, "leq", where),
                             where + "-order")
+        self.pos = self.order.pos
         self.action = _triples_to_table(_field(section, "action", where),
                                         where)
         self.arities = _object(section, "arities", where)
@@ -330,97 +296,157 @@ class _ModuleSide:
             raise ParseError(f"{where}: arities must be non-negative ints")
         self.ops = _ops_tables(section, where, self.arities)
 
-    def act(self, s, a):
-        return self.action[(s, a)]
-
     def _closed(self, table, keys, what, **witness):
-        """`table` maps exactly `keys`, each into the carrier."""
-        where, known = f"{self.where}: {what}", set(self.carrier)
-        for key in keys:
-            if _cell(table, key, where) not in known:
-                raise CertificateTampered(
-                    self.where + "-laws", f"{what} leaves the carrier at "
-                    f"{key!r}", args=list(key), **witness)
-        _no_extra(table, len(keys), keys, where)
+        """`table`'s values at `keys`, in their order, as positions; it
+        must map exactly `keys`, each into the carrier.  The keys are
+        walked only to name the first that does not."""
+        out = [*map(self.pos.get, map(table.get, keys))]
+        if None in out or len(table) != len(keys):
+            where = f"{self.where}: {what}"
+            for key in keys:
+                if _cell(table, key, where) not in self.pos:
+                    raise CertificateTampered(
+                        self.where + "-laws", f"{what} leaves the carrier "
+                        f"at {key!r}", args=list(key), **witness)
+            _no_extra(table, len(keys), keys, where)
+        return out
 
     def closed(self):
         """Every action and op table is total and lands in the carrier,
         so the laws and the quotient's ties index them directly."""
-        self._closed(self.action, list(itertools.product(
+        self.iact = self._closed(self.action, list(itertools.product(
             self.q.elements, self.carrier)), "action")
-        for sym, n in self.arities.items():
-            self._closed(self.ops[sym], list(itertools.product(
-                self.carrier, repeat=n)), f"op {sym!r}", symbol=sym)
+        self.iops = {sym: self._closed(
+            self.ops[sym], list(itertools.product(self.carrier, repeat=n)),
+            f"op {sym!r}", symbol=sym) for sym, n in self.arities.items()}
 
     def verify(self):
-        w = self.where
-        self.order.check_poset(w + "-order")
+        w = self.where + "-laws"
+        self.order.check_poset(self.where + "-order")
         self.closed()
-        bot = self.order.bottom
-        for a in self.carrier:
-            if self.act(self.q.unit, a) != a:
+        q, els, act, join = self.q, self.carrier, self.iact, self.order.ijoin
+        n, m, scalars = len(els), len(q.elements), q.elements
+        bot, zero, unit = self.order.ibottom, q.order.ibottom, q.pos[q.unit]
+        mul, qjoin = q.iact, q.order.ijoin
+        for a, x in enumerate(els):
+            if act[unit * n + a] != a:
                 raise CertificateTampered(
-                    w + "-laws", f"unit action fails at {a!r}", element=a)
-            if self.act(self.q.order.bottom, a) != bot:
+                    w, f"unit action fails at {x!r}", element=x)
+            if act[zero * n + a] != bot:
                 raise CertificateTampered(
-                    w + "-laws", f"bottom scalar does not crush {a!r}",
-                    element=a)
+                    w, f"bottom scalar does not crush {x!r}", element=x)
             # s * bottom = (s bottom) * a, by the crush and composition
             # laws, and s bottom = bottom s = bottom in Q.
-            for s in self.q.elements:
-                for t in self.q.elements:
-                    if self.act(s, self.act(t, a)) != \
-                            self.act(self.q.mul(s, t), a):
-                        raise CertificateTampered(
-                            w + "-laws", "action does not compose at "
-                            f"{(s, t, a)!r}", scalars=[s, t], element=a)
-                    sj = self.q.order.lub([s, t])
-                    if self.act(sj, a) != self.order.lub(
-                            [self.act(s, a), self.act(t, a)]):
-                        raise CertificateTampered(
-                            w + "-laws", "action does not distribute over "
-                            f"the scalar join of {(s, t)!r}",
-                            scalars=[s, t], element=a)
-            for s, b in itertools.product(self.q.elements, self.carrier):
-                j = self.order.lub([a, b])
-                if self.act(s, j) != self.order.lub(
-                        [self.act(s, a), self.act(s, b)]):
+            for s, t in itertools.product(range(m), repeat=2):
+                if act[s * n + act[t * n + a]] != act[mul[s * m + t] * n + a]:
+                    st = [scalars[s], scalars[t]]
                     raise CertificateTampered(
-                        w + "-laws", "action does not distribute over the "
-                        f"join of {(a, b)!r}", scalar=s, pair=[a, b])
+                        w, f"action does not compose at {(*st, x)!r}",
+                        scalars=st, element=x)
+                if act[qjoin[s * m + t] * n + a] != \
+                        join[act[s * n + a] * n + act[t * n + a]]:
+                    st = [scalars[s], scalars[t]]
+                    raise CertificateTampered(
+                        w, "action does not distribute over the scalar "
+                        f"join of {(*st,)!r}", scalars=st, element=x)
+            for s, b in itertools.product(range(m), range(n)):
+                if act[s * n + join[a * n + b]] != \
+                        join[act[s * n + a] * n + act[s * n + b]]:
+                    raise CertificateTampered(
+                        w, "action does not distribute over the join of "
+                        f"{(x, els[b])!r}", scalar=scalars[s],
+                        pair=[x, els[b]])
 
     def check_slots(self):
         """Each op, with the other arguments pinned, keeps the bottom,
         binary joins and the action in each slot: the slot laws, in the
-        order `validate_qmodule_algebra` scans them."""
-        w, bot = self.where + "-laws", self.order.bottom
-        join = self.order.join2
-        for sym, n in self.arities.items():
-            for slot in range(n):
-                for rest in itertools.product(self.carrier, repeat=n - 1):
-                    g = {x: self.ops[sym][rest[:slot] + (x,) + rest[slot:]]
-                         for x in self.carrier}
-                    at = f"op {sym!r} slot {slot} at {rest!r}"
-                    pinned = dict(symbol=sym, slot=slot, rest=list(rest))
+        order `validate_qmodule_algebra` scans them.  With `rest` pinned,
+        the slot's map is a strided slice of the op's values."""
+        w, els, n = self.where + "-laws", self.carrier, len(self.carrier)
+        join, bot, act = self.order.ijoin, self.order.ibottom, self.iact
+        scalars = self.q.elements
+        for sym, arity in self.arities.items():
+            for slot in range(arity):
+                stride = n ** (arity - 1 - slot)
+                for r in range(n ** (arity - 1)):
+                    start = r // stride * stride * n + r % stride
+                    g = self.iops[sym][start:start + stride * n:stride]
+                    kept = [g[j] for j in join]
+                    joined = [join[x * n + y] for x in g for y in g]
+                    moved = [g[v] for v in act]
+                    acted = [act[s + y] for s in range(0, len(act), n)
+                             for y in g]
                     if g[bot] != bot:
-                        raise CertificateTampered(
-                            w, f"{at} does not keep the bottom", subset=[],
-                            **pinned)
-                    for a, b in itertools.product(self.carrier, repeat=2):
-                        if g[join[(a, b)]] != join[(g[a], g[b])]:
-                            raise CertificateTampered(
-                                w, f"{at} breaks the join of {[a, b]!r}",
-                                subset=[a, b], **pinned)
-                    for s, a in itertools.product(self.q.elements,
-                                                  self.carrier):
-                        if g[self.act(s, a)] != self.act(s, g[a]):
-                            raise CertificateTampered(
-                                w, f"{at} does not keep {s!r} acting on "
-                                f"{a!r}", scalar=s, element=a, **pinned)
+                        law, witness = "does not keep the bottom", {
+                            "subset": []}
+                    elif kept != joined:
+                        pair = [els[a] for a in divmod(
+                            _first_diff(kept, joined), n)]
+                        law, witness = f"breaks the join of {pair!r}", {
+                            "subset": pair}
+                    elif moved != acted:
+                        s, a = divmod(_first_diff(moved, acted), n)
+                        law = (f"does not keep {scalars[s]!r} acting on "
+                               f"{els[a]!r}")
+                        witness = {"scalar": scalars[s], "element": els[a]}
+                    else:
+                        continue
+                    rest = [els[d] for d in _digits(r, n, arity - 1)]
+                    raise CertificateTampered(
+                        w, f"op {sym!r} slot {slot} at {(*rest,)!r} {law}",
+                        **witness, symbol=sym, slot=slot, rest=rest)
 
-    def residual(self, a, b):
-        return self.q.order.lub([s for s in self.q.elements
-                                 if self.order.leq(self.act(s, a), b)])
+
+class _Quantale(_ModuleSide):
+    """Checked as a module over itself, acting by `mult`; commutativity
+    is the one law that the module laws do not state.  Once verified,
+    `imul` is its multiplication over positions, entry a*m+b."""
+
+    def __init__(self, section):
+        self.elements = _labels(section, "elements", "quantale")
+        self.unit = _field(section, "unit", "quantale")
+        if self.unit not in self.elements:
+            raise ParseError(f"quantale: unit {self.unit!r} is not an element")
+        super().__init__(dict(
+            section, carrier=self.elements, arities={}, ops={},
+            action=_field(section, "mult", "quantale")), self, "quantale")
+
+    def verify(self):
+        super().verify()
+        els, m, mul = self.elements, len(self.elements), self.iact
+        for a, b in itertools.product(range(m), repeat=2):
+            if mul[a * m + b] != mul[b * m + a]:
+                raise CertificateTampered(
+                    "quantale-laws", f"multiplication not commutative at "
+                    f"{(els[a], els[b])!r}", pair=[els[a], els[b]])
+        self.imul = mul
+
+
+def _subset_positions(subsets, ids, carrier, index):
+    """Each id's position in Q^carrier, from `subsets`: the digits of a
+    position in radix |Q| are the id's row of Q indices, in carrier
+    order.  The table is read in one pass over type sets and a column
+    per element; the ids are walked only to name the first bad entry."""
+    maps, m = [*map(subsets.get, ids)], len(index)
+    shaped = (len(subsets) == len(ids) and {*map(type, maps)} == {dict}
+              and {*map(len, maps)} == {len(carrier)})
+    if shaped and {*map(type, itertools.chain.from_iterable(
+            map(dict.values, maps)))} <= {str}:
+        out = [0] * len(ids)
+        for a in carrier:
+            digits = [*map(index.get, map(dict.get, maps,
+                                          itertools.repeat(a)))]
+            if None in digits:
+                break
+            out = [p * m + d for p, d in zip(out, digits)]
+        else:
+            return out
+    for i in ids:
+        subset = _label_map(subsets, i, "free.subsets")
+        if None in map(index.get, map(subset.get, carrier)):
+            raise ParseError(f"free subset {i!r} is partial or leaves Q")
+        _no_extra(subset, len(carrier), carrier, f"free subset {i!r}")
+    _no_extra(subsets, len(ids), ids, "free.subsets")
 
 
 def recheck_certificate(cert) -> list:
@@ -452,25 +478,16 @@ def recheck_certificate(cert) -> list:
         raise CertificateTampered(
             "free-tables", "free carrier does not exhaust the fuzzy "
             "subsets", ids=len(ids))
-    m, index, carrier = len(q.elements), q.index, subject.carrier
-    mul, leq = q.imul, q.ileq
-    subsets = _object(fr, "subsets", "free")
-    values = {}
-    for i in ids:
-        subset = _label_map(subsets, i, "free.subsets")
-        values[i] = tuple(map(index.get, map(subset.get, carrier)))
-        if None in values[i]:
-            raise ParseError(f"free subset {i!r} is partial or leaves Q")
-        _no_extra(subset, len(carrier), carrier, f"free subset {i!r}")
-    _no_extra(subsets, len(ids), ids, "free.subsets")
-    by_values = {row: i for i, row in values.items()}
-    if len(by_values) != len(ids):
+    m, carrier, n_car = len(q.elements), subject.carrier, len(subject.carrier)
+    spots = _subset_positions(_object(fr, "subsets", "free"), ids, carrier,
+                              q.pos)
+    place, at = dict(zip(ids, spots)), dict(zip(spots, ids))
+    if len(at) != len(ids):
         raise CertificateTampered("free-tables", "two free ids share a "
                                   "subset table")
     # |Q|^|A| distinct rows over Q's indices are all of Q^A, so the ids
     # are indexed by position, the digits of p in radix m being p's row.
-    at = [*map(by_values.get, itertools.product(range(m),
-                                                repeat=len(carrier)))]
+    at = [*map(at.__getitem__, range(len(ids)))]
 
     # Each scalar's action over positions, grown a coordinate at a time
     # from its row of Q's flat mul: p*m + d goes to p'*m + mul(s, d).
@@ -480,27 +497,26 @@ def recheck_certificate(cert) -> list:
     for k, s in enumerate(q.elements):
         row = [0]
         for _ in carrier:
-            row = [r * m + t for r in row for t in mul[k * m:k * m + m]]
+            row = [r * m + t for r in row for t in q.imul[k * m:k * m + m]]
         scaled.update(zip(zip(itertools.repeat(s), at), map(at.__getitem__,
                                                              row)))
     if free_action != scaled:
-        for i in ids:
-            for s in q.elements:
-                if _cell(free_action, (s, i), "free: action") != \
-                        scaled[(s, i)]:
-                    raise CertificateTampered(
-                        "free-tables", f"free action at {(s, i)!r} is not "
-                        "pointwise multiplication", scalar=s, id=i)
+        for i, s in itertools.product(ids, q.elements):
+            if _cell(free_action, (s, i), "free: action") != scaled[(s, i)]:
+                raise CertificateTampered(
+                    "free-tables", f"free action at {(s, i)!r} is not "
+                    "pointwise multiplication", scalar=s, id=i)
         _no_extra(free_action, len(scaled), scaled, "free: action")
     # At the points eta(x1) .. eta(xn), the point at the subject op's
     # value; the comment at the nucleus axioms says why that is enough.
-    bottom, unit = index[q.order.bottom], index[q.unit]
-    eta = {a: by_values[tuple(unit if b == a else bottom for b in carrier)]
-           for a in carrier}
+    # Point x is unit at x's digit and bottom at the others.
+    bottom, unit = q.order.ibottom, q.pos[q.unit]
+    floor = sum(bottom * m ** k for k in range(n_car))
+    eta = [at[floor + (unit - bottom) * m ** k] for k in range(n_car)][::-1]
     for sym, n in arities.items():
         table, where = free_ops[sym], f"free: op {sym!r}"
-        rows = {tuple(map(eta.get, xs)): eta[subject.ops[sym][xs]]
-                for xs in itertools.product(carrier, repeat=n)}
+        rows = {tuple(map(eta.__getitem__, xs)): eta[v] for xs, v in zip(
+            itertools.product(range(n_car), repeat=n), subject.iops[sym])}
         for args, value in rows.items():
             if _cell(table, args, where) != value:
                 raise CertificateTampered(
@@ -514,13 +530,11 @@ def recheck_certificate(cert) -> list:
     # grown the same way over the subject's positions: E <- J(e, t) for
     # e in E, t over the positions of the s * x.
     eps = _label_map(cert, "epsilon", "certificate")
-    n, pos = len(carrier), {a: k for k, a in enumerate(carrier)}
-    join = [pos[subject.order.join2[(a, b)]] for a in carrier
-            for b in carrier]
-    images = [pos[subject.order.bottom]]
-    for a in carrier:
-        step = [pos[subject.act(s, a)] for s in q.elements]
-        images = [join[e * n + t] for e in images for t in step]
+    act, join, up = subject.iact, subject.order.ijoin, subject.order.up
+    images = [subject.order.ibottom]
+    for a in range(n_car):
+        step = act[a::n_car]
+        images = [join[e * n_car + t] for e in images for t in step]
     folded = dict(zip(at, map(carrier.__getitem__, images)))
     if eps != folded:
         for i in ids:
@@ -532,9 +546,16 @@ def recheck_certificate(cert) -> list:
     passed.append("evaluation")
 
     nuc = _label_map(cert, "nucleus", "certificate")
-    # The residual cone over each subject element, as a free id.
-    cone = {b: by_values[tuple(index[subject.residual(a, b)]
-                               for a in carrier)] for b in carrier}
+    # The residual cone over each subject element b, as a free id: its
+    # digit at a joins the scalars s with s * a <= b, from the bottom.
+    cone = [0] * n_car
+    for a in range(n_car):
+        res = [bottom] * n_car
+        for s, v in enumerate(act[a::n_car]):
+            res = [q.order.ijoin[r * m + s] if up[v] >> b & 1 else r
+                   for b, r in enumerate(res)]
+        cone = [p * m + r for p, r in zip(cone, res)]
+    cone = dict(zip(carrier, map(at.__getitem__, cone)))
     for i in ids:
         if nuc.get(i) != cone[eps[i]]:
             raise CertificateTampered(
@@ -593,35 +614,37 @@ def recheck_certificate(cert) -> list:
     if sorted(quot.carrier) != sorted(fixed):
         raise CertificateTampered("quotient-tables", "quotient carrier is "
                                   "not the fixed-point set")
-    # The free order, coordinate by coordinate: with m bits a coordinate,
-    # i <= k when i's one-hot digits lie in the down-sets of k's.
-    qdown = [sum(leq[a * m + b] << a for a in range(m)) for b in range(m)]
-    hot = {i: sum(1 << p * m + v for p, v in enumerate(values[i]))
-           for i in quot.carrier}
-    down = {i: sum(qdown[v] << p * m for p, v in enumerate(values[i]))
-            for i in quot.carrier}
-    for i in quot.carrier:
-        for k in quot.carrier:
-            if quot.order.leq(i, k) != (hot[i] & down[k] == hot[i]):
+    # The free order, coordinate by coordinate: i <= k when each digit
+    # of i's position is below k's in Q.
+    els, size, qup = quot.carrier, len(quot.carrier), quot.order.up
+    rows = [_digits(place[i], m, n_car) for i in els]
+    for x, i in enumerate(els):
+        for y, k in enumerate(els):
+            if (qup[x] >> y & 1) != all(q.order.up[d] >> e & 1
+                                        for d, e in zip(rows[x], rows[y])):
                 raise CertificateTampered(
                     "quotient-tables", f"quotient order at {(i, k)!r} is "
                     "not restriction", pair=[i, k])
-        for s in q.elements:
-            if quot.act(s, i) != nuc[free_action[(s, i)]]:
+        for t, s in enumerate(q.elements):
+            if els[quot.iact[t * size + x]] != nuc[free_action[(s, i)]]:
                 raise CertificateTampered(
                     "quotient-tables", f"quotient action at {(s, i)!r} is "
                     "not the closed free action", scalar=s, id=i)
     # The quotient op at rho(a1 ..) is rho(v(a1 ..)), over the |A|^n
     # tuples: a fixed i is rho(e(i)).  This is embedding-hom for the ops.
+    # The subject op's arguments grow a digit at a time, as positions.
+    evaluated = [subject.pos[eps[i]] for i in els]
     for sym, n in arities.items():
-        table = quot.ops[sym]
-        for args in itertools.product(quot.carrier, repeat=n):
-            if table[args] != rho[subject.ops[sym][tuple(map(eps.get,
-                                                             args))]]:
-                raise CertificateTampered(
-                    "quotient-tables", f"quotient op {sym!r} at {args!r} "
-                    "is not the embedded subject op", symbol=sym,
-                    args=list(args))
+        args = [0]
+        for _ in range(n):
+            args = [r * n_car + e for r in args for e in evaluated]
+        want = [rho[carrier[subject.iops[sym][r]]] for r in args]
+        got = [*map(els.__getitem__, quot.iops[sym])]
+        if got != want:
+            bad = [els[d] for d in _digits(_first_diff(got, want), size, n)]
+            raise CertificateTampered(
+                "quotient-tables", f"quotient op {sym!r} at {(*bad,)!r} "
+                "is not the embedded subject op", symbol=sym, args=bad)
     passed.append("quotient-tables")
 
     # rho is then a module iso onto the quotient, with no scan: a <= b

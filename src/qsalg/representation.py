@@ -153,7 +153,8 @@ def representation(subject: QModuleAlgebra) -> dict:
         "subject": _module_algebra_section(subject),
         "free": {
             "ids": list(free.ids),
-            "subsets": {i: free.atlas[i].table() for i in free.ids},
+            "subsets": {i: dict(zip(free.generators.carrier, vals))
+                        for vals, i in free.id_of.items()},
             "action": _action_triples(free.module),
             "ops": _op_tables(free.module_algebra.algebra,
                               free.eta.values()),

@@ -1,12 +1,14 @@
 """Package code that only the tests call, kept here as oracles."""
 
+import itertools
 import os
 
 from qsalg.corpus import corpus_documents, render
-from qsalg.errors import (CarrierMismatch, InternalInconsistency,
-                          NotJoinPreserving, UnknownElement)
+from qsalg.errors import (CarrierMismatch, CertificateTampered,
+                          InternalInconsistency, NotJoinPreserving,
+                          SpecViolation, UnknownElement)
 from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
-                           monotone_map, preservation_failure)
+                           preservation_failure)
 from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
                           validate_qorder)
 from qsalg.quantale import FiniteQuantale
@@ -23,6 +25,27 @@ def _join_failure_witness(f, src, tgt):
     members = bad[0]
     j = src.join(members)
     return members, j, f.table[j], tgt.join(f.table[m] for m in members)
+
+
+class NotMonotone(SpecViolation):
+    """Raised by `monotone_map` only, which the package does not call."""
+
+
+def monotone_map(source, target, table) -> StructureMap:
+    """`table` as a map from `source` to `target`, checked to be total,
+    to land in the target and to keep the order."""
+    for a in source.elements:
+        if a not in table:
+            raise UnknownElement(a, "map table (missing)")
+        target.check_element(table[a], "map target")
+    for a in source.elements:
+        for b in source.elements:
+            if source.leq(a, b) and not target.leq(table[a], table[b]):
+                raise NotMonotone(
+                    f"{a!r} <= {b!r} but f({a!r}) = {table[a]!r} "
+                    f"is not <= f({b!r}) = {table[b]!r}",
+                    pair=[a, b], images=[table[a], table[b]])
+    return StructureMap(source, target, table)
 
 
 def right_adjoint(f: StructureMap) -> StructureMap:
@@ -97,3 +120,166 @@ def write_corpus(directory):
             fh.write(render(doc))
         written.append(path)
     return written
+
+
+# -- recheck's side laws by label, the oracle of its position tables ------
+
+
+class LabelOrder:
+    """A section's `leq` rows as a set of label pairs.  `check_poset`
+    scans the poset laws and builds the bottom and the join table by
+    label, as `recheck` did before it read its sides over positions; the
+    pairs a <= b are walked in carrier order."""
+
+    def __init__(self, elements, rows):
+        self.elements = list(elements)
+        self.rel = {tuple(row) for row in rows}
+
+    def leq(self, a, b):
+        return (a, b) in self.rel
+
+    def check_poset(self, where):
+        for a in self.elements:
+            if not self.leq(a, a):
+                raise CertificateTampered(where, f"not reflexive at {a!r}",
+                                          element=a)
+        for a, b in itertools.product(self.elements, repeat=2):
+            if not self.leq(a, b):
+                continue
+            if self.leq(b, a) and a != b:
+                raise CertificateTampered(where, f"not antisymmetric on "
+                                          f"{a!r}, {b!r}", pair=[a, b])
+            for c in self.elements:
+                if self.leq(b, c) and not self.leq(a, c):
+                    raise CertificateTampered(
+                        where, f"not transitive via {a!r} <= {b!r} <= {c!r}",
+                        chain=[a, b, c])
+        up = {a: frozenset(b for b in self.elements if self.leq(a, b))
+              for a in self.elements}
+        by_up = {u: a for a, u in up.items()}
+
+        def least(subset, common):
+            if common not in by_up:
+                raise CertificateTampered(
+                    where, f"subset {sorted(set(subset))!r} has no unique "
+                    "join", subset=sorted(set(subset)))
+            return by_up[common]
+
+        self.bottom = least([], frozenset(self.elements))
+        self.join2 = {(a, b): least([a, b], up[a] & up[b])
+                      for a in self.elements for b in self.elements}
+
+    def lub(self, subset):
+        out = self.bottom
+        for s in subset:
+            out = self.join2[(out, s)]
+        return out
+
+
+class LabelSide:
+    """A certificate side's module and slot laws, scanned by label in
+    `recheck`'s order.  The tables are read as they stand: the edits the
+    tests make keep each one total and inside its carrier, which
+    `recheck` checks first."""
+
+    def __init__(self, section, q, where):
+        self.q, self.where = q, where
+        self.carrier = section["carrier"]
+        self.order = LabelOrder(self.carrier, section["leq"])
+        self.action = {(s, a): v for s, a, v in section["action"]}
+        self.arities = section["arities"]
+        self.ops = {sym: {tuple(args): v for args, v in rows}
+                    for sym, rows in section["ops"].items()}
+
+    def act(self, s, a):
+        return self.action[(s, a)]
+
+    def verify(self):
+        w = self.where
+        self.order.check_poset(w + "-order")
+        bot, q = self.order.bottom, self.q
+        for a in self.carrier:
+            if self.act(q.unit, a) != a:
+                raise CertificateTampered(
+                    w + "-laws", f"unit action fails at {a!r}", element=a)
+            if self.act(q.order.bottom, a) != bot:
+                raise CertificateTampered(
+                    w + "-laws", f"bottom scalar does not crush {a!r}",
+                    element=a)
+            for s, t in itertools.product(q.elements, repeat=2):
+                if self.act(s, self.act(t, a)) != self.act(q.mul(s, t), a):
+                    raise CertificateTampered(
+                        w + "-laws", "action does not compose at "
+                        f"{(s, t, a)!r}", scalars=[s, t], element=a)
+                if self.act(q.order.lub([s, t]), a) != self.order.lub(
+                        [self.act(s, a), self.act(t, a)]):
+                    raise CertificateTampered(
+                        w + "-laws", "action does not distribute over "
+                        f"the scalar join of {(s, t)!r}",
+                        scalars=[s, t], element=a)
+            for s, b in itertools.product(q.elements, self.carrier):
+                if self.act(s, self.order.lub([a, b])) != self.order.lub(
+                        [self.act(s, a), self.act(s, b)]):
+                    raise CertificateTampered(
+                        w + "-laws", "action does not distribute over the "
+                        f"join of {(a, b)!r}", scalar=s, pair=[a, b])
+
+    def check_slots(self):
+        w, bot = self.where + "-laws", self.order.bottom
+        join = self.order.join2
+        for sym, n in self.arities.items():
+            for slot in range(n):
+                for rest in itertools.product(self.carrier, repeat=n - 1):
+                    g = {x: self.ops[sym][rest[:slot] + (x,) + rest[slot:]]
+                         for x in self.carrier}
+                    at = f"op {sym!r} slot {slot} at {rest!r}"
+                    pinned = dict(symbol=sym, slot=slot, rest=list(rest))
+                    if g[bot] != bot:
+                        raise CertificateTampered(
+                            w, f"{at} does not keep the bottom", subset=[],
+                            **pinned)
+                    for a, b in itertools.product(self.carrier, repeat=2):
+                        if g[join[(a, b)]] != join[(g[a], g[b])]:
+                            raise CertificateTampered(
+                                w, f"{at} breaks the join of {[a, b]!r}",
+                                subset=[a, b], **pinned)
+                    for s, a in itertools.product(self.q.elements,
+                                                  self.carrier):
+                        if g[self.act(s, a)] != self.act(s, g[a]):
+                            raise CertificateTampered(
+                                w, f"{at} does not keep {s!r} acting on "
+                                f"{a!r}", scalar=s, element=a, **pinned)
+
+
+class LabelQuantale:
+    """A certificate's quantale, scanned by label as a module over
+    itself, then for commutativity."""
+
+    def __init__(self, section):
+        self.elements, self.unit = section["elements"], section["unit"]
+        self.side = LabelSide(dict(section, carrier=self.elements,
+                                   action=section["mult"], arities={},
+                                   ops={}), self, "quantale")
+        self.order, self.mul = self.side.order, self.side.act
+
+    def verify(self):
+        self.side.verify()
+        for a, b in itertools.product(self.elements, repeat=2):
+            if self.mul(a, b) != self.mul(b, a):
+                raise CertificateTampered(
+                    "quantale-laws", f"multiplication not commutative at "
+                    f"{(a, b)!r}", pair=[a, b])
+
+
+def label_side_failure(cert):
+    """(check, message, witness) of the first quantale or subject law
+    the label scan finds broken, in `recheck`'s order, or None."""
+    q = LabelQuantale(cert["quantale"])
+    subject = LabelSide(cert["subject"], q, "subject")
+    try:
+        q.verify()
+        subject.verify()
+        subject.check_slots()
+    except CertificateTampered as err:
+        return err.check, str(err), err.witness
+    return None

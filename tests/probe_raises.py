@@ -1,20 +1,24 @@
 """Mutation probe: is every `raise` of a module reached by a test?
 
 Each `raise` statement of the module (by default `src/qsalg/recheck.py`)
-is replaced by `pass`, one at a time, in a copy of `src/`, `tests/` and
+is replaced by `pass`, one at a time, in a copy of `src/`, `tests/`,
+`perfbench/` (which `tests/test_bench_hooks.py` reads) and
 `pyproject.toml`, and the test suite runs on each mutant.  A mutant on
 which every test passes survives: no test reaches its check, so the
 check is either untested or argued redundant.  Killed mutants stop at
 their first failing test; the three files that exercise `recheck` most
-run first, and the whole suite only when they pass.
+run first, and the whole suite only when they pass.  Before any mutant,
+the whole suite runs once on the unmutated copy: if it fails there, a
+failure would not tell a killed mutant from a broken copy, so the probe
+stops.
 
 Run from the repository root:
 
     python tests/probe_raises.py [--module src/qsalg/recheck.py]
                                  [--workdir DIR]
 
-It prints one line per mutant and a summary with the wall time, and
-exits 1 when a mutant survives.  pytest does not collect this file
+It prints one line per mutant and a summary with the wall time.  It
+exits 1 when a mutant survives, and 2 when the unmutated copy fails.  pytest does not collect this file
 (its name does not start with `test_`), and CI does not run it: a run
 takes minutes, one suite run per mutant.  The repository is never
 modified; the copy lives in `--workdir` (a fresh temporary directory
@@ -75,10 +79,19 @@ def main(argv=None):
     start = time.perf_counter()
     copy = tempfile.mkdtemp(prefix="probe-", dir=args.workdir)
     try:
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__",
+                                                          "out"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+        t0 = time.perf_counter()
+        code, failed = run_tests(copy, [])
+        if code != 0:
+            print(f"the unmutated copy fails: pytest exit {code}, at "
+                  f"{failed}", flush=True)
+            return 2
+        print(f"unmutated copy: the whole suite passes "
+              f"({time.perf_counter() - t0:.1f} s)", flush=True)
         target = os.path.join(copy, args.module)
         with open(target, "rb") as fh:
             source = fh.read()

@@ -9,7 +9,8 @@ loops below walk one argument tuple or one id at a time; each kernel
 must give the same tables, the same verdicts and the same witnesses.
 `recheck` reads free.ops at the generator arguments only, and the
 convolution oracle here re-expands them to every tuple where a test
-needs the whole free op.
+needs the whole free op.  `recheck`'s quantale and subject laws read
+their sides over positions, against the label scans they replaced.
 """
 
 import collections
@@ -24,7 +25,7 @@ from qsalg import errors
 from qsalg.corpus import corpus_text
 from qsalg.document import loads
 from qsalg.errors import AxiomFails, CertificateTampered, ParseError
-from qsalg.lattice import chain_lattice
+from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import is_nucleus
 from qsalg.omega import (EMPTY_SIGNATURE, _omega_hom_witness, bare_algebra,
                          counit_map, extend_hom, free_qsup_algebra, signature,
@@ -35,6 +36,7 @@ from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             validate_quantale)
 from qsalg.recheck import _Quantale, recheck_certificate
 from qsalg.representation import canonical_closure, representation
+from oracles import label_side_failure
 from test_omega import (free_inputs, lax_diamond_target, lax_targets,
                         luk3_with_a_constant)
 
@@ -338,7 +340,7 @@ class CertTables:
         self.carrier = cert["subject"]["carrier"]
         self.ids = cert["free"]["ids"]
         subsets = cert["free"]["subsets"]
-        self.values = {i: tuple(self.q.index[subsets[i][a]]
+        self.values = {i: tuple(self.q.pos[subsets[i][a]]
                                 for a in self.carrier) for i in self.ids}
         self.by_values = {v: i for i, v in self.values.items()}
         self.arities = cert["subject"]["arities"]
@@ -346,25 +348,27 @@ class CertTables:
                             for s, rows in cert["subject"]["ops"].items()}
         self.free_ops = {s: {tuple(a): v for a, v in rows}
                          for s, rows in cert["free"]["ops"].items()}
-        index = self.q.index
-        self.join = {(index[a], index[b]): index[v]
-                     for (a, b), v in self.q.order.join2.items()}
-        unit = self.q.index[cert["quantale"]["unit"]]
+        m = len(self.q.elements)
+        self.join = {divmod(k, m): v
+                     for k, v in enumerate(self.q.order.ijoin)}
+        self.leq = [self.q.order.up[a] >> b & 1 for a in range(m)
+                    for b in range(m)]
+        unit = self.q.pos[cert["quantale"]["unit"]]
         self.points = {a: self.by_values[tuple(
-            unit if b == a else self.q.index[self.q.order.bottom]
+            unit if b == a else self.q.order.ibottom
             for b in self.carrier)] for a in self.carrier}
 
     def convolution(self, sym, args):
         """The free op's value at `args`, one fibre at a time."""
         q, m = self.q, len(self.q.elements)
         pos = {a: y for y, a in enumerate(self.carrier)}
-        out = [q.index[q.order.bottom]] * len(self.carrier)
+        out = [q.order.ibottom] * len(self.carrier)
         rows = [self.values[i] for i in args]
         for xs in itertools.product(range(len(self.carrier)),
                                     repeat=len(args)):
             y = pos[self.subject_ops[sym][tuple(self.carrier[x]
                                                 for x in xs)]]
-            p = rows[0][xs[0]] if args else q.index[q.unit]
+            p = rows[0][xs[0]] if args else q.pos[q.unit]
             for j in range(1, len(args)):
                 p = q.imul[p * m + rows[j][xs[j]]]
             out[y] = self.join[(out[y], p)]
@@ -399,7 +403,7 @@ def per_tuple_op_law_failure(cert):
     re-expanded by the convolution oracle: the first (symbol, args) where
     the closure is not lax, or None."""
     t = CertTables(cert)
-    nuc, m, leq = cert["nucleus"], len(t.q.elements), t.q.ileq
+    nuc, m, leq = cert["nucleus"], len(t.q.elements), t.leq
     for sym, n in t.arities.items():
         for args in itertools.product(t.ids, repeat=n):
             lifted = t.values[t.convolution(sym, tuple(nuc[i]
@@ -410,8 +414,20 @@ def per_tuple_op_law_failure(cert):
     return None
 
 
+def diamond_meet():
+    """The crisp module on the diamond over the boolean quantale, with
+    its meet as the operation `meet`: free size 16."""
+    lat = diamond_lattice()
+    ops = {"meet": {(a, b): lat.meet((a, b))
+                    for a in lat.elements for b in lat.elements}}
+    return validate_qmodule_algebra(
+        crisp_module(lat, TWO),
+        validate_omega_algebra(lat.elements, signature({"meet": 2}), ops))
+
+
 def certificate(name):
-    subject = {"two-meet": lambda: corpus_subject("two-meet.json"),
+    subject = {"boolean": diamond_meet,
+               "two-meet": lambda: corpus_subject("two-meet.json"),
                "luk3-self": lambda: corpus_subject("luk3-self.json"),
                "luk3-constant": luk3_with_a_constant,
                "meet-chain5": lambda: meet_chain(5)}[name]()
@@ -641,3 +657,58 @@ def test_free_action_and_epsilon_edits_fail_as_the_per_id_walk_does(name):
                          ("action", "CertificateTampered"),
                          ("epsilon", "ParseError"),
                          ("epsilon", "CertificateTampered")}
+
+
+SIDE_CHECKS = {"quantale-order", "quantale-laws", "subject-order",
+               "subject-laws"}
+
+
+def side_law_edits(cert):
+    """Every single-cell edit of `quantale.mult`, `subject.action` and
+    `subject.ops`, to each other value of its carrier, and every single
+    row added to or dropped from `subject.leq`, as (kind, edited copy)."""
+    q, sub = cert["quantale"], cert["subject"]
+    tables = [("mult", q["mult"], q["elements"]),
+              ("action", sub["action"], sub["carrier"])]
+    tables += [("ops", rows, sub["carrier"]) for rows in sub["ops"].values()]
+    for kind, rows, values in tables:
+        for row in rows:
+            for value in values:
+                if value != row[-1]:
+                    old, row[-1] = row[-1], value
+                    yield kind, copy.deepcopy(cert)
+                    row[-1] = old
+    leq = sub["leq"]
+    for k in range(len(leq)):
+        row = leq.pop(k)
+        yield "leq drop", copy.deepcopy(cert)
+        leq.insert(k, row)
+    for pair in itertools.product(sub["carrier"], repeat=2):
+        if list(pair) not in leq:
+            leq.append(list(pair))
+            yield "leq add", copy.deepcopy(cert)
+            leq.pop()
+
+
+@pytest.mark.parametrize("name", ["boolean", "two-meet", "luk3-self"])
+def test_side_law_edits_fail_as_the_label_scan_does(name):
+    # recheck reads the quantale's and the subject's laws over positions;
+    # the label scan in tests/oracles.py is the code it replaced, with
+    # the order's pairs walked in carrier order.  Every edit must fail at
+    # the same check with the same message and witness, and an edit the
+    # scan passes must pass every side law of recheck too.
+    fresh = certificate(name)
+    seen = collections.Counter()
+    for kind, cert in side_law_edits(fresh):
+        want = label_side_failure(cert)
+        got = recheck_outcome(cert)
+        if want is None:
+            assert got is None or got[2]["check"] not in SIDE_CHECKS, kind
+            continue
+        assert got == (CertificateTampered, want[1], want[2]), kind
+        assert want[2]["check"] == want[0]
+        seen[kind, want[0]] += 1
+    assert {kind for kind, _ in seen} == {"mult", "action", "ops",
+                                          "leq drop", "leq add"}
+    # Q's order is not edited, so quantale-order is not reached.
+    assert {check for _, check in seen} == SIDE_CHECKS - {"quantale-order"}

@@ -10,7 +10,10 @@ import ast
 import copy
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,9 +26,9 @@ from qsalg.lattice import (chain_lattice, complete_lattice, diamond_lattice,
 from qsalg.omega import (EMPTY_SIGNATURE, validate_omega_algebra,
                          validate_qmodule_algebra)
 from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
-from qsalg.recheck import (_json_type, _Order,
-                           _pairs_to_relation, _Quantale, _rows_to_op,
-                           _triples_to_table, recheck_certificate)
+from qsalg.recheck import (_json_type, _Order, _pairs_to_relation,
+                           _rows_to_op, _triples_to_table,
+                           recheck_certificate)
 from qsalg.representation import representation
 from test_lattice import all_corpus_lattices, labelled_posets
 from test_omega import luk3_with_a_constant
@@ -606,14 +609,21 @@ def _order(poset):
                   "x-order")
 
 
+def _labelled(order):
+    """The bottom and the join table of a checked order, by label."""
+    els = order.elements
+    return els[order.ibottom], {
+        (a, b): els[order.ijoin[x * len(els) + y]]
+        for x, a in enumerate(els) for y, b in enumerate(els)}
+
+
 def test_join_table_matches_complete_lattice_on_the_corpus():
     lattices = all_corpus_lattices() + [
         q.lattice for q in bundled_quantales().values()]
     for lat in lattices:
         order = _order(lat.poset)
         order.check_poset("x-order")
-        assert order.bottom == lat.bottom
-        assert order.join2 == dict(lat.join2)
+        assert _labelled(order) == (lat.bottom, dict(lat.join2))
 
 
 def test_join_table_exists_exactly_on_lattices():
@@ -628,8 +638,7 @@ def test_join_table_exists_exactly_on_lattices():
             assert err.value.check == "x-order"
         else:
             order.check_poset("x-order")
-            assert (order.bottom, order.join2) == (lat.bottom,
-                                                   dict(lat.join2))
+            assert _labelled(order) == (lat.bottom, dict(lat.join2))
 
 
 def _bare(module):
@@ -675,8 +684,8 @@ def test_the_argued_nucleus_laws_hold_on_every_certificate():
     sizes = []
     for cert in small_certificates():
         assert recheck_certificate(cert)[-1] == "verdict"
-        q = _Quantale(cert["quantale"])
-        q.verify()
+        q = cert["quantale"]
+        qorder = {tuple(row) for row in q["leq"]}
         carrier, ids = cert["subject"]["carrier"], cert["free"]["ids"]
         values = {i: [cert["free"]["subsets"][i][a] for a in carrier]
                   for i in ids}
@@ -684,7 +693,7 @@ def test_the_argued_nucleus_laws_hold_on_every_certificate():
         act = {(s, i): v for s, i, v in cert["free"]["action"]}
 
         def leq(i, k):
-            return all(q.order.leq(a, b) for a, b in zip(values[i],
+            return all((a, b) in qorder for a, b in zip(values[i],
                                                          values[k]))
 
         for i, k in itertools.product(ids, repeat=2):
@@ -692,7 +701,7 @@ def test_the_argued_nucleus_laws_hold_on_every_certificate():
         for i in ids:
             assert leq(i, nuc[i]) and nuc[nuc[i]] == nuc[i]
             assert all(leq(act[(s, nuc[i])], nuc[act[(s, i)]])
-                       for s in q.elements)
+                       for s in q["elements"])
         assert all(eps[cert["rho"][a]] == a for a in carrier)
         # rho is an order iso onto the quotient and keeps the action
         rho, sub, quot = cert["rho"], cert["subject"], cert["quotient"]
@@ -702,14 +711,14 @@ def test_the_argued_nucleus_laws_hold_on_every_certificate():
         sact, qact = ({(s, a): v for s, a, v in sec["action"]}
                       for sec in (sub, quot))
         assert all(rho[sact[(s, a)]] == qact[(s, rho[a])]
-                   for s in q.elements for a in carrier)
+                   for s in q["elements"] for a in carrier)
         for side in ("subject", "quotient", "quantale"):
             rows = cert[side].get("action", cert[side].get("mult"))
-            elements = cert[side].get("carrier", q.elements)
+            elements = cert[side].get("carrier", q["elements"])
             table = {(s, a): v for s, a, v in rows}
             bottom = next(b for b in elements if all(
                 [b, a] in cert[side]["leq"] for a in elements))
-            assert all(table[(s, bottom)] == bottom for s in q.elements)
+            assert all(table[(s, bottom)] == bottom for s in q["elements"])
         sizes.append(len(ids))
     assert max(sizes) == 81 and min(sizes) == 4
 
@@ -760,7 +769,7 @@ ORDER_FORGERIES = [
     ("unknown-element", lambda leq: leq.append(["0", "zz"]),
      "unknown element", "row", ["0", "zz"]),
     ("antisymmetry", lambda leq: leq.append(["1", "1/2"]),
-     "not antisymmetric", "pair", None),
+     "not antisymmetric", "pair", ["1/2", "1"]),
     ("transitivity", lambda leq: leq.remove(["0", "1"]),
      "not transitive", "chain", ["0", "1/2", "1"]),
 ]
@@ -777,10 +786,51 @@ def test_each_order_law_of_a_side_is_checked(luk3_cert, edit, words, key,
         recheck_certificate(cert)
     assert err.value.check == "subject-order"
     assert words in str(err.value)
-    if witness is None:
-        assert sorted(err.value.witness[key]) == ["1", "1/2"]
-    else:
-        assert err.value.witness[key] == witness
+    assert err.value.witness[key] == witness
+
+
+# Run under several hash seeds: recheck's order-law witness and the
+# unknown element `validate_poset` names, printed as one JSON line.
+WITNESS_SCRIPT = """
+import json, sys
+from qsalg.errors import CertificateTampered, UnknownElement
+from qsalg.lattice import validate_poset
+from qsalg.recheck import recheck_certificate
+try:
+    recheck_certificate(json.load(sys.stdin))
+except CertificateTampered as err:
+    witness = err.witness
+try:
+    validate_poset(["a", "b"], {("a", "a"), ("b", "b"), ("x", "a"),
+                                ("b", "y"), ("z", "b")})
+except UnknownElement as err:
+    unknown = str(err)
+print(json.dumps([witness, unknown]))
+"""
+
+
+def test_order_law_witnesses_do_not_depend_on_the_hash_seed():
+    # A 4-chain a < b < c < d with b <= a and d <= c added breaks
+    # antisymmetry twice.  The pairs are walked in carrier order, so the
+    # first is named under every PYTHONHASHSEED; walking a set of pairs
+    # named either, in either order.
+    lat = chain_lattice(["a", "b", "c", "d"])
+    cert = representation(_bare(crisp_module(
+        lat, bundled_quantales()["boolean"])))
+    cert["subject"]["leq"] += [["b", "a"], ["d", "c"]]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outputs = set()
+    for seed in range(6):
+        out = subprocess.run(
+            [sys.executable, "-c", WITNESS_SCRIPT], input=json.dumps(cert),
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)))
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+    witness, unknown = json.loads(outputs.pop())
+    assert witness == {"check": "subject-order", "pair": ["a", "b"]}
+    assert "'y'" in unknown
 
 
 def first_action_law_failure(cert, side):
@@ -1091,6 +1141,44 @@ def test_a_key_outside_its_domain_is_a_parse_error(boolean_cert, tmp_path,
     assert str(err.value).startswith(where + ":"), str(err.value)
     assert "'zz'" in str(err.value) and "outside" in str(err.value)
     _parse_error_and_exit_2(cert, tmp_path, capsys)
+
+
+# A free subset read in one pass must still name its first bad entry:
+# (edit of the third id's subset, message) pairs.
+SUBSET_EDITS = [
+    (lambda s: s.__setitem__("1", ["0"]), "{where}: {i} is an object of "
+     "string labels, '1' has type array"),
+    (lambda s: s.__setitem__("1", {"0": "1"}), "{where}: {i} is an object "
+     "of string labels, '1' has type object"),
+    (lambda s: s.__setitem__("1", 1), "{where}: {i} is an object of string "
+     "labels, '1' has type number"),
+    (lambda s: s.__setitem__("1", None), "{where}: {i} is an object of "
+     "string labels, '1' has type null"),
+    (lambda s: s.__setitem__("1", "zz"), "free subset {i!r} is partial or "
+     "leaves Q"),
+    (lambda s: s.pop("1"), "free subset {i!r} is partial or leaves Q"),
+]
+
+
+@pytest.mark.parametrize("edit,message", SUBSET_EDITS)
+def test_a_bad_free_subset_value_is_a_parse_error(boolean_cert, tmp_path,
+                                                  capsys, edit, message):
+    # An unhashable or non-string value is a ParseError naming the id
+    # and coordinate, never a TypeError from a lookup by that value.
+    cert = copy.deepcopy(boolean_cert)
+    i = cert["free"]["ids"][2]
+    edit(cert["free"]["subsets"][i])
+    with pytest.raises(ParseError) as err:
+        recheck_certificate(cert)
+    assert str(err.value) == message.format(where="free.subsets", i=i)
+    _parse_error_and_exit_2(cert, tmp_path, capsys)
+    # the whole subset of the wrong JSON type
+    for value in (["0", "1"], "0", None, 0):
+        cert["free"]["subsets"][i] = value
+        with pytest.raises(ParseError) as err:
+            recheck_certificate(cert)
+        assert str(err.value).startswith(f"free.subsets: {i} is an object, "
+                                         "got ")
 
 
 # -- an action value outside the carrier is a law failure -----------------
