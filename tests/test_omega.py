@@ -660,29 +660,29 @@ def test_extension_rejects_non_homomorphic_assignments():
         extend_hom(free, target, {"e": "1", "g": "0"})
 
 
-def brute_force_homs(free, target):
+def brute_force_homs(source, target):
     """Raw product-filter over every map table, with inline law checks.
 
     Independent of enumerate_homs: no pruning, no shared helpers.
     """
-    mod, tmod = free.module, target.module
-    alg, talg = free.module_algebra.algebra, target.algebra
+    mod, tmod = source.module, target.module
+    alg, talg = source.algebra, target.algebra
     found = []
-    for values in itertools.product(tmod.carrier, repeat=len(free.ids)):
-        t = dict(zip(free.ids, values))
+    for values in itertools.product(tmod.carrier, repeat=len(mod.carrier)):
+        t = dict(zip(mod.carrier, values))
         if t[mod.lattice.bottom] != tmod.lattice.bottom:
             continue
         if any(t[mod.lattice.join2[(a, b)]]
                != tmod.lattice.join2[(t[a], t[b])]
-               for a in free.ids for b in free.ids):
+               for a in mod.carrier for b in mod.carrier):
             continue
         if any(t[mod.act(q, a)] != tmod.act(q, t[a])
-               for q in mod.base.elements for a in free.ids):
+               for q in mod.base.elements for a in mod.carrier):
             continue
         ok = True
         for sym in alg.signature.symbols:
             n = alg.signature.arity(sym)
-            for args in itertools.product(free.ids, repeat=n):
+            for args in itertools.product(mod.carrier, repeat=n):
                 if t[alg.apply(sym, args)] != talg.apply(
                         sym, tuple(t[a] for a in args)):
                     ok = False
@@ -695,39 +695,80 @@ def brute_force_homs(free, target):
 
 
 # Generator algebras over TWO with the target's one symbol or none, into
-# the meet algebra on the two-chain; then corpus subjects as targets of
-# the free object over their own algebra, each with |target| ** |free|
-# at most 6,561.
+# the meet algebra on the two-chain; corpus subjects as targets of the
+# free object over their own algebra; the bare self-module of each
+# bundled quantale into itself, a source that is not free; and each lax
+# target of a free object over one generator, and over two where that
+# fits.  Each case keeps |target| ** |source| at most 6,561.
 GENERATOR_CASES = (["z2", "bare1", "bare2", "mul1-0"]
                    + [f"mul2-{k}" for k in range(16)])
 SUBJECT_CASES = ["two-meet", "boolean/chain2/0/op1", "boolean/chain3/0/bare",
                  "boolean/chain3/0/op4", "boolean/chain3/0/op19",
                  "godel3/chain2/1/bare", "godel3/chain2/1/op1",
                  "lukasiewicz3/chain2/0/bare", "lukasiewicz3/chain2/0/op1"]
+SELF_CASES = [f"self/{name}" for name in bundled_quantales()]
+LAX_CASES = [f"lax/{k}" for k in range(36)]
 
 
-@pytest.mark.parametrize("case", GENERATOR_CASES + SUBJECT_CASES)
-def test_hom_enumeration_matches_brute_force(case, generator_algebras,
-                                             all_subjects):
+@pytest.fixture(scope="module")
+def lax_hom_pairs():
+    """(free, target) per lax target: the free objects over one and two
+    generators with the target's signature, each operation the first
+    projection (a constant the first generator), where they fit."""
+    pairs = []
+    for target in lax_targets() + [lax_diamond_target()]:
+        sig = target.algebra.signature
+        gens = [validate_omega_algebra(carrier, sig, {
+            sym: {args: (args or carrier)[0] for args in itertools.product(
+                carrier, repeat=sig.arity(sym))} for sym in sig.symbols})
+            for carrier in (("x",), ("x", "y"))]
+        pairs.append([
+            (free_qsup_algebra(target.base, g), target) for g in gens
+            if len(target.carrier) ** len(target.base.elements)
+            ** len(g.carrier) <= 6561])
+    return pairs
+
+
+def hom_cases(case, generator_algebras, all_subjects, lax_hom_pairs):
+    """(source, target, pin positions) for one brute-force case; the
+    pins are the generator points of a free source, and every element of
+    any other."""
     if case in GENERATOR_CASES:
         free = free_qsup_algebra(TWO, dict(generator_algebras)[case])
-        target = meet_algebra_over_two()
-    else:
+        return [(free, meet_algebra_over_two())]
+    if case in SUBJECT_CASES:
         target = dict(all_subjects)[case]
-        free = free_qsup_algebra(target.base, target.algebra)
-    assert len(target.carrier) ** len(free.ids) <= 6561
-    # Brute force is lexicographic in carrier order, and so must the
-    # search be, key order included.
-    slow = [list(t.items()) for t in brute_force_homs(free, target)]
-    fast = enumerate_homs(free.module_algebra, target)
-    assert [list(t.items()) for t in fast] == slow
-    for a in free.generators.carrier:
-        point = free.eta[a]
-        for v in target.carrier:
-            pinned = enumerate_homs(free.module_algebra, target,
-                                    fixed={point: v})
-            assert ([list(t.items()) for t in pinned]
-                    == [t for t in slow if dict(t)[point] == v]), (a, v)
+        return [(free_qsup_algebra(target.base, target.algebra), target)]
+    if case in SELF_CASES:
+        base = bundled_quantales()[case.split("/")[1]]
+        self_module = bare_algebra(quantale_self_module(base))
+        return [(self_module, self_module)]
+    return lax_hom_pairs[int(case.split("/")[1])]
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES + SUBJECT_CASES + SELF_CASES
+                         + LAX_CASES)
+def test_hom_enumeration_matches_brute_force(case, generator_algebras,
+                                             all_subjects, lax_hom_pairs):
+    cases = hom_cases(case, generator_algebras, all_subjects, lax_hom_pairs)
+    assert cases
+    for source, target in cases:
+        if hasattr(source, "eta"):
+            points, source = list(source.eta.values()), source.module_algebra
+        else:
+            points = list(source.carrier)
+        assert len(target.carrier) ** len(source.carrier) <= 6561
+        # Brute force is lexicographic in carrier order, and so must the
+        # search be, key order included.
+        slow = [list(t.items()) for t in brute_force_homs(source, target)]
+        fast = enumerate_homs(source, target)
+        assert [list(t.items()) for t in fast] == slow
+        for point in points:
+            for v in target.carrier:
+                pinned = enumerate_homs(source, target, fixed={point: v})
+                assert ([list(t.items()) for t in pinned]
+                        == [t for t in slow if dict(t)[point] == v]), (point,
+                                                                         v)
 
 
 def test_every_operation_hom_extends_uniquely_on_the_group_case():
