@@ -208,9 +208,10 @@ class PowerLattice:
     L's certified tables one coordinate at a time.  With |L| bits a
     coordinate, `hot` sets each digit's bit and `down` its down-set in
     L, so a <= b is one AND, hot(a) & down(b) == hot(a).  The join
-    tables `ijoin` (over positions, as for `CompleteLattice`) and `join2`
-    are built on first read, by `join` and the hom search; the
-    representation path reads neither, on a lax subject too.
+    tables are built on first read: `ijoin` (over positions, as for
+    `CompleteLattice`) by `join` and the hom search, `join2` by the
+    bridge and the tests.  The representation path reads neither, on a
+    lax subject too.
     """
 
     elements: tuple[str, ...]

@@ -28,6 +28,7 @@ from .errors import (
     InternalInconsistency,
     PartialTable,
     SlotPreservationFails,
+    TheoremFails,
     TooLarge,
     UnitActionFails,
     UnknownElement,
@@ -45,7 +46,6 @@ from .qorder import (
     QSupLattice,
     characteristic_subset,
     point_subset,
-    scan_qsubsets,
     subset_id,
     zadeh_forward,
 )
@@ -252,14 +252,13 @@ class FreeAlgebra:
     """Free fuzzy-complete algebra on the generators, as a module algebra.
 
     ids: carrier of the free object, one per fuzzy subset of the
-    generators.  atlas/id_of translate between ids and subsets.  eta is
-    the generator embedding a -> unit-at-a.
+    generators.  id_of maps each subset's degrees, in generator order,
+    to its id.  eta is the generator embedding a -> unit-at-a.
     """
 
     base: FiniteQuantale
     generators: OmegaAlgebra
     ids: tuple[str, ...]
-    atlas: Mapping[str, QSubset] = field(repr=False)
     id_of: Mapping[tuple, str] = field(repr=False)
     module_algebra: QModuleAlgebra = field(repr=False)
     eta: Mapping[str, str] = field(repr=False)
@@ -275,9 +274,10 @@ class FreeOp(Mapping):
     and `join` and its bottom and unit, and `fibres` pairs the generator
     arguments' coordinates with their image's.  A read is one
     convolution over the |X|^n fibres.  The first full read (iteration:
-    the hom search, `same_tables`, the tests' scans) builds the |free|^n
-    table, as `PowerLattice.ijoin` is built, for every later read; the
-    theorem path reads |A|^n cells and never builds it.
+    the op-law scan at a hom search leaf, `same_tables`, the tests'
+    scans) builds the |free|^n table, as `PowerLattice.ijoin` is built,
+    for every later read; the theorem path reads |A|^n cells and never
+    builds it.
     """
 
     def __init__(self, ids, index, coords, flat, fibres, n):
@@ -312,7 +312,7 @@ class FreeOp(Mapping):
         return len(self.ids) ** self.n
 
     def items(self):
-        """The table's view, no call per cell: the hom search walks it."""
+        """The table's view, no call per cell: a hom search leaf walks it."""
         return self.table.items()
 
     @property
@@ -385,9 +385,10 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     The test suite keeps the definition-level certification as an oracle.
     """
-    gens = generators.carrier
-    subsets, _, _ = scan_qsubsets(gens, base)
-    els, k = base.elements, len(base.elements)
+    gens, els, k = generators.carrier, base.elements, len(base.elements)
+    space, bound = k ** len(gens), limits.threshold()
+    if space > bound:
+        raise TooLarge("fuzzy subset space", space, bound)
     names = ["{"]
     for x, a in enumerate(gens):
         sep = "," if x else ""
@@ -395,7 +396,6 @@ def free_qsup_algebra(base: FiniteQuantale,
                   for v in els]
         names = [n + p for n in names for p in pieces]
     ids = tuple(n + "}" for n in names)
-    atlas = dict(zip(ids, subsets))
     id_of = dict(zip(itertools.product(els, repeat=len(gens)), ids))
 
     index = base.lattice.index
@@ -422,7 +422,7 @@ def free_qsup_algebra(base: FiniteQuantale,
     module = QModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
     eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
-    return FreeAlgebra(base, generators, ids, atlas, id_of,
+    return FreeAlgebra(base, generators, ids, id_of,
                        QModuleAlgebra(module, algebra), eta)
 
 
@@ -545,12 +545,14 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
     tables = _search_homs(free.module_algebra, target, pinned,
                           dict(fbar.table))
     if dict(fbar.table) not in tables:
+        # Unreachable: fbar is a homomorphism restricting to f, certified
+        # by `extend_hom`, so it meets every forced image and test of the
+        # search and is the leaf `certified` admits: a guard on the search.
         raise InternalInconsistency(
             "canonical extension is missing from the exhaustive "
             "homomorphism enumeration")
     if len(tables) != 1:
         other = next(t for t in tables if t != dict(fbar.table))
-        from .errors import TheoremFails
         raise TheoremFails(
             "a second homomorphism restricts to the same assignment",
             assignment=dict(f), other=other)
@@ -611,20 +613,22 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
     cross-check).  `fixed` pins chosen images.  Raises TooLarge past
     |target| ** |source|.
 
-    The search is a backtracking one.  It visits the forced positions
-    first (the bottom, the nullary constants, the pins), then the rest
-    in carrier order.  Before branching at x it looks for an image that
-    every homomorphism must give x: q*h(y) when x = q*y with y assigned,
-    h(y) v h(z) when x = y v z with both assigned.  If there is one,
-    it is the only candidate; each assignment is then pruned by the
-    join and action laws among assigned positions, read off preimage
-    indexes built once per call.  These are necessary conditions, and
-    every leaf is re-verified by the full law scan, so propagation
-    speeds the search up but cannot change the answer.  Nor can it
-    change the order: a forced position has one candidate and every
-    other candidate list is the target carrier in order, so results
-    still differ first at a position visited in carrier order, in the
-    order of that position's candidates.
+    The search backtracks over carrier positions, on both sides'
+    `ijoin` and flat actions.  It visits the forced positions first (the
+    bottom, the nullary constants, the pins), then the rest in carrier
+    order.  When the laws force x's image, q*h(y) for x = q*y or h(y) v
+    h(z) for x = y v z with the arguments assigned, that image is x's
+    one candidate; otherwise the target carrier in order is.  Each
+    assignment is tested against the laws among assigned positions: of
+    y, z and y v z, whichever is assigned last is compared, and so is
+    the later of x and q*x.  Every homomorphism passes, and a complete
+    leaf has passed every test, so it keeps binary joins, the action and
+    the bottom (forced, and kept by the action anyway: 0*y is the bottom
+    on both sides), hence every join, by `lattice.preservation_failure`.
+    So a leaf needs only the op-law scan, and the leaf the caller
+    certified none.  Nor can pruning change the order: results still
+    differ first at a position visited in carrier order, in the order of
+    its candidates.
     """
     return _search_homs(source, target, fixed, None)
 
@@ -633,9 +637,9 @@ def _search_homs(source, target, fixed, certified):
     """`enumerate_homs`, where the leaf equal to the table `certified`, a
     homomorphism already certified, is not scanned again."""
     src, tgt = source.module, target.module
-    space = len(tgt.carrier) ** len(src.carrier)
-    if space > limits.HOM_ENUM_BOUND:
-        raise TooLarge("homomorphism search space", space,
+    n, m = len(src.carrier), len(tgt.carrier)
+    if m ** n > limits.HOM_ENUM_BOUND:
+        raise TooLarge("homomorphism search space", m ** n,
                        limits.HOM_ENUM_BOUND)
 
     forced = {src.lattice.bottom: tgt.lattice.bottom}
@@ -649,70 +653,65 @@ def _search_homs(source, target, fixed, certified):
             return []
         forced[x] = v
 
-    carrier = src.carrier
-    order = list(forced) + [x for x in carrier if x not in forced]
-    s_join2, t_join2 = src.lattice.join2, tgt.lattice.join2
-    s_action, t_action = src.action, tgt.action
-    scalars = src.base.elements
+    six, tix = src.lattice.index, tgt.lattice.index
+    forced = {six[x]: tix[v] for x, v in forced.items()}
+    order = list(forced) + [x for x in range(n) if x not in forced]
+    # `ijoin`, and the action flat: entry q*n+x is the position of q*x.
+    sj, tj = src.lattice.ijoin, tgt.lattice.ijoin
+    sa = [six[src.action[(q, x)]] for q in src.base.elements
+          for x in src.carrier]
+    ta = [tix[tgt.action[(q, v)]] for q in src.base.elements
+          for v in tgt.carrier]
     # Preimage indexes: joins_to[x] holds the (y, z) with y v z = x,
-    # acts_to[x] the (q, y) with q*y = x.
-    joins_to = {x: [] for x in carrier}
-    for (y, z), x in s_join2.items():
-        joins_to[x].append((y, z))
-    acts_to = {x: [] for x in carrier}
-    for (q, y), x in s_action.items():
-        acts_to[x].append((q, y))
-    results = []
-    assign = {}
+    # acts_to[x] the (q, y) with q*y = x, q by its index in Q.
+    joins_to, acts_to = [[] for _ in range(n)], [[] for _ in range(n)]
+    for yz, x in enumerate(sj):
+        joins_to[x].append(divmod(yz, n))
+    for qy, x in enumerate(sa):
+        acts_to[x].append(divmod(qy, n))
+    results, a = [], [None] * n
 
     def candidates(x):
         if x in forced:
             return [forced[x]]
         for q, y in acts_to[x]:
-            if y in assign:
-                return [t_action[(q, assign[y])]]
+            if a[y] is not None:
+                return [ta[q * m + a[y]]]
         for y, z in joins_to[x]:
-            if y in assign and z in assign:
-                return [t_join2[(assign[y], assign[z])]]
-        return tgt.carrier
+            if a[y] is not None and a[z] is not None:
+                return [tj[a[y] * m + a[z]]]
+        return range(m)
 
-    def violates(x, v):
-        # Necessary conditions only, against images already assigned; the
-        # leaf check is the full law scan, so pruning cannot drop homs.
-        # x is assigned too, so the join test covers monotonicity: x <= y
-        # puts y = x v y in assign and demands w = v v w, and y <= x
-        # demands v = v v w.
-        for y, w in assign.items():
-            j = s_join2[(x, y)]
-            if j in assign and assign[j] != t_join2[(v, w)]:
+    def violates(x, v, done):
+        for y in done:
+            j = a[sj[x * n + y]]
+            if j is not None and j != tj[v * m + a[y]]:
                 return True
         for y, z in joins_to[x]:
-            if (y in assign and z in assign
-                    and v != t_join2[(assign[y], assign[z])]):
+            if (a[y] is not None and a[z] is not None
+                    and v != tj[a[y] * m + a[z]]):
                 return True
-        for q in scalars:
-            qa = s_action[(q, x)]
-            if qa in assign and assign[qa] != t_action[(q, v)]:
+        for qx, image in zip(sa[x::n], ta[v::m]):
+            if a[qx] is not None and a[qx] != image:
                 return True
         for q, y in acts_to[x]:
-            if y in assign and v != t_action[(q, assign[y])]:
+            if a[y] is not None and v != ta[q * m + a[y]]:
                 return True
         return False
 
     def dfs(k):
-        if k == len(order):
-            table = {x: assign[x] for x in carrier}
-            if table == certified or is_homomorphism(
-                    StructureMap(source, target, table),
-                    "q-module-algebra")[0]:
+        if k == n:
+            table = dict(zip(src.carrier, map(tgt.carrier.__getitem__, a)))
+            if table == certified or _omega_hom_witness(
+                    table, source.algebra, target.algebra) is None:
                 results.append(table)
             return
-        x = order[k]
+        x, done = order[k], order[:k + 1]
         for v in candidates(x):
-            assign[x] = v
-            if not violates(x, v):
+            a[x] = v
+            if not violates(x, v, done):
                 dfs(k + 1)
-            del assign[x]
+        a[x] = None
 
     dfs(0)
     del dfs  # a recursive closure is a cycle; free its tables now

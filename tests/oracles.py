@@ -14,6 +14,14 @@ from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
 from qsalg.quantale import FiniteQuantale
 
 
+def free_subsets(free):
+    """Each id of the free object with its fuzzy subset, read off
+    `free.id_of`, in id order."""
+    gens = free.generators.carrier
+    return {i: QSubset(gens, free.base, values)
+            for values, i in free.id_of.items()}
+
+
 def _join_failure_witness(f, src, tgt):
     # (subset, join, f of join, join of images) for the first join f
     # fails to preserve, or None.

@@ -81,8 +81,7 @@ def per_tuple_ops(free):
     index = {a: i for i, a in enumerate(els)}
     mul = [index[base.mult[(a, b)]] for a in els for b in els]
     join = [index[base.lattice.join2[(a, b)]] for a in els for b in els]
-    coords = [tuple(index[v] for v in free.atlas[i].values)
-              for i in free.ids]
+    coords = [tuple(index[v] for v in values) for values in free.id_of]
     id_at = dict(zip(coords, free.ids))
     pos = {a: x for x, a in enumerate(gens.carrier)}
     bottom, unit = index[base.bottom], index[base.unit]
@@ -156,12 +155,10 @@ def test_the_ids_and_the_action_match_the_subset_scan(all_subjects):
         free = free_qsup_algebra(base, gens)
         subsets = list(all_qsubsets(gens.carrier, base))
         assert free.ids == tuple(map(subset_id, subsets))
-        assert list(free.atlas.values()) == subsets
         assert free.id_of == {m.values: i for i, m in zip(free.ids, subsets)}
         assert free.module.action == {
-            (q, i): free.id_of[tuple(base.mul(q, v)
-                                     for v in free.atlas[i].values)]
-            for q in base.elements for i in free.ids}
+            (q, i): free.id_of[tuple(base.mul(q, v) for v in m.values)]
+            for q in base.elements for i, m in zip(free.ids, subsets)}
     free = free_qsup_algebra(*escaped_labels())
     assert len(set(free.ids)) == 81
     assert free.ids[5] == "{a\\,b:0\\\\,x\\:\\{y\\}:0\\\\," \
@@ -174,7 +171,7 @@ def per_id_extension(free, target, f):
     raises."""
     mod, gens = target.module, free.generators.carrier
     table = {i: mod.lattice.join(mod.act(v, f[a]) for v, a in zip(
-        free.atlas[i].values, gens)) for i in free.ids}
+        values, gens)) for values, i in free.id_of.items()}
     for a in gens:
         if table[free.eta[a]] != f[a]:
             return (errors.UnitActionFails,

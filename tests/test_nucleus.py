@@ -26,6 +26,8 @@ from qsalg.representation import canonical_closure, representation
 from qsalg.quantale import boolean_quantale, lukasiewicz_chain
 from qsalg.qmodule import crisp_module, quantale_self_module
 
+from oracles import free_subsets
+
 
 def bare_host(module):
     """Module algebra with no operations, the smallest host for a nucleus."""
@@ -245,12 +247,11 @@ def residual_form_failure(subject, free, eps, table, alg):
     every coordinate of an operation over closed subsets, acting on its
     generator, stays below the evaluation of the raw result.  Returns
     the first (symbol, args) where it fails, or None."""
-    mod = subject.module
+    mod, subsets = subject.module, free_subsets(free)
     for sym in alg.signature.symbols:
         n = alg.signature.arity(sym)
         for args in itertools.product(free.ids, repeat=n):
-            closed = free.atlas[alg.apply(sym, tuple(table[i]
-                                                     for i in args))]
+            closed = subsets[alg.apply(sym, tuple(table[i] for i in args))]
             bound = eps.table[alg.apply(sym, args)]
             for x, q in zip(mod.carrier, closed.values):
                 if not mod.lattice.leq(mod.act(q, x), bound):

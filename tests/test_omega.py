@@ -45,7 +45,7 @@ from qsalg.omega import (
 from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             validate_quantale)
 
-from oracles import crisp_qorder, subsethood
+from oracles import crisp_qorder, free_subsets, subsethood
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)
@@ -284,24 +284,23 @@ def test_free_degrees_are_subsethood(all_subjects):
     # every free object this file and the subject corpus build.
     for base, alg, _ in free_inputs(all_subjects):
         free = free_qsup_algebra(base, alg)
-        e = suplattice_from_module(free.module).e
+        e, subsets = suplattice_from_module(free.module).e, free_subsets(free)
         for i in free.ids:
             for j in free.ids:
-                assert e[(i, j)] == subsethood(free.atlas[i],
-                                               free.atlas[j]), (i, j)
+                assert e[(i, j)] == subsethood(subsets[i], subsets[j]), (i, j)
 
 
 def definition_level_free(free):
     """The free object's module algebra certified from its definition,
     sharing no table with the build: a label scan for the pointwise
     order, then every validator the laws have."""
-    base, gens, atlas = free.base, free.generators, free.atlas
+    base, gens, subsets = free.base, free.generators, free_subsets(free)
     rel = {(i, j) for i in free.ids for j in free.ids
            if all(base.leq(a, b)
-                  for a, b in zip(atlas[i].values, atlas[j].values))}
+                  for a, b in zip(subsets[i].values, subsets[j].values))}
     lat = complete_lattice(validate_poset(free.ids, rel))
     action = {(q, i): free.id_of[tuple(base.mul(q, v)
-                                       for v in atlas[i].values)]
+                                       for v in subsets[i].values)]
               for q in base.elements for i in free.ids}
     module = validate_qmodule(lat, base, action)
     ops = {sym: label_convolution(free, sym) for sym in gens.signature.symbols}
@@ -316,10 +315,10 @@ def label_convolution(free, sym):
     the unit.  It shares no code with the build's index kernel."""
     base, gens = free.base, free.generators
     mult, join2 = base.mult, base.lattice.join2
-    n = gens.signature.arity(sym)
+    n, subsets = gens.signature.arity(sym), free_subsets(free)
     table = {}
     for arg_ids in itertools.product(free.ids, repeat=n):
-        degrees = [free.atlas[i].table() for i in arg_ids]
+        degrees = [subsets[i].table() for i in arg_ids]
         out = {y: base.bottom for y in gens.carrier}
         for xs in itertools.product(gens.carrier, repeat=n):
             prod = base.unit
@@ -460,9 +459,8 @@ def test_extend_hom_scans_no_free_table(monkeypatch, all_subjects):
                                         repeat=len(gens.carrier)):
             f = dict(zip(gens.carrier, values))
             extension = {i: mod.lattice.join(
-                mod.act(v, f[a]) for v, a in zip(free.atlas[i].values,
-                                                  gens.carrier))
-                for i in free.ids}
+                mod.act(v, f[a]) for v, a in zip(values, gens.carrier))
+                for values, i in free.id_of.items()}
             full = scan(extension, free.module_algebra.algebra,
                         target.algebra)
             try:
@@ -619,9 +617,8 @@ def test_a_lax_extension_scans_the_action_and_the_generators():
                                         repeat=len(gens.carrier)):
             f = dict(zip(gens.carrier, values))
             extension = {i: mod.lattice.join(
-                mod.act(v, f[a]) for v, a in zip(free.atlas[i].values,
-                                                  gens.carrier))
-                for i in free.ids}
+                mod.act(v, f[a]) for v, a in zip(values, gens.carrier))
+                for values, i in free.id_of.items()}
             full = is_homomorphism(StructureMap(
                 free.module_algebra, target, extension),
                 "q-module-algebra")[1]
@@ -710,65 +707,65 @@ SELF_CASES = [f"self/{name}" for name in bundled_quantales()]
 LAX_CASES = [f"lax/{k}" for k in range(36)]
 
 
+def free_case(free, target):
+    """A free source with its generator points as the pins."""
+    return free.module_algebra, target, list(free.eta.values())
+
+
 @pytest.fixture(scope="module")
-def lax_hom_pairs():
-    """(free, target) per lax target: the free objects over one and two
-    generators with the target's signature, each operation the first
-    projection (a constant the first generator), where they fit."""
-    pairs = []
+def lax_hom_cases():
+    """Per lax target, the free objects over one and two generators with
+    the target's signature, each operation the first projection (a
+    constant the first generator), where they fit."""
+    cases = []
     for target in lax_targets() + [lax_diamond_target()]:
         sig = target.algebra.signature
         gens = [validate_omega_algebra(carrier, sig, {
             sym: {args: (args or carrier)[0] for args in itertools.product(
                 carrier, repeat=sig.arity(sym))} for sym in sig.symbols})
             for carrier in (("x",), ("x", "y"))]
-        pairs.append([
-            (free_qsup_algebra(target.base, g), target) for g in gens
+        cases.append([
+            free_case(free_qsup_algebra(target.base, g), target) for g in gens
             if len(target.carrier) ** len(target.base.elements)
             ** len(g.carrier) <= 6561])
-    return pairs
+    return cases
 
 
-def hom_cases(case, generator_algebras, all_subjects, lax_hom_pairs):
-    """(source, target, pin positions) for one brute-force case; the
-    pins are the generator points of a free source, and every element of
-    any other."""
+def hom_cases(case, generator_algebras, all_subjects, lax_hom_cases):
+    """(source, target, pins) for one brute-force case: the pins are the
+    generator points of a free source, and every element of any other."""
     if case in GENERATOR_CASES:
         free = free_qsup_algebra(TWO, dict(generator_algebras)[case])
-        return [(free, meet_algebra_over_two())]
+        return [free_case(free, meet_algebra_over_two())]
     if case in SUBJECT_CASES:
         target = dict(all_subjects)[case]
-        return [(free_qsup_algebra(target.base, target.algebra), target)]
+        return [free_case(free_qsup_algebra(target.base, target.algebra),
+                          target)]
     if case in SELF_CASES:
         base = bundled_quantales()[case.split("/")[1]]
         self_module = bare_algebra(quantale_self_module(base))
-        return [(self_module, self_module)]
-    return lax_hom_pairs[int(case.split("/")[1])]
+        return [(self_module, self_module, list(self_module.carrier))]
+    return lax_hom_cases[int(case.split("/")[1])]
 
 
 @pytest.mark.parametrize("case", GENERATOR_CASES + SUBJECT_CASES + SELF_CASES
                          + LAX_CASES)
 def test_hom_enumeration_matches_brute_force(case, generator_algebras,
-                                             all_subjects, lax_hom_pairs):
-    cases = hom_cases(case, generator_algebras, all_subjects, lax_hom_pairs)
+                                             all_subjects, lax_hom_cases):
+    cases = hom_cases(case, generator_algebras, all_subjects, lax_hom_cases)
     assert cases
-    for source, target in cases:
-        if hasattr(source, "eta"):
-            points, source = list(source.eta.values()), source.module_algebra
-        else:
-            points = list(source.carrier)
+    for source, target, pins in cases:
         assert len(target.carrier) ** len(source.carrier) <= 6561
         # Brute force is lexicographic in carrier order, and so must the
         # search be, key order included.
         slow = [list(t.items()) for t in brute_force_homs(source, target)]
         fast = enumerate_homs(source, target)
         assert [list(t.items()) for t in fast] == slow
-        for point in points:
+        for x in pins:
             for v in target.carrier:
-                pinned = enumerate_homs(source, target, fixed={point: v})
+                pinned = enumerate_homs(source, target, fixed={x: v})
                 assert ([list(t.items()) for t in pinned]
-                        == [t for t in slow if dict(t)[point] == v]), (point,
-                                                                         v)
+                        == [t for t in slow if dict(t)[x] == v]), (x, v)
 
 
 def test_every_operation_hom_extends_uniquely_on_the_group_case():
@@ -813,6 +810,31 @@ def test_module_hom_enumeration_on_the_self_module():
     mod = bare_algebra(quantale_self_module(TWO))
     homs = enumerate_homs(mod, mod)
     assert homs == [{"0": "0", "1": "0"}, {"0": "0", "1": "1"}]
+
+
+def test_hom_search_past_its_bound_is_too_large():
+    # The bare self-module of a 7-chain has 7 ** 7 = 823,543 maps into
+    # itself, past the bound: the search refuses before it starts.
+    mod = bare_algebra(quantale_self_module(lukasiewicz_chain(7)))
+    with pytest.raises(errors.TooLarge) as info:
+        enumerate_homs(mod, mod)
+    assert (info.value.what, info.value.size, info.value.bound) == (
+        "homomorphism search space", 7 ** 7, limits.HOM_ENUM_BOUND)
+
+
+def test_a_second_extension_is_a_theorem_failure():
+    # A forged free object that is not free: the bare self-module of TWO
+    # with its one generator embedded at the bottom.  The identity and
+    # the bottom collapse both restrict to x -> 0 there, so the search
+    # finds a second extension, and extension_unique must name it.
+    mod = bare_algebra(quantale_self_module(TWO))
+    forged = omega_module.FreeAlgebra(TWO, point_algebra(), mod.carrier, {},
+                                      mod, {"x": "0"})
+    identity = StructureMap(mod, mod, {"0": "0", "1": "1"})
+    with pytest.raises(errors.TheoremFails) as info:
+        extension_unique(forged, mod, {"x": "0"}, identity)
+    assert info.value.witness == {"assignment": {"x": "0"},
+                                  "other": {"0": "0", "1": "0"}}
 
 
 def test_sup_side_enumeration_agrees_with_module_side():
