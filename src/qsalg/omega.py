@@ -669,7 +669,7 @@ def _search_homs(source, target, fixed, certified):
         joins_to[x].append(divmod(yz, n))
     for qy, x in enumerate(sa):
         acts_to[x].append(divmod(qy, n))
-    results, a = [], [None] * n
+    results, a = [], [None] * n  # a[x]: the image of x, once assigned
 
     def candidates(x):
         if x in forced:
