@@ -273,7 +273,7 @@ def _enumerate_quantales(ns, report, artifacts):
         found = corpus.census_quantales(labels)
         report["checks"].append({
             "name": f"quantales:chain{n}", "status": "PASS",
-            "count": len(found), "space": n ** (n * n)})
+            "count": len(found), "space": corpus.census_space(n)})
         doc = {"format": document.FORMAT,
                "description": f"All quantale structures on the {n}-chain.",
                "quantales": {}}

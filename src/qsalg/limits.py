@@ -5,7 +5,8 @@ certificate claim depends on a bound, and `recheck` reads none of them.
 The bounds below only cap what is materialized in full: the
 free object and the fuzzy powerset (`threshold()`, which the
 QSALG_THRESHOLD environment variable can move; every report echoes the
-value in force), homomorphism search and nucleus enumeration.
+value in force), homomorphism search, and the two censuses: nuclei by
+their fixed-point sets and quantales on a chain by their free cells.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ DEFAULT_THRESHOLD = 10_000
 # |target| ** |source| cap for exhaustive homomorphism enumeration.
 HOM_ENUM_BOUND = 100_000
 
-# |A| ** |A| cap for the endo-map scan behind nucleus enumeration.
-ENDOMAP_BOUND = 1_000_000
+# Cap on the candidates a census scans: the 2 ** |A| fixed-point sets
+# behind nucleus enumeration, and the n ** (n(n-1)/2) tables of the
+# quantale census on an n-chain.
+CENSUS_BOUND = 1_000_000
 
 
 def threshold():

@@ -5,9 +5,10 @@ The quotient of a nucleus keeps exactly the fixed points; joins, the
 action, and the operations are recomputed through the nucleus.
 `is_nucleus` checks the five axioms.  A caller that argues them, as
 `representation` does for the canonical closure, builds `Nucleus`
-directly.  What follows from the axioms is argued where a check would
-stand, not scanned (Rosenthal, Quantales and their Applications, 1990,
-ch. 3); the tests keep the scans as oracles.
+directly.  `enumerate_nuclei` scans the closure systems, since a
+nucleus's image alone determines it.  What follows from the axioms is
+argued where a check would stand, not scanned (Rosenthal, Quantales and
+their Applications, 1990, ch. 3); the tests keep the scans as oracles.
 """
 
 from __future__ import annotations
@@ -208,37 +209,27 @@ def quotient(nucleus: Nucleus) -> QModuleAlgebra:
 def enumerate_nuclei(host: QModuleAlgebra):
     """Every nucleus on the host, exhaustively, sorted by value table.
 
-    Backtracks over a linear extension of the carrier, pruning with the
-    inflationary and monotonicity axioms (both necessary conditions);
-    every surviving table still goes through the full five-axiom check.
+    A nucleus is a closure operator, so its image S fixes it: S holds the
+    top, is closed under meets, and j(a) is the meet of the s in S above
+    a (Rosenthal, Quantales and their Applications, 1990, ch. 3).  So the
+    scan runs over the 2 ** |A| subsets S of the carrier, builds that j
+    for each, and keeps it only when its image is exactly S, which holds
+    exactly for the closure systems, each met once.  Every kept j still
+    goes through the full five-axiom check.
     """
-    lat = host.module.lattice
-    n = len(host.carrier)
-    if n ** n > limits.ENDOMAP_BOUND:
-        raise TooLarge("endo-map space", n ** n, limits.ENDOMAP_BOUND)
-    # A linear extension (fewer elements lie below a than below b > a),
-    # so an assigned y is below x or incomparable to it.
-    order = sorted(lat.elements,
-                   key=lambda x: sum(lat.leq(y, x) for y in lat.elements))
+    lat, carrier = host.module.lattice, host.carrier
+    space = 2 ** len(carrier)
+    if space > limits.CENSUS_BOUND:
+        raise TooLarge("fixed-point-set space", space, limits.CENSUS_BOUND)
     found = []
-    assign = {}
-
-    def dfs(k):
-        if k == n:
+    for keep in itertools.product((False, True), repeat=len(carrier)):
+        image = set(itertools.compress(carrier, keep))
+        table = {a: lat.meet([s for s in image if lat.leq(a, s)])
+                 for a in carrier}
+        if set(table.values()) == image:
             try:
-                found.append(is_nucleus(host, dict(assign)))
+                found.append(is_nucleus(host, table))
             except AxiomFails:
                 pass
-            return
-        x = order[k]
-        for v in lat.elements:
-            if lat.leq(x, v) and all(lat.leq(w, v) for y, w in assign.items()
-                                     if lat.leq(y, x)):
-                assign[x] = v
-                dfs(k + 1)
-                del assign[x]
-
-    dfs(0)
-    del dfs  # a recursive closure is a cycle; free its tables now
     found.sort(key=lambda nuc: nuc.values())
     return found

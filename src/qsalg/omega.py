@@ -699,20 +699,19 @@ def _search_homs(source, target, fixed, certified):
                 return True
         return False
 
-    def dfs(k):
-        if k == n:
+    stack = [iter(candidates(order[0]))]  # a loop, not recursion: no depth cap
+    while stack:
+        k = len(stack)
+        x = order[k - 1]
+        a[x] = next(stack[-1], None)
+        if a[x] is None:
+            stack.pop()
+        elif not violates(x, a[x], order[:k]):
+            if k < n:
+                stack.append(iter(candidates(order[k])))
+                continue
             table = dict(zip(src.carrier, map(tgt.carrier.__getitem__, a)))
             if table == certified or _omega_hom_witness(
                     table, source.algebra, target.algebra) is None:
                 results.append(table)
-            return
-        x, done = order[k], order[:k + 1]
-        for v in candidates(x):
-            a[x] = v
-            if not violates(x, v, done):
-                dfs(k + 1)
-        a[x] = None
-
-    dfs(0)
-    del dfs  # a recursive closure is a cycle; free its tables now
     return results

@@ -440,7 +440,8 @@ def test_enumerate_quantales_on_the_two_chain(capsys):
     assert code == 0
     check = report["checks"][0]
     assert check["count"] == 1
-    assert check["space"] == 16
+    # one free cell, (1, 1): the bottom's row and column are forced
+    assert check["space"] == 2
     # the census agrees with itself under the reversed scan order
     fwd = census_quantales(["0", "1"])
     rev = census_quantales(["0", "1"], reverse=True)
@@ -448,10 +449,28 @@ def test_enumerate_quantales_on_the_two_chain(capsys):
 
 
 def test_enumerate_quantales_past_the_bound_is_exit_2(capsys):
+    # 5 ** 10 tables on the 5-chain's free cells, past the census bound
     code, out = run(capsys, "enumerate", "--kind", "quantales",
-                    "--max-size", "4")
+                    "--max-size", "5")
     assert code == 2
     assert "TooLarge" in out
+    assert "upper-triangle table space" in out
+
+
+def test_enumerated_four_chain_quantales_validate(tmp_path, capsys):
+    code, report = run_json(capsys, "enumerate", "--kind", "quantales",
+                            "--max-size", "4", "--out", str(tmp_path))
+    assert code == 0
+    assert [(c["name"], c["count"], c["space"]) for c in report["checks"]] \
+        == [("quantales:chain2", 1, 2), ("quantales:chain3", 3, 27),
+            ("quantales:chain4", 11, 4096)]
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["quantales-chain2.json", "quantales-chain3.json",
+                       "quantales-chain4.json"]
+    for name in written:
+        code, report = run_json(capsys, "validate", str(tmp_path / name))
+        assert code == 0, name
+    assert len(report["checks"]) == 11
 
 
 def test_enumerate_nuclei_counts(capsys):

@@ -103,10 +103,37 @@ def test_census_is_scan_order_independent():
         assert fwd == rev
 
 
+def test_four_chain_census_agrees_with_a_scan_of_every_table():
+    # Oracle: every table that absorbs the bottom, with no symmetry
+    # assumed (4 ** 9 of them), through the validator with each unit.
+    # It finds no non-commutative quantale, so the census loses nothing
+    # by filling only the upper triangle.
+    labels = ["0", "1", "2", "3"]
+    lat = chain(labels)
+    cells = list(itertools.product(labels[1:], repeat=2))
+    want = []
+    for values in itertools.product(labels, repeat=len(cells)):
+        mult = dict.fromkeys(itertools.product(labels, repeat=2), "0")
+        mult.update(zip(cells, values))
+        for unit in labels:
+            if all(mult[(unit, a)] == a == mult[(a, unit)] for a in labels):
+                try:
+                    validate_quantale(lat, mult, unit)
+                except SpecViolation:
+                    break
+                want.append((sorted(mult.items()), unit))
+                break
+    found = census_quantales(labels)
+    assert len(want) == 11
+    assert [(sorted(m.items()), u) for m, u in found] == sorted(want)
+
+
 def test_census_stops_at_the_bound():
-    # 4 ** 16 tables is past the endo-map cap, and genuinely too many
-    with pytest.raises(TooLarge):
-        census_quantales(["0", "1", "2", "3"])
+    # 5 ** 10 tables on the 5-chain's free cells is past the census cap
+    with pytest.raises(TooLarge) as info:
+        census_quantales(["0", "1", "2", "3", "4"])
+    assert (info.value.what, info.value.size) == (
+        "upper-triangle table space", 5 ** 10)
 
 
 def test_every_census_structure_revalidates():

@@ -10,6 +10,7 @@ from qsalg.lattice import (
     complete_lattice,
     diamond_lattice,
     pentagon_lattice,
+    power_lattice,
     reflexive_transitive_closure,
     validate_poset,
 )
@@ -67,6 +68,24 @@ def test_validate_poset_rejects_cycle():
     rel = [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")]
     with pytest.raises(errors.NotAntisymmetric):
         validate_poset(["a", "b"], rel)
+
+
+def test_validate_poset_rejects_duplicate_element_ids():
+    # The relation alone is a lawful order on {a, b}; only the repeated
+    # id breaks the carrier.
+    rel = [("a", "a"), ("b", "b"), ("a", "b")]
+    with pytest.raises(errors.NotAntisymmetric) as info:
+        validate_poset(["a", "b", "a"], rel)
+    assert info.value.witness["elements"] == ["a", "a"]
+
+
+def test_power_lattice_rejects_an_unknown_element():
+    power = power_lattice(chain_lattice(["0", "1"]), 2,
+                          ["00", "01", "10", "11"])
+    power.check_element("10")
+    with pytest.raises(errors.UnknownElement) as info:
+        power.check_element("zz", "generator image")
+    assert (info.value.element, info.value.where) == ("zz", "generator image")
 
 
 def test_closure_then_validate():

@@ -8,8 +8,9 @@ from qsalg import limits
 from qsalg.corpus import corpus_text
 from qsalg.document import loads
 from qsalg.errors import (AxiomFails, EquivarianceFails, SlotPreservationFails,
-                          TooLarge)
-from qsalg.lattice import chain_lattice, diamond_lattice
+                          TooLarge, UnknownElement)
+from qsalg.lattice import (antichain_cube_lattice, chain_lattice,
+                           diamond_lattice, pentagon_lattice)
 from qsalg.nucleus import (derived_laws, enumerate_nuclei, is_nucleus,
                            op_compatible, quotient)
 from qsalg.omega import (
@@ -231,12 +232,34 @@ def test_every_enumerated_quotient_validates():
 
 
 def test_enumeration_respects_the_bound(monkeypatch):
+    # The scan runs over the 2 ** 4 candidate fixed-point sets.
     host = meet_host(chain_lattice(["0", "1", "2", "3"]), boolean_quantale())
-    monkeypatch.setattr(limits, "ENDOMAP_BOUND", 100)
-    with pytest.raises(TooLarge):
+    monkeypatch.setattr(limits, "CENSUS_BOUND", 15)
+    with pytest.raises(TooLarge) as info:
         enumerate_nuclei(host)
-    monkeypatch.setattr(limits, "ENDOMAP_BOUND", 256)
+    assert (info.value.what, info.value.size) == ("fixed-point-set space", 16)
+    monkeypatch.setattr(limits, "CENSUS_BOUND", 16)
     assert len(enumerate_nuclei(host)) == 8
+
+
+@pytest.mark.parametrize("lattice", [
+    chain_lattice([str(k) for k in range(5)]),
+    chain_lattice([str(k) for k in range(6)]),
+    pentagon_lattice(),
+    antichain_cube_lattice(),
+], ids=["chain5", "chain6", "pentagon", "m3"])
+def test_fixed_point_set_scan_matches_the_endo_map_scan(lattice):
+    host = bare_host(crisp_module(lattice, boolean_quantale()))
+    nuclei = enumerate_nuclei(host)
+    assert [n.values() for n in nuclei] == brute_force_nuclei(host)
+
+
+def test_a_nucleus_value_outside_the_carrier_is_unknown():
+    host = bare_host(crisp_module(chain_lattice(["0", "1", "2"]),
+                                  boolean_quantale()))
+    with pytest.raises(UnknownElement) as info:
+        is_nucleus(host, {"0": "zz", "1": "1", "2": "2"})
+    assert (info.value.element, info.value.where) == ("zz", "nucleus value")
 
 
 # -- the op-compatible axiom is the closure bound ---------------------------

@@ -822,6 +822,21 @@ def test_hom_search_past_its_bound_is_too_large():
         "homomorphism search space", 7 ** 7, limits.HOM_ENUM_BOUND)
 
 
+def test_a_search_deeper_than_the_recursion_limit_gets_a_verdict():
+    # A one-element target never passes the bound (1 ** n = 1), so the
+    # search runs over all 1,024 ids of the free object on 10 bare
+    # generators, one level per id: more than Python's default
+    # recursion limit of 1,000 frames.
+    gens = validate_omega_algebra([f"g{k}" for k in range(10)],
+                                  EMPTY_SIGNATURE, {})
+    free = free_qsup_algebra(TWO, gens)
+    assert len(free.ids) == 1024
+    point = bare_algebra(crisp_module(chain_lattice(["0"]), TWO))
+    f = dict.fromkeys(gens.carrier, "0")
+    fbar = extend_hom(free, point, f)
+    assert extension_unique(free, point, f, fbar) == "unique"
+
+
 def test_a_second_extension_is_a_theorem_failure():
     # A forged free object that is not free: the bare self-module of TWO
     # with its one generator embedded at the bottom.  The identity and
