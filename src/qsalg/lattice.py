@@ -10,9 +10,8 @@ meets and covers off the factor's tables, one coordinate at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     EmptyCarrier,
@@ -24,12 +23,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
 class FinitePoset:
     """A finite partial order: elements plus the full <= relation."""
 
-    elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    __slots__ = ("elements", "relation")
+
+    def __init__(self, elements, relation):
+        self.elements, self.relation = elements, relation
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.relation
@@ -88,7 +88,6 @@ def validate_poset(elements: Iterable[str], relation) -> FinitePoset:
     return FinitePoset(elements, rel)
 
 
-@dataclass(frozen=True)
 class CompleteLattice:
     """A finite poset certified to have all joins (hence all meets).
 
@@ -99,21 +98,25 @@ class CompleteLattice:
     the members' (meet([]) = top).  For the callers that work over
     element positions, `index` gives each element's position and `ijoin`
     is the join table over positions: entry i*n+k is the position of the
-    join of elements i and k.  `covers()` derives the covering pairs.
+    join of elements i and k.  `covers()` derives the covering pairs, and
+    `slots(n)` the argument tuples of an n-ary operation's slot maps.
     """
 
-    poset: FinitePoset
-    bottom: str
-    top: str
-    join2: Mapping[tuple[str, str], str] = field(repr=False)
-    down: Mapping[str, int] = field(repr=False)
-    by_down: Mapping[int, str] = field(repr=False)
-    index: Mapping[str, int] = field(repr=False)
-    ijoin: list = field(repr=False)
+    __slots__ = ("poset", "elements", "bottom", "top", "join2", "down",
+                 "by_down", "index", "ijoin", "_slots")
 
-    @property
-    def elements(self):
-        return self.poset.elements
+    def __init__(self, poset, bottom, top, join2, down, by_down, index,
+                 ijoin):
+        self.poset, self.elements = poset, poset.elements
+        self.bottom, self.top, self.join2 = bottom, top, join2
+        self.down, self.by_down, self.index = down, by_down, index
+        self.ijoin, self._slots = ijoin, {}
+
+    def slots(self, n):
+        """`slot_args(elements, n)`, built on first read for each n."""
+        if n not in self._slots:
+            self._slots[n] = slot_args(self.elements, n)
+        return self._slots[n]
 
     def leq(self, a, b):
         return self.poset.leq(a, b)
@@ -196,7 +199,6 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                            dict(zip(elements, down)), by_down, index, ijoin)
 
 
-@dataclass(eq=False)
 class PowerLattice:
     """The power L^k of a finite complete lattice L, ordered coordinate by
     coordinate: a complete lattice whose joins and meets are L's, taken
@@ -214,16 +216,17 @@ class PowerLattice:
     lax subject too.
     """
 
-    elements: tuple[str, ...]
-    factor: CompleteLattice
-    degree: int
-    bottom: str
-    top: str
-    index: Mapping[str, int] = field(repr=False)
-    hot: list = field(repr=False)
-    down: list = field(repr=False)
-    _ijoin: list = field(default=None, init=False, repr=False)
-    _join2: dict = field(default=None, init=False, repr=False)
+    __slots__ = ("elements", "factor", "degree", "bottom", "top", "index",
+                 "hot", "down", "_ijoin", "_join2", "_slots")
+
+    def __init__(self, elements, factor, degree, bottom, top, index, hot,
+                 down):
+        self.elements, self.factor, self.degree = elements, factor, degree
+        self.bottom, self.top, self.index = bottom, top, index
+        self.hot, self.down = hot, down
+        self._ijoin, self._join2, self._slots = None, None, {}
+
+    slots = CompleteLattice.slots
 
     def leq(self, a, b):
         h = self.hot[self.index[a]]
@@ -302,18 +305,25 @@ def power_lattice(factor: CompleteLattice, k: int, labels) -> PowerLattice:
                         dict(zip(labels, range(len(labels)))), hot, down)
 
 
-@dataclass(frozen=True, eq=False)
 class StructureMap:
     """A carrier map between two structures: posets, lattices, modules,
     fuzzy-complete orders or signature algebras.  The table is the map;
     which laws it keeps is for the checks that built it to say."""
 
-    source: object
-    target: object
-    table: Mapping[str, str]
+    __slots__ = ("source", "target", "table")
+
+    def __init__(self, source, target, table):
+        self.source, self.target, self.table = source, target, table
 
     def __call__(self, a: str) -> str:
         return self.table[a]
+
+
+def slot_args(elements, n):
+    """Each slot map of an n-ary operation on `elements`, as (slot, the
+    other arguments, the argument tuples with x in the slot, x in order)."""
+    return [(slot, rest, [rest[:slot] + (x,) + rest[slot:] for x in elements])
+            for slot in range(n) for rest in product(elements, repeat=n - 1)]
 
 
 def preservation_failure(table, elements, source, target, scalars=()):

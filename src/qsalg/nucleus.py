@@ -14,8 +14,6 @@ their Applications, 1990, ch. 3); the tests keep the scans as oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping
 
 from . import limits
 from .errors import (
@@ -30,10 +28,11 @@ from .omega import OmegaAlgebra, QModuleAlgebra, validate_qmodule_algebra
 from .qmodule import QModule, validate_qmodule
 
 
-@dataclass(frozen=True, eq=False)
 class Nucleus:
-    host: QModuleAlgebra
-    table: Mapping[str, str] = field(repr=False)
+    __slots__ = ("host", "table")
+
+    def __init__(self, host, table):
+        self.host, self.table = host, table
 
     def __call__(self, a: str) -> str:
         return self.table[a]

@@ -17,7 +17,6 @@ by a map reduces to the bottom, binary joins and the action
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add
 from typing import Mapping
 
@@ -33,8 +32,10 @@ from .errors import (
     UnitActionFails,
     UnknownElement,
     check_all_read,
+    exact_copy,
 )
-from .lattice import StructureMap, power_lattice, preservation_failure
+from .lattice import StructureMap, power_lattice, preservation_failure, \
+    slot_args
 from .qmodule import (
     QModule,
     check_module_hom,
@@ -52,10 +53,11 @@ from .qorder import (
 from .quantale import FiniteQuantale
 
 
-@dataclass(frozen=True, eq=False)
 class Signature:
-    symbols: tuple[str, ...]
-    arities: Mapping[str, int] = field(repr=False)
+    __slots__ = ("symbols", "arities")
+
+    def __init__(self, symbols, arities):
+        self.symbols, self.arities = symbols, arities
 
     def arity(self, sym: str) -> int:
         return self.arities[sym]
@@ -75,13 +77,13 @@ def signature(arities: Mapping[str, int]) -> Signature:
 EMPTY_SIGNATURE = signature({})
 
 
-@dataclass(frozen=True, eq=False)
 class OmegaAlgebra:
     """A plain signature algebra: total operation tables, no order."""
 
-    carrier: tuple[str, ...]
-    signature: Signature
-    ops: Mapping[str, Mapping[tuple, str]] = field(repr=False)
+    __slots__ = ("carrier", "signature", "ops")
+
+    def __init__(self, carrier, signature, ops):
+        self.carrier, self.signature, self.ops = carrier, signature, ops
 
     def apply(self, sym: str, args) -> str:
         return self.ops[sym][tuple(args)]
@@ -94,6 +96,7 @@ class OmegaAlgebra:
 
 
 def validate_omega_algebra(carrier, sig: Signature, ops) -> OmegaAlgebra:
+    """A table given whole in product order is read by `exact_copy`."""
     carrier = tuple(carrier)
     known = set(carrier)
     tables = {}
@@ -101,25 +104,29 @@ def validate_omega_algebra(carrier, sig: Signature, ops) -> OmegaAlgebra:
         n = sig.arity(sym)
         if sym not in ops:
             raise PartialTable(sym, "entire table")
-        table = {}
-        for args in itertools.product(carrier, repeat=n):
-            if args not in ops[sym]:
-                raise PartialTable(sym, args)
-            v = ops[sym][args]
-            if v not in known:
-                raise UnknownElement(v, f"op {sym!r} value")
-            table[args] = v
-        check_all_read(ops[sym], table, f"op {sym!r} table")
+        table = exact_copy(ops[sym], itertools.product(carrier, repeat=n),
+                           len(carrier) ** n, known)
+        if table is None:
+            table = {}
+            for args in itertools.product(carrier, repeat=n):
+                if args not in ops[sym]:
+                    raise PartialTable(sym, args)
+                v = ops[sym][args]
+                if v not in known:
+                    raise UnknownElement(v, f"op {sym!r} value")
+                table[args] = v
+            check_all_read(ops[sym], table, f"op {sym!r} table")
         tables[sym] = table
     return OmegaAlgebra(carrier, sig, tables)
 
 
-@dataclass(frozen=True, eq=False)
 class QSupAlgebra:
     """Fuzzy-complete order whose operations preserve fuzzy joins slotwise."""
 
-    sup: QSupLattice
-    algebra: OmegaAlgebra
+    __slots__ = ("sup", "algebra")
+
+    def __init__(self, sup, algebra):
+        self.sup, self.algebra = sup, algebra
 
     @property
     def carrier(self):
@@ -130,12 +137,13 @@ class QSupAlgebra:
         return self.sup.base
 
 
-@dataclass(frozen=True, eq=False)
 class QModuleAlgebra:
     """Module whose operations preserve joins and scalar action slotwise."""
 
-    module: QModule
-    algebra: OmegaAlgebra
+    __slots__ = ("module", "algebra")
+
+    def __init__(self, module, algebra):
+        self.module, self.algebra = module, algebra
 
     @property
     def carrier(self):
@@ -150,29 +158,23 @@ class QModuleAlgebra:
                 and self.algebra.same_tables(other.algebra))
 
 
-def _slot_maps(algebra: OmegaAlgebra, sym: str):
-    """All unary restrictions of an operation: (slot, frozen other args,
-    {x: op(... x ...)})."""
-    n = algebra.signature.arity(sym)
-    for slot in range(n):
-        for rest in itertools.product(algebra.carrier, repeat=n - 1):
-            table = {}
-            for x in algebra.carrier:
-                args = rest[:slot] + (x,) + rest[slot:]
-                table[x] = algebra.apply(sym, args)
-            yield slot, rest, table
-
-
-def _slot_failure(algebra: OmegaAlgebra, joins, scalars):
+def _slot_failure(algebra: OmegaAlgebra, joins, scalars, slots):
     """The first slot map breaking the (bottom, join2, action) triple
-    `joins`: (symbol, slot, fixed args, map) + `preservation_failure`'s
-    (members, scalar).  None when every slot map preserves all joins."""
+    `joins`, as (symbol, slot, fixed args, argument tuples) +
+    `preservation_failure`'s (members, scalar); None if there is none.
+    `slots(n)` lists the slot maps as `lattice.slot_args` does.  A map
+    is built, in one `map` over its tuples, once its bottom cell holds."""
+    carrier, bottom = algebra.carrier, joins[0]
+    at = carrier.index(bottom)
     for sym in algebra.signature.symbols:
-        for slot, rest, g in _slot_maps(algebra, sym):
-            bad = preservation_failure(g, algebra.carrier, joins, joins,
-                                       scalars)
+        read = algebra.ops[sym].__getitem__
+        for slot, rest, args in slots(algebra.signature.arity(sym)):
+            if read(args[at]) != bottom:
+                return sym, slot, rest, args, (), None
+            bad = preservation_failure(dict(zip(carrier, map(read, args))),
+                                       carrier, joins, joins, scalars)
             if bad is not None:
-                return (sym, slot, rest, g) + bad
+                return (sym, slot, rest, args) + bad
     return None
 
 
@@ -184,9 +186,11 @@ def validate_qsup_algebra(sup: QSupLattice,
     if tuple(sup.carrier) != tuple(algebra.carrier):
         raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
     bad = _slot_failure(algebra, (sup.bottom, sup.join2, sup.tensor),
-                        sup.base.elements)
+                        sup.base.elements,
+                        lambda n: slot_args(algebra.carrier, n))
     if bad is not None:
-        sym, slot, rest, g, members, q = bad
+        sym, slot, rest, args, members, q = bad
+        g = dict(zip(sup.carrier, map(algebra.ops[sym].__getitem__, args)))
         m = characteristic_subset(sup.carrier, sup.base, members, q)
         lhs = g[sup.qjoin(m)]
         rhs = sup.qjoin(zadeh_forward(g, m, sup.carrier))
@@ -206,16 +210,18 @@ def validate_qmodule_algebra(module: QModule,
         raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
     lat = module.lattice
     bad = _slot_failure(algebra, (lat.bottom, lat.join2, module.action),
-                        module.base.elements)
+                        module.base.elements, lat.slots)
     if bad is None:
         return QModuleAlgebra(module, algebra)
-    sym, slot, rest, g, members, q = bad
+    sym, slot, rest, args, members, q = bad
     where = f"{sym!r} slot {slot} with fixed args {rest!r}"
     pinned = {"symbol": sym, "slot": slot, "rest": list(rest)}
+    op = algebra.ops[sym]
     if not members:
         raise SlotPreservationFails(
             f"{where} does not send bottom to bottom",
-            **pinned, subset=[], value=g[lat.bottom])
+            **pinned, subset=[], value=op[args[lat.index[lat.bottom]]])
+    g = dict(zip(lat.elements, map(op.__getitem__, args)))
     if len(members) == 2:
         a, b = members
         raise SlotPreservationFails(
@@ -247,7 +253,6 @@ def transport_algebra(x):
 
 # -- the free fuzzy powerset algebra ------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class FreeAlgebra:
     """Free fuzzy-complete algebra on the generators, as a module algebra.
 
@@ -256,12 +261,12 @@ class FreeAlgebra:
     to its id.  eta is the generator embedding a -> unit-at-a.
     """
 
-    base: FiniteQuantale
-    generators: OmegaAlgebra
-    ids: tuple[str, ...]
-    id_of: Mapping[tuple, str] = field(repr=False)
-    module_algebra: QModuleAlgebra = field(repr=False)
-    eta: Mapping[str, str] = field(repr=False)
+    __slots__ = ("base", "generators", "ids", "id_of", "module_algebra",
+                 "eta")
+
+    def __init__(self, base, generators, ids, id_of, module_algebra, eta):
+        self.base, self.generators, self.ids = base, generators, ids
+        self.id_of, self.module_algebra, self.eta = id_of, module_algebra, eta
 
     @property
     def module(self):

@@ -18,8 +18,7 @@ checked in the test suite rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import product
 
 from .errors import (
     CompositionLawFails,
@@ -31,6 +30,7 @@ from .errors import (
     UnknownElement,
     CertificationFails,
     check_all_read,
+    exact_copy,
 )
 from .lattice import CompleteLattice, StructureMap, complete_lattice, \
     preservation_failure
@@ -44,12 +44,12 @@ from .qorder import (
 from .quantale import FiniteQuantale
 
 
-@dataclass(frozen=True, eq=False)
 class QModule:
-    lattice: CompleteLattice
-    base: FiniteQuantale
-    action: Mapping[tuple[str, str], str] = field(repr=False)
-    lax: bool = False
+    __slots__ = ("lattice", "base", "action", "lax", "__weakref__")
+
+    def __init__(self, lattice, base, action, lax=False):
+        self.lattice, self.base, self.action = lattice, base, action
+        self.lax = lax
 
     @property
     def carrier(self):
@@ -69,16 +69,21 @@ class QModule:
 def validate_qmodule(lattice: CompleteLattice, base: FiniteQuantale,
                      action, lax: bool = False) -> QModule:
     """Check the action laws; `lax` skips unit action and carrier-side
-    join distribution (and is recorded on the result)."""
-    table = {}
-    for q in base.elements:
-        for a in lattice.elements:
-            if (q, a) not in action:
-                raise UnknownElement((q, a), "action table (missing)")
-            v = action[(q, a)]
-            lattice.check_element(v, "action value")
-            table[(q, a)] = v
-    check_all_read(action, table, "action table")
+    join distribution (and is recorded on the result).  A table given
+    whole in scan order is read by `exact_copy`, any other cell by cell."""
+    table = exact_copy(action, product(base.elements, lattice.elements),
+                       len(base.elements) * len(lattice.elements),
+                       set(lattice.elements))
+    if table is None:
+        table = {}
+        for q in base.elements:
+            for a in lattice.elements:
+                if (q, a) not in action:
+                    raise UnknownElement((q, a), "action table (missing)")
+                v = action[(q, a)]
+                lattice.check_element(v, "action value")
+                table[(q, a)] = v
+        check_all_read(action, table, "action table")
     bot_q, bot_a = base.bottom, lattice.bottom
     for a in lattice.elements:
         if table[(bot_q, a)] != bot_a:

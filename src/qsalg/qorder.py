@@ -16,7 +16,6 @@ stay as the oracles that fold is tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from . import limits
@@ -43,13 +42,13 @@ from .lattice import (
 from .quantale import FiniteQuantale
 
 
-@dataclass(frozen=True, eq=False)
 class QSubset:
     """A fuzzy subset: one base-quantale value per carrier element."""
 
-    carrier: tuple[str, ...]
-    base: FiniteQuantale
-    values: tuple[str, ...]
+    __slots__ = ("carrier", "base", "values")
+
+    def __init__(self, carrier, base, values):
+        self.carrier, self.base, self.values = carrier, base, values
 
     def __call__(self, x: str) -> str:
         return self.values[self.carrier.index(x)]
@@ -121,16 +120,15 @@ def scan_qsubsets(carrier, base):
             {"space": space, "threshold": bound})
 
 
-@dataclass(frozen=True, eq=False)
 class QOrderedSet:
     """A certified degree table.  up[p][i] is the bitmask of the k with
     degrees[p] <= e(carrier[i], carrier[k]), degrees being the base's
     elements in order."""
 
-    carrier: tuple[str, ...]
-    base: FiniteQuantale
-    e: Mapping[tuple[str, str], str] = field(repr=False)
-    up: tuple = field(default=(), repr=False)
+    __slots__ = ("carrier", "base", "e", "up")
+
+    def __init__(self, carrier, base, e, up=()):
+        self.carrier, self.base, self.e, self.up = carrier, base, e, up
 
     def degree(self, x, y) -> str:
         return self.e[(x, y)]
@@ -246,7 +244,6 @@ def qjoin(order: QOrderedSet, m: QSubset) -> Optional[str]:
     return hits[0] if hits else None
 
 
-@dataclass(frozen=True, eq=False)
 class QSupLattice:
     """A Q-ordered set certified to have joins of all fuzzy subsets.
 
@@ -256,10 +253,11 @@ class QSupLattice:
     M is their fold: the join over x of M(x) tensor x.
     """
 
-    order: QOrderedSet
-    bottom: str
-    join2: Mapping[tuple[str, str], str] = field(repr=False)
-    tensor: Mapping[tuple[str, str], str] = field(repr=False)
+    __slots__ = ("order", "bottom", "join2", "tensor")
+
+    def __init__(self, order, bottom, join2, tensor):
+        self.order, self.bottom = order, bottom
+        self.join2, self.tensor = join2, tensor
 
     @property
     def carrier(self):

@@ -8,9 +8,7 @@ is precomputed as a table at certification time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping
+from math import gcd
 
 from .errors import (
     JoinDistributionFails,
@@ -23,14 +21,14 @@ from .errors import (
 from .lattice import CompleteLattice, chain_lattice, diamond_lattice
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteQuantale:
     """Certified quantale; compare with .same_tables, not ==."""
 
-    lattice: CompleteLattice
-    unit: str
-    mult: Mapping[tuple[str, str], str] = field(repr=False)
-    residual: Mapping[tuple[str, str], str] = field(repr=False)
+    __slots__ = ("lattice", "unit", "mult", "residual")
+
+    def __init__(self, lattice, unit, mult, residual):
+        self.lattice, self.unit, self.mult = lattice, unit, mult
+        self.residual = residual
 
     @property
     def elements(self):
@@ -128,9 +126,12 @@ def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuanta
 # -- builders -----------------------------------------------------------------
 
 def _fraction_labels(n: int) -> list[str]:
-    # Exact rational labels ("0", "1/3", "2/3", "1") so that equal values
-    # are equal strings; floats would not survive that round trip.
-    return [str(Fraction(i, n - 1)) for i in range(n)]
+    # Exact rational labels i/(n-1) in lowest terms ("0", "1/3", "2/3",
+    # "1") so that equal values are equal strings; floats would not
+    # survive that round trip.  The builders compute on the indices i.
+    return ["0" if i == 0 else "1" if i == n - 1 else
+            f"{i // gcd(i, n - 1)}/{(n - 1) // gcd(i, n - 1)}"
+            for i in range(n)]
 
 
 def boolean_quantale() -> FiniteQuantale:
@@ -147,11 +148,8 @@ def lukasiewicz_chain(n: int) -> FiniteQuantale:
         raise UnknownElement(n, "lukasiewicz_chain size (need >= 2)")
     labels = _fraction_labels(n)
     lat = chain_lattice(labels)
-    mult = {}
-    for a in labels:
-        for b in labels:
-            v = max(Fraction(0), Fraction(a) + Fraction(b) - 1)
-            mult[(a, b)] = str(v)
+    mult = {(a, b): labels[max(0, i + j - (n - 1))]
+            for i, a in enumerate(labels) for j, b in enumerate(labels)}
     return validate_quantale(lat, mult, labels[-1])
 
 
@@ -161,8 +159,8 @@ def godel_chain(n: int) -> FiniteQuantale:
         raise UnknownElement(n, "godel_chain size (need >= 2)")
     labels = _fraction_labels(n)
     lat = chain_lattice(labels)
-    mult = {(a, b): str(min(Fraction(a), Fraction(b)))
-            for a in labels for b in labels}
+    mult = {(a, b): labels[min(i, j)]
+            for i, a in enumerate(labels) for j, b in enumerate(labels)}
     return validate_quantale(lat, mult, labels[-1])
 
 

@@ -31,7 +31,6 @@ parameter, is not verified.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import CertificateTampered, ParseError
 
@@ -690,6 +689,13 @@ def expected_checks(ids, fixed):
 
 
 def _same_claims(claimed, expected):
-    # Compared as canonical JSON, so 1 does not stand in for true.
-    return (json.dumps(claimed, sort_keys=True, default=repr)
-            == json.dumps(expected, sort_keys=True))
+    # Equal types all through, so 1 is not true and 1.0 is not 1.
+    if type(claimed) is not type(expected):
+        return False
+    if type(expected) is dict:
+        return claimed.keys() == expected.keys() and all(
+            _same_claims(claimed[k], v) for k, v in expected.items())
+    if type(expected) is list:
+        return len(claimed) == len(expected) and all(
+            map(_same_claims, claimed, expected))
+    return claimed == expected

@@ -52,8 +52,10 @@ def canonical_closure(free, eps) -> dict:
 
 
 def _action_triples(module: QModule):
-    return sorted([q, a, module.act(q, a)]
-                  for q in module.base.elements for a in module.carrier)
+    # (q, a) names one row, so sorting the labels once sorts the rows.
+    act, carrier = module.action, sorted(module.carrier)
+    return [[q, a, act[(q, a)]] for q in sorted(module.base.elements)
+            for a in carrier]
 
 
 def _op_tables(algebra, carrier):

@@ -5,10 +5,16 @@ import os
 
 from qsalg.corpus import corpus_documents, render
 from qsalg.errors import (CarrierMismatch, CertificateTampered,
-                          InternalInconsistency, NotJoinPreserving,
-                          SpecViolation, UnknownElement)
+                          CompositionLawFails, EquivarianceFails,
+                          InternalInconsistency, JoinLawFails,
+                          NotJoinPreserving, PartialTable,
+                          SecondArgJoinFails, SlotPreservationFails,
+                          SpecViolation, UnitActionFails, UnknownElement,
+                          check_all_read)
 from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
                            preservation_failure)
+from qsalg.omega import OmegaAlgebra, QModuleAlgebra
+from qsalg.qmodule import QModule
 from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
                           validate_qorder)
 from qsalg.quantale import FiniteQuantale
@@ -291,3 +297,130 @@ def label_side_failure(cert):
     except CertificateTampered as err:
         return err.check, str(err), err.witness
     return None
+
+
+# -- the census validators by label, one cell and one slot map at a time ----
+
+
+def label_qmodule(lattice, base, action, lax=False) -> QModule:
+    """`validate_qmodule` as it read its table before the bulk read: one
+    cell at a time, in scan order, then the same law scans."""
+    table = {}
+    for q in base.elements:
+        for a in lattice.elements:
+            if (q, a) not in action:
+                raise UnknownElement((q, a), "action table (missing)")
+            v = action[(q, a)]
+            lattice.check_element(v, "action value")
+            table[(q, a)] = v
+    check_all_read(action, table, "action table")
+    bot_q, bot_a = base.bottom, lattice.bottom
+    for a in lattice.elements:
+        if table[(bot_q, a)] != bot_a:
+            raise JoinLawFails(
+                f"bottom scalar acting on {a!r} gives {table[(bot_q, a)]!r}, "
+                f"not the carrier bottom",
+                subset=[], element=a, value=table[(bot_q, a)])
+        for p in base.elements:
+            for q in base.elements:
+                j = base.lattice.join2[(p, q)]
+                lhs = table[(j, a)]
+                rhs = lattice.join2[(table[(p, a)], table[(q, a)])]
+                if lhs != rhs:
+                    raise JoinLawFails(
+                        f"(join of {[p, q]!r})*{a!r} = {lhs!r} but the join "
+                        f"of the two actions is {rhs!r}",
+                        subset=[p, q], element=a, left=lhs, right=rhs)
+    for p in base.elements:
+        for q in base.elements:
+            for a in lattice.elements:
+                lhs = table[(p, table[(q, a)])]
+                rhs = table[(base.mul(p, q), a)]
+                if lhs != rhs:
+                    raise CompositionLawFails(
+                        f"{p!r}*({q!r}*{a!r}) = {lhs!r} but "
+                        f"({p!r}{q!r})*{a!r} = {rhs!r}",
+                        scalars=[p, q], element=a, left=lhs, right=rhs)
+    if not lax:
+        for a in lattice.elements:
+            if table[(base.unit, a)] != a:
+                raise UnitActionFails(
+                    f"unit*{a!r} = {table[(base.unit, a)]!r}",
+                    element=a, value=table[(base.unit, a)])
+        for q in base.elements:
+            if table[(q, bot_a)] != bot_a:
+                raise SecondArgJoinFails(
+                    f"{q!r}*bottom = {table[(q, bot_a)]!r}",
+                    scalar=q, subset=[], value=table[(q, bot_a)])
+            for a in lattice.elements:
+                for b in lattice.elements:
+                    j = lattice.join2[(a, b)]
+                    lhs = table[(q, j)]
+                    rhs = lattice.join2[(table[(q, a)], table[(q, b)])]
+                    if lhs != rhs:
+                        raise SecondArgJoinFails(
+                            f"{q!r}*(join of {[a, b]!r}) = {lhs!r} but the "
+                            f"join of the two actions is {rhs!r}",
+                            scalar=q, subset=[a, b], left=lhs, right=rhs)
+    return QModule(lattice, base, table, lax)
+
+
+def label_omega_algebra(carrier, sig, ops) -> OmegaAlgebra:
+    """`validate_omega_algebra` one argument tuple at a time, in product
+    order."""
+    carrier = tuple(carrier)
+    known = set(carrier)
+    tables = {}
+    for sym in sig.symbols:
+        n = sig.arity(sym)
+        if sym not in ops:
+            raise PartialTable(sym, "entire table")
+        table = {}
+        for args in itertools.product(carrier, repeat=n):
+            if args not in ops[sym]:
+                raise PartialTable(sym, args)
+            v = ops[sym][args]
+            if v not in known:
+                raise UnknownElement(v, f"op {sym!r} value")
+            table[args] = v
+        check_all_read(ops[sym], table, f"op {sym!r} table")
+        tables[sym] = table
+    return OmegaAlgebra(carrier, sig, tables)
+
+
+def label_qmodule_algebra(module, algebra) -> QModuleAlgebra:
+    """`validate_qmodule_algebra` with each slot map built whole, one
+    argument tuple at a time, before `preservation_failure` reads it."""
+    if tuple(module.carrier) != tuple(algebra.carrier):
+        raise UnknownElement(algebra.carrier, "algebra carrier (mismatch)")
+    lat, carrier = module.lattice, algebra.carrier
+    joins = (lat.bottom, lat.join2, module.action)
+    for sym in algebra.signature.symbols:
+        n = algebra.signature.arity(sym)
+        for slot in range(n):
+            for rest in itertools.product(carrier, repeat=n - 1):
+                g = {x: algebra.apply(sym, rest[:slot] + (x,) + rest[slot:])
+                     for x in carrier}
+                bad = preservation_failure(g, carrier, joins, joins,
+                                           module.base.elements)
+                if bad is None:
+                    continue
+                members, q = bad
+                where = f"{sym!r} slot {slot} with fixed args {rest!r}"
+                pinned = {"symbol": sym, "slot": slot, "rest": list(rest)}
+                if not members:
+                    raise SlotPreservationFails(
+                        f"{where} does not send bottom to bottom",
+                        **pinned, subset=[], value=g[lat.bottom])
+                if len(members) == 2:
+                    a, b = members
+                    raise SlotPreservationFails(
+                        f"{where} breaks the join of {[a, b]!r}",
+                        **pinned, subset=[a, b], left=g[lat.join2[members]],
+                        right=lat.join2[(g[a], g[b])])
+                b = members[0]
+                raise EquivarianceFails(
+                    f"{where}: op({q!r}*{b!r}) != {q!r}*op({b!r})",
+                    **pinned, scalar=q, element=b, left=g[module.act(q, b)],
+                    right=module.act(q, g[b]))
+    return QModuleAlgebra(module, algebra)

@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, witnesses, report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,26 @@ def run_json(capsys, *argv):
 
 def check_names(report):
     return [c["name"] for c in report["checks"]]
+
+
+COLD_IMPORT = """
+import sys
+import qsalg.cli, qsalg.representation, qsalg.recheck
+print(sorted({"dataclasses", "fractions"} & set(sys.modules)))
+"""
+
+
+def test_a_cold_start_loads_neither_dataclasses_nor_fractions():
+    # Every CLI call is a fresh process that pays for each module it
+    # imports; the structures are plain classes and the chain labels
+    # integer arithmetic, so neither module (nor what it pulls in) is
+    # needed.  -S keeps site-packages out of the count.
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_validate_bundled_quantale(capsys):

@@ -11,6 +11,9 @@ must give the same tables, the same verdicts and the same witnesses.
 convolution oracle here re-expands them to every tuple where a test
 needs the whole free op.  `recheck`'s quantale and subject laws read
 their sides over positions, against the label scans they replaced.
+The census validators read a whole table in bulk and each slot map
+over the lattice's argument tuples, against their cell-at-a-time
+scans.
 """
 
 import collections
@@ -22,7 +25,7 @@ import random
 import pytest
 
 from qsalg import errors
-from qsalg.corpus import corpus_text
+from qsalg.corpus import bundled_quantales, corpus_text
 from qsalg.document import loads
 from qsalg.errors import AxiomFails, CertificateTampered, ParseError
 from qsalg.lattice import chain_lattice, diamond_lattice
@@ -30,13 +33,15 @@ from qsalg.nucleus import is_nucleus
 from qsalg.omega import (EMPTY_SIGNATURE, _omega_hom_witness, bare_algebra,
                          counit_map, extend_hom, free_qsup_algebra, signature,
                          validate_omega_algebra, validate_qmodule_algebra)
-from qsalg.qmodule import crisp_module
+from qsalg.qmodule import (QModule, crisp_module, quantale_self_module,
+                           validate_qmodule)
 from qsalg.qorder import all_qsubsets, subset_id
 from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             validate_quantale)
 from qsalg.recheck import _Quantale, recheck_certificate
 from qsalg.representation import canonical_closure, representation
-from oracles import label_side_failure
+from oracles import (label_omega_algebra, label_qmodule,
+                     label_qmodule_algebra, label_side_failure)
 from test_omega import (free_inputs, lax_diamond_target, lax_targets,
                         luk3_with_a_constant)
 
@@ -709,3 +714,149 @@ def test_side_law_edits_fail_as_the_label_scan_does(name):
                                           "leq drop", "leq add"}
     # Q's order is not edited, so quantale-order is not reached.
     assert {check for _, check in seen} == SIDE_CHECKS - {"quantale-order"}
+
+
+# -- the census validators -------------------------------------------------
+
+
+def validator_outcome(fn, *args):
+    """("raises", type, message, witness), or ("certifies", the tables
+    certified, in their order)."""
+    try:
+        out = fn(*args)
+    except (errors.QsalgError, TypeError) as err:
+        return "raises", type(err), str(err), getattr(err, "witness", None)
+    if isinstance(out, QModule):
+        return "certifies", list(out.action.items()), out.lax
+    if hasattr(out, "ops"):
+        return "certifies", {s: list(t.items()) for s, t in out.ops.items()}
+    return "certifies", out.module, out.algebra
+
+
+def verdict(outcome):
+    return outcome[1].__name__ if outcome[0] == "raises" else outcome[0]
+
+
+@pytest.mark.parametrize("qname", ["boolean", "godel3"])
+def test_every_small_action_table_reads_as_the_label_scan_does(qname):
+    # Every action table on the chains of up to three elements, strict
+    # and lax: the bulk read and the cell scan certify the same table or
+    # raise the same law with the same message and witness.
+    base, seen = bundled_quantales()[qname], collections.Counter()
+    for n in (1, 2, 3):
+        lat = chain_lattice([str(i) for i in range(n)])
+        cells = list(itertools.product(base.elements, lat.elements))
+        for images in itertools.product(lat.elements, repeat=len(cells)):
+            action = dict(zip(cells, images))
+            for lax in (False, True):
+                want = validator_outcome(label_qmodule, lat, base, action,
+                                         lax)
+                assert validator_outcome(validate_qmodule, lat, base,
+                                         action, lax) == want
+                seen[verdict(want)] += 1
+    assert {"certifies", "JoinLawFails", "CompositionLawFails",
+            "UnitActionFails"} <= set(seen)
+
+
+def test_every_op_table_on_three_modules_reads_as_the_label_scan_does(
+        enumerated_modules):
+    # Every binary op table on three modules of the action census, each
+    # on the 3-chain: 3^9 tables apiece, read whole and then checked slot
+    # map by slot map, against building each map one tuple at a time.
+    # The two non-crisp actions reach the equivariance law as well.
+    by_label = dict(enumerated_modules)
+    picks = [by_label["boolean/chain3/0"], by_label["godel3/chain3/1"],
+             by_label["lukasiewicz3/chain3/1"]]
+    sig, seen = signature({"mul": 2}), collections.Counter()
+    for mod in picks:
+        pairs = list(itertools.product(mod.carrier, repeat=2))
+        for images in itertools.product(mod.carrier, repeat=len(pairs)):
+            ops = {"mul": dict(zip(pairs, images))}
+            alg = validate_omega_algebra(mod.carrier, sig, ops)
+            assert validator_outcome(label_omega_algebra, mod.carrier, sig,
+                                     ops) == validator_outcome(
+                validate_omega_algebra, mod.carrier, sig, ops)
+            want = validator_outcome(label_qmodule_algebra, mod, alg)
+            assert validator_outcome(validate_qmodule_algebra, mod,
+                                     alg) == want
+            seen[verdict(want), want[3].get("subset") == [] if
+                 want[0] == "raises" else None] += 1
+    assert set(seen) == {("certifies", None),
+                         ("SlotPreservationFails", True),
+                         ("SlotPreservationFails", False),
+                         ("EquivarianceFails", False)}
+
+
+def table_edits(table, values):
+    """Single-cell edits of a table: a cell dropped, a value unknown or
+    unhashable, an extra row last or first, and the rows reversed."""
+    cells = list(table)
+    extra = ("zz",) + cells[0][1:]
+    for cell in cells:
+        yield "missing", {c: v for c, v in table.items() if c != cell}
+        yield "unknown", {**table, cell: "zz"}
+        yield "unhashable", {**table, cell: ["zz"]}
+    yield "extra", {**table, extra: values[0]}
+    yield "extra", {extra: values[0], **table}
+    yield "reversed", dict(reversed(table.items()))
+
+
+def corpus_module_algebras():
+    """The two corpus subjects, and each bundled quantale acting on
+    itself with its multiplication as the op `mult`."""
+    out = [corpus_subject(f"{name}.json") for name in ("two-meet",
+                                                       "luk3-self")]
+    for q in bundled_quantales().values():
+        ops = {"mult": {(a, b): q.mul(a, b)
+                        for a in q.elements for b in q.elements}}
+        out.append(validate_qmodule_algebra(
+            quantale_self_module(q), validate_omega_algebra(
+                q.elements, signature({"mult": 2}), ops)))
+    return out
+
+
+def test_corpus_table_edits_read_as_the_label_scan_does():
+    # Each corpus action and op table, edited one cell at a time: the
+    # bulk read leaves every edit to the cell scan, which names it as
+    # before (an unhashable op value is a TypeError there too); a
+    # reordered table is certified in scan order.  Each op cell set to
+    # another label is then checked slot map by slot map.
+    seen = collections.Counter()
+    for subject in corpus_module_algebras():
+        mod, alg = subject.module, subject.algebra
+        lat, base, sig = mod.lattice, mod.base, alg.signature
+        for kind, action in table_edits(mod.action, lat.elements):
+            want = validator_outcome(label_qmodule, lat, base, action)
+            assert validator_outcome(validate_qmodule, lat, base,
+                                     action) == want, kind
+            seen["action", kind, verdict(want)] += 1
+        for sym in sig.symbols:
+            for kind, table in table_edits(alg.ops[sym], alg.carrier):
+                ops = {**alg.ops, sym: table}
+                want = validator_outcome(label_omega_algebra, alg.carrier,
+                                         sig, ops)
+                assert validator_outcome(validate_omega_algebra,
+                                         alg.carrier, sig, ops) == want, kind
+                seen["op", kind, verdict(want)] += 1
+            for args, value in alg.ops[sym].items():
+                for other in alg.carrier:
+                    edited = validate_omega_algebra(alg.carrier, sig, {
+                        **alg.ops, sym: {**alg.ops[sym], args: other}})
+                    want = validator_outcome(label_qmodule_algebra, mod,
+                                             edited)
+                    assert validator_outcome(validate_qmodule_algebra, mod,
+                                             edited) == want, args
+                    seen["slots", verdict(want)] += 1
+    assert set(seen) == {
+        ("action", "missing", "UnknownElement"),
+        ("action", "unknown", "UnknownElement"),
+        ("action", "unhashable", "UnknownElement"),
+        ("action", "extra", "UnknownElement"),
+        ("action", "reversed", "certifies"),
+        ("op", "missing", "PartialTable"),
+        ("op", "unknown", "UnknownElement"),
+        ("op", "unhashable", "TypeError"),
+        ("op", "extra", "UnknownElement"),
+        ("op", "reversed", "certifies"),
+        ("slots", "certifies"), ("slots", "SlotPreservationFails"),
+        ("slots", "EquivarianceFails")}

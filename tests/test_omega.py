@@ -91,6 +91,25 @@ def test_validate_omega_algebra_requires_total_tables():
         validate_omega_algebra(("e",), BIN, {"mul": {("e", "e"): "x"}})
 
 
+def test_library_guards_name_their_fault():
+    # The document layer never reaches these: it types arities, and it
+    # builds each algebra on its module's carrier from a table per symbol.
+    with pytest.raises(errors.UnknownElement) as info:
+        signature({"mul": -1})
+    assert (info.value.element, info.value.where) == (-1, "arity of 'mul'")
+    with pytest.raises(errors.PartialTable) as info:
+        validate_omega_algebra(("e", "g"), BIN, {})
+    assert (info.value.table, info.value.missing) == ("mul", "entire table")
+    mod = quantale_self_module(L3)
+    alg = validate_omega_algebra(("0", "1"), EMPTY_SIGNATURE, {})
+    with pytest.raises(errors.UnknownElement) as info:
+        validate_qmodule_algebra(mod, alg)
+    assert info.value.where == "algebra carrier (mismatch)"
+    with pytest.raises(errors.UnknownElement) as info:
+        validate_qsup_algebra(suplattice_from_module(mod), alg)
+    assert info.value.where == "algebra carrier (mismatch)"
+
+
 def test_nullary_operation_is_just_a_constant():
     sig = signature({"c": 0})
     alg = validate_omega_algebra(("a", "b"), sig, {"c": {(): "b"}})

@@ -27,7 +27,7 @@ from qsalg.omega import (EMPTY_SIGNATURE, validate_omega_algebra,
                          validate_qmodule_algebra)
 from qsalg.qmodule import crisp_module, quantale_self_module, validate_qmodule
 from qsalg.recheck import (_json_type, _Order, _pairs_to_relation,
-                           _rows_to_op, _triples_to_table,
+                           _rows_to_op, _same_claims, _triples_to_table,
                            recheck_certificate)
 from qsalg.representation import representation
 from test_lattice import all_corpus_lattices, labelled_posets
@@ -374,6 +374,44 @@ def test_every_claim_field_is_bound(request, cert_name):
         with pytest.raises(CertificateTampered) as err:
             recheck_certificate(cert)
         assert err.value.check == "verdict"
+
+
+def _same_value_other_type(value):
+    # values == to `value` that JSON writes differently
+    if isinstance(value, bool):
+        return [int(value), float(value)]
+    if isinstance(value, int):
+        return [float(value)] + ([bool(value)] if value in (0, 1) else [])
+    return []
+
+
+@pytest.mark.parametrize("cert_name", ["boolean_cert", "luk3_cert"])
+def test_a_claim_of_another_json_type_is_a_contradiction(request, cert_name):
+    # 1 for true, 1.0 for 1, false for 0: equal under ==, and still not
+    # the claim that was checked, in `checks` and in meta.free_size.
+    fresh = request.getfixturevalue(cert_name)
+    edits = [(k, key, value) for k, check in enumerate(fresh["checks"])
+             for key, old in check.items()
+             for value in _same_value_other_type(old)]
+    assert {type(v) for _, _, v in edits} == {int, float, bool}
+    for k, key, value in edits + [(None, "free_size", float(
+            fresh["meta"]["free_size"]))]:
+        cert = copy.deepcopy(fresh)
+        where = cert["meta"] if k is None else cert["checks"][k]
+        assert where[key] == value
+        where[key] = value
+        with pytest.raises(CertificateTampered) as err:
+            recheck_certificate(json.loads(json.dumps(cert)))
+        assert err.value.check == "verdict", (k, key, value)
+
+
+def test_claims_compare_by_value_and_type_all_through():
+    assert _same_claims({"a": 1, "b": [True, "x"]}, {"b": [True, "x"], "a": 1})
+    for claimed, expected in [(True, 1), (1, True), (1.0, 1), (0, False),
+                              ([1], [True]), ({"a": [0]}, {"a": [0.0]}),
+                              ((1,), [1]), ([1, 2], [1]), ({"a": 1}, {}),
+                              ({"a": 1}, {"b": 1}), ([[1]], [[1, 1]])]:
+        assert not _same_claims(claimed, expected), (claimed, expected)
 
 
 def test_threshold_is_not_a_verified_claim(boolean_cert):
