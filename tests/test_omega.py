@@ -92,8 +92,11 @@ def test_validate_omega_algebra_requires_total_tables():
 
 
 def test_library_guards_name_their_fault():
-    # The document layer never reaches these: it types arities, and it
-    # builds each algebra on its module's carrier from a table per symbol.
+    # Guards on library arguments that the document layer and the CLI
+    # never pass: a negative arity, a missing op table, an algebra on
+    # another carrier, an input off the bridge, a free op key of the
+    # wrong length, a counit target on other generators, a partial
+    # generator assignment.
     with pytest.raises(errors.UnknownElement) as info:
         signature({"mul": -1})
     assert (info.value.element, info.value.where) == (-1, "arity of 'mul'")
@@ -108,6 +111,21 @@ def test_library_guards_name_their_fault():
     with pytest.raises(errors.UnknownElement) as info:
         validate_qsup_algebra(suplattice_from_module(mod), alg)
     assert info.value.where == "algebra carrier (mismatch)"
+    with pytest.raises(errors.UnknownElement) as info:
+        transport_algebra(mod)
+    assert (info.value.element, info.value.where) == (
+        "QModule", "transport_algebra input")
+    subject = meet_algebra_over_two()
+    free = free_qsup_algebra(TWO, subject.algebra)
+    with pytest.raises(KeyError):
+        free.module_algebra.algebra.ops["mul"][free.ids[:1]]
+    with pytest.raises(errors.UnknownElement) as info:
+        counit_map(free, bare_algebra(subject.module))
+    assert info.value.where == "counit target (mismatch)"
+    with pytest.raises(errors.PartialTable) as info:
+        extend_hom(free, subject, {"0": "0"})
+    assert (info.value.table, info.value.missing) == (
+        "generator assignment", "1")
 
 
 def test_nullary_operation_is_just_a_constant():

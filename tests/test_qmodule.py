@@ -188,6 +188,23 @@ def test_transport_fuzzy_map_to_module_side():
     assert check_module_hom(moved.table, moved.source, moved.target) is None
 
 
+def test_transport_rejects_a_fuzzy_map_off_the_derived_module_homs():
+    # Nothing checks the fuzzy side on the way in; the derived modules'
+    # hom check names the first broken join, or else the broken action.
+    src = suplattice_from_module(quantale_self_module(TWO))
+    tgt = suplattice_from_module(
+        crisp_module(chain_lattice(["0", "1", "2"]), TWO))
+    with pytest.raises(errors.NotJoinPreserving) as info:
+        transport_map(StructureMap(src, tgt, {"0": "1", "1": "2"}))
+    assert info.value.witness == {"subset": [], "value": "1"}
+    luk = suplattice_from_module(quantale_self_module(L3))
+    with pytest.raises(errors.NotActionHom) as info:
+        transport_map(StructureMap(luk, luk, {"0": "0", "1/2": "1",
+                                              "1": "1"}))
+    assert info.value.witness == {"scalar": "1/2", "element": "1/2",
+                                  "left": "0", "right": "1/2"}
+
+
 def test_transport_rejects_a_source_off_the_bridge():
     lat = chain_lattice(["0", "1"])
     with pytest.raises(errors.UnknownElement):
