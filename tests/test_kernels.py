@@ -30,9 +30,10 @@ from qsalg.document import loads
 from qsalg.errors import AxiomFails, CertificateTampered, ParseError
 from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import is_nucleus
-from qsalg.omega import (EMPTY_SIGNATURE, _omega_hom_witness, bare_algebra,
-                         counit_map, extend_hom, free_qsup_algebra, signature,
-                         validate_omega_algebra, validate_qmodule_algebra)
+from qsalg.omega import (EMPTY_SIGNATURE, OmegaAlgebra, _omega_hom_witness,
+                         bare_algebra, counit_map, extend_hom,
+                         free_qsup_algebra, signature, validate_omega_algebra,
+                         validate_qmodule_algebra)
 from qsalg.qmodule import (QModule, crisp_module, quantale_self_module,
                            validate_qmodule)
 from qsalg.qorder import all_qsubsets, subset_id
@@ -728,7 +729,7 @@ def validator_outcome(fn, *args):
         return "raises", type(err), str(err), getattr(err, "witness", None)
     if isinstance(out, QModule):
         return "certifies", list(out.action.items()), out.lax
-    if hasattr(out, "ops"):
+    if isinstance(out, OmegaAlgebra):
         return "certifies", {s: list(t.items()) for s, t in out.ops.items()}
     return "certifies", out.module, out.algebra
 
