@@ -542,22 +542,28 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
     Returns "unique" or "skipped" (search space past the bound); a second
     extension raises TheoremFails, and is never silently ignored.  fbar
     is `extend_hom`'s extension of f, which that call certified, so the
-    search does not scan its table again when it reaches it.
+    search trusts its path (`enumerate_homs`); an fbar that breaks a
+    module law is searched again, trusting nothing.  On a free object
+    whose base lists its bottom first, each id past the pins is
+    q*eta(x) or the join of two ids before it, so every position is
+    forced and no law test runs.
     """
     if len(target.carrier) ** len(free.ids) > limits.HOM_ENUM_BOUND:
         return "skipped"
+    cert = dict(fbar.table)
     pinned = {free.eta[a]: f[a] for a in free.generators.carrier}
-    tables = _search_homs(free.module_algebra, target, pinned,
-                          dict(fbar.table))
-    if dict(fbar.table) not in tables:
-        # Unreachable: fbar is a homomorphism restricting to f, certified
-        # by `extend_hom`, so it meets every forced image and test of the
-        # search and is the leaf `certified` admits: a guard on the search.
+    tables = _search_homs(free.module_algebra, target, pinned, cert)
+    if tables != [cert] and check_module_hom(cert, free.module,
+                                             target.module) is not None:
+        tables = _search_homs(free.module_algebra, target, pinned, None)
+    if cert not in tables:
+        # Catches an fbar that is not `extend_hom`'s: that one keeps
+        # every law and restricts to f, so the search finds it.
         raise InternalInconsistency(
             "canonical extension is missing from the exhaustive "
             "homomorphism enumeration")
     if len(tables) != 1:
-        other = next(t for t in tables if t != dict(fbar.table))
+        other = next(t for t in tables if t != cert)
         raise TheoremFails(
             "a second homomorphism restricts to the same assignment",
             assignment=dict(f), other=other)
@@ -619,29 +625,35 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
     |target| ** |source|.
 
     The search backtracks over carrier positions, on both sides'
-    `ijoin` and flat actions.  It visits the forced positions first (the
-    bottom, the nullary constants, the pins), then the rest in carrier
-    order.  When the laws force x's image, q*h(y) for x = q*y or h(y) v
-    h(z) for x = y v z with the arguments assigned, that image is x's
-    one candidate; otherwise the target carrier in order is.  Each
+    `ijoin` and flat actions and the source's preimage indexes, built
+    once per module (`QModule.flat`), so one free object's homs share
+    them.  It visits the forced positions first (the bottom, the
+    nullary constants, the pins), then the rest in carrier order.  When
+    the laws force x's image, q*h(y) for x = q*y or h(y) v h(z) for
+    x = y v z with the arguments assigned, that image is x's one
+    candidate; otherwise the target carrier in order is.  Each
     assignment is tested against the laws among assigned positions: of
     y, z and y v z, whichever is assigned last is compared, and so is
     the later of x and q*x.  Every homomorphism passes, and a complete
     leaf has passed every test, so it keeps binary joins, the action and
     the bottom (forced, and kept by the action anyway: 0*y is the bottom
     on both sides), hence every join, by `lattice.preservation_failure`.
-    So a leaf needs only the op-law scan, and the leaf the caller
-    certified none.  Nor can pruning change the order: results still
-    differ first at a position visited in carrier order, in the order of
-    its candidates.
+    So a leaf needs only the op-law scan.  On the path of a homomorphism
+    that `extension_unique` has certified, no test or scan runs: it
+    keeps every law, so its images pass them.  Nor can pruning change
+    the order: results still differ first at a position visited in
+    carrier order, in the order of its candidates.
     """
     return _search_homs(source, target, fixed, None)
 
 
 def _search_homs(source, target, fixed, certified):
-    """`enumerate_homs`, where the leaf equal to the table `certified`, a
-    homomorphism already certified, is not scanned again."""
+    """`enumerate_homs`, trusting the table `certified`, a homomorphism
+    already certified, along its path."""
     src, tgt = source.module, target.module
+    if src.base is not tgt.base and not src.base.same_tables(tgt.base):
+        raise UnknownElement(tgt.base.elements,
+                             "hom search target base (mismatch)")
     n, m = len(src.carrier), len(tgt.carrier)
     if m ** n > limits.HOM_ENUM_BOUND:
         raise TooLarge("homomorphism search space", m ** n,
@@ -661,19 +673,11 @@ def _search_homs(source, target, fixed, certified):
     six, tix = src.lattice.index, tgt.lattice.index
     forced = {six[x]: tix[v] for x, v in forced.items()}
     order = list(forced) + [x for x in range(n) if x not in forced]
-    # `ijoin`, and the action flat: entry q*n+x is the position of q*x.
+    # The bases are one, so q indexes both flat actions alike.
     sj, tj = src.lattice.ijoin, tgt.lattice.ijoin
-    sa = [six[src.action[(q, x)]] for q in src.base.elements
-          for x in src.carrier]
-    ta = [tix[tgt.action[(q, v)]] for q in src.base.elements
-          for v in tgt.carrier]
-    # Preimage indexes: joins_to[x] holds the (y, z) with y v z = x,
-    # acts_to[x] the (q, y) with q*y = x, q by its index in Q.
-    joins_to, acts_to = [[] for _ in range(n)], [[] for _ in range(n)]
-    for yz, x in enumerate(sj):
-        joins_to[x].append(divmod(yz, n))
-    for qy, x in enumerate(sa):
-        acts_to[x].append(divmod(qy, n))
+    (sa, joins_to, acts_to), ta = src.flat, tgt.flat[0]
+    cert = [None] * n if certified is None else [
+        tix[certified[x]] for x in src.carrier]
     results, a = [], [None] * n  # a[x]: the image of x, once assigned
 
     def candidates(x):
@@ -705,18 +709,22 @@ def _search_homs(source, target, fixed, certified):
         return False
 
     stack = [iter(candidates(order[0]))]  # a loop, not recursion: no depth cap
+    on = 0  # levels 1 .. on assign certified's images
     while stack:
         k = len(stack)
         x = order[k - 1]
         a[x] = next(stack[-1], None)
         if a[x] is None:
             stack.pop()
-        elif not violates(x, a[x], order[:k]):
+            continue
+        trusted = on >= k - 1 and a[x] == cert[x]
+        on = k if trusted else min(on, k - 1)
+        if trusted or not violates(x, a[x], order[:k]):
             if k < n:
                 stack.append(iter(candidates(order[k])))
                 continue
             table = dict(zip(src.carrier, map(tgt.carrier.__getitem__, a)))
-            if table == certified or _omega_hom_witness(
+            if trusted or _omega_hom_witness(
                     table, source.algebra, target.algebra) is None:
                 results.append(table)
     return results

@@ -45,15 +45,32 @@ from .quantale import FiniteQuantale
 
 
 class QModule:
-    __slots__ = ("lattice", "base", "action", "lax", "__weakref__")
+    __slots__ = ("lattice", "base", "action", "lax", "_flat", "__weakref__")
 
     def __init__(self, lattice, base, action, lax=False):
         self.lattice, self.base, self.action = lattice, base, action
-        self.lax = lax
+        self.lax, self._flat = lax, None
 
     @property
     def carrier(self):
         return self.lattice.elements
+
+    @property
+    def flat(self):
+        """(iact, joins_to, acts_to), built on first read as `ijoin` is:
+        iact[q*n+x] is the position of q*x; joins_to[x] holds the (y, z)
+        with y v z = x, and acts_to[x] the (q, y) with q*y = x."""
+        if self._flat is None:
+            ix, n = self.lattice.index, len(self.carrier)
+            iact = [ix[self.action[qa]]
+                    for qa in product(self.base.elements, self.carrier)]
+            joins_to, acts_to = [[] for _ in range(n)], [[] for _ in range(n)]
+            for yz, x in enumerate(self.lattice.ijoin):
+                joins_to[x].append(divmod(yz, n))
+            for qy, x in enumerate(iact):
+                acts_to[x].append(divmod(qy, n))
+            self._flat = iact, joins_to, acts_to
+        return self._flat
 
     def act(self, q, a) -> str:
         return self.action[(q, a)]

@@ -3,17 +3,18 @@
 import itertools
 import os
 
+from qsalg import limits
 from qsalg.corpus import corpus_documents, render
 from qsalg.errors import (CarrierMismatch, CertificateTampered,
                           CompositionLawFails, EquivarianceFails,
                           InternalInconsistency, JoinLawFails,
                           NotJoinPreserving, PartialTable,
                           SecondArgJoinFails, SlotPreservationFails,
-                          SpecViolation, UnitActionFails, UnknownElement,
-                          check_all_read)
+                          SpecViolation, TooLarge, UnitActionFails,
+                          UnknownElement, check_all_read)
 from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
                            preservation_failure)
-from qsalg.omega import OmegaAlgebra, QModuleAlgebra
+from qsalg.omega import OmegaAlgebra, QModuleAlgebra, _omega_hom_witness
 from qsalg.qmodule import QModule
 from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
                           validate_qorder)
@@ -424,3 +425,89 @@ def label_qmodule_algebra(module, algebra) -> QModuleAlgebra:
                     **pinned, scalar=q, element=b, left=g[module.act(q, b)],
                     right=module.act(q, g[b]))
     return QModuleAlgebra(module, algebra)
+
+
+def law_tested_search_homs(source, target, fixed, certified):
+    """`omega._search_homs` without its trust in `certified`'s path:
+    every law test runs at every level, the source's flat action and
+    preimage indexes are built on each call, and only the leaf equal to
+    `certified` skips the op-law scan.  The bases must be one."""
+    src, tgt = source.module, target.module
+    n, m = len(src.carrier), len(tgt.carrier)
+    if m ** n > limits.HOM_ENUM_BOUND:
+        raise TooLarge("homomorphism search space", m ** n,
+                       limits.HOM_ENUM_BOUND)
+
+    forced = {src.lattice.bottom: tgt.lattice.bottom}
+    for sym in source.algebra.signature.symbols:
+        if source.algebra.signature.arity(sym) == 0:
+            forced[source.algebra.apply(sym, ())] = target.algebra.apply(sym, ())
+    for x, v in (fixed or {}).items():
+        src.lattice.check_element(x, "pinned position")
+        tgt.lattice.check_element(v, "pinned image")
+        if forced.get(x, v) != v:
+            return []
+        forced[x] = v
+
+    six, tix = src.lattice.index, tgt.lattice.index
+    forced = {six[x]: tix[v] for x, v in forced.items()}
+    order = list(forced) + [x for x in range(n) if x not in forced]
+    # `ijoin`, and the action flat: entry q*n+x is the position of q*x.
+    sj, tj = src.lattice.ijoin, tgt.lattice.ijoin
+    sa = [six[src.action[(q, x)]] for q in src.base.elements
+          for x in src.carrier]
+    ta = [tix[tgt.action[(q, v)]] for q in src.base.elements
+          for v in tgt.carrier]
+    # Preimage indexes: joins_to[x] holds the (y, z) with y v z = x,
+    # acts_to[x] the (q, y) with q*y = x, q by its index in Q.
+    joins_to, acts_to = [[] for _ in range(n)], [[] for _ in range(n)]
+    for yz, x in enumerate(sj):
+        joins_to[x].append(divmod(yz, n))
+    for qy, x in enumerate(sa):
+        acts_to[x].append(divmod(qy, n))
+    results, a = [], [None] * n  # a[x]: the image of x, once assigned
+
+    def candidates(x):
+        if x in forced:
+            return [forced[x]]
+        for q, y in acts_to[x]:
+            if a[y] is not None:
+                return [ta[q * m + a[y]]]
+        for y, z in joins_to[x]:
+            if a[y] is not None and a[z] is not None:
+                return [tj[a[y] * m + a[z]]]
+        return range(m)
+
+    def violates(x, v, done):
+        for y in done:
+            j = a[sj[x * n + y]]
+            if j is not None and j != tj[v * m + a[y]]:
+                return True
+        for y, z in joins_to[x]:
+            if (a[y] is not None and a[z] is not None
+                    and v != tj[a[y] * m + a[z]]):
+                return True
+        for qx, image in zip(sa[x::n], ta[v::m]):
+            if a[qx] is not None and a[qx] != image:
+                return True
+        for q, y in acts_to[x]:
+            if a[y] is not None and v != ta[q * m + a[y]]:
+                return True
+        return False
+
+    stack = [iter(candidates(order[0]))]  # a loop, not recursion: no depth cap
+    while stack:
+        k = len(stack)
+        x = order[k - 1]
+        a[x] = next(stack[-1], None)
+        if a[x] is None:
+            stack.pop()
+        elif not violates(x, a[x], order[:k]):
+            if k < n:
+                stack.append(iter(candidates(order[k])))
+                continue
+            table = dict(zip(src.carrier, map(tgt.carrier.__getitem__, a)))
+            if table == certified or _omega_hom_witness(
+                    table, source.algebra, target.algebra) is None:
+                results.append(table)
+    return results

@@ -6,23 +6,26 @@ is replaced by `pass`, one at a time, in a copy of `src/`, `tests/`,
 `pyproject.toml`, and the test suite runs on each mutant.  A mutant on
 which every test passes survives: no test reaches its check, so the
 check is either untested or argued redundant.  Killed mutants stop at
-their first failing test; the three files that exercise `recheck` most
-run first, and the whole suite only when they pass.  Before any mutant,
-the whole suite runs once on the unmutated copy: if it fails there, a
-failure would not tell a killed mutant from a broken copy, so the probe
-stops.
+their first failing test; the module's own test file and the three
+files that exercise `recheck` most run first, and the whole suite only
+when they pass.  Before any mutant, the whole suite runs once on the
+unmutated copy: if it fails there, a failure would not tell a killed
+mutant from a broken copy, so the probe stops.
 
 Run from the repository root:
 
-    python tests/probe_raises.py [--module src/qsalg/recheck.py]
+    python tests/probe_raises.py [--module src/qsalg/recheck.py ...]
                                  [--workdir DIR]
 
-It prints one line per mutant and a summary with the wall time.  It
-exits 1 when a mutant survives, and 2 when the unmutated copy fails.  pytest does not collect this file
-(its name does not start with `test_`), and CI does not run it: a run
-takes minutes, one suite run per mutant.  The repository is never
-modified; the copy lives in `--workdir` (a fresh temporary directory
-by default), which is removed afterwards.
+`--module` may be given more than once: the unmutated suite runs once,
+then each module is probed in turn, put back whole before the next.
+It prints one line per mutant and a summary per module with its wall
+time.  It exits 1 when a mutant survives, and 2 when the unmutated
+copy fails.  pytest does not collect this file (its name does not
+start with `test_`), and CI does not run it: a run takes minutes, one
+suite run per mutant.  The repository is never modified; the copy
+lives in `--workdir` (a fresh temporary directory by default), which
+is removed afterwards.
 """
 
 import argparse
@@ -69,15 +72,56 @@ def run_tests(copy, paths):
     return out.returncode, failed
 
 
+def probe(copy, module):
+    """Run every mutant of `module` in `copy`, printing a line each and a
+    summary; the module is put back whole afterwards.  Returns the
+    lines of the surviving raises."""
+    start = time.perf_counter()
+    target = os.path.join(copy, module)
+    with open(target, "rb") as fh:
+        source = fh.read()
+    own = os.path.join("tests", "test_" + os.path.basename(module))
+    first = FIRST if own in FIRST or not os.path.exists(
+        os.path.join(copy, own)) else [own] + FIRST
+    survivors = []
+    spans = raise_spans(source)
+    try:
+        for span in spans:
+            with open(target, "wb") as fh:
+                fh.write(mutate(source, span))
+            t0 = time.perf_counter()
+            code, failed = run_tests(copy, first)
+            if code == 0:
+                code, failed = run_tests(copy, [])
+            if code == 0:
+                survivors.append(span[0])
+                verdict = "SURVIVES"
+            elif code == 1:
+                verdict = f"killed by {failed}"
+            else:
+                verdict = f"pytest exit {code}, at {failed}"
+            print(f"line {span[0]}: {verdict} "
+                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
+    finally:
+        with open(target, "wb") as fh:
+            fh.write(source)
+    print(f"{len(spans)} mutants of {module}, {len(survivors)} "
+          f"survive {survivors}, in {time.perf_counter() - start:.0f} s",
+          flush=True)
+    return survivors
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--module", default="src/qsalg/recheck.py",
-                    help="module to mutate, relative to the repository")
+    ap.add_argument("--module", action="append",
+                    help="module to mutate, relative to the repository; "
+                         "may be repeated (default: src/qsalg/recheck.py)")
     ap.add_argument("--workdir", default=None,
                     help="directory for the copy (default: a temporary one)")
     args = ap.parse_args(argv)
     start = time.perf_counter()
     copy = tempfile.mkdtemp(prefix="probe-", dir=args.workdir)
+    survived = False
     try:
         for part in ("src", "tests", "perfbench"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
@@ -92,32 +136,12 @@ def main(argv=None):
             return 2
         print(f"unmutated copy: the whole suite passes "
               f"({time.perf_counter() - t0:.1f} s)", flush=True)
-        target = os.path.join(copy, args.module)
-        with open(target, "rb") as fh:
-            source = fh.read()
-        survivors = []
-        spans = raise_spans(source)
-        for span in spans:
-            with open(target, "wb") as fh:
-                fh.write(mutate(source, span))
-            t0 = time.perf_counter()
-            code, failed = run_tests(copy, FIRST)
-            if code == 0:
-                code, failed = run_tests(copy, [])
-            if code == 0:
-                survivors.append(span[0])
-                verdict = "SURVIVES"
-            elif code == 1:
-                verdict = f"killed by {failed}"
-            else:
-                verdict = f"pytest exit {code}, at {failed}"
-            print(f"line {span[0]}: {verdict} "
-                  f"({time.perf_counter() - t0:.1f} s)", flush=True)
+        for module in args.module or ["src/qsalg/recheck.py"]:
+            survived |= bool(probe(copy, module))
     finally:
         shutil.rmtree(copy, ignore_errors=True)
-    print(f"{len(spans)} mutants of {args.module}, {len(survivors)} "
-          f"survive {survivors}, in {time.perf_counter() - start:.0f} s")
-    return 1 if survivors else 0
+    print(f"in {time.perf_counter() - start:.0f} s in all")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":

@@ -179,6 +179,7 @@ def test_validate_builds_qsubsets(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value,kind", [
     ("values", {"0": "zz", "1": "1"}, "UnknownElement"),
+    ("values", {"0": "0"}, "PartialTable"),
     ("base", "nope", "UnknownReference"),
 ])
 def test_validate_rejects_a_bad_qsubset(tmp_path, capsys, field, value,

@@ -43,9 +43,11 @@ from qsalg.omega import (
     validate_qsup_algebra,
 )
 from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
-                            validate_quantale)
+                            meet_quantale, validate_quantale)
 
-from oracles import crisp_qorder, free_subsets, subsethood
+from conftest import modules_on_chains, subjects_over
+from oracles import crisp_qorder, free_subsets, subsethood, \
+    law_tested_search_homs
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)
@@ -887,6 +889,119 @@ def test_a_second_extension_is_a_theorem_failure():
         extension_unique(forged, mod, {"x": "0"}, identity)
     assert info.value.witness == {"assignment": {"x": "0"},
                                   "other": {"0": "0", "1": "0"}}
+
+
+def test_hom_search_rejects_a_target_over_another_base():
+    # The boolean self-module and the self-module of the Goedel 3-chain
+    # share the scalars 0 and 1 but not h: read as one base, the search
+    # would act by h on a module that has no h.
+    godel = meet_quantale(chain_lattice(["0", "h", "1"]))
+    two, three = (bare_algebra(quantale_self_module(q)) for q in (TWO, godel))
+    for source, target in ((two, three), (three, two)):
+        with pytest.raises(errors.UnknownElement) as info:
+            enumerate_homs(source, target)
+        assert (info.value.element, info.value.where) == (
+            target.base.elements, "hom search target base (mismatch)")
+    # Two instances of one base's tables are one base.
+    twin = bare_algebra(quantale_self_module(boolean_quantale()))
+    assert enumerate_homs(two, twin) == enumerate_homs(two, two)
+
+
+def test_an_extension_that_is_not_extend_homs_is_an_internal_fault():
+    # Each single-position edit of the canonical extension, passed as
+    # fbar, is missing from the search, which finds the extension only.
+    gens = validate_omega_algebra(("a", "b"), EMPTY_SIGNATURE, {})
+    free = free_qsup_algebra(TWO, gens)
+    target = bare_algebra(crisp_module(chain_lattice(["0", "1", "2"]), TWO))
+    f = {"a": "1", "b": "0"}
+    fbar = extend_hom(free, target, f)
+    edits = [{**fbar.table, i: v} for i in free.ids for v in target.carrier
+             if v != fbar.table[i]]
+    assert len(edits) == 8
+    for table in edits:
+        with pytest.raises(errors.InternalInconsistency):
+            extension_unique(free, target, f,
+                             StructureMap(fbar.source, target, table))
+    assert extension_unique(free, target, f, fbar) == "unique"
+
+
+def reversed_boolean():
+    """The boolean quantale with its elements listed top first, so the
+    free ids do not start at the bottom."""
+    lat = complete_lattice(validate_poset(
+        ("1", "0"), {("0", "0"), ("0", "1"), ("1", "1")}))
+    return validate_quantale(lat, {(p, q): "1" if p == q == "1" else "0"
+                                   for p in "10" for q in "10"}, "1")
+
+
+def outcome(call, *args):
+    """A call's value, or its fault's type, message and witness."""
+    try:
+        return call(*args)
+    except (errors.SpecViolation, errors.InternalInconsistency) as err:
+        return type(err).__name__, str(err), getattr(err, "witness", None)
+
+
+@pytest.fixture(scope="module")
+def search_pairs(generator_algebras, all_subjects):
+    """(free, subject, [(f, fbar)]) for every generator algebra against
+    every subject with its signature, over the subjects' bases and over
+    the reversed boolean base, with three bare generators there: on
+    those, the free positions are not all forced."""
+    rev = reversed_boolean()
+    bare3 = validate_omega_algebra(("a", "b", "c"), EMPTY_SIGNATURE, {})
+    gens_all = [g for _, g in generator_algebras]
+    over_rev = subjects_over(modules_on_chains({"rev": rev}))
+    cases = [(g, s, s.base) for g in gens_all for _, s in all_subjects]
+    cases += [(g, s, rev) for g in gens_all + [bare3] for _, s in over_rev]
+    pairs = []
+    for gens, subject, base in cases:
+        if not gens.signature.same_tables(subject.algebra.signature):
+            continue
+        free = free_qsup_algebra(base, gens)
+        homs = [(f, extend_hom(free, subject, f))
+                for f in operation_homs(gens, subject)]
+        pairs.append((free, subject, homs))
+    return pairs
+
+
+def test_hom_search_matches_the_law_tested_search(monkeypatch, search_pairs):
+    # The same hom lists in the same order, key order included, and the
+    # same uniqueness verdicts, as the search that runs every law test.
+    for free, subject, _ in search_pairs:
+        source = free.module_algebra
+        fast = enumerate_homs(source, subject)
+        slow = law_tested_search_homs(source, subject, None, None)
+        assert [list(t.items()) for t in fast] == \
+            [list(t.items()) for t in slow]
+    calls = [(free, subject, f, fbar)
+             for free, subject, homs in search_pairs for f, fbar in homs]
+    fast = [extension_unique(*args) for args in calls]
+    monkeypatch.setattr(omega_module, "_search_homs", law_tested_search_homs)
+    assert fast == [extension_unique(*args) for args in calls]
+    assert fast == ["unique"] * len(calls)
+    # Criterion 3's 1,845 pairs and 3,870 homs, and 423 pairs with 914
+    # homs over the reversed base.
+    assert (len(search_pairs), len(calls)) == (1845 + 423, 3870 + 914)
+    assert sum(free.base.elements[0] != free.base.bottom
+               for free, _, _ in search_pairs) == 423
+
+
+def test_edited_extensions_fail_as_under_the_law_tested_search(
+        monkeypatch, search_pairs):
+    # Every single-position edit of a canonical extension gives the same
+    # fault, message and witness with the trusted path as without it:
+    # the extension is the one homomorphism found, so the edit is missing.
+    calls = [(free, subject, f, StructureMap(fbar.source, subject,
+                                             {**fbar.table, i: v}))
+             for free, subject, homs in search_pairs for f, fbar in homs
+             for i in free.ids for v in subject.carrier
+             if v != fbar.table[i]]
+    fast = [outcome(extension_unique, *args) for args in calls]
+    monkeypatch.setattr(omega_module, "_search_homs", law_tested_search_homs)
+    assert fast == [outcome(extension_unique, *args) for args in calls]
+    assert len(calls) == 62338
+    assert {fault for fault, _, _ in fast} == {"InternalInconsistency"}
 
 
 def test_sup_side_enumeration_agrees_with_module_side():

@@ -56,6 +56,21 @@ def test_keys_outside_the_carrier_are_unknown_elements():
         qsubset(["x"], L3, {"x": "1", "zz": "0"})
 
 
+def test_missing_and_unknown_cells_are_named():
+    with pytest.raises(errors.PartialTable) as info:
+        validate_qorder(["x", "y"], L3, {("x", "x"): "1", ("x", "y"): "0",
+                                         ("y", "y"): "1"})
+    assert (info.value.table, info.value.missing) == (
+        "degree table", ("y", "x"))
+    with pytest.raises(errors.UnknownElement) as info:
+        validate_qorder(["x"], L3, {("x", "x"): "zz"})
+    assert (info.value.element, info.value.where) == ("zz", "degree value")
+    with pytest.raises(errors.UnknownElement) as info:
+        characteristic_subset(["x"], L3, ["zz"])
+    assert (info.value.element, info.value.where) == (
+        "zz", "characteristic subset")
+
+
 def test_everywhere_unit_table_breaks_antisymmetry():
     e = {(x, y): "1" for x in ["x", "y"] for y in ["x", "y"]}
     with pytest.raises(errors.AntisymmetryFails):
@@ -180,6 +195,35 @@ def test_qjoin_unique_and_present_on_certified_structures():
     assert sup.qjoin(constant_subset(order.carrier, TWO, "1")) == "1"
 
 
+def test_joins_reject_a_subset_on_another_carrier():
+    order = crisp_two_chain()
+    stray = point_subset(("x",), TWO, "x")
+    for join in (lambda m: qjoin(order, m),
+                 certify_qsuplattice(order).qjoin):
+        with pytest.raises(errors.CarrierMismatch):
+            join(stray)
+
+
+def test_crisp_joins_need_not_be_fuzzy_joins():
+    # Over the Goedel 3-chain, this order on the diamond has every crisp
+    # join and every tensor, but the crisp join of a and b is no fuzzy
+    # join: e(top, bot) is 0, while e(a, bot) meet e(b, bot) is 1/2.
+    lat, g3 = diamond_lattice(), godel_chain(3)
+    half = {("a", "bot"), ("a", "b"), ("b", "bot"), ("b", "a")}
+    e = {(x, y): "1" if lat.leq(x, y) else "1/2" if (x, y) in half else "0"
+         for x in lat.elements for y in lat.elements}
+    order = validate_qorder(lat.elements, g3, e)
+    with pytest.raises(errors.NotQJoinComplete) as info:
+        certify_qsuplattice(order)
+    assert info.value.witness == {
+        "subset": {"bot": "0", "a": "1", "b": "1", "top": "0"}}
+    # The same joins vouched for by a caller are an internal fault.
+    tensor = {(q, x): lat.bottom if q == "0" else x
+              for q in g3.elements for x in lat.elements}
+    with pytest.raises(errors.InternalInconsistency):
+        certify_qsuplattice(order, (lat.bottom, lat.join2, tensor))
+
+
 def test_discrete_order_is_not_fuzzy_complete():
     p = validate_poset(["x", "y"], [("x", "x"), ("y", "y")])
     order = crisp_qorder(p, TWO)
@@ -221,6 +265,9 @@ def test_zadeh_forward_collects_joins_over_preimages():
     assert pushed.table() == {"z": "1"}
     pushed2 = zadeh_forward({"x": "u", "y": "v"}, m, ("u", "v", "w"))
     assert pushed2.table() == {"u": "1/2", "v": "1", "w": "0"}
+    with pytest.raises(errors.UnknownElement) as info:
+        zadeh_forward({"x": "u", "y": "zz"}, m, ("u",))
+    assert (info.value.element, info.value.where) == ("zz", "map image")
 
 
 def test_identity_is_qjoin_preserving():

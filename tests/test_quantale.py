@@ -147,3 +147,10 @@ def test_partial_mult_table_rejected():
     lat = chain_lattice(["0", "1"])
     with pytest.raises(errors.UnknownElement):
         validate_quantale(lat, {("0", "0"): "0"}, "1")
+
+
+def test_chains_need_two_elements():
+    for build in (lukasiewicz_chain, godel_chain):
+        with pytest.raises(errors.UnknownElement) as info:
+            build(1)
+        assert info.value.element == 1
