@@ -539,26 +539,21 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
     """Exhaustively confirm that fbar is the only homomorphism restricting
     to f along the generator embedding.
 
-    Returns "unique" or "skipped" (search space past the bound); a second
-    extension raises TheoremFails, and is never silently ignored.  fbar
-    is `extend_hom`'s extension of f, which that call certified, so the
-    search trusts its path (`enumerate_homs`); an fbar that breaks a
-    module law is searched again, trusting nothing.  On a free object
-    whose base lists its bottom first, each id past the pins is
-    q*eta(x) or the join of two ids before it, so every position is
-    forced and no law test runs.
+    Returns "unique" or "skipped" (past the bound); a second extension
+    raises TheoremFails, never silently ignored.  The search runs on tables
+    the free object builds once for all its homs, and trusts fbar's path
+    (`enumerate_homs`): fbar must be `extend_hom`'s extension of f,
+    certified to keep every law.  Another that is no homomorphism is caught
+    only if the search misses it or finds more.
     """
     if len(target.carrier) ** len(free.ids) > limits.HOM_ENUM_BOUND:
         return "skipped"
     cert = dict(fbar.table)
     pinned = {free.eta[a]: f[a] for a in free.generators.carrier}
     tables = _search_homs(free.module_algebra, target, pinned, cert)
-    if tables != [cert] and check_module_hom(cert, free.module,
-                                             target.module) is not None:
-        tables = _search_homs(free.module_algebra, target, pinned, None)
-    if cert not in tables:
-        # Catches an fbar that is not `extend_hom`'s: that one keeps
-        # every law and restricts to f, so the search finds it.
+    # Catches an fbar that is not `extend_hom`'s, which keeps every law.
+    if cert not in tables or len(tables) > 1 and not is_homomorphism(
+            fbar, "q-module-algebra")[0]:
         raise InternalInconsistency(
             "canonical extension is missing from the exhaustive "
             "homomorphism enumeration")
@@ -613,47 +608,47 @@ def bare_algebra(module: QModule) -> QModuleAlgebra:
 
 def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
                    fixed=None):
-    """All homomorphisms source -> target between module algebras,
-    exhaustively, in deterministic order: lexicographic in the source
-    carrier's order, each image ranging over the target carrier in its
-    order.
+    """All homomorphisms source -> target between module algebras over one
+    base, the target having each of the source's operations (else
+    UnknownElement), exhaustively, lexicographic in the source carrier's
+    order, each image ranging over the target carrier in its order.
 
-    A bare module enters as `bare_algebra(module)`, a fuzzy-complete
-    algebra as its module face `transport_algebra(x)`: the bridge makes
-    the two hom sets coincide (the test suite keeps a brute-force
-    cross-check).  `fixed` pins chosen images.  Raises TooLarge past
-    |target| ** |source|.
+    A bare module enters as `bare_algebra(module)`, a fuzzy-complete algebra
+    as `transport_algebra(x)`: the bridge makes the two hom sets coincide (a
+    brute-force test cross-checks).  `fixed` pins chosen images.  Raises
+    TooLarge past |target| ** |source|.
 
-    The search backtracks over carrier positions, on both sides'
-    `ijoin` and flat actions and the source's preimage indexes, built
-    once per module (`QModule.flat`), so one free object's homs share
-    them.  It visits the forced positions first (the bottom, the
-    nullary constants, the pins), then the rest in carrier order.  When
-    the laws force x's image, q*h(y) for x = q*y or h(y) v h(z) for
-    x = y v z with the arguments assigned, that image is x's one
-    candidate; otherwise the target carrier in order is.  Each
-    assignment is tested against the laws among assigned positions: of
-    y, z and y v z, whichever is assigned last is compared, and so is
-    the later of x and q*x.  Every homomorphism passes, and a complete
-    leaf has passed every test, so it keeps binary joins, the action and
-    the bottom (forced, and kept by the action anyway: 0*y is the bottom
-    on both sides), hence every join, by `lattice.preservation_failure`.
-    So a leaf needs only the op-law scan.  On the path of a homomorphism
-    that `extension_unique` has certified, no test or scan runs: it
-    keeps every law, so its images pass them.  Nor can pruning change
-    the order: results still differ first at a position visited in
-    carrier order, in the order of its candidates.
+    The search backtracks over carrier positions, on both sides' `ijoin` and
+    flat actions and the source's preimage indexes, built once per module
+    (`QModule.iact`, `QModule.preimages`), so one free object's homs share
+    them.  It visits the forced positions (bottom, nullary constants, pins)
+    first, then the rest in carrier order.  A position whose image the laws
+    force (q*h(y) for x = q*y, h(y) v h(z) for x = y v z, arguments
+    assigned) has that one candidate, others the target carrier in order.
+    Each assignment is tested against the laws among assigned positions: of
+    y, z and y v z, whichever is assigned last, and the later of x and q*x.
+    Every homomorphism passes, and a complete leaf keeps binary joins, the
+    action and the bottom (forced; 0*y is the bottom on both sides), hence
+    every join (`lattice.preservation_failure`), so it needs only the op-law
+    scan.  On the path of a homomorphism `extension_unique` certified, no
+    test or scan runs, as it keeps every law; a free object whose base lists
+    its bottom first forces every position there.  Nor can pruning change
+    the order: results differ first at a position visited in carrier order,
+    in its candidates' order.
     """
     return _search_homs(source, target, fixed, None)
 
 
 def _search_homs(source, target, fixed, certified):
-    """`enumerate_homs`, trusting the table `certified`, a homomorphism
-    already certified, along its path."""
+    """`enumerate_homs`, trusting the path of `certified`, a certified hom."""
     src, tgt = source.module, target.module
     if src.base is not tgt.base and not src.base.same_tables(tgt.base):
         raise UnknownElement(tgt.base.elements,
                              "hom search target base (mismatch)")
+    if not (source.algebra.signature.arities.items()
+            <= target.algebra.signature.arities.items()):
+        raise UnknownElement(target.algebra.signature.symbols,
+                             "hom search target signature (mismatch)")
     n, m = len(src.carrier), len(tgt.carrier)
     if m ** n > limits.HOM_ENUM_BOUND:
         raise TooLarge("homomorphism search space", m ** n,
@@ -675,9 +670,9 @@ def _search_homs(source, target, fixed, certified):
     order = list(forced) + [x for x in range(n) if x not in forced]
     # The bases are one, so q indexes both flat actions alike.
     sj, tj = src.lattice.ijoin, tgt.lattice.ijoin
-    (sa, joins_to, acts_to), ta = src.flat, tgt.flat[0]
-    cert = [None] * n if certified is None else [
-        tix[certified[x]] for x in src.carrier]
+    sa, ta, (joins_to, acts_to) = src.iact, tgt.iact, src.preimages
+    # No position is trusted where `certified` is None or malformed.
+    cert = [tix.get((certified or {}).get(x)) for x in src.carrier]
     results, a = [], [None] * n  # a[x]: the image of x, once assigned
 
     def candidates(x):

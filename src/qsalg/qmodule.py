@@ -45,32 +45,37 @@ from .quantale import FiniteQuantale
 
 
 class QModule:
-    __slots__ = ("lattice", "base", "action", "lax", "_flat", "__weakref__")
+    __slots__ = ("lattice", "base", "action", "lax", "_iact", "_preimages",
+                 "__weakref__")
 
     def __init__(self, lattice, base, action, lax=False):
         self.lattice, self.base, self.action = lattice, base, action
-        self.lax, self._flat = lax, None
+        self.lax, self._iact, self._preimages = lax, None, None
 
     @property
     def carrier(self):
         return self.lattice.elements
 
     @property
-    def flat(self):
-        """(iact, joins_to, acts_to), built on first read as `ijoin` is:
-        iact[q*n+x] is the position of q*x; joins_to[x] holds the (y, z)
-        with y v z = x, and acts_to[x] the (q, y) with q*y = x."""
-        if self._flat is None:
-            ix, n = self.lattice.index, len(self.carrier)
-            iact = [ix[self.action[qa]]
-                    for qa in product(self.base.elements, self.carrier)]
-            joins_to, acts_to = [[] for _ in range(n)], [[] for _ in range(n)]
-            for yz, x in enumerate(self.lattice.ijoin):
-                joins_to[x].append(divmod(yz, n))
-            for qy, x in enumerate(iact):
-                acts_to[x].append(divmod(qy, n))
-            self._flat = iact, joins_to, acts_to
-        return self._flat
+    def iact(self):
+        """The flat action, built on first read: q*x at q*n+x."""
+        if self._iact is None:
+            ix = self.lattice.index
+            self._iact = [ix[self.action[qa]]
+                          for qa in product(self.base.elements, self.carrier)]
+        return self._iact
+
+    @property
+    def preimages(self):
+        """Per x: the (y, z) with y v z = x, the (q, y) with q*y = x."""
+        if self._preimages is None:
+            n = len(self.carrier)
+            self._preimages = [[] for _ in range(n)], [[] for _ in range(n)]
+            for to, flat in zip(self._preimages,
+                                (self.lattice.ijoin, self.iact)):
+                for i, x in enumerate(flat):
+                    to[x].append(divmod(i, n))
+        return self._preimages
 
     def act(self, q, a) -> str:
         return self.action[(q, a)]

@@ -907,6 +907,38 @@ def test_hom_search_rejects_a_target_over_another_base():
     assert enumerate_homs(two, twin) == enumerate_homs(two, two)
 
 
+def test_hom_search_rejects_a_target_without_a_source_operation():
+    # The boolean self-module with its multiplication as `mul`, and the
+    # same module bare: from the first, the op-law scan would look up
+    # `mul` in a target that has none, and so would a `mul` of another
+    # arity.  From the bare one, every module hom keeps the empty
+    # signature's laws.
+    meet = meet_algebra_over_two()
+    bare = bare_algebra(meet.module)
+    unary = validate_qmodule_algebra(meet.module, validate_omega_algebra(
+        TWO.elements, omega_module.signature({"mul": 1}),
+        {"mul": {(a,): a for a in TWO.elements}}))
+    for target in (bare, unary):
+        with pytest.raises(errors.UnknownElement) as info:
+            enumerate_homs(meet, target)
+        assert (info.value.element, info.value.where) == (
+            target.algebra.signature.symbols,
+            "hom search target signature (mismatch)")
+    assert enumerate_homs(bare, meet) == enumerate_homs(bare, bare)
+
+
+def test_a_hom_search_target_builds_no_preimage_indexes():
+    # Only the source's preimages are read, so a large target keeps
+    # its flat action alone.
+    source = bare_algebra(quantale_self_module(TWO))
+    target = bare_algebra(crisp_module(chain_lattice(
+        [str(k) for k in range(300)]), TWO))
+    assert len(enumerate_homs(source, target)) == 300
+    assert source.module._preimages is not None
+    assert target.module._preimages is None
+    assert target.module._iact is not None
+
+
 def test_an_extension_that_is_not_extend_homs_is_an_internal_fault():
     # Each single-position edit of the canonical extension, passed as
     # fbar, is missing from the search, which finds the extension only.
@@ -918,6 +950,10 @@ def test_an_extension_that_is_not_extend_homs_is_an_internal_fault():
     edits = [{**fbar.table, i: v} for i in free.ids for v in target.carrier
              if v != fbar.table[i]]
     assert len(edits) == 8
+    # Nor is a table with an image off the target, or a missing id,
+    # trusted anywhere.
+    edits += [{**fbar.table, free.ids[-1]: "3"},
+              {i: v for i, v in fbar.table.items() if i != free.ids[-1]}]
     for table in edits:
         with pytest.raises(errors.InternalInconsistency):
             extension_unique(free, target, f,
