@@ -199,38 +199,71 @@ def complete_lattice(poset: FinitePoset) -> CompleteLattice:
                            dict(zip(elements, down)), by_down, index, ijoin)
 
 
+class Power:
+    """L^k over positions, whatever labels name them: p is the sum of
+    its digits `coords[p]` (in L) times the place `weights`.  With |L|
+    bits a coordinate, `hot` sets each digit's bit and `down` its
+    down-set in L; `bottom` and `top` are positions."""
+
+    def __init__(self, factor, k):
+        m, ix = len(factor.elements), factor.index
+        downs = [factor.down[a] for a in factor.elements]
+        self.factor, self.degree, self.hot, self.down = factor, k, [0], [0]
+        for _ in range(k):
+            self.hot = [h << m | 1 << u for h in self.hot for u in range(m)]
+            self.down = [d << m | du for d in self.down for du in downs]
+        self.weights = [m ** x for x in reversed(range(k))]
+        self.bottom, self.top = (ix[e] * sum(self.weights)
+                                 for e in (factor.bottom, factor.top))
+        self.coords, self._ijoin = list(product(range(m), repeat=k)), None
+
+    @property
+    def ijoin(self):
+        """Built on first read, a digit at a time: entry (i*m+u, j*m+v)
+        is out[i*s+j]*m + L's [u*m+v], read from `pos` to share ints."""
+        if self._ijoin is None:
+            table, m = self.factor.ijoin, len(self.factor.elements)
+            out, s, pos = [0], 1, list(range(len(self.coords)))
+            for _ in range(self.degree):
+                out = [pos[o * m + t] for i in range(s) for u in range(m)
+                       for o in out[i * s:(i + 1) * s]
+                       for t in table[u * m:(u + 1) * m]]
+                s *= m
+            self._ijoin = out
+        return self._ijoin
+
+
+def preimage_lists(n, ijoin, iact):
+    """Per position x: the (y, z) with y v z = x, the (q, y) with q*y = x."""
+    out = [[] for _ in range(n)], [[] for _ in range(n)]
+    for to, flat in zip(out, (ijoin, iact)):
+        for i, x in enumerate(flat):
+            to[x].append(divmod(i, n))
+    return out
+
+
 class PowerLattice:
     """The power L^k of a finite complete lattice L, ordered coordinate by
-    coordinate: a complete lattice whose joins and meets are L's, taken
-    in each coordinate.  Its elements name L's coordinate tuples in
-    product order (the last coordinate runs fastest), so the digits of a
-    position in radix |L| are the positions of its coordinates in L.
+    coordinate, on labels for the positions of `tables` (`Power`): joins
+    and meets are L's in each coordinate, nothing is searched and no law
+    is checked again, and a <= b is hot(a) & down(b) == hot(a).  `join2`
+    is built on first read, for the bridge and the tests; neither it nor
+    `ijoin` is read on the representation path, on a lax subject too."""
 
-    Nothing is searched and no law is checked again: all is read off
-    L's certified tables one coordinate at a time.  With |L| bits a
-    coordinate, `hot` sets each digit's bit and `down` its down-set in
-    L, so a <= b is one AND, hot(a) & down(b) == hot(a).  The join
-    tables are built on first read: `ijoin` (over positions, as for
-    `CompleteLattice`) by `join` and the hom search, `join2` by the
-    bridge and the tests.  The representation path reads neither, on a
-    lax subject too.
-    """
+    __slots__ = ("elements", "tables", "bottom", "top", "index", "_join2",
+                 "_slots")
 
-    __slots__ = ("elements", "factor", "degree", "bottom", "top", "index",
-                 "hot", "down", "_ijoin", "_join2", "_slots")
-
-    def __init__(self, elements, factor, degree, bottom, top, index, hot,
-                 down):
-        self.elements, self.factor, self.degree = elements, factor, degree
-        self.bottom, self.top, self.index = bottom, top, index
-        self.hot, self.down = hot, down
-        self._ijoin, self._join2, self._slots = None, None, {}
+    def __init__(self, elements, tables):
+        self.elements, self.tables = elements, tables
+        self.bottom, self.top = elements[tables.bottom], elements[tables.top]
+        self.index = dict(zip(elements, range(len(elements))))
+        self._join2, self._slots = None, {}
 
     slots = CompleteLattice.slots
 
     def leq(self, a, b):
-        h = self.hot[self.index[a]]
-        return h & self.down[self.index[b]] == h
+        h = self.tables.hot[self.index[a]]
+        return h & self.tables.down[self.index[b]] == h
 
     def check_element(self, a, where="lattice"):
         if a not in self.index:
@@ -245,29 +278,15 @@ class PowerLattice:
 
     def meet(self, subset) -> str:
         """Each coordinate of the AND of `down` masks is a meet's down-set."""
-        f, m, ix = self.factor, len(self.factor.elements), self.index
-        mask = self.down[ix[self.top]]
+        f, ix, down = self.tables.factor, self.index, self.tables.down
+        m, mask = len(f.elements), down[ix[self.top]]
         for s in subset:
-            mask &= self.down[ix[s]]
+            mask &= down[ix[s]]
         return self.elements[sum(
             f.index[f.by_down[mask >> j * m & (1 << m) - 1]] * m ** j
-            for j in range(self.degree))]
+            for j in range(self.tables.degree))]
 
-    @property
-    def ijoin(self):
-        """Expanded from L's a digit at a time: positions i, j of size s
-        become i*m+u, j*m+v, with entry out[i*s+j]*m + table[u*m+v],
-        read from `pos` so that equal entries share one int object."""
-        if self._ijoin is None:
-            table, m = self.factor.ijoin, len(self.factor.elements)
-            out, s, pos = [0], 1, list(range(len(self.elements)))
-            for _ in range(self.degree):
-                out = [pos[o * m + t] for i in range(s) for u in range(m)
-                       for o in out[i * s:(i + 1) * s]
-                       for t in table[u * m:(u + 1) * m]]
-                s *= m
-            self._ijoin = out
-        return self._ijoin
+    ijoin = property(lambda self: self.tables.ijoin)
 
     @property
     def join2(self):
@@ -280,29 +299,19 @@ class PowerLattice:
     def covers(self):
         """(a, b) where b raises one coordinate of a to a cover of it in
         L: exactly the covering pairs of a product of posets."""
-        f, els, k = self.factor, self.elements, self.degree
-        m, fix = len(f.elements), f.index
-        steps = [[] for _ in range(m)]
+        f, els = self.tables.factor, self.elements
+        steps = [[] for _ in f.elements]
         for a, b in f.covers():
-            steps[fix[a]].append(fix[b] - fix[a])
-        weights = [m ** p for p in reversed(range(k))]
+            steps[f.index[a]].append(f.index[b] - f.index[a])
         return [(els[i], els[i + d * w])
-                for i, row in enumerate(product(range(m), repeat=k))
-                for v, w in zip(row, weights) for d in steps[v]]
+                for i, row in enumerate(self.tables.coords)
+                for v, w in zip(row, self.tables.weights) for d in steps[v]]
 
 
 def power_lattice(factor: CompleteLattice, k: int, labels) -> PowerLattice:
     """The power factor^k on `labels`, which name the coordinate tuples
-    in product order; the order masks grow a digit at a time."""
-    labels, m, ix = tuple(labels), len(factor.elements), factor.index
-    downs = [factor.down[a] for a in factor.elements]
-    hot, down, bottom, top = [0], [0], 0, 0
-    for _ in range(k):
-        hot = [h << m | 1 << u for h in hot for u in range(m)]
-        down = [d << m | du for d in down for du in downs]
-        bottom, top = bottom * m + ix[factor.bottom], top * m + ix[factor.top]
-    return PowerLattice(labels, factor, k, labels[bottom], labels[top],
-                        dict(zip(labels, range(len(labels)))), hot, down)
+    in product order."""
+    return PowerLattice(tuple(labels), Power(factor, k))
 
 
 class StructureMap:

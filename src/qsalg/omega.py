@@ -34,7 +34,7 @@ from .errors import (
     check_all_read,
     exact_copy,
 )
-from .lattice import StructureMap, power_lattice, preservation_failure, \
+from .lattice import PowerLattice, StructureMap, preservation_failure, \
     slot_args
 from .qmodule import (
     QModule,
@@ -42,14 +42,7 @@ from .qmodule import (
     module_from_suplattice,
     suplattice_from_module,
 )
-from .qorder import (
-    QSubset,
-    QSupLattice,
-    characteristic_subset,
-    point_subset,
-    subset_id,
-    zadeh_forward,
-)
+from .qorder import QSupLattice, characteristic_subset, escaped, zadeh_forward
 from .quantale import FiniteQuantale
 
 
@@ -273,11 +266,18 @@ class FreeAlgebra:
         return self.module_algebra.module
 
 
+class FreeModule(QModule):
+    """Q^k's pointwise action: its flat tables are `Q.power(k)`'s."""
+
+    __slots__ = ()
+    iact = property(lambda m: m.lattice.tables.iact)
+    preimages = property(lambda m: m.lattice.tables.preimages)
+
+
 class FreeOp(Mapping):
-    """One operation of the free object: `coords` holds each id's
-    coordinates over Q's element indices, `flat` is |Q|, Q's flat `mul`
-    and `join` and its bottom and unit, and `fibres` pairs the generator
-    arguments' coordinates with their image's.  A read is one
+    """One operation of the free object: `coords` and `flat` are
+    `Q.power(k)`'s, and `fibres` pairs the generator arguments'
+    coordinates with their image's.  A read is one
     convolution over the |X|^n fibres.  The first full read (iteration:
     the op-law scan at a hom search leaf, `same_tables`, the tests'
     scans) builds the |free|^n table, as `PowerLattice.ijoin` is built,
@@ -285,9 +285,9 @@ class FreeOp(Mapping):
     builds it.
     """
 
-    def __init__(self, ids, index, coords, flat, fibres, n):
-        self.ids, self.index, self.coords = ids, index, coords
-        self.flat, self.fibres, self.n = flat, fibres, n
+    def __init__(self, ids, index, power, fibres, n):
+        self.ids, self.index, self.coords = ids, index, power.coords
+        self.flat, self.fibres, self.n = power.flat, fibres, n
         self._table = None
         if not n:
             self._table = {(): self[()]}
@@ -363,9 +363,10 @@ def free_qsup_algebra(base: FiniteQuantale,
     none is certified again here:
 
     - the order is the product of Q's order, so the lattice is the
-      power of Q's lattice over the ids in their mixed-radix order,
-      `lattice.power_lattice`: no join is searched for, no relation or
-      join table is built;
+      power of Q's lattice over the ids in their mixed-radix order, a
+      `PowerLattice` on the positional tables, with the pointwise action,
+      that Q keeps for |X| generators (`FiniteQuantale.power`): no join
+      is searched for, no relation or join table is built;
     - the action is pointwise, so the module laws are Q's quantale laws,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
@@ -383,10 +384,8 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     The ids come in product order over Q's elements, the last generator
     running fastest, so the digits of an id's position in radix |Q| are
-    its degrees' positions.  The ids grow one generator at a time, by
-    prefix over its `subset_id` pieces x:v, and so does each scalar's
-    action over positions, p*|Q| + d going to p'*|Q| + mul(s, d), from
-    Q's flat `mul` row, as `PowerLattice.ijoin` grows.
+    its degrees' positions, and each joins its `escaped` pieces x:v as
+    `subset_id` does.
 
     The test suite keeps the definition-level certification as an oracle.
     """
@@ -394,39 +393,28 @@ def free_qsup_algebra(base: FiniteQuantale,
     space, bound = k ** len(gens), limits.threshold()
     if space > bound:
         raise TooLarge("fuzzy subset space", space, bound)
-    names = ["{"]
-    for x, a in enumerate(gens):
-        sep = "," if x else ""
-        pieces = [sep + subset_id(QSubset((a,), base, (v,)))[1:-1]
-                  for v in els]
-        names = [n + p for n in names for p in pieces]
-    ids = tuple(n + "}" for n in names)
+    degrees = [escaped(v) for v in els]
+    pieces = [[escaped(a) + ":" + v for v in degrees] for a in gens]
+    ids = tuple(map("{%s}".__mod__, map(",".join, itertools.product(*pieces))))
     id_of = dict(zip(itertools.product(els, repeat=len(gens)), ids))
 
-    index = base.lattice.index
-    mul = [index[base.mult[(a, b)]] for a in els for b in els]
-    action = {}
-    for s, q in enumerate(els):
-        row = [0]
-        for _ in gens:
-            row = [r * k + t for r in row for t in mul[s * k:(s + 1) * k]]
-        action.update(zip(zip(itertools.repeat(q), ids),
-                          map(ids.__getitem__, row)))
-
-    lattice = power_lattice(base.lattice, len(gens), ids)
+    power, index = base.power(len(gens)), base.lattice.index
+    action = dict(zip(itertools.product(els, ids),
+                      map(ids.__getitem__, power.iact)))
+    lattice = PowerLattice(ids, power)
     pos = {a: x for x, a in enumerate(gens)}
-    flat = (k, mul, base.lattice.ijoin, index[base.bottom], index[base.unit])
-    coords = list(itertools.product(range(k), repeat=len(gens)))
     ops = {}
     for sym in generators.signature.symbols:
         n = generators.signature.arity(sym)
         fibres = [(xs, pos[generators.apply(sym, [gens[x] for x in xs])])
                   for xs in itertools.product(range(len(gens)), repeat=n)]
-        ops[sym] = FreeOp(ids, lattice.index, coords, flat, fibres, n)
+        ops[sym] = FreeOp(ids, lattice.index, power, fibres, n)
 
-    module = QModule(lattice, base, action)
+    module = FreeModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
-    eta = {a: id_of[point_subset(gens, base, a).values] for a in gens}
+    unit = index[base.unit] - index[base.bottom]  # at each place of a
+    eta = {a: ids[power.bottom + unit * sum(
+        w for b, w in zip(gens, power.weights) if b == a)] for a in gens}
     return FreeAlgebra(base, generators, ids, id_of,
                        QModuleAlgebra(module, algebra), eta)
 
@@ -502,6 +490,7 @@ def extend_hom(free: FreeAlgebra, target: QModuleAlgebra,
         if a not in f:
             raise PartialTable("generator assignment", a)
         lat.check_element(f[a], "generator image")
+    check_all_read(f, free.eta, "generator assignment")
     n, ix = len(lat.elements), lat.index
     images = [ix[lat.bottom]]
     for a in free.generators.carrier:
@@ -620,21 +609,22 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
 
     The search backtracks over carrier positions, on both sides' `ijoin` and
     flat actions and the source's preimage indexes, built once per module
-    (`QModule.iact`, `QModule.preimages`), so one free object's homs share
-    them.  It visits the forced positions (bottom, nullary constants, pins)
-    first, then the rest in carrier order.  A position whose image the laws
-    force (q*h(y) for x = q*y, h(y) v h(z) for x = y v z, arguments
-    assigned) has that one candidate, others the target carrier in order.
-    Each assignment is tested against the laws among assigned positions: of
-    y, z and y v z, whichever is assigned last, and the later of x and q*x.
-    Every homomorphism passes, and a complete leaf keeps binary joins, the
-    action and the bottom (forced; 0*y is the bottom on both sides), hence
-    every join (`lattice.preservation_failure`), so it needs only the op-law
-    scan.  On the path of a homomorphism `extension_unique` certified, no
-    test or scan runs, as it keeps every law; a free object whose base lists
-    its bottom first forces every position there.  Nor can pruning change
-    the order: results differ first at a position visited in carrier order,
-    in its candidates' order.
+    (`QModule.iact`, `QModule.preimages`), and for a free object once per
+    quantale and generator count (`FiniteQuantale.power`).  It visits the
+    forced positions (bottom, nullary constants, pins) first, then the rest
+    in carrier order.  A position whose image the laws force (q*h(y) for
+    x = q*y, h(y) v h(z) for x = y v z, arguments assigned) has that one
+    candidate, others the target carrier in order.  Each assignment is
+    tested against the laws among assigned positions: of y, z and y v z,
+    whichever is assigned last, and the later of x and q*x.  Every
+    homomorphism passes, and a complete leaf keeps binary joins, the action
+    and the bottom (forced; 0*y is the bottom on both sides), hence every
+    join (`lattice.preservation_failure`), so it needs only the op-law scan.
+    On the path of a homomorphism `extension_unique` certified, no test or
+    scan runs, as it keeps every law; a free object whose base lists its
+    bottom first forces every position there.  Nor can pruning change the
+    order: results differ first at a position visited in carrier order, in
+    its candidates' order.
     """
     return _search_homs(source, target, fixed, None)
 

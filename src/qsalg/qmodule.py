@@ -33,7 +33,7 @@ from .errors import (
     exact_copy,
 )
 from .lattice import CompleteLattice, StructureMap, complete_lattice, \
-    preservation_failure
+    preimage_lists, preservation_failure
 from .qorder import (
     QSupLattice,
     certify_qsuplattice,
@@ -67,14 +67,9 @@ class QModule:
 
     @property
     def preimages(self):
-        """Per x: the (y, z) with y v z = x, the (q, y) with q*y = x."""
         if self._preimages is None:
-            n = len(self.carrier)
-            self._preimages = [[] for _ in range(n)], [[] for _ in range(n)]
-            for to, flat in zip(self._preimages,
-                                (self.lattice.ijoin, self.iact)):
-                for i, x in enumerate(flat):
-                    to[x].append(divmod(i, n))
+            self._preimages = preimage_lists(
+                len(self.carrier), self.lattice.ijoin, self.iact)
         return self._preimages
 
     def act(self, q, a) -> str:

@@ -198,10 +198,14 @@ def induced_order(order: QOrderedSet) -> FinitePoset:
 _ESC = str.maketrans({c: "\\" + c for c in "\\,:{}"})
 
 
+def escaped(label: str) -> str:
+    """The label with \\ , : { } escaped by a backslash."""
+    return label.translate(_ESC)
+
+
 def subset_id(m: QSubset) -> str:
-    """"{x:v,...}" with \\ , : { } escaped by a backslash in each label,
-    so distinct subsets of one carrier get distinct ids."""
-    return "{%s}" % ",".join(f"{x.translate(_ESC)}:{v.translate(_ESC)}"
+    """"{x:v,...}", each label `escaped`: distinct subsets, distinct ids."""
+    return "{%s}" % ",".join(f"{escaped(x)}:{escaped(v)}"
                              for x, v in zip(m.carrier, m.values))
 
 

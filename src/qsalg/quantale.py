@@ -18,17 +18,23 @@ from .errors import (
     UnknownElement,
     check_all_read,
 )
-from .lattice import CompleteLattice, chain_lattice, diamond_lattice
+from .lattice import CompleteLattice, Power, chain_lattice, \
+    diamond_lattice, preimage_lists
 
 
 class FiniteQuantale:
     """Certified quantale; compare with .same_tables, not ==."""
 
-    __slots__ = ("lattice", "unit", "mult", "residual")
+    __slots__ = ("lattice", "unit", "mult", "residual", "_powers")
 
     def __init__(self, lattice, unit, mult, residual):
         self.lattice, self.unit, self.mult = lattice, unit, mult
-        self.residual = residual
+        self.residual, self._powers = residual, {}
+
+    def power(self, k):
+        """`PowerAction(self, k)`, built on first read for each k."""
+        return self._powers.get(k) or self._powers.setdefault(
+            k, PowerAction(self, k))
 
     @property
     def elements(self):
@@ -59,6 +65,32 @@ class FiniteQuantale:
                 and set(self.lattice.covers()) == set(other.lattice.covers())
                 and self.unit == other.unit
                 and dict(self.mult) == dict(other.mult))
+
+
+class PowerAction(Power):
+    """Q^k over positions with Q's pointwise action: `flat` holds |Q|,
+    Q's flat `mul` and `join` and its bottom and unit, and `iact` has
+    s times position p at s*|Q|^k + p, grown a digit at a time."""
+
+    def __init__(self, base, k):
+        super().__init__(base.lattice, k)
+        els, ix, m = base.elements, base.lattice.index, len(base.elements)
+        mul = [ix[base.mult[(a, b)]] for a in els for b in els]
+        self.flat = (m, mul, base.lattice.ijoin, ix[base.bottom],
+                     ix[base.unit])
+        self.iact, self._preimages, n = [0] * m, None, 1
+        for _ in range(k):
+            self.iact = [r * m + t for s in range(m)
+                         for r in self.iact[s * n:s * n + n]
+                         for t in mul[s * m:s * m + m]]
+            n *= m
+
+    @property
+    def preimages(self):
+        if self._preimages is None:
+            self._preimages = preimage_lists(len(self.coords), self.ijoin,
+                                             self.iact)
+        return self._preimages
 
 
 def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuantale:

@@ -36,7 +36,7 @@ from qsalg.omega import (EMPTY_SIGNATURE, OmegaAlgebra, _omega_hom_witness,
                          validate_qmodule_algebra)
 from qsalg.qmodule import (QModule, crisp_module, quantale_self_module,
                            validate_qmodule)
-from qsalg.qorder import all_qsubsets, subset_id
+from qsalg.qorder import all_qsubsets, point_subset, subset_id
 from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             validate_quantale)
 from qsalg.recheck import _Quantale, recheck_certificate
@@ -151,17 +151,27 @@ def escaped_labels():
 
 
 def test_the_ids_and_the_action_match_the_subset_scan(all_subjects):
-    # The build names each id by prefix over escaped x:v pieces and grows
-    # each scalar's action by digits; the scan names every subset by
-    # `subset_id` and scales it one coordinate at a time.
+    # The build names each id by joining escaped x:v pieces, reads each
+    # scalar's action off the positions Q keeps for |X| generators and
+    # finds eta by digits; the scan names every subset by `subset_id`,
+    # scales it one coordinate at a time and builds each point.
+    # Seven bare generators over TWO share TWO's tables for seven with
+    # meet_chain(7), built first; a repeated label gets the unit at each
+    # of its places in eta, as `point_subset` puts it.
     cases = [(base, gens) for base, gens, _ in free_inputs(all_subjects)]
     cases += [escaped_labels(), (TWO, meet_chain(7).algebra),
+              (TWO, validate_omega_algebra([f"g{x}" for x in range(7)],
+                                           EMPTY_SIGNATURE, {})),
+              (L3, validate_omega_algebra(("a", "b", "a"), EMPTY_SIGNATURE,
+                                          {})),
               (L3, validate_omega_algebra((), EMPTY_SIGNATURE, {}))]
     for base, gens in cases:
         free = free_qsup_algebra(base, gens)
         subsets = list(all_qsubsets(gens.carrier, base))
         assert free.ids == tuple(map(subset_id, subsets))
         assert free.id_of == {m.values: i for i, m in zip(free.ids, subsets)}
+        assert free.eta == {a: free.id_of[point_subset(
+            gens.carrier, base, a).values] for a in gens.carrier}
         assert free.module.action == {
             (q, i): free.id_of[tuple(base.mul(q, v) for v in m.values)]
             for q in base.elements for i, m in zip(free.ids, subsets)}

@@ -1067,3 +1067,64 @@ def test_free_ids_are_distinct_whatever_the_labels(scalars, gens):
     free = free_qsup_algebra(
         base, validate_omega_algebra(gens, EMPTY_SIGNATURE, {}))
     assert len(set(free.ids)) == len(free.ids) == 2 ** len(gens)
+
+
+def test_extend_hom_rejects_a_key_outside_the_generators():
+    # An assignment naming a generator the free object does not have is
+    # an extra row, as in every table validator, not a silent extra.
+    gens = validate_omega_algebra(("x",), EMPTY_SIGNATURE, {})
+    free = free_qsup_algebra(TWO, gens)
+    target = bare_algebra(quantale_self_module(TWO))
+    with pytest.raises(errors.UnknownElement) as info:
+        extend_hom(free, target, {"x": "1", "zz": "0"})
+    assert (info.value.element, info.value.where) == (
+        "zz", "generator assignment (extra row)")
+    f = {"x": "1"}
+    assert extension_unique(free, target, f, extend_hom(free, target, f)) \
+        == "unique"
+
+
+def test_free_objects_over_one_quantale_share_its_power_tables():
+    # Q^k's positional tables depend on Q and k alone: two free objects
+    # on two generators over L3 read one set, whatever their labels and
+    # operations, and build only their own labels.  Three generators
+    # read another set.
+    base = lukasiewicz_chain(3)
+    one = free_qsup_algebra(base, z2_algebra())
+    two = free_qsup_algebra(base, validate_omega_algebra(
+        ("p", "q"), EMPTY_SIGNATURE, {}))
+    three = free_qsup_algebra(base, validate_omega_algebra(
+        ("p", "q", "r"), EMPTY_SIGNATURE, {}))
+    power = base.power(2)
+    assert one.module.lattice.tables is power
+    assert two.module.lattice.tables is power
+    assert one.module_algebra.algebra.ops["mul"].coords is power.coords
+    for read in (lambda f: f.module.iact, lambda f: f.module.preimages,
+                 lambda f: f.module.lattice.ijoin,
+                 lambda f: f.module.lattice.tables.hot):
+        assert read(one) is read(two)
+        assert read(three) is not read(one)
+    assert three.module.lattice.tables is base.power(3) is not power
+    assert one.ids != two.ids and set(one.ids).isdisjoint(two.ids)
+    assert len(one.module.action) == len(two.module.action) == 3 * 9
+
+
+def test_a_free_object_on_no_generators_builds():
+    # k = 0: Q^0 is one point, the empty fuzzy subset, and every map
+    # from it sends it to the bottom.
+    for base in (TWO, L3):
+        free = free_qsup_algebra(base, validate_omega_algebra(
+            (), EMPTY_SIGNATURE, {}))
+        assert free.ids == ("{}",) and free.id_of == {(): "{}"}
+        assert free.eta == {}
+        assert free.module.action == {(q, "{}"): "{}" for q in base.elements}
+        lat = free.module.lattice
+        assert (lat.bottom, lat.top, lat.ijoin) == ("{}", "{}", [0])
+        assert free.module.preimages == ([[(0, 0)]],
+                                         [[(q, 0) for q in range(len(
+                                             base.elements))]])
+        target = bare_algebra(quantale_self_module(base))
+        fbar = extend_hom(free, target, {})
+        assert fbar.table == {"{}": base.bottom}
+        assert extension_unique(free, target, {}, fbar) == "unique"
+        assert enumerate_homs(free.module_algebra, target) == [fbar.table]

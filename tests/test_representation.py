@@ -11,6 +11,7 @@ from qsalg.lattice import chain_lattice, diamond_lattice
 from qsalg.nucleus import derived_laws, is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
+    bare_algebra,
     counit_map,
     free_qsup_algebra,
     signature,
@@ -160,6 +161,39 @@ def test_crisp_specialization_counts_on_chains():
                                                      for k in range(n)]))
         assert report["fixed_points"] == n
         assert report["all_down_sets"] == n + 1
+
+
+def test_crisp_specialization_names_a_certificate_that_breaks_it(
+        monkeypatch):
+    # The two checks that read the certificate classically, each fed a
+    # certificate with one edit: a fixed point dropped, then an
+    # evaluation moved off the join of its support.
+    lat = chain_lattice(["0", "1"])
+    honest = representation_module.representation
+
+    def edited(edit):
+        def build(subject):
+            cert = honest(subject)
+            edit(cert)
+            return cert
+        return build
+
+    def drop_fixed(cert):
+        cert["fixed"] = cert["fixed"][1:]
+
+    def move_epsilon(cert):
+        i = cert["free"]["ids"][-1]
+        cert["epsilon"][i] = "0" if cert["epsilon"][i] == "1" else "1"
+
+    for edit, message in (
+            (drop_fixed, "crisp fixed points are not the principal "
+                         "down-sets"),
+            (move_epsilon, "crisp evaluation is not join of the support")):
+        monkeypatch.setattr(representation_module, "representation",
+                            edited(edit))
+        with pytest.raises(errors.TheoremFails) as info:
+            crisp_specialization(lat)
+        assert str(info.value) == message
 
 
 def test_lax_action_fails_representation_at_the_order_axioms():
@@ -322,3 +356,20 @@ def test_the_theorem_path_builds_no_free_op_table(monkeypatch):
     assert len(frees) == 2 and all(
         op._table is None
         for free in frees for op in free.module_algebra.algebra.ops.values())
+
+
+def test_the_theorem_path_builds_no_power_join_or_preimage_table():
+    # The bare crisp module on a 10-chain: 1,024 ids.  The quantale keeps
+    # Q^10's order masks and action, which the free build reads, but
+    # the join table and the preimage indexes are the hom search's
+    # alone (1,024^2 entries each): representation builds neither.  A
+    # fresh quantale, so that no earlier search has built them.
+    two = boolean_quantale()
+    subject = bare_algebra(crisp_module(
+        chain_lattice([str(i) for i in range(10)]), two))
+    cert = representation(subject)
+    assert cert["meta"]["free_size"] == 1024
+    assert list(two._powers) == [10]
+    power = two.power(10)
+    assert power._ijoin is None and power._preimages is None
+    assert len(power.iact) == 2 * 1024
