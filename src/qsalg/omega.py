@@ -412,7 +412,7 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     module = FreeModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
-    unit = index[base.unit] - index[base.bottom]  # at each place of a
+    unit = index[base.unit] - index[base.bottom]  # eta(a) adds at a's places
     eta = {a: ids[power.bottom + unit * sum(
         w for b, w in zip(gens, power.weights) if b == a)] for a in gens}
     return FreeAlgebra(base, generators, ids, id_of,

@@ -68,9 +68,11 @@ class FiniteQuantale:
 
 
 class PowerAction(Power):
-    """Q^k over positions with Q's pointwise action: `flat` holds |Q|,
-    Q's flat `mul` and `join` and its bottom and unit, and `iact` has
-    s times position p at s*|Q|^k + p, grown a digit at a time."""
+    """Q^k over positions with Q's pointwise action, read by every free
+    object on k generators over Q: `flat` holds |Q|, Q's flat `mul` and
+    `join` and its bottom and unit, and `iact` has s times position p at
+    s*|Q|^k + p, grown a digit at a time.  The preimage indexes are
+    built on first read, by the hom search alone."""
 
     def __init__(self, base, k):
         super().__init__(base.lattice, k)
