@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .errors import ParseError, PartialTable, UnknownReference
+from .errors import ParseError, UnknownReference
 from .lattice import complete_lattice, reflexive_transitive_closure, \
     validate_poset
 from .nucleus import is_nucleus
@@ -183,9 +183,8 @@ class Document:
                                  f"object, got {_json_type(raw_ops)}")
             ops = {sym: _rows_to_op(rows, f"{where}.ops.{sym}")
                    for sym, rows in raw_ops.items()}
-            for sym in sig.symbols:
-                if sym not in ops:
-                    raise PartialTable(sym, "no op table")
+            # A symbol with no table is `validate_omega_algebra`'s
+            # PartialTable(sym, "entire table").
             for sym in ops:
                 if sym not in sig.arities:
                     raise ParseError(f"{where}.ops.{sym}: {sym!r} is not a "

@@ -25,6 +25,7 @@ from .errors import (
     CertificationFails,
     EquivarianceFails,
     InternalInconsistency,
+    NotAntisymmetric,
     PartialTable,
     SlotPreservationFails,
     TheoremFails,
@@ -92,6 +93,9 @@ def validate_omega_algebra(carrier, sig: Signature, ops) -> OmegaAlgebra:
     """A table given whole in product order is read by `exact_copy`."""
     carrier = tuple(carrier)
     known = set(carrier)
+    if len(known) != len(carrier):
+        raise NotAntisymmetric("duplicate element ids", elements=sorted(
+            e for e in carrier if carrier.count(e) > 1))
     tables = {}
     for sym in sig.symbols:
         n = sig.arity(sym)
@@ -398,7 +402,7 @@ def free_qsup_algebra(base: FiniteQuantale,
     ids = tuple(map("{%s}".__mod__, map(",".join, itertools.product(*pieces))))
     id_of = dict(zip(itertools.product(els, repeat=len(gens)), ids))
 
-    power, index = base.power(len(gens)), base.lattice.index
+    power = base.power(len(gens))
     action = dict(zip(itertools.product(els, ids),
                       map(ids.__getitem__, power.iact)))
     lattice = PowerLattice(ids, power)
@@ -412,9 +416,7 @@ def free_qsup_algebra(base: FiniteQuantale,
 
     module = FreeModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
-    unit = index[base.unit] - index[base.bottom]  # eta(a) adds at a's places
-    eta = {a: ids[power.bottom + unit * sum(
-        w for b, w in zip(gens, power.weights) if b == a)] for a in gens}
+    eta = dict(zip(gens, map(ids.__getitem__, power.points)))
     return FreeAlgebra(base, generators, ids, id_of,
                        QModuleAlgebra(module, algebra), eta)
 
@@ -529,25 +531,40 @@ def extension_unique(free: FreeAlgebra, target: QModuleAlgebra,
     to f along the generator embedding.
 
     Returns "unique" or "skipped" (past the bound); a second extension
-    raises TheoremFails, never silently ignored.  The search runs on tables
-    the free object builds once for all its homs, and trusts fbar's path
-    (`enumerate_homs`): fbar must be `extend_hom`'s extension of f,
-    certified to keep every law.  Another that is no homomorphism is caught
-    only if the search misses it or finds more.
+    raises TheoremFails, never silently ignored.  On Q^X nothing is
+    searched: Q^k's `plan` derives each a, the join of the a(x)*eta(x),
+    from the bottom and the points by the action and binary joins.  A
+    hom restricting to f keeps these, so it is the derivation from f.
+    fbar, `extend_hom`'s certified hom, is such a hom, so an fbar that
+    differs is not `extend_hom`'s (InternalInconsistency).  Other sources
+    run `enumerate_homs`.
     """
     if len(target.carrier) ** len(free.ids) > limits.HOM_ENUM_BOUND:
         return "skipped"
-    cert = dict(fbar.table)
     pinned = {free.eta[a]: f[a] for a in free.generators.carrier}
-    tables = _search_homs(free.module_algebra, target, pinned, cert)
-    # Catches an fbar that is not `extend_hom`'s, which keeps every law.
-    if cert not in tables or len(tables) > 1 and not is_homomorphism(
-            fbar, "q-module-algebra")[0]:
+    if isinstance(free.module, FreeModule):
+        # `validate_omega_algebra` rejects a repeated label, so each
+        # eta(x) is a point of Q^k, where the plan starts.
+        _check_pair(free.module_algebra, target)
+        tgt, (acts, joins) = target.module, free.module.lattice.tables.plan
+        ta, tj, tix = tgt.iact, tgt.lattice.ijoin, tgt.lattice.index
+        a, m = [tix[tgt.lattice.bottom]] * len(free.ids), len(tix)
+        for x, v in pinned.items():
+            tgt.lattice.check_element(v, "pinned image")
+            a[free.module.lattice.index[x]] = tix[v]
+        for x, q, y in acts:
+            a[x] = ta[q * m + a[y]]
+        for x, y, z in joins:
+            a[x] = tj[a[y] * m + a[z]]
+        tables = [dict(zip(free.ids, map(tgt.carrier.__getitem__, a)))]
+    else:
+        tables = enumerate_homs(free.module_algebra, target, pinned)
+    if fbar.table not in tables:
         raise InternalInconsistency(
             "canonical extension is missing from the exhaustive "
             "homomorphism enumeration")
     if len(tables) != 1:
-        other = next(t for t in tables if t != cert)
+        other = next(t for t in tables if t != fbar.table)
         raise TheoremFails(
             "a second homomorphism restricts to the same assignment",
             assignment=dict(f), other=other)
@@ -620,25 +637,11 @@ def enumerate_homs(source: QModuleAlgebra, target: QModuleAlgebra,
     homomorphism passes, and a complete leaf keeps binary joins, the action
     and the bottom (forced; 0*y is the bottom on both sides), hence every
     join (`lattice.preservation_failure`), so it needs only the op-law scan.
-    On the path of a homomorphism `extension_unique` certified, no test or
-    scan runs, as it keeps every law; a free object whose base lists its
-    bottom first forces every position there.  Nor can pruning change the
-    order: results differ first at a position visited in carrier order, in
-    its candidates' order.
+    Nor can pruning change the order: results differ first at a position
+    visited in carrier order, in its candidates' order.
     """
-    return _search_homs(source, target, fixed, None)
-
-
-def _search_homs(source, target, fixed, certified):
-    """`enumerate_homs`, trusting the path of `certified`, a certified hom."""
+    _check_pair(source, target)
     src, tgt = source.module, target.module
-    if src.base is not tgt.base and not src.base.same_tables(tgt.base):
-        raise UnknownElement(tgt.base.elements,
-                             "hom search target base (mismatch)")
-    if not (source.algebra.signature.arities.items()
-            <= target.algebra.signature.arities.items()):
-        raise UnknownElement(target.algebra.signature.symbols,
-                             "hom search target signature (mismatch)")
     n, m = len(src.carrier), len(tgt.carrier)
     if m ** n > limits.HOM_ENUM_BOUND:
         raise TooLarge("homomorphism search space", m ** n,
@@ -661,8 +664,6 @@ def _search_homs(source, target, fixed, certified):
     # The bases are one, so q indexes both flat actions alike.
     sj, tj = src.lattice.ijoin, tgt.lattice.ijoin
     sa, ta, (joins_to, acts_to) = src.iact, tgt.iact, src.preimages
-    # No position is trusted where `certified` is None or malformed.
-    cert = [tix.get((certified or {}).get(x)) for x in src.carrier]
     results, a = [], [None] * n  # a[x]: the image of x, once assigned
 
     def candidates(x):
@@ -694,22 +695,30 @@ def _search_homs(source, target, fixed, certified):
         return False
 
     stack = [iter(candidates(order[0]))]  # a loop, not recursion: no depth cap
-    on = 0  # levels 1 .. on assign certified's images
     while stack:
         k = len(stack)
         x = order[k - 1]
         a[x] = next(stack[-1], None)
         if a[x] is None:
             stack.pop()
-            continue
-        trusted = on >= k - 1 and a[x] == cert[x]
-        on = k if trusted else min(on, k - 1)
-        if trusted or not violates(x, a[x], order[:k]):
+        elif not violates(x, a[x], order[:k]):
             if k < n:
                 stack.append(iter(candidates(order[k])))
                 continue
             table = dict(zip(src.carrier, map(tgt.carrier.__getitem__, a)))
-            if trusted or _omega_hom_witness(
-                    table, source.algebra, target.algebra) is None:
+            if _omega_hom_witness(table, source.algebra,
+                                  target.algebra) is None:
                 results.append(table)
     return results
+
+
+def _check_pair(source, target):
+    """One base, and each source operation a target one of its arity."""
+    if source.base is not target.base and not source.base.same_tables(
+            target.base):
+        raise UnknownElement(target.base.elements,
+                             "hom search target base (mismatch)")
+    if not (source.algebra.signature.arities.items()
+            <= target.algebra.signature.arities.items()):
+        raise UnknownElement(target.algebra.signature.symbols,
+                             "hom search target signature (mismatch)")

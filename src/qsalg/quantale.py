@@ -11,6 +11,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import (
+    InternalInconsistency,
     JoinDistributionFails,
     NotAssociative,
     NotCommutative,
@@ -70,9 +71,9 @@ class FiniteQuantale:
 class PowerAction(Power):
     """Q^k over positions with Q's pointwise action, read by every free
     object on k generators over Q: `flat` holds |Q|, Q's flat `mul` and
-    `join` and its bottom and unit, and `iact` has s times position p at
-    s*|Q|^k + p, grown a digit at a time.  The preimage indexes are
-    built on first read, by the hom search alone."""
+    `join` and its bottom and unit, `points` the unit at each place,
+    `iact` s*p at s*|Q|^k + p; the preimage indexes (the hom search's)
+    and the `plan` (`extension_unique`'s) are built on first read."""
 
     def __init__(self, base, k):
         super().__init__(base.lattice, k)
@@ -80,7 +81,9 @@ class PowerAction(Power):
         mul = [ix[base.mult[(a, b)]] for a in els for b in els]
         self.flat = (m, mul, base.lattice.ijoin, ix[base.bottom],
                      ix[base.unit])
-        self.iact, self._preimages, n = [0] * m, None, 1
+        self.iact, self._preimages, self._plan, n = [0] * m, None, None, 1
+        self.points = [self.bottom + (ix[base.unit] - ix[base.bottom]) * w
+                       for w in self.weights]
         for _ in range(k):
             self.iact = [r * m + t for s in range(m)
                          for r in self.iact[s * n:s * n + n]
@@ -93,6 +96,27 @@ class PowerAction(Power):
             self._preimages = preimage_lists(len(self.coords), self.ijoin,
                                              self.iact)
         return self._preimages
+
+    @property
+    def plan(self):
+        """Each position but the bottom and the points once, a place at a
+        time: acts (x, q, y), x = q*y, then joins (x, y, z), x = y v z,
+        each x its digits' sum, checked against `iact` and `ijoin`."""
+        if self._plan is None:
+            n, (m, _, _, bot, unit) = len(self.coords), self.flat
+            acts, joins, b, prefix = [], [], self.bottom, [self.bottom]
+            for w, y in zip(self.weights, self.points):
+                step = [(q - bot) * w for q in range(m)]
+                acts += [(b + d, q, y)
+                         for q, d in enumerate(step) if d and q != unit]
+                joins += [(e + d, e, b + d)
+                          for e in prefix if e != b for d in step if d]
+                prefix = [e + d for e in prefix for d in step]
+            if any(self.iact[q * n + y] != x for x, q, y in acts) or any(
+                    self.ijoin[y * n + z] != x for x, y, z in joins):
+                raise InternalInconsistency("power tables break digit sums")
+            self._plan = acts, joins
+        return self._plan
 
 
 def validate_quantale(lattice: CompleteLattice, mult, unit: str) -> FiniteQuantale:

@@ -10,11 +10,12 @@ from qsalg.errors import (CarrierMismatch, CertificateTampered,
                           InternalInconsistency, JoinLawFails,
                           NotJoinPreserving, PartialTable,
                           SecondArgJoinFails, SlotPreservationFails,
-                          SpecViolation, TooLarge, UnitActionFails,
-                          UnknownElement, check_all_read)
+                          SpecViolation, TheoremFails, TooLarge,
+                          UnitActionFails, UnknownElement, check_all_read)
 from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
                            preservation_failure)
-from qsalg.omega import OmegaAlgebra, QModuleAlgebra, _omega_hom_witness
+from qsalg.omega import OmegaAlgebra, QModuleAlgebra, _omega_hom_witness, \
+    is_homomorphism
 from qsalg.qmodule import QModule
 from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
                           validate_qorder)
@@ -428,10 +429,10 @@ def label_qmodule_algebra(module, algebra) -> QModuleAlgebra:
 
 
 def law_tested_search_homs(source, target, fixed, certified):
-    """`omega._search_homs` without its trust in `certified`'s path:
-    every law test runs at every level, the source's flat action and
-    preimage indexes are built on each call, and only the leaf equal to
-    `certified` skips the op-law scan.  The bases must be one."""
+    """The backtracking hom search with every law test at every level,
+    the source's flat action and preimage indexes built on each call;
+    only the leaf equal to `certified` skips the op-law scan.  The bases
+    must be one."""
     src, tgt = source.module, target.module
     n, m = len(src.carrier), len(tgt.carrier)
     if m ** n > limits.HOM_ENUM_BOUND:
@@ -511,3 +512,24 @@ def law_tested_search_homs(source, target, fixed, certified):
                     table, source.algebra, target.algebra) is None:
                 results.append(table)
     return results
+
+
+def law_tested_extension_unique(free, target, f, fbar):
+    """`omega.extension_unique` as a search: every hom restricting to f
+    is found by `law_tested_search_homs`, and fbar must be the one."""
+    if len(target.carrier) ** len(free.ids) > limits.HOM_ENUM_BOUND:
+        return "skipped"
+    cert = dict(fbar.table)
+    pinned = {free.eta[a]: f[a] for a in free.generators.carrier}
+    tables = law_tested_search_homs(free.module_algebra, target, pinned, cert)
+    if cert not in tables or len(tables) > 1 and not is_homomorphism(
+            fbar, "q-module-algebra")[0]:
+        raise InternalInconsistency(
+            "canonical extension is missing from the exhaustive "
+            "homomorphism enumeration")
+    if len(tables) != 1:
+        other = next(t for t in tables if t != cert)
+        raise TheoremFails(
+            "a second homomorphism restricts to the same assignment",
+            assignment=dict(f), other=other)
+    return "unique"

@@ -6,6 +6,7 @@ import pytest
 
 from qsalg.document import Document, KINDS, loads
 from qsalg.errors import (
+    NotAntisymmetric,
     NotReflexive,
     ParseError,
     PartialTable,
@@ -85,8 +86,23 @@ def test_missing_op_table_is_a_partial_table():
     doc = Document(minimal(
         signatures={"s": {"f": 1}},
         algebras={"a": {"carrier": ["0"], "signature": "s", "ops": {}}}))
-    with pytest.raises(PartialTable):
+    with pytest.raises(PartialTable) as info:
         doc.algebra("a")
+    assert (info.value.table, info.value.missing) == ("f", "entire table")
+
+
+def test_a_repeated_carrier_label_is_rejected():
+    # A carrier is a set, as a poset's elements are: on ("a", "a") the
+    # free object's eta would put the unit at both copies while each
+    # operation's fibres send their image to the last copy alone.
+    doc = Document(minimal(
+        signatures={"e": {}},
+        algebras={"a": {"carrier": ["a", "b", "a"], "signature": "e",
+                        "ops": {}}}))
+    with pytest.raises(NotAntisymmetric) as info:
+        doc.algebra("a")
+    assert str(info.value) == "duplicate element ids"
+    assert info.value.witness == {"elements": ["a", "a"]}
 
 
 def test_close_flag_completes_a_cover_list():

@@ -156,13 +156,13 @@ def test_the_ids_and_the_action_match_the_subset_scan(all_subjects):
     # finds eta by digits; the scan names every subset by `subset_id`,
     # scales it one coordinate at a time and builds each point.
     # Seven bare generators over TWO share TWO's tables for seven with
-    # meet_chain(7), built first; a repeated label gets the unit at each
-    # of its places in eta, as `point_subset` puts it.
+    # meet_chain(7), built first.  A repeated label is no carrier
+    # (`validate_omega_algebra` rejects it), so each eta is one point.
     cases = [(base, gens) for base, gens, _ in free_inputs(all_subjects)]
     cases += [escaped_labels(), (TWO, meet_chain(7).algebra),
               (TWO, validate_omega_algebra([f"g{x}" for x in range(7)],
                                            EMPTY_SIGNATURE, {})),
-              (L3, validate_omega_algebra(("a", "b", "a"), EMPTY_SIGNATURE,
+              (L3, validate_omega_algebra(("a", "b", "c"), EMPTY_SIGNATURE,
                                           {})),
               (L3, validate_omega_algebra((), EMPTY_SIGNATURE, {}))]
     for base, gens in cases:

@@ -47,7 +47,7 @@ from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
 
 from conftest import modules_on_chains, subjects_over
 from oracles import crisp_qorder, free_subsets, subsethood, \
-    law_tested_search_homs
+    law_tested_extension_unique, law_tested_search_homs
 
 TWO = boolean_quantale()
 L3 = lukasiewicz_chain(3)
@@ -880,7 +880,9 @@ def test_a_second_extension_is_a_theorem_failure():
     # A forged free object that is not free: the bare self-module of TWO
     # with its one generator embedded at the bottom.  The identity and
     # the bottom collapse both restrict to x -> 0 there, so the search
-    # finds a second extension, and extension_unique must name it.
+    # finds a second extension, and extension_unique must name it.  Its
+    # module is no `FreeModule`, so it has no plan: it is searched, as
+    # the oracle searches it.
     mod = bare_algebra(quantale_self_module(TWO))
     forged = omega_module.FreeAlgebra(TWO, point_algebra(), mod.carrier, {},
                                       mod, {"x": "0"})
@@ -889,6 +891,9 @@ def test_a_second_extension_is_a_theorem_failure():
         extension_unique(forged, mod, {"x": "0"}, identity)
     assert info.value.witness == {"assignment": {"x": "0"},
                                   "other": {"0": "0", "1": "0"}}
+    args = (forged, mod, {"x": "0"}, identity)
+    assert outcome(extension_unique, *args) == \
+        outcome(law_tested_extension_unique, *args)
 
 
 def test_hom_search_rejects_a_target_over_another_base():
@@ -1001,9 +1006,10 @@ def search_pairs(generator_algebras, all_subjects):
     return pairs
 
 
-def test_hom_search_matches_the_law_tested_search(monkeypatch, search_pairs):
-    # The same hom lists in the same order, key order included, and the
-    # same uniqueness verdicts, as the search that runs every law test.
+def test_hom_search_matches_the_law_tested_search(search_pairs):
+    # The same hom lists in the same order, key order included, as the
+    # search that runs every law test, and the same uniqueness verdicts
+    # from the plan as from that search.
     for free, subject, _ in search_pairs:
         source = free.module_algebra
         fast = enumerate_homs(source, subject)
@@ -1013,8 +1019,7 @@ def test_hom_search_matches_the_law_tested_search(monkeypatch, search_pairs):
     calls = [(free, subject, f, fbar)
              for free, subject, homs in search_pairs for f, fbar in homs]
     fast = [extension_unique(*args) for args in calls]
-    monkeypatch.setattr(omega_module, "_search_homs", law_tested_search_homs)
-    assert fast == [extension_unique(*args) for args in calls]
+    assert fast == [law_tested_extension_unique(*args) for args in calls]
     assert fast == ["unique"] * len(calls)
     # Criterion 3's 1,845 pairs and 3,870 homs, and 423 pairs with 914
     # homs over the reversed base.
@@ -1024,18 +1029,18 @@ def test_hom_search_matches_the_law_tested_search(monkeypatch, search_pairs):
 
 
 def test_edited_extensions_fail_as_under_the_law_tested_search(
-        monkeypatch, search_pairs):
+        search_pairs):
     # Every single-position edit of a canonical extension gives the same
-    # fault, message and witness with the trusted path as without it:
-    # the extension is the one homomorphism found, so the edit is missing.
+    # fault, message and witness from the plan as from the search: the
+    # extension is the one homomorphism, so the edit is missing.
     calls = [(free, subject, f, StructureMap(fbar.source, subject,
                                              {**fbar.table, i: v}))
              for free, subject, homs in search_pairs for f, fbar in homs
              for i in free.ids for v in subject.carrier
              if v != fbar.table[i]]
     fast = [outcome(extension_unique, *args) for args in calls]
-    monkeypatch.setattr(omega_module, "_search_homs", law_tested_search_homs)
-    assert fast == [outcome(extension_unique, *args) for args in calls]
+    assert fast == [outcome(law_tested_extension_unique, *args)
+                    for args in calls]
     assert len(calls) == 62338
     assert {fault for fault, _, _ in fast} == {"InternalInconsistency"}
 
@@ -1107,6 +1112,69 @@ def test_free_objects_over_one_quantale_share_its_power_tables():
     assert three.module.lattice.tables is base.power(3) is not power
     assert one.ids != two.ids and set(one.ids).isdisjoint(two.ids)
     assert len(one.module.action) == len(two.module.action) == 3 * 9
+
+
+def test_validate_omega_algebra_rejects_a_repeated_label():
+    # A carrier is a set: accepted, ("a", "a") over TWO would give a free
+    # object whose eta puts the unit at both copies, {a:1,a:1}, which is
+    # no point of Q^2.  The label is checked before any op table.
+    with pytest.raises(errors.NotAntisymmetric) as info:
+        validate_omega_algebra(("a", "a"), EMPTY_SIGNATURE, {})
+    assert info.value.witness == {"elements": ["a", "a"]}
+    with pytest.raises(errors.NotAntisymmetric):
+        validate_omega_algebra(("e", "g", "e"), BIN, {})
+
+
+def test_free_objects_on_one_generator_count_share_one_plan():
+    # The plan is Q^k's, like its other positional tables: two free
+    # objects on two generators over L3 read one, three generators
+    # another.  Each eta(x) is a point, whence the plan starts.
+    base = lukasiewicz_chain(3)
+    one = free_qsup_algebra(base, z2_algebra())
+    two = free_qsup_algebra(base, validate_omega_algebra(
+        ("p", "q"), EMPTY_SIGNATURE, {}))
+    three = free_qsup_algebra(base, validate_omega_algebra(
+        ("p", "q", "r"), EMPTY_SIGNATURE, {}))
+    plan = [f.module.lattice.tables.plan for f in (one, two, three)]
+    assert plan[0] is plan[1] is base.power(2).plan
+    assert plan[2] is base.power(3).plan is not plan[0]
+    for free in (one, two, three):
+        power = free.module.lattice.tables
+        assert [free.module.lattice.index[free.eta[a]]
+                for a in free.generators.carrier] == power.points == [
+            power.bottom + 2 * w for w in power.weights]
+
+
+def test_the_plan_derives_every_position_once():
+    # On the reversed boolean base the bottom is position 1, not 0, and
+    # on L3 the unit is not the only nonzero scalar: each position but
+    # the bottom and the points is derived exactly once, from positions
+    # derived before it, by a step the power's own tables agree with.
+    bare3 = validate_omega_algebra(("a", "b", "c"), EMPTY_SIGNATURE, {})
+    for base, k in ((reversed_boolean(), 3), (L3, 3), (TWO, 0), (L3, 1)):
+        power = base.power(k)
+        n = len(power.coords)
+        acts, joins = power.plan
+        unit = base.lattice.index[base.unit] - base.lattice.index[
+            base.bottom]
+        done = [power.bottom] + [power.bottom + unit * w
+                                 for w in power.weights]
+        for x, q, y in acts:
+            assert y in done and power.iact[q * n + y] == x
+            done.append(x)
+        for x, y, z in joins:
+            assert y in done and z in done and power.ijoin[y * n + z] == x
+            done.append(x)
+        assert sorted(done) == list(range(n))
+    free = free_qsup_algebra(reversed_boolean(), bare3)
+    target = bare_algebra(crisp_module(chain_lattice(["0", "1", "2"]),
+                                       free.base))
+    for values in itertools.product(target.carrier, repeat=3):
+        f = dict(zip(bare3.carrier, values))
+        fbar = extend_hom(free, target, f)
+        assert extension_unique(free, target, f, fbar) == "unique"
+        assert enumerate_homs(free.module_algebra, target, {
+            free.eta[a]: v for a, v in f.items()}) == [fbar.table]
 
 
 def test_a_free_object_on_no_generators_builds():

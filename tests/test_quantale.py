@@ -6,6 +6,7 @@ import pytest
 from qsalg import errors
 from qsalg.lattice import chain_lattice, diamond_lattice, pentagon_lattice
 from qsalg.quantale import (
+    PowerAction,
     boolean_quantale,
     diamond_meet_quantale,
     godel_chain,
@@ -154,3 +155,21 @@ def test_chains_need_two_elements():
         with pytest.raises(errors.UnknownElement) as info:
             build(1)
         assert info.value.element == 1
+
+
+def test_the_plan_checks_each_step_against_the_power_tables():
+    # Each step's position is its digits' sum, and the power's action
+    # and join tables must agree with it; a table that does not (built
+    # here by editing a fresh power's) is an internal fault, not a plan.
+    base = lukasiewicz_chain(3)
+    acts, joins = base.power(2).plan
+    assert len(acts) == 2 and len(joins) == 4
+    for edit in ("iact", "ijoin"):
+        power = PowerAction(base, 2)
+        n = len(power.coords)
+        # (x, q, y) reads q*y at q*n + y, (x, y, z) reads y v z at y*n + z.
+        _, i, j = joins[0] if edit == "ijoin" else acts[0]
+        getattr(power, edit)[i * n + j] = power.bottom
+        with pytest.raises(errors.InternalInconsistency):
+            power.plan
+        assert power._plan is None

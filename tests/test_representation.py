@@ -362,7 +362,8 @@ def test_the_theorem_path_builds_no_power_join_or_preimage_table():
     # The bare crisp module on a 10-chain: 1,024 ids.  The quantale keeps
     # Q^10's order masks and action, which the free build reads, but
     # the join table and the preimage indexes are the hom search's
-    # alone (1,024^2 entries each): representation builds neither.  A
+    # alone (1,024^2 entries each), and the plan `extension_unique`'s:
+    # representation builds none of them.  A
     # fresh quantale, so that no earlier search has built them.
     two = boolean_quantale()
     subject = bare_algebra(crisp_module(
@@ -372,4 +373,5 @@ def test_the_theorem_path_builds_no_power_join_or_preimage_table():
     assert list(two._powers) == [10]
     power = two.power(10)
     assert power._ijoin is None and power._preimages is None
+    assert power._plan is None
     assert len(power.iact) == 2 * 1024
