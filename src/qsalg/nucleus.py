@@ -4,8 +4,8 @@ that are lax over every operation and over the scalar action.
 The quotient of a nucleus keeps exactly the fixed points; joins, the
 action, and the operations are recomputed through the nucleus.
 `is_nucleus` checks the five axioms.  A caller that argues them, as
-`representation` does for the canonical closure, builds `Nucleus`
-directly.  `enumerate_nuclei` scans the closure systems, since a
+the CLI's canonical nucleus laws do for the canonical closure, builds
+`Nucleus` directly.  `enumerate_nuclei` scans the closure systems, since a
 nucleus's image alone determines it.  What follows from the axioms is
 argued where a check would stand, not scanned (Rosenthal, Quantales and
 their Applications, 1990, ch. 3); the tests keep the scans as oracles.

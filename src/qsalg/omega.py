@@ -254,16 +254,16 @@ class FreeAlgebra:
     """Free fuzzy-complete algebra on the generators, as a module algebra.
 
     ids: carrier of the free object, one per fuzzy subset of the
-    generators.  id_of maps each subset's degrees, in generator order,
-    to its id.  eta is the generator embedding a -> unit-at-a.
+    generators, in position order: the digits of an id's position
+    (`module.lattice.tables.coords`) are its degrees, in generator
+    order.  eta is the generator embedding a -> unit-at-a.
     """
 
-    __slots__ = ("base", "generators", "ids", "id_of", "module_algebra",
-                 "eta")
+    __slots__ = ("base", "generators", "ids", "module_algebra", "eta")
 
-    def __init__(self, base, generators, ids, id_of, module_algebra, eta):
+    def __init__(self, base, generators, ids, module_algebra, eta):
         self.base, self.generators, self.ids = base, generators, ids
-        self.id_of, self.module_algebra, self.eta = id_of, module_algebra, eta
+        self.module_algebra, self.eta = module_algebra, eta
 
     @property
     def module(self):
@@ -281,38 +281,20 @@ class FreeModule(QModule):
 class FreeOp(Mapping):
     """One operation of the free object: `coords` and `flat` are
     `Q.power(k)`'s, and `fibres` pairs the generator arguments'
-    coordinates with their image's.  A read is one
-    convolution over the |X|^n fibres.  The first full read (iteration:
-    the op-law scan at a hom search leaf, `same_tables`, the tests'
-    scans) builds the |free|^n table, as `PowerLattice.ijoin` is built,
-    for every later read; the theorem path reads |A|^n cells and never
-    builds it.
+    coordinates with their image's.  The first read (a hom search leaf,
+    `same_tables`, the tests' scans) builds the |free|^n table, as
+    `PowerLattice.ijoin` is built; the theorem path reads no cell.  A
+    constant's one cell, the point at its image, is its table.
     """
 
-    def __init__(self, ids, index, power, fibres, n):
-        self.ids, self.index, self.coords = ids, index, power.coords
-        self.flat, self.fibres, self.n = power.flat, fibres, n
-        self._table = None
+    def __init__(self, ids, power, fibres, n):
+        self.ids, self.coords, self.flat = ids, power.coords, power.flat
+        self.fibres, self.n, self._table = fibres, n, None
         if not n:
-            self._table = {(): self[()]}
+            self._table = {(): ids[power.points[fibres[0][1]]]}
 
     def __getitem__(self, args):
-        if self._table is not None:
-            return self._table[args]
-        if len(args) != self.n:
-            raise KeyError(args)
-        k, mul, join, bottom, unit = self.flat
-        rows = [self.coords[self.index[a]] for a in args]
-        out = [bottom] * len(self.coords[0])
-        for xs, y in self.fibres:
-            prod = unit
-            for row, x in zip(rows, xs):
-                prod = mul[prod * k + row[x]]
-            out[y] = join[out[y] * k + prod]
-        at = 0
-        for v in out:
-            at = at * k + v
-        return self.ids[at]
+        return self.table[args]
 
     def __iter__(self):
         return iter(self.table)
@@ -375,7 +357,7 @@ def free_qsup_algebra(base: FiniteQuantale,
       coordinate by coordinate;
     - coordinate y of an operation's value joins, over the xs that X
       sends to y, the products of the argument degrees at xs (`FreeOp`,
-      which builds no |free|^n table until one is read whole).  With
+      which builds no |free|^n table until a cell is read).  With
       the other slots pinned, each product has the free slot's degree
       as a factor, so the slot preserves joins by distributivity
       (bottom absorbs) and the action by associativity and
@@ -400,7 +382,6 @@ def free_qsup_algebra(base: FiniteQuantale,
     degrees = [escaped(v) for v in els]
     pieces = [[escaped(a) + ":" + v for v in degrees] for a in gens]
     ids = tuple(map("{%s}".__mod__, map(",".join, itertools.product(*pieces))))
-    id_of = dict(zip(itertools.product(els, repeat=len(gens)), ids))
 
     power = base.power(len(gens))
     action = dict(zip(itertools.product(els, ids),
@@ -412,12 +393,12 @@ def free_qsup_algebra(base: FiniteQuantale,
         n = generators.signature.arity(sym)
         fibres = [(xs, pos[generators.apply(sym, [gens[x] for x in xs])])
                   for xs in itertools.product(range(len(gens)), repeat=n)]
-        ops[sym] = FreeOp(ids, lattice.index, power, fibres, n)
+        ops[sym] = FreeOp(ids, power, fibres, n)
 
     module = FreeModule(lattice, base, action)
     algebra = OmegaAlgebra(ids, generators.signature, ops)
     eta = dict(zip(gens, map(ids.__getitem__, power.points)))
-    return FreeAlgebra(base, generators, ids, id_of,
+    return FreeAlgebra(base, generators, ids,
                        QModuleAlgebra(module, algebra), eta)
 
 

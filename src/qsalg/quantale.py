@@ -101,9 +101,11 @@ class PowerAction(Power):
     def plan(self):
         """Each position but the bottom and the points once, a place at a
         time: acts (x, q, y), x = q*y, then joins (x, y, z), x = y v z,
-        each x its digits' sum, checked against `iact` and `ijoin`."""
+        each x its digits' sum, checked against `iact` and, digit by
+        digit, Q's join: Q^k's |Q|^2k `ijoin` is not built."""
         if self._plan is None:
-            n, (m, _, _, bot, unit) = len(self.coords), self.flat
+            digits, (m, _, join, bot, unit) = self.coords, self.flat
+            n = len(digits)
             acts, joins, b, prefix = [], [], self.bottom, [self.bottom]
             for w, y in zip(self.weights, self.points):
                 step = [(q - bot) * w for q in range(m)]
@@ -113,7 +115,8 @@ class PowerAction(Power):
                           for e in prefix if e != b for d in step if d]
                 prefix = [e + d for e in prefix for d in step]
             if any(self.iact[q * n + y] != x for x, q, y in acts) or any(
-                    self.ijoin[y * n + z] != x for x, y, z in joins):
+                    join[u * m + v] != t for x, y, z in joins
+                    for u, v, t in zip(digits[y], digits[z], digits[x])):
                 raise InternalInconsistency("power tables break digit sums")
             self._plan = acts, joins
         return self._plan

@@ -7,11 +7,12 @@ nucleus on the free algebra.  Sending each element to its fuzzy principal
 down-set then lands A isomorphically on the fixed points of that nucleus.
 
 `representation` checks the free build and the counit on concrete
-tables and argues every later step, so the closure is a `Nucleus` and
-its quotient is built with no law scanned again.  It returns a
-self-contained certificate: all tables needed to re-verify the claims
-are embedded, so `recheck` needs nothing from this package but the
-table arithmetic, and the claims list is `recheck.expected_checks`.
+tables and argues every later step: the closure's cones are positions
+of the free object, and the quotient and the free ops are the subject's
+own rows, relabelled.  It returns a self-contained certificate: all
+tables needed to re-verify the claims are embedded, so `recheck` needs
+nothing from this package but the table arithmetic, and the claims
+list is `recheck.expected_checks`.
 """
 
 from __future__ import annotations
@@ -22,32 +23,35 @@ from . import limits
 from .document import leq_rows, op_rows, quantale_section
 from .errors import TheoremFails
 from .lattice import CompleteLattice
-from .nucleus import Nucleus, quotient
 from .omega import (
     QModuleAlgebra,
     bare_algebra,
     counit_map,
     free_qsup_algebra,
 )
-from .qmodule import QModule, action_residual, crisp_module
-from .qorder import qsubset
+from .qmodule import QModule, crisp_module
 from .quantale import boolean_quantale
 from .recheck import FORMAT, expected_checks
 
 
-def principal_subset(module: QModule, a: str):
-    """The fuzzy down-set of an element: x holds to the degree that
-    scaling x stays below a."""
-    return qsubset(module.carrier, module.base,
-                   {x: action_residual(module, x, a) for x in module.carrier})
-
-
 def canonical_closure(free, eps) -> dict:
     """Nucleus table on the free algebra induced by a counit: a fuzzy
-    subset closes up to the residual cone over its evaluation."""
-    subject = eps.target.module
-    cone = {e: free.id_of[principal_subset(subject, e).values]
-            for e in subject.carrier}
+    subset closes up to the residual cone over its evaluation b, the
+    position of Q^A whose digit at a joins the scalars s with s*a <= b,
+    read off the subject's flat action and its order's up-set masks."""
+    subject, qlat = eps.target.module, free.base.lattice
+    carrier, lat, act = subject.carrier, subject.lattice, subject.iact
+    n, m, join = len(carrier), len(qlat.elements), qlat.ijoin
+    up = [sum(1 << k for k, b in enumerate(carrier) if lat.leq(a, b))
+          for a in carrier]
+    cone = [0] * n
+    for a in range(n):
+        res = [qlat.index[qlat.bottom]] * n
+        for s, v in enumerate(act[a::n]):
+            res = [join[r * m + s] if up[v] >> b & 1 else r
+                   for b, r in enumerate(res)]
+        cone = [p * m + r for p, r in zip(cone, res)]
+    cone = dict(zip(carrier, map(free.ids.__getitem__, cone)))
     return {i: cone[eps.table[i]] for i in free.ids}
 
 
@@ -58,20 +62,21 @@ def _action_triples(module: QModule):
             for a in carrier]
 
 
-def _op_tables(algebra, carrier):
-    sig = algebra.signature
-    return {sym: op_rows(algebra.ops[sym], carrier, sig.arity(sym))
-            for sym in sig.symbols}
+def _relabelled_ops(ops, f):
+    """Op rows sent along an injective f, back in `op_rows` order."""
+    return {sym: sorted([[f[x] for x in args], f[v]] for args, v in rows)
+            for sym, rows in ops.items()}
 
 
 def _module_algebra_section(x: QModuleAlgebra):
+    sig = x.algebra.signature
     return {
         "carrier": list(x.carrier),
         "leq": leq_rows(x.module.lattice),
         "action": _action_triples(x.module),
-        "arities": {s: x.algebra.signature.arity(s)
-                    for s in x.algebra.signature.symbols},
-        "ops": _op_tables(x.algebra, x.carrier),
+        "arities": {s: sig.arity(s) for s in sig.symbols},
+        "ops": {s: op_rows(x.algebra.ops[s], x.carrier, sig.arity(s))
+                for s in sig.symbols},
     }
 
 
@@ -111,7 +116,9 @@ def representation(subject: QModuleAlgebra) -> dict:
       unit*a = a.  So principal-subsets-fixed: j(rho(a)) = cone(a) =
       rho(a).  rho is then injective, and a fixed i is j(i) =
       rho(e(i)): bijective-onto-fixed-points and evaluation-inverse.
-    - quotient-laws: `quotient` builds Fix(j) from the nucleus axioms.
+    - quotient-laws: Fix(j), with the restricted order, j(q*a) and
+      j(w(a..)), is a module algebra (`nucleus.quotient`), and its
+      rows are the subject's relabelled along rho (the next bullets).
     - operation-hom: the quotient op at rho(a1 ..) is
       cone(e(w(rho a1 ..))) = cone(v(a1 ..)) = rho(v(a1 ..)), e being
       an op hom and e . rho = id.
@@ -133,39 +140,45 @@ def representation(subject: QModuleAlgebra) -> dict:
     every module law, so the certificate's subject passes `recheck`'s
     `subject-laws` (the tests scan this on the lax census).
 
-    No free op table is built: the quotient's |A|^n cells and the |A|^n
-    generator rows of `free.ops`, w(eta x1 ..) = eta(v(x1 ..)), are read
-    one convolution each (`omega.FreeOp`); the slot laws fix the rest.
+    No free op cell is read: the |A|^n generator rows of `free.ops`,
+    w(eta x1 ..) = eta(v(x1 ..)), relabel the subject's along eta; the
+    slot laws fix the rest.
     """
     mod = subject.module
     free = free_qsup_algebra(mod.base, subject.algebra)
     eps = counit_map(free, subject)
 
     table = canonical_closure(free, eps)
-    nuc = Nucleus(free.module_algebra, table)
     rho = {a: table[free.eta[a]] for a in mod.carrier}
     fixed = [i for i in free.ids if table[i] == i]
-    quot = quotient(nuc)
+    own, els = _module_algebra_section(subject), mod.base.elements
 
     return {
         "format": FORMAT,
         "theorem": "representation",
         "verdict": "PASS",
         "quantale": quantale_section(mod.base),
-        "subject": _module_algebra_section(subject),
+        "subject": own,
         "free": {
             "ids": list(free.ids),
-            "subsets": {i: dict(zip(free.generators.carrier, vals))
-                        for vals, i in free.id_of.items()},
+            # The ids come in product order (`Power.coords`, in labels).
+            "subsets": {i: dict(zip(mod.carrier, row)) for i, row in zip(
+                free.ids, itertools.product(els, repeat=len(mod.carrier)))},
             "action": _action_triples(free.module),
-            "ops": _op_tables(free.module_algebra.algebra,
-                              free.eta.values()),
+            "ops": _relabelled_ops(own["ops"], free.eta),
         },
-        "nucleus": dict(table),
+        "nucleus": table,
         "epsilon": dict(eps.table),
         "rho": rho,
         "fixed": fixed,
-        "quotient": _module_algebra_section(quot),
+        "quotient": {
+            "carrier": list(fixed),
+            "leq": sorted([rho[a], rho[b]] for a, b in own["leq"]),
+            "action": sorted([q, rho[a], rho[v]]
+                             for q, a, v in own["action"]),
+            "arities": dict(own["arities"]),
+            "ops": _relabelled_ops(own["ops"], rho),
+        },
         "checks": expected_checks(free.ids, fixed),
         "meta": {
             "threshold": limits.threshold(),

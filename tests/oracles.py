@@ -16,18 +16,32 @@ from qsalg.lattice import (CompleteLattice, PowerLattice, StructureMap,
                            preservation_failure)
 from qsalg.omega import OmegaAlgebra, QModuleAlgebra, _omega_hom_witness, \
     is_homomorphism
-from qsalg.qmodule import QModule
-from qsalg.qorder import (QOrderedSet, QSubset, scan_qsubsets, subset_id,
-                          validate_qorder)
+from qsalg.qmodule import QModule, action_residual
+from qsalg.qorder import (QOrderedSet, QSubset, qsubset, scan_qsubsets,
+                          subset_id, validate_qorder)
 from qsalg.quantale import FiniteQuantale
 
 
+def id_of(free):
+    """Each fuzzy subset's degrees, in generator order, to its id of the
+    free object, read off the digits of the id's position in Q^k."""
+    els = free.base.elements
+    return {tuple(map(els.__getitem__, row)): i for i, row in zip(
+        free.ids, free.module.lattice.tables.coords)}
+
+
 def free_subsets(free):
-    """Each id of the free object with its fuzzy subset, read off
-    `free.id_of`, in id order."""
+    """Each id of the free object with its fuzzy subset, in id order."""
     gens = free.generators.carrier
     return {i: QSubset(gens, free.base, values)
-            for values, i in free.id_of.items()}
+            for values, i in id_of(free).items()}
+
+
+def principal_subset(module: QModule, a: str):
+    """The fuzzy down-set of an element, from the definition: x holds to
+    the degree that scaling x stays below a."""
+    return qsubset(module.carrier, module.base,
+                   {x: action_residual(module, x, a) for x in module.carrier})
 
 
 def _join_failure_witness(f, src, tgt):

@@ -22,10 +22,11 @@ then each module is probed in turn, put back whole before the next.
 It prints one line per mutant and a summary per module with its wall
 time.  It exits 1 when a mutant survives, and 2 when the unmutated
 copy fails.  pytest does not collect this file (its name does not
-start with `test_`).  CI runs it on `src/qsalg/omega.py` alone, in a
-job of its own, which takes about two minutes since that module's own
-test file kills each mutant; the other modules take minutes each, one
-suite run per mutant, and are run by hand.  The repository is never
+start with `test_`).  CI runs it on `src/qsalg/omega.py` and
+`src/qsalg/representation.py`, in a job of its own, which takes about
+two minutes since those modules' own test files kill each mutant; the
+other modules take minutes each, one suite run per mutant, and are run
+by hand.  The repository is never
 modified; the copy lives in `--workdir` (a fresh temporary directory
 by default), which is removed afterwards.
 """

@@ -87,6 +87,17 @@ def test_missing_file_is_exit_2(capsys):
     assert "ERROR" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "recheck"])
+def test_an_unreadable_input_is_named_before_it_is_read(tmp_path, capsys,
+                                                       command):
+    # The report digests each input first, so a path that cannot be
+    # opened fails there, under its own name, whatever the command reads.
+    path = tmp_path / "missing.json"
+    code, out = run(capsys, command, path)
+    assert code == 2
+    assert f"cannot read {path}: " in out
+
+
 def test_garbage_json_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -405,7 +416,8 @@ def test_roundtrip_suite_on_modules(capsys):
     assert "roundtrip:module:self" in check_names(report)
 
 
-def test_roundtrip_suite_on_a_declared_qorder(tmp_path, capsys):
+def declared_qorder(tmp_path):
+    """A file declaring the crisp 2-chain as a q-order "o" over TWO."""
     doc = {"format": "qsalg/1",
            "quantales": {"two": json.loads(corpus_text("boolean.json"))
                          ["quantales"]["q"]},
@@ -414,10 +426,47 @@ def test_roundtrip_suite_on_a_declared_qorder(tmp_path, capsys):
                                    ["1", "0", "0"], ["1", "1", "1"]]}}}
     path = tmp_path / "order.json"
     path.write_text(json.dumps(doc))
-    code, report = run_json(capsys, "check", str(path),
+    return path
+
+
+def test_roundtrip_suite_on_a_declared_qorder(tmp_path, capsys):
+    code, report = run_json(capsys, "check", declared_qorder(tmp_path),
                             "--theorem", "solovyov-roundtrip")
     assert code == 0
     assert check_names(report) == ["roundtrip:qorder:o"]
+
+
+def test_a_bridge_that_drifts_fails_the_roundtrip(tmp_path, capsys,
+                                                  monkeypatch):
+    # The bridge is inverse table for table (`test_qmodule` scans it),
+    # so a drift is planted on the way back: the module comes back with
+    # unit*top moved to the bottom, the order as the reversed chain.
+    from qsalg import cli
+    from qsalg.lattice import chain_lattice
+    from qsalg.qmodule import QModule, crisp_module
+    real = cli.module_from_suplattice
+
+    def moved_cell(sup):
+        mod = real(sup)
+        action = {**mod.action,
+                  (mod.base.unit, mod.lattice.top): mod.lattice.bottom}
+        return QModule(mod.lattice, mod.base, action)
+
+    def reversed_chain(sup):
+        return crisp_module(chain_lattice(["1", "0"]), sup.base)
+
+    for drift, path, name, witness in (
+            (moved_cell, corpus_path("luk3-self.json"),
+             "roundtrip:module:self", {"module": "self"}),
+            (reversed_chain, declared_qorder(tmp_path),
+             "roundtrip:qorder:o", {"qorder": "o"})):
+        monkeypatch.setattr(cli, "module_from_suplattice", drift)
+        code, report = run_json(capsys, "check", path,
+                                "--theorem", "solovyov-roundtrip")
+        check = next(c for c in report["checks"] if c["name"] == name)
+        assert (code, check["status"], check["law"]) == (
+            1, "FAIL", "RoundTripDrift")
+        assert check["witness"] == witness
 
 
 def test_universal_property_counts_homs_and_extensions(capsys):
@@ -430,6 +479,18 @@ def test_universal_property_counts_homs_and_extensions(capsys):
     assert by_name["universal:z2->subject"]["omega_homs"] == 2
     for check in by_name.values():
         assert set(check["uniqueness"]) == {"unique"}
+
+
+def test_universal_property_past_the_bound_is_exit_2(capsys, monkeypatch):
+    # With the bound lowered to 3, two-meet's 2 ** 2 generator
+    # assignments are past it: the theorem refuses to enumerate them.
+    from qsalg import limits
+    monkeypatch.setattr(limits, "HOM_ENUM_BOUND", 3)
+    code, out = run(capsys, "check", corpus_path("two-meet.json"),
+                    "--theorem", "free-universal-property")
+    assert code == 2
+    assert "TooLarge" in out
+    assert "generator assignment space" in out
 
 
 def test_nucleus_derived_laws_on_an_enumerated_document(tmp_path, capsys):

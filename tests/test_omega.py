@@ -46,7 +46,7 @@ from qsalg.quantale import (boolean_quantale, lukasiewicz_chain,
                             meet_quantale, validate_quantale)
 
 from conftest import modules_on_chains, subjects_over
-from oracles import crisp_qorder, free_subsets, subsethood, \
+from oracles import crisp_qorder, free_subsets, id_of, subsethood, \
     law_tested_extension_unique, law_tested_search_homs
 
 TWO = boolean_quantale()
@@ -276,9 +276,10 @@ def test_free_convolution_on_the_two_element_group():
     # Convolving the point at g with itself lands on the point at e.
     assert alg.apply("mul", (a_g, a_g)) == a_e
     assert alg.apply("mul", (a_e, a_g)) == a_g
-    full = free.id_of[("1", "1")]
+    ids = id_of(free)
+    full = ids[("1", "1")]
     assert alg.apply("mul", (full, full)) == full
-    empty = free.id_of[("0", "0")]
+    empty = ids[("0", "0")]
     for i in free.ids:
         assert alg.apply("mul", (empty, i)) == empty
 
@@ -338,8 +339,8 @@ def definition_level_free(free):
            if all(base.leq(a, b)
                   for a, b in zip(subsets[i].values, subsets[j].values))}
     lat = complete_lattice(validate_poset(free.ids, rel))
-    action = {(q, i): free.id_of[tuple(base.mul(q, v)
-                                       for v in subsets[i].values)]
+    ids = id_of(free)
+    action = {(q, i): ids[tuple(base.mul(q, v) for v in subsets[i].values)]
               for q in base.elements for i in free.ids}
     module = validate_qmodule(lat, base, action)
     ops = {sym: label_convolution(free, sym) for sym in gens.signature.symbols}
@@ -355,6 +356,7 @@ def label_convolution(free, sym):
     base, gens = free.base, free.generators
     mult, join2 = base.mult, base.lattice.join2
     n, subsets = gens.signature.arity(sym), free_subsets(free)
+    ids = id_of(free)
     table = {}
     for arg_ids in itertools.product(free.ids, repeat=n):
         degrees = [subsets[i].table() for i in arg_ids]
@@ -365,7 +367,7 @@ def label_convolution(free, sym):
                 prod = mult[(prod, degree[x])]
             y = gens.apply(sym, xs)
             out[y] = join2[(out[y], prod)]
-        table[arg_ids] = free.id_of[tuple(out[y] for y in gens.carrier)]
+        table[arg_ids] = ids[tuple(out[y] for y in gens.carrier)]
     return table
 
 
@@ -493,13 +495,13 @@ def test_extend_hom_scans_no_free_table(monkeypatch, all_subjects):
     homs = non_homs = 0
     for base, gens, target in free_inputs(all_subjects):
         free = free_qsup_algebra(base, gens)
-        mod = target.module
+        mod, ids = target.module, id_of(free)
         for values in itertools.product(target.carrier,
                                         repeat=len(gens.carrier)):
             f = dict(zip(gens.carrier, values))
             extension = {i: mod.lattice.join(
                 mod.act(v, f[a]) for v, a in zip(values, gens.carrier))
-                for values, i in free.id_of.items()}
+                for values, i in ids.items()}
             full = scan(extension, free.module_algebra.algebra,
                         target.algebra)
             try:
@@ -525,8 +527,9 @@ def test_counit_frozen_values_and_retraction():
     eps = counit_map(free, meet_algebra_over_two())
     assert eps.table[free.eta["1"]] == "1"
     assert eps.table[free.eta["0"]] == "0"
-    assert eps.table[free.id_of[("1", "1")]] == "1"
-    assert eps.table[free.id_of[("0", "0")]] == "0"
+    ids = id_of(free)
+    assert eps.table[ids[("1", "1")]] == "1"
+    assert eps.table[ids[("0", "0")]] == "0"
     for a in free.generators.carrier:
         assert eps.table[free.eta[a]] == a
 
@@ -652,12 +655,13 @@ def test_a_lax_extension_scans_the_action_and_the_generators():
                          if g.signature.same_tables(t.algebra.signature)]:
         mod = target.module
         free = free_qsup_algebra(target.base, gens)
+        ids = id_of(free)
         for values in itertools.product(target.carrier,
                                         repeat=len(gens.carrier)):
             f = dict(zip(gens.carrier, values))
             extension = {i: mod.lattice.join(
                 mod.act(v, f[a]) for v, a in zip(values, gens.carrier))
-                for values, i in free.id_of.items()}
+                for values, i in ids.items()}
             full = is_homomorphism(StructureMap(
                 free.module_algebra, target, extension),
                 "q-module-algebra")[1]
@@ -884,7 +888,7 @@ def test_a_second_extension_is_a_theorem_failure():
     # module is no `FreeModule`, so it has no plan: it is searched, as
     # the oracle searches it.
     mod = bare_algebra(quantale_self_module(TWO))
-    forged = omega_module.FreeAlgebra(TWO, point_algebra(), mod.carrier, {},
+    forged = omega_module.FreeAlgebra(TWO, point_algebra(), mod.carrier,
                                       mod, {"x": "0"})
     identity = StructureMap(mod, mod, {"0": "0", "1": "1"})
     with pytest.raises(errors.TheoremFails) as info:
@@ -1183,7 +1187,7 @@ def test_a_free_object_on_no_generators_builds():
     for base in (TWO, L3):
         free = free_qsup_algebra(base, validate_omega_algebra(
             (), EMPTY_SIGNATURE, {}))
-        assert free.ids == ("{}",) and free.id_of == {(): "{}"}
+        assert free.ids == ("{}",) and id_of(free) == {(): "{}"}
         assert free.eta == {}
         assert free.module.action == {(q, "{}"): "{}" for q in base.elements}
         lat = free.module.lattice

@@ -159,17 +159,37 @@ def test_chains_need_two_elements():
 
 def test_the_plan_checks_each_step_against_the_power_tables():
     # Each step's position is its digits' sum, and the power's action
-    # and join tables must agree with it; a table that does not (built
-    # here by editing a fresh power's) is an internal fault, not a plan.
+    # and, digit by digit, Q's join must agree with it; a table that
+    # does not (built here by editing a fresh power's action, or its
+    # copy of Q's join) is an internal fault, not a plan.
     base = lukasiewicz_chain(3)
     acts, joins = base.power(2).plan
     assert len(acts) == 2 and len(joins) == 4
-    for edit in ("iact", "ijoin"):
-        power = PowerAction(base, 2)
-        n = len(power.coords)
-        # (x, q, y) reads q*y at q*n + y, (x, y, z) reads y v z at y*n + z.
-        _, i, j = joins[0] if edit == "ijoin" else acts[0]
-        getattr(power, edit)[i * n + j] = power.bottom
-        with pytest.raises(errors.InternalInconsistency):
-            power.plan
-        assert power._plan is None
+    # (x, q, y) reads q*y at q*n + y in the power's action.
+    power = PowerAction(base, 2)
+    x, q, y = acts[0]
+    power.iact[q * len(power.coords) + y] = power.bottom
+    with pytest.raises(errors.InternalInconsistency):
+        power.plan
+    assert power._plan is None
+    # (x, y, z) reads, at each place, Q's join of y's and z's digits.
+    power = PowerAction(base, 2)
+    m, mul, join, bot, unit = power.flat
+    x, y, z = joins[0]
+    u, v = power.coords[y][0], power.coords[z][0]
+    join = list(join)
+    join[u * m + v] = (join[u * m + v] + 1) % m
+    power.flat = m, mul, join, bot, unit
+    with pytest.raises(errors.InternalInconsistency):
+        power.plan
+    assert power._plan is None
+
+
+def test_the_plan_builds_no_power_join_table():
+    # Q^10 over TWO: the join table would have 1,024^2 entries, and the
+    # plan checks its join steps on Q's digits instead.  A fresh
+    # quantale, so that no earlier search has built it.
+    power = boolean_quantale().power(10)
+    acts, joins = power.plan
+    assert len(acts) == 0 and len(joins) == 1024 - 1 - 10
+    assert power._ijoin is None

@@ -8,7 +8,8 @@ import pytest
 from qsalg import cli, errors, omega
 from qsalg import representation as representation_module
 from qsalg.lattice import chain_lattice, diamond_lattice
-from qsalg.nucleus import derived_laws, is_nucleus, quotient
+from qsalg.document import op_rows
+from qsalg.nucleus import Nucleus, derived_laws, is_nucleus, quotient
 from qsalg.omega import (
     EMPTY_SIGNATURE,
     bare_algebra,
@@ -25,12 +26,14 @@ from qsalg.qorder import is_qjoin_preserving
 from qsalg.quantale import boolean_quantale, godel_chain, lukasiewicz_chain
 from qsalg.recheck import recheck_certificate
 from qsalg.representation import (
+    _module_algebra_section,
     all_down_sets,
     canonical_closure,
     crisp_specialization,
-    principal_subset,
     representation,
 )
+from oracles import id_of, principal_subset
+from test_golden import crisp_chain, godel_on_chain
 from test_omega import lax_targets
 
 
@@ -257,8 +260,8 @@ def scan_argued_claims(label, subject):
         "idempotent": True, "join_law": True, "join_law_checked": 0,
         "op_law": True, "action_law": True}, label
     quot = quotient(nuc)
-    rho = {a: free.id_of[principal_subset(mod, a).values]
-           for a in mod.carrier}
+    ids = id_of(free)
+    rho = {a: ids[principal_subset(mod, a).values] for a in mod.carrier}
     assert rho == cert["rho"], label
     assert all(eps.table[rho[a]] == a for a in mod.carrier), label
     assert len(set(rho.values())) == len(rho), label
@@ -302,6 +305,55 @@ def test_claims_argued_in_representation_hold_on_the_corpus(all_subjects):
     assert passed == 16
 
 
+def built_sections(subject):
+    """The quotient section and the free op rows, each built from its
+    definition: the quotient by `nucleus.quotient` on the closure whose
+    cones are the definition's principal down-sets, the free op rows
+    read off each `FreeOp` table whole."""
+    mod, sig = subject.module, subject.algebra.signature
+    free = free_qsup_algebra(mod.base, subject.algebra)
+    eps = counit_map(free, subject)
+    ids = id_of(free)
+    cone = {b: ids[principal_subset(mod, b).values] for b in mod.carrier}
+    table = {i: cone[eps.table[i]] for i in free.ids}
+    assert canonical_closure(free, eps) == table
+    quot = quotient(Nucleus(free.module_algebra, table))
+    ops = free.module_algebra.algebra.ops
+    rows = {s: op_rows(ops[s].table, free.eta.values(), sig.arity(s))
+            for s in sig.symbols}
+    return _module_algebra_section(quot), rows
+
+
+def test_the_relabelled_sections_match_the_built_quotient(all_subjects):
+    """`representation` relabels the subject's rows along rho for the
+    quotient and along eta for the free ops; here both are built from
+    their definitions on the subject corpus (the corpus files among
+    them), the free ladder, every lax target that passes `counit_map`,
+    and a free object on a power lattice represented again."""
+    subjects = list(all_subjects)
+    subjects += [(f"crisp-chain{n}", crisp_chain(n)) for n in (4, 5, 6, 7)]
+    subjects += [("godel4-chain3", godel_on_chain(4, 3)),
+                 ("godel3-chain4", godel_on_chain(3, 4)),
+                 ("crisp-chain7-meet", crisp_chain(7, meet=True))]
+    for k, subject in enumerate(lax_targets()):
+        free = free_qsup_algebra(subject.module.base, subject.algebra)
+        try:
+            counit_map(free, subject)
+        except errors.SpecViolation:
+            continue
+        subjects.append((f"lax target {k}", subject))
+    again = free_qsup_algebra(boolean_quantale(),
+                              crisp_chain(3, meet=True).algebra)
+    subjects.append(("free meet 3-chain", again.module_algebra))
+    assert len(subjects) == 115 + 7 + 16 + 1
+    for label, subject in subjects:
+        cert = representation(subject)
+        quot, rows = built_sections(subject)
+        assert cert["quotient"] == quot, label
+        assert cert["free"]["ops"] == rows, label
+    assert cert["meta"]["free_size"] == 256 and len(quot["ops"]["meet"]) == 64
+
+
 def test_the_bridge_passes_exactly_on_full_modules():
     """A lax module passes `suplattice_from_module` exactly when it
     keeps every module law, so a lax subject past `counit_map` is a full
@@ -326,9 +378,9 @@ def test_the_bridge_passes_exactly_on_full_modules():
 
 def test_the_theorem_path_builds_no_free_op_table(monkeypatch):
     # The crisp 12-chain with its meet: free size 4,096, so the meet of
-    # Q^X has 16.7M cells.  representation reads the 144 generator rows
-    # and the quotient's 144 cells, one convolution each, and the CLI's
-    # canonical nucleus laws read none; neither builds the table.
+    # Q^X has 16.7M cells.  representation relabels the subject's 144
+    # rows for the generator rows and the quotient's, and the CLI's
+    # canonical nucleus laws read no cell; neither builds the table.
     lat = chain_lattice([str(i) for i in range(12)])
     meet = {(a, b): lat.meet((a, b))
             for a in lat.elements for b in lat.elements}
@@ -348,9 +400,9 @@ def test_the_theorem_path_builds_no_free_op_table(monkeypatch):
     monkeypatch.setattr(omega.FreeOp, "__getitem__",
                         lambda op, args: reads.append(args) or read(op, args))
     cert = representation(subject)
-    assert len(reads) == 144 + 144
+    assert len(reads) == 0
     assert cli._canonical_laws(subject)["free_size"] == 4096
-    assert len(reads) == 288
+    assert len(reads) == 0
     assert cert["meta"]["free_size"] == 4096
     assert len(cert["free"]["ops"]["meet"]) == 144
     assert len(frees) == 2 and all(
